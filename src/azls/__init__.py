@@ -2,8 +2,7 @@
 systems given a complementary operator Z with A - A Z* A numerically low
 rank, plus frame-approximation problem builders and experiment tooling."""
 
-from .azcore import (AzProblem, WeightedAzProblem, az_solve,
-                     az_solve_with_step1_override, az_weighted_solve,
+from .azcore import (AzProblem, WeightedAzProblem, az_solve, az_weighted_solve,
                      default_config, splitting_certificate)
 from .operators import LinearOperator, az_step1_operator, from_dense, materialize
 from .solvers import (SolveReport, SolverConfig, direct_lsq,
@@ -11,8 +10,8 @@ from .solvers import (SolveReport, SolverConfig, direct_lsq,
                       tsvd_solve)
 
 __all__ = [
-    "AzProblem", "WeightedAzProblem", "az_solve", "az_solve_with_step1_override",
-    "az_weighted_solve", "default_config", "splitting_certificate",
+    "AzProblem", "WeightedAzProblem", "az_solve", "az_weighted_solve",
+    "default_config", "splitting_certificate",
     "LinearOperator", "az_step1_operator", "from_dense", "materialize",
     "SolveReport", "SolverConfig", "direct_lsq", "randomized_tqr_solve",
     "randomized_tsvd_solve", "tqr_solve", "tsvd_solve",

@@ -59,8 +59,8 @@ class WeightedAzProblem:
         d = np.asarray(self.d, dtype=np.float64)
         if d.shape != (self.base.A.rows,):
             raise ValueError("weight vector length must equal the row count")
-        if np.any(d <= 0):
-            raise ValueError("all weights must be strictly positive")
+        if not np.all((d > 0) & np.isfinite(d)):
+            raise ValueError("all weights must be finite and strictly positive")
         if self.eps_w < 0:
             raise ValueError("eps_w must be nonnegative")
         object.__setattr__(self, "d", d)
@@ -70,9 +70,9 @@ def _solve_step1(op: LinearOperator, rhs: np.ndarray, step1,
                  config: SolverConfig) -> SolveReport:
     if callable(step1):
         return step1(op, rhs)
-    if step1 in RANDOMIZED_STEP1_SOLVERS:
-        if step1 == "rand-tsvd":
-            return solvers.randomized_tsvd_solve(op, rhs, config)
+    if step1 == "rand-tsvd":
+        return solvers.randomized_tsvd_solve(op, rhs, config)
+    if step1 == "rand-tqr":
         return solvers.randomized_tqr_solve(op, rhs, config)
     if step1 not in DENSE_STEP1_SOLVERS:
         raise ValueError(f"unknown step-1 solver {step1!r}; choose from {STEP1_SOLVERS}")
@@ -81,14 +81,7 @@ def _solve_step1(op: LinearOperator, rhs: np.ndarray, step1,
         return solvers.direct_lsq(dense, rhs)
     if step1 == "tsvd":
         return solvers.tsvd_solve(dense, rhs, config.eps)
-    # pivoted QR with the rank picked by the diagonal threshold
-    diag = np.abs(np.diagonal(mc.pivoted_qr(dense).R))
-    r = int(np.count_nonzero(diag >= config.eps))
-    if r == 0:
-        m, n = dense.shape
-        return SolveReport(x=np.zeros(n, dtype=np.complex128),
-                           residual_norm=float(np.linalg.norm(rhs)), rank_used=0)
-    return solvers.tqr_solve(dense, rhs, r)
+    return solvers.tqr_solve(dense, rhs, config.eps)
 
 
 def default_config(problem: AzProblem, seed: int = 0, eps: float | None = None,
@@ -102,9 +95,21 @@ def default_config(problem: AzProblem, seed: int = 0, eps: float | None = None,
     return SolverConfig(eps=eps, sketch_size=sketch_size, seed=seed, adaptive=adaptive)
 
 
-def _finish(a: LinearOperator, z: LinearOperator, b: np.ndarray,
-            x1: np.ndarray, step1_report: SolveReport, t0: float,
-            recompute_residual: bool) -> SolveReport:
+def _three_step(a: LinearOperator, z: LinearOperator, b: np.ndarray, step1,
+                config: SolverConfig, recompute_residual: bool) -> SolveReport:
+    t0 = time.perf_counter()
+    if b.shape != (a.rows,):
+        raise ValueError(f"b has shape {b.shape}, expected ({a.rows},)")
+    if not np.all(np.isfinite(b)):
+        raise ValueError("b contains non-finite entries")
+    op1 = az_step1_operator(a, z)
+    rhs = b - np.asarray(a.apply(z.adjoint_apply(b)), dtype=np.complex128)
+    rep1 = _solve_step1(op1, rhs, step1, config)
+    x1 = np.asarray(rep1.x, dtype=np.complex128)
+    if x1.shape != (a.cols,):
+        raise ValueError(f"x1 has shape {x1.shape}, expected ({a.cols},)")
+    if not np.all(np.isfinite(x1)):
+        raise ValueError("step 1 returned an x1 with non-finite entries")
     # steps 2-3: exactly one A-apply and one Z*-apply
     r1 = b - np.asarray(a.apply(x1), dtype=np.complex128)
     x2 = np.asarray(z.adjoint_apply(r1), dtype=np.complex128)
@@ -113,9 +118,9 @@ def _finish(a: LinearOperator, z: LinearOperator, b: np.ndarray,
         res = float(np.linalg.norm(b - a.apply(x)))
     else:
         # the final residual equals the step-1 residual identically
-        res = step1_report.residual_norm
-    return SolveReport(x=x, residual_norm=res, rank_used=step1_report.rank_used,
-                       sketch_size=step1_report.sketch_size,
+        res = rep1.residual_norm
+    return SolveReport(x=x, residual_norm=res, rank_used=rep1.rank_used,
+                       sketch_size=rep1.sketch_size,
                        wall_time=time.perf_counter() - t0, x1=x1, x2=x2)
 
 
@@ -125,34 +130,15 @@ def az_solve(problem: AzProblem, b, step1="rand-tsvd",
     """Run the three-step AZ algorithm with the chosen step-1 solver.
 
     step1 is a solver name from STEP1_SOLVERS or a callable
-    (operator, rhs) -> SolveReport.  With recompute_residual=False the
-    reported residual is taken from step 1 (they agree identically) and
-    steps 2-3 spend exactly one A-apply plus one Z*-apply.
+    (operator, rhs) -> SolveReport; a callable can also inject a fixed x1.
+    With recompute_residual=False the reported residual is taken from step 1
+    (they agree identically) and steps 2-3 spend exactly one A-apply plus
+    one Z*-apply.
     """
-    t0 = time.perf_counter()
-    a, z = problem.A, problem.Z
-    b = np.asarray(b, dtype=np.complex128)
-    if b.shape != (a.rows,):
-        raise ValueError(f"b has shape {b.shape}, expected ({a.rows},)")
     if config is None:
         config = default_config(problem)
-    op1 = az_step1_operator(a, z)
-    rhs = b - np.asarray(a.apply(z.adjoint_apply(b)), dtype=np.complex128)
-    rep1 = _solve_step1(op1, rhs, step1, config)
-    return _finish(a, z, b, np.asarray(rep1.x, dtype=np.complex128), rep1, t0,
-                   recompute_residual)
-
-
-def az_solve_with_step1_override(problem: AzProblem, b, x1_forced) -> SolveReport:
-    """Skip step 1 and run steps 2-3 on a caller-supplied x1."""
-    t0 = time.perf_counter()
-    a, z = problem.A, problem.Z
-    b = np.asarray(b, dtype=np.complex128)
-    x1 = np.asarray(x1_forced, dtype=np.complex128)
-    if x1.shape != (a.cols,):
-        raise ValueError(f"x1 has shape {x1.shape}, expected ({a.cols},)")
-    stub = SolveReport(x=x1, residual_norm=0.0, rank_used=0)
-    return _finish(a, z, b, x1, stub, t0, recompute_residual=True)
+    return _three_step(problem.A, problem.Z, np.asarray(b, dtype=np.complex128),
+                       step1, config, recompute_residual)
 
 
 def weighted_eps_pinv(d: np.ndarray, eps_w: float) -> np.ndarray:
@@ -171,28 +157,13 @@ def weighted_eps_pinv(d: np.ndarray, eps_w: float) -> np.ndarray:
 def az_weighted_solve(problem: WeightedAzProblem, b, step1: str = "tsvd",
                       config: SolverConfig | None = None) -> SolveReport:
     """AZ for the weighted system W A x = W b with Z~ = pinv(W_eps) Z."""
-    t0 = time.perf_counter()
-    base = problem.base
-    a, z = base.A, base.Z
-    b = np.asarray(b, dtype=np.complex128)
-    d = problem.d
-    w = diagonal(d)
-    wa = compose(w, a)
-    ztil = compose(diagonal(weighted_eps_pinv(d, problem.eps_w)), z)
+    base, d = problem.base, problem.d
+    wa = compose(diagonal(d), base.A)
+    ztil = compose(diagonal(weighted_eps_pinv(d, problem.eps_w)), base.Z)
     if config is None:
         config = default_config(base, eps=1e-10 * base.scale * float(d.max()))
-    op1 = az_step1_operator(wa, ztil)
-    wb = d * b
-    rhs = wb - np.asarray(wa.apply(ztil.adjoint_apply(wb)), dtype=np.complex128)
-    rep1 = _solve_step1(op1, rhs, step1, config)
-    x1 = np.asarray(rep1.x, dtype=np.complex128)
-    r1 = wb - np.asarray(wa.apply(x1), dtype=np.complex128)
-    x2 = np.asarray(ztil.adjoint_apply(r1), dtype=np.complex128)
-    x = x1 + x2
-    res = float(np.linalg.norm(wb - wa.apply(x)))
-    return SolveReport(x=x, residual_norm=res, rank_used=rep1.rank_used,
-                       sketch_size=rep1.sketch_size,
-                       wall_time=time.perf_counter() - t0, x1=x1, x2=x2)
+    return _three_step(wa, ztil, d * np.asarray(b, dtype=np.complex128), step1,
+                       config, recompute_residual=True)
 
 
 @dataclass(frozen=True)

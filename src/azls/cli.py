@@ -208,14 +208,14 @@ def _timed_solve(problem, b, solver: str, seed: int):
         return x, time.perf_counter() - t0
     config = default_config(problem, seed=seed)
     t0 = time.perf_counter()
-    rep = az_solve(problem, b, step1="rand-tsvd", config=config,
+    rep = az_solve(problem, b, step1=STEP1_BY_SOLVER[solver], config=config,
                    recompute_residual=False)
     return rep.x, time.perf_counter() - t0
 
 
 def cmd_timing(args) -> None:
-    if args.solver not in ("az-rand-svd", "direct"):
-        raise CliError("timing solver must be az-rand-svd or direct")
+    if args.solver not in APPROX_SOLVERS:
+        raise CliError(f"timing solver must be one of {APPROX_SOLVERS}")
     ns = _n_list(args)
     records = []
     prev = None
@@ -316,8 +316,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
                      help="comma-separated weight thresholds")
     sub.add_argument("--oversampling", type=float, default=2.0)
     sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--threads", type=int, default=1,
-                     help="reserved for parallel sweeps; runs are per-N seeded")
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
     sub.add_argument("--out", default=None)
 

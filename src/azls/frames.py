@@ -21,6 +21,9 @@ from .azcore import AzProblem, WeightedAzProblem
 from .operators import LinearOperator, compose, diagonal, from_dense, hstack, scale
 
 _MAX_GRID_GROWTH = 200
+# entries of the point-by-frequency matrix built per block when evaluating a
+# Fourier extension approximant (16 MiB of complex128)
+_EVAL_BLOCK_ENTRIES = 1 << 20
 
 
 class DomainSizingError(ValueError):
@@ -168,13 +171,17 @@ def fourier_extension_1d(n: int, domain: DomainSpec, oversampling: float = 2.0,
         y = np.fft.fft(u, axis=0)
         return phase.reshape((-1,) + (1,) * (v.ndim - 1)) * y[bins]
 
-    t = int(5 * L * max(1, math.log2(L)))
-    a = LinearOperator(m, n, apply, adjoint_apply, t_mult=t)
+    a = LinearOperator(m, n, apply, adjoint_apply)
     z = scale(1.0 / L, a)
 
     def evaluate(coeffs, pts):
-        pts = np.asarray(pts, dtype=np.float64)
-        return np.exp(1j * np.pi * np.outer(pts, freqs)) @ np.asarray(coeffs)
+        pts = np.asarray(pts, dtype=np.float64).ravel()
+        coeffs = np.asarray(coeffs)
+        rows = max(1, _EVAL_BLOCK_ENTRIES // n)
+        out = np.empty((pts.size,) + coeffs.shape[1:], dtype=np.complex128)
+        for i in range(0, pts.size, rows):
+            out[i:i + rows] = np.exp(1j * np.pi * np.outer(pts[i:i + rows], freqs)) @ coeffs
+        return out
 
     return AzProblem(A=a, Z=z, label=f"fourier1d(N={n}, L={L})",
                      scale=math.sqrt(L), grid=full[sel], evaluate=evaluate,
@@ -242,8 +249,7 @@ def fourier_extension_2d(n_per_dim: int, mask: DomainSpec,
         y = np.fft.fft2(u.reshape(L, L))
         return (phase2 * y[np.ix_(bins, bins)]).ravel()
 
-    a = LinearOperator(m, n_total, apply, adjoint_apply,
-                       t_mult=int(10 * L * L * max(1, math.log2(L))))
+    a = LinearOperator(m, n_total, apply, adjoint_apply)
     z = scale(1.0 / L**2, a)
 
     def evaluate(coeffs, pts):
@@ -370,9 +376,8 @@ def chebyshev_extension(n: int, domain: DomainSpec, oversampling: float = 2.0,
         y = _cheb_nodes_to_modes(u, L, kind)[:n]
         return d.reshape((-1,) + (1,) * (v.ndim - 1)) * y
 
-    t = int(5 * L * max(1, math.log2(L)))
-    a = LinearOperator(m, n, apply, adjoint_apply, t_mult=t)
-    z = LinearOperator(m, n, z_apply, z_adjoint_apply, t_mult=t)
+    a = LinearOperator(m, n, apply, adjoint_apply)
+    z = LinearOperator(m, n, z_apply, z_adjoint_apply)
 
     def evaluate(coeffs, pts):
         return np.polynomial.chebyshev.chebval(np.asarray(pts, dtype=np.float64),

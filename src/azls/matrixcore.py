@@ -127,25 +127,3 @@ def frobenius_norm(a) -> float:
 def adjoint(a) -> np.ndarray:
     return np.asarray(a).conj().T
 
-
-def save_matrix_text(a, path) -> None:
-    """Write a matrix as 'rows cols' header plus row-major 're im' pairs.
-
-    Full double precision (17 significant digits), locale independent.
-    """
-    a = _as_matrix(a)
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"{a.shape[0]} {a.shape[1]}\n")
-        for row in a:
-            fh.write(" ".join(f"{z.real:.17g} {z.imag:.17g}" for z in row))
-            fh.write("\n")
-
-
-def load_matrix_text(path) -> np.ndarray:
-    with open(path, "r", encoding="ascii") as fh:
-        rows, cols = (int(t) for t in fh.readline().split())
-        data = np.loadtxt(fh, ndmin=2)
-    flat = data.reshape(-1)
-    if flat.size != 2 * rows * cols:
-        raise ValueError(f"expected {2 * rows * cols} values, got {flat.size}")
-    return (flat[0::2] + 1j * flat[1::2]).reshape(rows, cols)

@@ -22,17 +22,12 @@ class ShapeMismatchError(ValueError):
 
 @dataclass(frozen=True)
 class LinearOperator:
-    """Matrix-free M-by-N map with mandatory adjoint.
-
-    t_mult is an advisory flop estimate for one apply; it never influences
-    results.
-    """
+    """Matrix-free M-by-N map with mandatory adjoint."""
 
     rows: int
     cols: int
     apply: Callable[[np.ndarray], np.ndarray]
     adjoint_apply: Callable[[np.ndarray], np.ndarray]
-    t_mult: int | None = None
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -51,7 +46,7 @@ def from_dense(mat) -> LinearOperator:
     mat = np.asarray(mat, dtype=np.complex128)
     m, n = mat.shape
     mh = mat.conj().T
-    return LinearOperator(m, n, lambda v: mat @ v, lambda v: mh @ v, t_mult=2 * m * n)
+    return LinearOperator(m, n, lambda v: mat @ v, lambda v: mh @ v)
 
 
 def materialize(op: LinearOperator, cap: int = MATERIALIZE_CAP) -> np.ndarray:
@@ -63,19 +58,18 @@ def materialize(op: LinearOperator, cap: int = MATERIALIZE_CAP) -> np.ndarray:
 
 def identity(n: int) -> LinearOperator:
     return LinearOperator(n, n, lambda v: np.asarray(v, dtype=np.complex128).copy(),
-                          lambda v: np.asarray(v, dtype=np.complex128).copy(), t_mult=0)
+                          lambda v: np.asarray(v, dtype=np.complex128).copy())
 
 
 def adjoint(op: LinearOperator) -> LinearOperator:
-    return LinearOperator(op.cols, op.rows, op.adjoint_apply, op.apply, t_mult=op.t_mult)
+    return LinearOperator(op.cols, op.rows, op.adjoint_apply, op.apply)
 
 
 def scale(c: complex, op: LinearOperator) -> LinearOperator:
     cbar = np.conj(c)
     return LinearOperator(op.rows, op.cols,
                           lambda v: c * op.apply(v),
-                          lambda v: cbar * op.adjoint_apply(v),
-                          t_mult=op.t_mult)
+                          lambda v: cbar * op.adjoint_apply(v))
 
 
 def _dmul(d: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -88,19 +82,16 @@ def diagonal(d) -> LinearOperator:
     n = d.shape[0]
     return LinearOperator(n, n,
                           lambda v: _dmul(d, np.asarray(v, dtype=np.complex128)),
-                          lambda v: _dmul(dbar, np.asarray(v, dtype=np.complex128)),
-                          t_mult=n)
+                          lambda v: _dmul(dbar, np.asarray(v, dtype=np.complex128)))
 
 
 def compose(b: LinearOperator, a: LinearOperator) -> LinearOperator:
     """Operator computing b(a(v))."""
     if b.cols != a.rows:
         raise ShapeMismatchError(f"cannot compose {b.shape} after {a.shape}")
-    t = None if (a.t_mult is None or b.t_mult is None) else a.t_mult + b.t_mult
     return LinearOperator(b.rows, a.cols,
                           lambda v: b.apply(a.apply(v)),
-                          lambda v: a.adjoint_apply(b.adjoint_apply(v)),
-                          t_mult=t)
+                          lambda v: a.adjoint_apply(b.adjoint_apply(v)))
 
 
 def subtract(a: LinearOperator, b: LinearOperator) -> LinearOperator:
@@ -141,7 +132,7 @@ def restriction(indices, m: int) -> LinearOperator:
         out[idx] = v
         return out
 
-    return LinearOperator(len(idx), m, apply, adjoint_apply, t_mult=len(idx))
+    return LinearOperator(len(idx), m, apply, adjoint_apply)
 
 
 def extension(indices, n: int) -> LinearOperator:
@@ -161,10 +152,7 @@ def az_step1_operator(a: LinearOperator, z: LinearOperator) -> LinearOperator:
         v = np.asarray(v, dtype=np.complex128)
         return a.adjoint_apply(v - z.apply(a.adjoint_apply(v)))
 
-    t = None
-    if a.t_mult is not None and z.t_mult is not None:
-        t = 2 * a.t_mult + z.t_mult + a.rows
-    return LinearOperator(a.rows, a.cols, apply, adjoint_apply, t_mult=t)
+    return LinearOperator(a.rows, a.cols, apply, adjoint_apply)
 
 
 @dataclass
@@ -187,4 +175,4 @@ def counted(op: LinearOperator) -> tuple[LinearOperator, CallCounter]:
         counter.adjoint_applies += 1
         return op.adjoint_apply(v)
 
-    return LinearOperator(op.rows, op.cols, apply, adjoint_apply, t_mult=op.t_mult), counter
+    return LinearOperator(op.rows, op.cols, apply, adjoint_apply), counter

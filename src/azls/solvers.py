@@ -1,8 +1,10 @@
 """Least squares solvers for numerically low-rank systems.
 
 Dense variants (direct, truncated SVD, truncated pivoted QR) take matrices;
-randomized variants take matrix-free operators and a SolverConfig.  Every
-solver recomputes the residual norm independently of its internal algebra.
+randomized variants take matrix-free operators and a SolverConfig and work on
+the sketch A Omega.  All of them factor once, truncate and back-solve through
+one core, and every solver recomputes the residual norm independently of its
+internal algebra.
 """
 
 from __future__ import annotations
@@ -24,9 +26,9 @@ class SolverConfig:
     """Truncation threshold and sketching parameters.
 
     eps is an absolute singular-value / diagonal threshold.  sketch_size is
-    R = r + p; when only a target rank is known, use SolverConfig.for_rank.
-    adaptive doubles R (reusing the random stream) while the sketch shows no
-    singular value below eps, capped at N.
+    R = r + p for a target rank r and oversampling p.  adaptive doubles R
+    (reusing the random stream) while the sketch shows no singular value
+    below eps, capped at N.
     """
 
     eps: float
@@ -39,13 +41,6 @@ class SolverConfig:
             raise ValueError("eps must be positive")
         if self.sketch_size < 1:
             raise ValueError("sketch_size must be >= 1")
-
-    @classmethod
-    def for_rank(cls, r: int, eps: float, p: int = DEFAULT_OVERSAMPLING,
-                 seed: int = 0, adaptive: bool = False) -> "SolverConfig":
-        if p < 2:
-            raise ValueError("oversampling p must be >= 2")
-        return cls(eps=eps, sketch_size=r + p, seed=seed, adaptive=adaptive)
 
 
 @dataclass
@@ -76,47 +71,52 @@ def _report(apply_a, b, x, rank, sketch=0, t0=None) -> SolveReport:
                        rank_used=rank, sketch_size=sketch, wall_time=wall)
 
 
-def direct_lsq(a, b) -> SolveReport:
-    """Minimum-norm least squares x = pinv(A) b via the SVD."""
-    t0 = time.perf_counter()
-    a = np.asarray(a, dtype=np.complex128)
-    b = np.asarray(b, dtype=np.complex128)
+def _truncated_solve(a: np.ndarray, b: np.ndarray, eps: float | None,
+                     qr: bool = False) -> tuple[np.ndarray, int]:
+    """Factor a once, keep its leading part, back-solve; returns (y, rank).
+
+    The SVD keeps the singular values >= eps; with qr the column-pivoted QR
+    keeps the leading block whose |diag R| >= eps.  eps=None keeps what
+    matrixcore.pseudoinverse keeps: sigma > max(M, N) * eps_mach * sigma_1.
+    y is in the column coordinates of a.
+    """
+    if qr:
+        f = mc.pivoted_qr(a)
+        k = int(np.count_nonzero(np.abs(np.diagonal(f.R)) >= eps))
+        y = np.zeros(a.shape[1], dtype=np.complex128)
+        y[f.perm[:k]] = scipy.linalg.solve_triangular(f.R[:k, :k], f.Q[:, :k].conj().T @ b)
+        return y, k
     f = mc.svd(a)
-    cutoff = max(a.shape) * np.finfo(np.float64).eps * (f.sigma[0] if f.sigma.size else 0.0)
-    keep = f.sigma > cutoff
-    x = f.V[:, keep] @ ((f.U[:, keep].conj().T @ b) / f.sigma[keep])
-    return _report(lambda v: a @ v, b, x, int(np.count_nonzero(keep)), t0=t0)
+    if eps is None:
+        k = int(np.count_nonzero(f.sigma > max(a.shape) * np.finfo(np.float64).eps * f.sigma[0]))
+    else:
+        k = int(np.count_nonzero(f.sigma >= eps))
+    return f.V[:, :k] @ ((f.U[:, :k].conj().T @ b) / f.sigma[:k]), k
 
 
-def tsvd_solve(a, b, eps: float) -> SolveReport:
-    """Truncated SVD solve: invert only singular values >= eps."""
-    if eps <= 0:
+def _dense_solve(a, b, eps: float | None, qr: bool = False) -> SolveReport:
+    if eps is not None and eps <= 0:
         raise ValueError("eps must be positive")
     t0 = time.perf_counter()
     a = np.asarray(a, dtype=np.complex128)
     b = np.asarray(b, dtype=np.complex128)
-    f = mc.svd(a)
-    k = int(np.count_nonzero(f.sigma >= eps))
-    x = f.V[:, :k] @ ((f.U[:, :k].conj().T @ b) / f.sigma[:k])
+    x, k = _truncated_solve(a, b, eps, qr)
     return _report(lambda v: a @ v, b, x, k, t0=t0)
 
 
-def tqr_solve(a, b, r: int) -> SolveReport:
-    """Truncated pivoted QR solve with explicit rank r."""
-    a = np.asarray(a, dtype=np.complex128)
-    if not 1 <= r <= a.shape[1]:
-        raise ValueError(f"rank r={r} out of range for {a.shape} matrix")
-    t0 = time.perf_counter()
-    b = np.asarray(b, dtype=np.complex128)
-    f = mc.pivoted_qr(a)
-    diag = np.abs(np.diagonal(f.R))[:r]
-    if np.any(diag == 0.0):
-        bad = int(np.argmax(diag == 0.0))
-        raise ValueError(f"singular leading block: R[{bad},{bad}] = 0")
-    y = scipy.linalg.solve_triangular(f.R[:r, :r], f.Q[:, :r].conj().T @ b)
-    x = np.zeros(a.shape[1], dtype=np.complex128)
-    x[f.perm[:r]] = y
-    return _report(lambda v: a @ v, b, x, r, t0=t0)
+def direct_lsq(a, b) -> SolveReport:
+    """Minimum-norm least squares x = pinv(A) b via the SVD."""
+    return _dense_solve(a, b, None)
+
+
+def tsvd_solve(a, b, eps: float) -> SolveReport:
+    """Truncated SVD solve: invert only singular values >= eps."""
+    return _dense_solve(a, b, eps)
+
+
+def tqr_solve(a, b, eps: float) -> SolveReport:
+    """Truncated pivoted QR solve on the leading block with |diag(R)| >= eps."""
+    return _dense_solve(a, b, eps, qr=True)
 
 
 def _as_operator(a) -> LinearOperator:
@@ -141,43 +141,29 @@ def _sketch(a: LinearOperator, config: SolverConfig):
         r_now += extra
 
 
-def randomized_tsvd_solve(a, b, config: SolverConfig) -> SolveReport:
-    """Sketch-then-truncated-SVD solve; the answer lies in the sketch span."""
+def _randomized_solve(a, b, config: SolverConfig, qr: bool) -> SolveReport:
+    """Truncated solve on the sketch A Omega, then x = Omega y.
+
+    An adaptive sketch grows while every one of its directions is kept.
+    """
     t0 = time.perf_counter()
     a = _as_operator(a)
     b = np.asarray(b, dtype=np.complex128)
     for omega, atil in _sketch(a, config):
-        f = mc.svd(atil)
-        k = int(np.count_nonzero(f.sigma >= config.eps))
+        y, k = _truncated_solve(atil, b, config.eps, qr)
         if k < omega.shape[1] or omega.shape[1] >= a.cols:
             break
-    if k == 0:
-        x = np.zeros(a.cols, dtype=np.complex128)
-    else:
-        y = f.V[:, :k] @ ((f.U[:, :k].conj().T @ b) / f.sigma[:k])
-        x = omega @ y
-    return _report(a.apply, b, x, k, sketch=omega.shape[1], t0=t0)
+    return _report(a.apply, b, omega @ y, k, sketch=omega.shape[1], t0=t0)
+
+
+def randomized_tsvd_solve(a, b, config: SolverConfig) -> SolveReport:
+    """Sketch-then-truncated-SVD solve; the answer lies in the sketch span."""
+    return _randomized_solve(a, b, config, qr=False)
 
 
 def randomized_tqr_solve(a, b, config: SolverConfig) -> SolveReport:
     """Sketch-then-truncated-pivoted-QR solve, thresholding |diag(R)| at eps."""
-    t0 = time.perf_counter()
-    a = _as_operator(a)
-    b = np.asarray(b, dtype=np.complex128)
-    for omega, atil in _sketch(a, config):
-        f = mc.pivoted_qr(atil)
-        diag = np.abs(np.diagonal(f.R))
-        k = int(np.count_nonzero(diag >= config.eps))
-        if k < omega.shape[1] or omega.shape[1] >= a.cols:
-            break
-    if k == 0:
-        x = np.zeros(a.cols, dtype=np.complex128)
-    else:
-        y = scipy.linalg.solve_triangular(f.R[:k, :k], f.Q[:, :k].conj().T @ b)
-        yfull = np.zeros(omega.shape[1], dtype=np.complex128)
-        yfull[f.perm[:k]] = y
-        x = omega @ yfull
-    return _report(a.apply, b, x, k, sketch=omega.shape[1], t0=t0)
+    return _randomized_solve(a, b, config, qr=True)
 
 
 @dataclass(frozen=True)

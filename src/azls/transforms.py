@@ -1,8 +1,5 @@
-"""Fast transform and quadrature primitives.
-
-DFT convention: forward is unnormalized with kernel exp(-2*pi*1j*k*l/L); the
-inverse carries the 1/L factor.  All lengths are supported (the FFT backend
-is mixed-radix with Bluestein for large prime factors).
+"""Fast transform and quadrature primitives: Chebyshev nodes and series
+evaluation at the roots of T_L, Legendre evaluation and Gauss-Legendre rules.
 """
 
 from __future__ import annotations
@@ -21,16 +18,6 @@ class QuadratureRule:
 
     nodes: np.ndarray
     weights: np.ndarray
-
-
-def dft(v) -> np.ndarray:
-    """Unnormalized forward DFT of any length."""
-    return np.fft.fft(np.asarray(v, dtype=np.complex128), axis=0)
-
-
-def idft(v) -> np.ndarray:
-    """Inverse DFT carrying the 1/L factor."""
-    return np.fft.ifft(np.asarray(v, dtype=np.complex128), axis=0)
 
 
 def legendre_eval(n: int, x) -> np.ndarray:
@@ -101,20 +88,6 @@ def chebyshev_nodes(L: int, kind: str = "roots") -> np.ndarray:
             raise ValueError("extremae grid needs L >= 2")
         return -np.cos(np.pi * np.arange(L) / (L - 1))
     raise ValueError(f"unknown node kind {kind!r}")
-
-
-def chebyshev_transform(values) -> np.ndarray:
-    """Chebyshev coefficients of a function sampled at the L roots of T_L.
-
-    `values` is ordered by increasing node, matching chebyshev_nodes(L).
-    Exact (up to roundoff) for polynomials of degree < L.
-    """
-    v = np.asarray(values, dtype=np.complex128)
-    L = v.shape[0]
-    # DCT-II runs over nodes cos(pi*(2j+1)/(2L)), i.e. decreasing x
-    y = scipy.fft.dct(v[::-1], type=2, axis=0)
-    y[0] *= 0.5
-    return y / L
 
 
 def chebyshev_evaluate(coeffs) -> np.ndarray:

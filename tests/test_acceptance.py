@@ -7,9 +7,8 @@ import time
 
 import numpy as np
 
-from azls import (AzProblem, WeightedAzProblem, az_solve,
-                  az_solve_with_step1_override, az_weighted_solve,
-                  default_config, splitting_certificate)
+from azls import (AzProblem, SolveReport, WeightedAzProblem, az_solve,
+                  az_weighted_solve, default_config, splitting_certificate)
 from azls import frames, matrixcore as mc, operators as ops, solvers
 from azls.cli import main as cli_main
 from azls.frames import DomainSpec, eval_error, sample_function
@@ -56,6 +55,11 @@ def test_criterion_01_residual_identity():
     verdict(1, "three-step residual identity, 4 solvers x 50 seeds", ok)
 
 
+def injected_step1(x1):
+    """A step-1 solver that ignores its system and returns x1."""
+    return lambda op, rhs: SolveReport(x=x1, residual_norm=0.0, rank_used=0)
+
+
 def test_criterion_02_override_inequalities():
     """Residual and coefficient-norm bounds for an arbitrary injected
     step-1 vector, 20 seeds."""
@@ -65,7 +69,7 @@ def test_criterion_02_override_inequalities():
         z = 0.2 * random_complex(20, 12, seed=800 + seed)
         b = np.asarray(random_complex(20, 1, seed=900 + seed)).ravel()
         x_tilde = np.asarray(random_complex(12, 1, seed=1000 + seed)).ravel()
-        rep = az_solve_with_step1_override(dense_problem(a, z), b, x_tilde)
+        rep = az_solve(dense_problem(a, z), b, step1=injected_step1(x_tilde))
         tau = np.linalg.norm(b - a @ x_tilde)
         ok &= bool(rep.residual_norm
                    <= mc.two_norm(np.eye(20) - a @ z.conj().T) * tau + 1e-10)
@@ -105,8 +109,9 @@ def test_criterion_04_truncation_residual_bounds():
     for eps in (1e-1, 1e-3, 1e-6):
         rep = solvers.tsvd_solve(a, b, eps)
         ok &= bool(rep.residual_norm <= base + eps * np.linalg.norm(v) + 1e-12)
-        r = int(np.sum(np.abs(np.diagonal(f.R)) >= eps))
-        rep_qr = solvers.tqr_solve(a, b, r)
+        rep_qr = solvers.tqr_solve(a, b, eps)
+        r = rep_qr.rank_used
+        ok &= r == int(np.sum(np.abs(np.diagonal(f.R)) >= eps))
         r22 = mc.two_norm(f.R[r:, r:]) if r < f.R.shape[0] else 0.0
         ok &= bool(rep_qr.residual_norm <= base + r22 * np.linalg.norm(v) + 1e-12)
     verdict(4, "truncated SVD/QR residual bounds at three thresholds", ok)

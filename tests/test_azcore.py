@@ -1,14 +1,14 @@
 """Three-step algorithm tests: the residual identity, step-count contract,
-the step-1 override, the weighted variant's limits, and the splitting check."""
+an injected step-1 vector, non-finite input, the weighted variant's limits,
+and the splitting check."""
 
 import numpy as np
 import pytest
 
-from azls import (AzProblem, WeightedAzProblem, az_solve,
-                  az_solve_with_step1_override, az_weighted_solve,
-                  default_config, splitting_certificate)
+from azls import (AzProblem, SolveReport, WeightedAzProblem, az_solve,
+                  az_weighted_solve, default_config, splitting_certificate)
 from azls import frames, matrixcore as mc, operators as ops, solvers
-from azls.azcore import weighted_eps_pinv
+from azls.azcore import STEP1_SOLVERS, weighted_eps_pinv
 from azls.frames import DomainSpec, sample_function
 from azls.solvers import SolverConfig
 
@@ -20,6 +20,11 @@ def random_complex(m, n, seed):
 
 def dense_problem(a, z, scale=1.0):
     return AzProblem(A=ops.from_dense(a), Z=ops.from_dense(z), scale=scale)
+
+
+def injected_step1(x1):
+    """A step-1 solver that ignores its system and returns x1."""
+    return lambda op, rhs: SolveReport(x=x1, residual_norm=0.0, rank_used=0)
 
 
 class TestAzSolve:
@@ -88,6 +93,15 @@ class TestAzSolve:
         assert a_counter.applies - snapshot["a"] == 1
         assert z_counter.adjoint_applies - snapshot["z"] == 1
 
+    def test_dense_tqr_factors_once(self, monkeypatch):
+        calls = []
+        qr = mc.pivoted_qr
+        monkeypatch.setattr(mc, "pivoted_qr", lambda a: calls.append(a.shape) or qr(a))
+        p = frames.chebyshev_extension(33, DomainSpec.interval(-0.5, 0.5))
+        b = sample_function(np.exp, p.grid)
+        az_solve(p, b, step1="tqr", config=default_config(p))
+        assert len(calls) == 1
+
     def test_determinism(self):
         p = frames.fourier_extension_1d(61, DomainSpec.interval(-0.5, 0.5), 2.0)
         b = sample_function(np.exp, p.grid)
@@ -103,7 +117,7 @@ class TestStep1Override:
         z = 0.1 * random_complex(6, 4, seed=21)
         x_true = np.asarray(random_complex(4, 1, seed=22)).ravel()
         b = a @ x_true
-        rep = az_solve_with_step1_override(dense_problem(a, z), b, x_true)
+        rep = az_solve(dense_problem(a, z), b, step1=injected_step1(x_true))
         assert rep.residual_norm <= 1e-10
         assert np.allclose(rep.x, x_true, atol=1e-10)
 
@@ -111,7 +125,7 @@ class TestStep1Override:
         a = random_complex(6, 4, seed=23)
         z = random_complex(6, 4, seed=24)
         b = np.asarray(random_complex(6, 1, seed=25)).ravel()
-        rep = az_solve_with_step1_override(dense_problem(a, z), b, np.zeros(4))
+        rep = az_solve(dense_problem(a, z), b, step1=injected_step1(np.zeros(4)))
         assert np.allclose(rep.x, z.conj().T @ b)
 
     def test_injected_step1_inequalities(self):
@@ -122,7 +136,7 @@ class TestStep1Override:
             x_tilde = np.asarray(random_complex(12, 1, seed=600 + seed)).ravel()
             tau = np.linalg.norm(b - a @ x_tilde)
             c = np.linalg.norm(x_tilde)
-            rep = az_solve_with_step1_override(dense_problem(a, z), b, x_tilde)
+            rep = az_solve(dense_problem(a, z), b, step1=injected_step1(x_tilde))
             norm_izam = mc.two_norm(np.eye(20) - a @ z.conj().T)
             norm_zstar = mc.two_norm(z.conj().T)
             assert rep.residual_norm <= norm_izam * tau + 1e-10
@@ -130,8 +144,42 @@ class TestStep1Override:
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            az_solve_with_step1_override(dense_problem(np.eye(3), np.eye(3)),
-                                         np.zeros(3), np.zeros(4))
+            az_solve(dense_problem(np.eye(3), np.eye(3)), np.zeros(3),
+                     step1=injected_step1(np.zeros(4)))
+
+
+class TestNonFinite:
+    """A NaN or inf in b, or in the x1 a step 1 returns, raises a ValueError
+    that names it instead of returning a NaN x and residual."""
+
+    @staticmethod
+    def fourier_problem():
+        p = frames.fourier_extension_1d(65, DomainSpec.interval(-0.5, 0.5))
+        return p, sample_function(np.exp, p.grid)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("step1", STEP1_SOLVERS)
+    def test_nonfinite_b(self, step1, bad):
+        p, b = self.fourier_problem()
+        b[3] = bad
+        with pytest.raises(ValueError, match="b contains non-finite"):
+            az_solve(p, b, step1=step1, config=default_config(p, seed=0))
+
+    def test_nonfinite_x1(self):
+        p, b = self.fourier_problem()
+        x1 = np.ones(p.A.cols, dtype=complex)
+        x1[5] = np.nan
+        with pytest.raises(ValueError, match="x1 with non-finite"):
+            az_solve(p, b, step1=injected_step1(x1))
+
+    @pytest.mark.parametrize("step1", STEP1_SOLVERS)
+    def test_weighted_nonfinite_b(self, step1):
+        p = frames.fourier_lsq_equispaced(21, 43)
+        b = sample_function(np.exp, p.grid)
+        b[3] = np.nan
+        wp = WeightedAzProblem(base=p, d=0.1 + np.asarray(p.grid), eps_w=0.2)
+        with pytest.raises(ValueError, match="b contains non-finite"):
+            az_weighted_solve(wp, b, step1=step1)
 
 
 class TestWeighted:
@@ -143,6 +191,8 @@ class TestWeighted:
         base = dense_problem(np.eye(3), np.eye(3))
         with pytest.raises(ValueError):
             WeightedAzProblem(base=base, d=np.array([1.0, 0.0, 1.0]), eps_w=0.1)
+        with pytest.raises(ValueError):
+            WeightedAzProblem(base=base, d=np.array([1.0, np.nan, 1.0]), eps_w=0.1)
 
     def test_eps_w_zero_gives_unweighted_solution(self):
         p = frames.fourier_lsq_equispaced(21, 43)

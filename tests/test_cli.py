@@ -4,6 +4,8 @@ precondition diagnostics."""
 import csv
 import json
 
+import pytest
+
 from azls.cli import main
 
 
@@ -73,6 +75,13 @@ class TestTiming:
         assert len(rows_a) == 3
         # seconds vary run to run but the solutions must not
         assert [r[3] for r in rows_a] == [r[3] for r in rows_b]
+
+    @pytest.mark.parametrize("solver", ["az-rand-qr", "az-tqr"])
+    def test_every_approx_solver_accepted(self, tmp_path, solver):
+        out = tmp_path / "ts.csv"
+        assert main(["timing", "--problem", "fourier1d", "--n-list", "17,33",
+                     "--solver", solver, "--out", str(out)]) == 0
+        assert len(read_csv(out)) == 3
 
     def test_direct_solver(self, tmp_path):
         out = tmp_path / "td.csv"

@@ -54,6 +54,15 @@ class TestFourier1d:
         expected = np.exp(1j * np.pi * np.outer(p.grid, freqs))
         assert np.max(np.abs(a - expected)) <= 1e-12
 
+    def test_evaluate_in_blocks(self):
+        p = frames.fourier_extension_1d(65, DomainSpec.interval(-0.5, 0.5), 2.0)
+        rows = frames._EVAL_BLOCK_ENTRIES // 65
+        pts = np.linspace(-0.5, 0.5, rows + 7)  # one full block and a partial one
+        rng = np.random.default_rng(3)
+        c = rng.standard_normal(65) + 1j * rng.standard_normal(65)
+        direct = np.exp(1j * np.pi * np.outer(pts, np.arange(-32, 33))) @ c
+        assert np.max(np.abs(p.evaluate(c, pts) - direct)) <= 1e-12 * np.sum(np.abs(c))
+
     def test_even_n_rejected(self):
         with pytest.raises(ValueError):
             frames.fourier_extension_1d(8, DomainSpec.interval(-0.5, 0.5), 2.0)

@@ -1,5 +1,5 @@
 """Dense kernel tests: SVD, pivoted QR, Gaussian sketches, epsilon rank,
-norms, pseudoinverse, and the text serialization round trip."""
+norms and pseudoinverse."""
 
 import numpy as np
 import pytest
@@ -156,16 +156,6 @@ def test_projector_property(seed):
     proj = w @ mc.pseudoinverse(w)
     assert np.linalg.norm(proj @ proj - proj, "fro") <= 1e-11
     assert mc.two_norm(proj) <= 1 + 1e-11
-
-
-def test_text_round_trip(tmp_path):
-    a = random_complex(4, 3, seed=2) * np.pi
-    path = tmp_path / "mat.txt"
-    mc.save_matrix_text(a, path)
-    header = path.read_text().splitlines()[0]
-    assert header == "4 3"
-    b = mc.load_matrix_text(path)
-    assert np.array_equal(a, b)
 
 
 def test_eps_rank_rejects_nonpositive():

@@ -27,12 +27,6 @@ class TestConfig:
             SolverConfig(eps=0.0, sketch_size=5)
         with pytest.raises(ValueError):
             SolverConfig(eps=1.0, sketch_size=0)
-        with pytest.raises(ValueError):
-            SolverConfig.for_rank(5, 1e-8, p=1)
-
-    def test_for_rank(self):
-        cfg = SolverConfig.for_rank(5, 1e-8)
-        assert cfg.sketch_size == 25
 
 
 class TestDirectLsq:
@@ -49,6 +43,12 @@ class TestDirectLsq:
         b = np.asarray(random_complex(12, 1, seed=2)).ravel()
         rep = solvers.direct_lsq(a, b)
         assert np.max(np.abs(a.conj().T @ (b - a @ rep.x))) <= 1e-10
+
+    def test_zero_matrix(self):
+        # the relative cutoff is strict, so a zero matrix keeps nothing
+        rep = solvers.direct_lsq(np.zeros((3, 2)), np.ones(3))
+        assert np.array_equal(rep.x, np.zeros(2))
+        assert rep.rank_used == 0
 
 
 class TestTsvd:
@@ -80,32 +80,39 @@ class TestTsvd:
 
 class TestTqr:
     def test_identity(self):
-        rep = solvers.tqr_solve(np.eye(3), np.array([1.0, 2.0, 3.0]), r=3)
+        rep = solvers.tqr_solve(np.eye(3), np.array([1.0, 2.0, 3.0]), eps=0.5)
         assert np.allclose(rep.x, [1.0, 2.0, 3.0])
+        assert rep.rank_used == 3
 
     def test_truncated_diag(self):
-        rep = solvers.tqr_solve(np.diag([2.0, 1e-13]), np.array([2.0, 1.0]), r=1)
+        rep = solvers.tqr_solve(np.diag([2.0, 1e-13]), np.array([2.0, 1.0]), eps=1e-6)
         assert np.allclose(rep.x, [1.0, 0.0])
+        assert rep.rank_used == 1
 
     def test_residual_bound_trailing_block(self):
         a = random_complex(16, 8, seed=5)
         f = mc.pivoted_qr(a)
         eps = 1e-6
-        r = int(np.sum(np.abs(np.diagonal(f.R)) >= eps))
         b = np.asarray(random_complex(16, 1, seed=6)).ravel()
-        rep = solvers.tqr_solve(a, b, r)
+        rep = solvers.tqr_solve(a, b, eps)
+        r = rep.rank_used
+        assert r == int(np.sum(np.abs(np.diagonal(f.R)) >= eps))
         r22_norm = mc.two_norm(f.R[r:, r:]) if r < f.R.shape[0] else 0.0
         v = mc.pseudoinverse(a) @ b
         bound = np.linalg.norm(b - a @ v) + r22_norm * np.linalg.norm(v)
         assert rep.residual_norm <= bound + 1e-12
 
-    def test_singular_block_error(self):
-        with pytest.raises(ValueError, match="singular leading block"):
-            solvers.tqr_solve(np.zeros((3, 2)), np.zeros(3), r=1)
+    def test_singular_block_dropped(self):
+        # a zero diagonal is below every eps, so it is never back-solved
+        b = np.ones(3)
+        rep = solvers.tqr_solve(np.zeros((3, 2)), b, eps=1e-8)
+        assert np.array_equal(rep.x, np.zeros(2))
+        assert rep.rank_used == 0
+        assert rep.residual_norm == np.linalg.norm(b)
 
-    def test_rank_out_of_range(self):
+    def test_nonpositive_eps_rejected(self):
         with pytest.raises(ValueError):
-            solvers.tqr_solve(np.eye(2), np.zeros(2), r=3)
+            solvers.tqr_solve(np.eye(2), np.zeros(2), eps=0.0)
 
 
 class TestRandomizedTsvd:
@@ -165,7 +172,7 @@ def test_baseline_dominance_well_conditioned():
     cfg = SolverConfig(eps=1e-8, sketch_size=6, seed=5)
     candidates = [
         solvers.tsvd_solve(a, b, eps=0.5).x,
-        solvers.tqr_solve(a, b, r=6).x,
+        solvers.tqr_solve(a, b, eps=0.5).x,
         solvers.randomized_tsvd_solve(ops.from_dense(a), b, cfg).x,
         solvers.randomized_tqr_solve(ops.from_dense(a), b, cfg).x,
     ]

@@ -1,41 +1,65 @@
-"""Transform and quadrature tests: DFT vs the dense definition, Legendre
-recurrence and Gauss rules, and the Chebyshev transforms at both node kinds."""
+"""Transform and quadrature tests: the length-L DFTs of the Fourier
+extension frame on its full periodic grid against the dense definition,
+Legendre recurrence and Gauss rules, and the Chebyshev transforms at the
+roots of T_L."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from azls import transforms
+from azls import frames, transforms
+from azls.frames import DomainSpec
 
 
-def dense_dft(L):
-    k, l = np.meshgrid(np.arange(L), np.arange(L), indexing="ij")
-    return np.exp(-2j * np.pi * k * l / L)
+def full_grid_fourier(L):
+    """Fourier extension on the whole grid of length L: A is a length-L
+    inverse DFT, A[l, j] = exp(i pi n_j x_l) with x_l = -1 + 2l/L, and
+    Z* = A*/L the matching forward DFT."""
+    n = L if L % 2 else L - 1
+    return frames.fourier_extension_1d(n, DomainSpec.interval(-1.0, 1.0), grid_size=L)
+
+
+def dense_fourier(p):
+    n = p.A.cols
+    return np.exp(1j * np.pi * np.outer(p.grid, np.arange(n) - (n - 1) // 2))
+
+
+def full_grid_chebyshev(L):
+    """Chebyshev extension on all L roots of T_L: Z* maps the values at the
+    roots (increasing order) to the Chebyshev coefficients."""
+    return frames.chebyshev_extension(L, DomainSpec.interval(-1.0, 1.0),
+                                      kind="roots", grid_size=L)
 
 
 class TestDft:
     def test_delta(self):
-        assert np.allclose(transforms.dft(np.array([1, 0, 0, 0])), np.ones(4))
+        p = full_grid_fourier(4)
+        assert np.allclose(p.A.apply(np.array([0, 1, 0])), np.ones(4))
 
     def test_constant(self):
         L = 9
-        out = transforms.dft(np.ones(L))
+        out = full_grid_fourier(L).A.adjoint_apply(np.ones(L))
         expected = np.zeros(L, dtype=complex)
-        expected[0] = L
+        expected[L // 2] = L
         assert np.allclose(out, expected, atol=1e-12)
 
     def test_round_trip_length_804(self):
+        p = full_grid_fourier(804)
         rng = np.random.default_rng(8)
-        v = rng.standard_normal(804) + 1j * rng.standard_normal(804)
-        back = transforms.idft(transforms.dft(v))
+        v = rng.standard_normal(803) + 1j * rng.standard_normal(803)
+        back = p.Z.adjoint_apply(p.A.apply(v))
         assert np.linalg.norm(back - v) <= 1e-12 * np.linalg.norm(v)
 
     @pytest.mark.parametrize("L", list(range(1, 33)) + [201, 804])
     def test_matches_dense_definition(self, L):
+        p = full_grid_fourier(L)
+        dense = dense_fourier(p)
         rng = np.random.default_rng(L)
-        v = rng.standard_normal(L) + 1j * rng.standard_normal(L)
-        assert np.linalg.norm(transforms.dft(v) - dense_dft(L) @ v) \
-            <= 1e-11 * np.linalg.norm(v) * L
+        v = rng.standard_normal(p.A.cols) + 1j * rng.standard_normal(p.A.cols)
+        w = rng.standard_normal(L) + 1j * rng.standard_normal(L)
+        assert np.linalg.norm(p.A.apply(v) - dense @ v) <= 1e-11 * np.linalg.norm(v) * L
+        assert np.linalg.norm(p.A.adjoint_apply(w) - dense.conj().T @ w) \
+            <= 1e-11 * np.linalg.norm(w) * L
 
 
 class TestLegendreEval:
@@ -100,14 +124,14 @@ class TestChebyshev:
         assert ext[0] == -1.0 and ext[-1] == 1.0
 
     def test_constant(self):
-        c = transforms.chebyshev_transform(np.full(6, 3.25))
+        c = full_grid_chebyshev(6).Z.adjoint_apply(np.full(6, 3.25))
         assert np.isclose(c[0], 3.25)
         assert np.max(np.abs(c[1:])) <= 1e-12
 
     def test_t3_at_eight_roots(self):
         nodes = transforms.chebyshev_nodes(8, "roots")
         values = np.cos(3 * np.arccos(nodes))
-        c = transforms.chebyshev_transform(values)
+        c = full_grid_chebyshev(8).Z.adjoint_apply(values)
         expected = np.zeros(8)
         expected[3] = 1.0
         assert np.max(np.abs(c - expected)) <= 1e-12
@@ -116,8 +140,8 @@ class TestChebyshev:
         rng = np.random.default_rng(15)
         c = rng.standard_normal(16) + 1j * rng.standard_normal(16)
         values = transforms.chebyshev_evaluate(c)
-        back = transforms.chebyshev_transform(values)
-        assert np.max(np.abs(back - c)) <= 1e-11
+        direct = np.polynomial.chebyshev.chebval(transforms.chebyshev_nodes(16, "roots"), c)
+        assert np.max(np.abs(values - direct)) <= 1e-11
 
     def test_transform_matches_vandermonde(self):
         L = 12
@@ -125,7 +149,7 @@ class TestChebyshev:
         vander = np.cos(np.outer(np.arccos(nodes), np.arange(L)))
         rng = np.random.default_rng(2)
         values = rng.standard_normal(L)
-        c = transforms.chebyshev_transform(values)
+        c = full_grid_chebyshev(L).Z.adjoint_apply(values)
         assert np.max(np.abs(np.linalg.solve(vander, values) - c)) <= 1e-11
 
     def test_discrete_inner_product_weights(self):
@@ -142,11 +166,12 @@ class TestChebyshev:
 @settings(max_examples=30, deadline=None)
 @given(st.integers(1, 40), st.integers(0, 500))
 def test_dft_linear_and_invertible(L, seed):
+    p = full_grid_fourier(L)
     rng = np.random.default_rng(seed)
-    u = rng.standard_normal(L) + 1j * rng.standard_normal(L)
-    v = rng.standard_normal(L) + 1j * rng.standard_normal(L)
-    lhs = transforms.dft(2.0 * u - 1j * v)
-    rhs = 2.0 * transforms.dft(u) - 1j * transforms.dft(v)
+    u = rng.standard_normal(p.A.cols) + 1j * rng.standard_normal(p.A.cols)
+    v = rng.standard_normal(p.A.cols) + 1j * rng.standard_normal(p.A.cols)
+    lhs = p.A.apply(2.0 * u - 1j * v)
+    rhs = 2.0 * p.A.apply(u) - 1j * p.A.apply(v)
     assert np.linalg.norm(lhs - rhs) <= 1e-11 * (np.linalg.norm(u) + np.linalg.norm(v) + 1)
-    assert np.linalg.norm(transforms.idft(transforms.dft(u)) - u) \
+    assert np.linalg.norm(p.Z.adjoint_apply(p.A.apply(u)) - u) \
         <= 1e-12 * max(1.0, np.linalg.norm(u))
