@@ -345,7 +345,7 @@ def main(argv=None) -> int:
         args.out = f"azls-{args.subcommand}.{args.format}"
     try:
         args.func(args)
-    except (CliError, ValueError, frames.DomainSizingError) as exc:
+    except (ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

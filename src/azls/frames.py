@@ -1,10 +1,15 @@
 """Problem builders: extension frames, Gram matrices, weighted sum frames.
 
 All builders return an AzProblem whose A and Z are matrix-free operators.
+Every fast frame has one shape: A = restriction . transform . extension,
+which zero-pads N coefficients to a length-L grid, applies a fast synthesis
+transform there and keeps the M grid points inside the domain; Z is the
+discrete dual restricted the same way.
+
 Grid convention for the Fourier builders: x_l = -1 + 2l/L, l = 0..L-1 (left
-endpoint included).  The basis functions are phi_n(x) = exp(i*pi*n*x), so
-that on the full grid the columns of A are orthogonal with A*A = L*I and
-Z = A/L is an exact discrete dual.
+endpoint included), in each dimension.  The basis functions are
+phi_n(x) = exp(i*pi*n*x), so that on the full grid the columns of A are
+orthogonal with A*A = L^dim*I and Z = A/L^dim is an exact discrete dual.
 """
 
 from __future__ import annotations
@@ -18,7 +23,8 @@ import scipy.fft
 
 from . import transforms
 from .azcore import AzProblem, WeightedAzProblem
-from .operators import LinearOperator, compose, diagonal, from_dense, hstack, scale
+from .operators import (LinearOperator, columnwise, compose, diagonal, extension,
+                        from_dense, hstack, restriction, scale)
 
 _MAX_GRID_GROWTH = 200
 # entries of the point-by-frequency matrix built per block when evaluating a
@@ -68,23 +74,22 @@ class DomainSpec:
     def from_mask(cls, mask) -> "DomainSpec":
         return cls(mask=mask)
 
-    def contains_1d(self, x: np.ndarray) -> np.ndarray:
-        if self.intervals is None:
-            raise ValueError("not a 1D domain")
-        inside = np.zeros(x.shape, dtype=bool)
+    def contains(self, pts) -> np.ndarray:
+        """Which points lie in the domain; pts has shape (P,) for an interval
+        union and (P, 2) for a mask."""
+        pts = np.asarray(pts, dtype=np.float64)
+        if pts.ndim != (2 if self.is_2d else 1):
+            raise ValueError(f"points of shape {pts.shape} do not match a "
+                             f"{'2D' if self.is_2d else '1D'} domain")
+        if self.is_2d:
+            return np.asarray(self.mask(pts[:, 0], pts[:, 1]), dtype=bool)
+        inside = np.zeros(pts.shape, dtype=bool)
         for lo, hi in self.intervals:
-            inside |= (x >= lo) & (x <= hi)
+            inside |= (pts >= lo) & (pts <= hi)
         return inside
 
     def measure_1d(self) -> float:
         return sum(hi - lo for lo, hi in self.intervals)
-
-    def to_json(self) -> list:
-        return [[lo, hi] for lo, hi in self.intervals]
-
-    @classmethod
-    def from_json(cls, data) -> "DomainSpec":
-        return cls.union(data)
 
 
 def named_mask(name: str) -> DomainSpec:
@@ -117,24 +122,79 @@ def _symmetric_frequencies(n: int) -> np.ndarray:
     return np.arange(-half, half + 1)
 
 
-def _select_grid_size(n: int, oversampling: float, count_inside, grid_size: int | None):
-    """Smallest L >= 2*oversampling*N whose grid puts >= oversampling*N points
-    inside the domain.  A pinned grid_size only needs M >= N."""
-    target = max(n, math.ceil(oversampling * n))
+def _select_grid_size(n: int, dim: int, oversampling: float, points, domain: DomainSpec,
+                      grid_size: int | None):
+    """Grid length L, the grid points(L) and the indices of those inside the
+    domain, for the smallest L >= 2*oversampling*N (per dimension) that puts
+    >= oversampling*N^dim points inside.  A pinned grid_size only needs
+    M >= N^dim."""
+    def inside(L):
+        pts = points(L)
+        return pts, np.nonzero(domain.contains(pts))[0]
+
+    total = n**dim
     if grid_size is not None:
-        m = count_inside(grid_size)
-        if m < n:
+        pts, sel = inside(grid_size)
+        if sel.size < total:
             raise DomainSizingError(
-                f"grid_size {grid_size} yields only M={m} points for N={n}")
-        return grid_size, m
+                f"grid_size {grid_size} yields only M={sel.size} points for N={total}")
+        return grid_size, pts, sel
+    target = max(total, math.ceil(oversampling * total))
     L = max(n, math.ceil(2 * oversampling * n))
     for _ in range(_MAX_GRID_GROWTH):
-        m = count_inside(L)
-        if m >= target:
-            return L, m
-        frac = max(m / L, 1.0 / L)
-        L = max(L + 1, math.ceil(target / frac))
-    raise DomainSizingError(f"domain too small: achieved M={m} < {target} at L={L}")
+        pts, sel = inside(L)
+        if sel.size >= target:
+            return L, pts, sel
+        frac = max(sel.size, 1) / L**dim
+        L = max(L + 1, math.ceil((target / frac) ** (1.0 / dim)))
+    raise DomainSizingError(f"domain too small: achieved M={sel.size} < {target} at L={L}")
+
+
+def _periodic_grid(L: int, dim: int) -> np.ndarray:
+    """The points x_l = -1 + 2l/L of the L^dim grid, row-major: shape (L,) in
+    1D and (L^2, 2) in 2D."""
+    g = -1.0 + 2.0 * np.arange(L) / L
+    if dim == 1:
+        return g
+    return np.column_stack([x.ravel() for x in np.meshgrid(g, g, indexing="ij")])
+
+
+def _fourier_extension(n: int, dim: int, domain: DomainSpec, oversampling: float,
+                       grid_size: int | None):
+    """A and Z of the tensor Fourier extension frame in 1 or 2 dimensions,
+    with L and the collocation points.
+
+    A = restriction . (L^dim * inverse DFT on the L^dim grid) . frequency
+    extension . phase, with row-major coefficients over (n1, n2) in 2D;
+    Z = A / L^dim.
+    """
+    freqs = _symmetric_frequencies(n)
+    if domain.is_2d != (dim == 2):
+        raise ValueError(f"fourier_extension_{dim}d needs a "
+                         f"{'2D mask' if dim == 2 else '1D'} domain")
+    L, full, sel = _select_grid_size(n, dim, oversampling,
+                                     lambda L: _periodic_grid(L, dim), domain, grid_size)
+    bins = np.mod(freqs, L)
+    phase = (-1.0) ** np.abs(freqs)  # exp(-i*pi*n) at the grid offset x_0 = -1
+    modes = bins
+    if dim == 2:  # row-major over (n1, n2) on the row-major L x L grid
+        modes = np.add.outer(bins * L, bins).ravel()
+        phase = np.outer(phase, phase).ravel()
+    size = L**dim
+    shape = (L,) * dim
+    axes = tuple(range(dim))
+
+    def synthesis(u):
+        return (np.fft.ifftn(u.reshape(shape + u.shape[1:]), axes=axes) * size).reshape(u.shape)
+
+    def analysis(v):
+        return np.fft.fftn(v.reshape(shape + v.shape[1:]), axes=axes).reshape(v.shape)
+
+    a = compose(restriction(sel, size), LinearOperator(size, size, synthesis, analysis),
+                extension(modes, size), diagonal(phase))
+    if dim == 2:
+        a = columnwise(a)
+    return a, scale(1.0 / size, a), L, full[sel]
 
 
 def fourier_extension_1d(n: int, domain: DomainSpec, oversampling: float = 2.0,
@@ -145,34 +205,8 @@ def fourier_extension_1d(n: int, domain: DomainSpec, oversampling: float = 2.0,
     points inside the domain (frequency extension, length-L inverse DFT,
     restriction).  Z = A / L.
     """
+    a, z, L, grid = _fourier_extension(n, 1, domain, oversampling, grid_size)
     freqs = _symmetric_frequencies(n)
-    if domain.is_2d:
-        raise ValueError("fourier_extension_1d needs a 1D domain")
-
-    def count_inside(L):
-        return int(np.count_nonzero(domain.contains_1d(-1.0 + 2.0 * np.arange(L) / L)))
-
-    L, m = _select_grid_size(n, oversampling, count_inside, grid_size)
-    full = -1.0 + 2.0 * np.arange(L) / L
-    sel = np.nonzero(domain.contains_1d(full))[0]
-    bins = np.mod(freqs, L)
-    phase = (-1.0) ** np.abs(freqs)  # exp(-i*pi*n) at the grid offset x_0 = -1
-
-    def apply(c):
-        c = np.asarray(c, dtype=np.complex128)
-        u = np.zeros((L,) + c.shape[1:], dtype=np.complex128)
-        u[bins] = phase.reshape((-1,) + (1,) * (c.ndim - 1)) * c
-        return (np.fft.ifft(u, axis=0) * L)[sel]
-
-    def adjoint_apply(v):
-        v = np.asarray(v, dtype=np.complex128)
-        u = np.zeros((L,) + v.shape[1:], dtype=np.complex128)
-        u[sel] = v
-        y = np.fft.fft(u, axis=0)
-        return phase.reshape((-1,) + (1,) * (v.ndim - 1)) * y[bins]
-
-    a = LinearOperator(m, n, apply, adjoint_apply)
-    z = scale(1.0 / L, a)
 
     def evaluate(coeffs, pts):
         pts = np.asarray(pts, dtype=np.float64).ravel()
@@ -184,7 +218,7 @@ def fourier_extension_1d(n: int, domain: DomainSpec, oversampling: float = 2.0,
         return out
 
     return AzProblem(A=a, Z=z, label=f"fourier1d(N={n}, L={L})",
-                     scale=math.sqrt(L), grid=full[sel], evaluate=evaluate,
+                     scale=math.sqrt(L), grid=grid, evaluate=evaluate,
                      domain=domain)
 
 
@@ -195,62 +229,8 @@ def fourier_extension_2d(n_per_dim: int, mask: DomainSpec,
 
     Coefficients are row-major over (n1, n2); Z = A / L^2.
     """
+    a, z, L, grid = _fourier_extension(n_per_dim, 2, mask, oversampling, grid_size)
     freqs = _symmetric_frequencies(n_per_dim)
-    if not mask.is_2d:
-        raise ValueError("fourier_extension_2d needs a 2D mask domain")
-    n_total = n_per_dim**2
-
-    def inside(L):
-        g = -1.0 + 2.0 * np.arange(L) / L
-        xx, yy = np.meshgrid(g, g, indexing="ij")
-        return np.asarray(mask.mask(xx.ravel(), yy.ravel()), dtype=bool)
-
-    # per-dimension sizing: grow L until the masked point count reaches
-    # oversampling * N (total)
-    target = max(n_total, math.ceil(oversampling * n_total))
-    if grid_size is not None:
-        L = grid_size
-        keep = inside(L)
-    else:
-        L = max(n_per_dim, math.ceil(2 * oversampling * n_per_dim))
-        for _ in range(_MAX_GRID_GROWTH):
-            keep = inside(L)
-            if int(np.count_nonzero(keep)) >= target:
-                break
-            L = max(L + 1, math.ceil(L * 1.2))
-        else:
-            raise DomainSizingError(
-                f"mask too small: M={int(np.count_nonzero(keep))} < {target}")
-    m = int(np.count_nonzero(keep))
-    if m < n_total:
-        raise DomainSizingError(f"mask yields only M={m} points for N={n_total}")
-    sel = np.nonzero(keep)[0]
-    g = -1.0 + 2.0 * np.arange(L) / L
-    xx, yy = np.meshgrid(g, g, indexing="ij")
-    grid_pts = np.column_stack([xx.ravel()[sel], yy.ravel()[sel]])
-    bins = np.mod(freqs, L)
-    phase2 = np.outer((-1.0) ** np.abs(freqs), (-1.0) ** np.abs(freqs))
-
-    def apply(c):
-        c = np.asarray(c, dtype=np.complex128)
-        if c.ndim == 2:
-            return np.stack([apply(col) for col in c.T], axis=1)
-        u = np.zeros((L, L), dtype=np.complex128)
-        u[np.ix_(bins, bins)] = phase2 * c.reshape(n_per_dim, n_per_dim)
-        f = np.fft.ifft2(u) * L**2
-        return f.ravel()[sel]
-
-    def adjoint_apply(v):
-        v = np.asarray(v, dtype=np.complex128)
-        if v.ndim == 2:
-            return np.stack([adjoint_apply(col) for col in v.T], axis=1)
-        u = np.zeros(L * L, dtype=np.complex128)
-        u[sel] = v
-        y = np.fft.fft2(u.reshape(L, L))
-        return (phase2 * y[np.ix_(bins, bins)]).ravel()
-
-    a = LinearOperator(m, n_total, apply, adjoint_apply)
-    z = scale(1.0 / L**2, a)
 
     def evaluate(coeffs, pts):
         pts = np.asarray(pts, dtype=np.float64)
@@ -260,7 +240,7 @@ def fourier_extension_2d(n_per_dim: int, mask: DomainSpec,
         return np.einsum("pi,ij,pj->p", ex, c, ey)
 
     return AzProblem(A=a, Z=z, label=f"fourier2d(N={n_per_dim}^2, L={L})",
-                     scale=float(L), grid=grid_pts, evaluate=evaluate, domain=mask)
+                     scale=float(L), grid=grid, evaluate=evaluate, domain=mask)
 
 
 def gram_fourier(n: int, domain: DomainSpec) -> np.ndarray:
@@ -336,48 +316,17 @@ def chebyshev_extension(n: int, domain: DomainSpec, oversampling: float = 2.0,
     if kind not in ("roots", "extremae"):
         raise ValueError(f"unknown node kind {kind!r}")
 
-    def count_inside(L):
+    def nodes_for(L):
         if kind == "extremae" and L < 2:
-            return 0
-        return int(np.count_nonzero(domain.contains_1d(transforms.chebyshev_nodes(L, kind))))
+            return np.empty(0)
+        return transforms.chebyshev_nodes(L, kind)
 
-    L, m = _select_grid_size(n, oversampling, count_inside, grid_size)
-    nodes = transforms.chebyshev_nodes(L, kind)
-    sel = np.nonzero(domain.contains_1d(nodes))[0]
+    L, nodes, sel = _select_grid_size(n, 1, oversampling, nodes_for, domain, grid_size)
     w, h2 = _cheb_weights(L, kind)
-    w_sel = w[sel]
-    d = 1.0 / h2[:n]
-
-    def _pad(c):
-        c = np.asarray(c, dtype=np.complex128)
-        u = np.zeros((L,) + c.shape[1:], dtype=np.complex128)
-        u[:n] = c
-        return u
-
-    def apply(c):
-        return _cheb_series_at_nodes(_pad(c), L, kind)[sel]
-
-    def adjoint_apply(v):
-        v = np.asarray(v, dtype=np.complex128)
-        u = np.zeros((L,) + v.shape[1:], dtype=np.complex128)
-        u[sel] = v
-        return _cheb_nodes_to_modes(u, L, kind)[:n]
-
-    def z_apply(c):
-        c = np.asarray(c, dtype=np.complex128)
-        dc = d.reshape((-1,) + (1,) * (c.ndim - 1)) * c
-        vals = _cheb_series_at_nodes(_pad(dc), L, kind)[sel]
-        return w_sel.reshape((-1,) + (1,) * (c.ndim - 1)) * vals
-
-    def z_adjoint_apply(v):
-        v = np.asarray(v, dtype=np.complex128)
-        u = np.zeros((L,) + v.shape[1:], dtype=np.complex128)
-        u[sel] = w_sel.reshape((-1,) + (1,) * (v.ndim - 1)) * v
-        y = _cheb_nodes_to_modes(u, L, kind)[:n]
-        return d.reshape((-1,) + (1,) * (v.ndim - 1)) * y
-
-    a = LinearOperator(m, n, apply, adjoint_apply)
-    z = LinearOperator(m, n, z_apply, z_adjoint_apply)
+    transform = LinearOperator(L, L, lambda u: _cheb_series_at_nodes(u, L, kind),
+                               lambda v: _cheb_nodes_to_modes(v, L, kind))
+    a = compose(restriction(sel, L), transform, extension(np.arange(n), L))
+    z = compose(diagonal(w[sel]), a, diagonal(1.0 / h2[:n]))
 
     def evaluate(coeffs, pts):
         return np.polynomial.chebyshev.chebval(np.asarray(pts, dtype=np.float64),
@@ -406,12 +355,9 @@ def legendre_extension(n: int, domain: DomainSpec, oversampling: float = 2.0,
             rules[L] = transforms.gauss_legendre(L)
         return rules[L]
 
-    def count_inside(L):
-        return int(np.count_nonzero(domain.contains_1d(rule_for(L).nodes)))
-
-    L, m = _select_grid_size(n, oversampling, count_inside, grid_size)
+    L, _, sel = _select_grid_size(n, 1, oversampling, lambda L: rule_for(L).nodes,
+                                  domain, grid_size)
     rule = rule_for(L)
-    sel = np.nonzero(domain.contains_1d(rule.nodes))[0]
     nodes = rule.nodes[sel]
     p = transforms.legendre_eval(n - 1, nodes)
     h2 = 2.0 / (2.0 * np.arange(n) + 1.0)
@@ -503,11 +449,8 @@ def refined_grid(problem: AzProblem, refine: int = 4) -> np.ndarray:
         if problem.domain is None or not problem.domain.is_2d:
             raise ValueError("2D refinement needs the mask domain")
         # collocation grid spacing ~ 2/L with L ~ sqrt of bounding-grid count
-        L = int(math.ceil(math.sqrt(grid.shape[0]))) * refine
-        g = -1.0 + 2.0 * np.arange(L) / L
-        xx, yy = np.meshgrid(g, g, indexing="ij")
-        keep = np.asarray(problem.domain.mask(xx.ravel(), yy.ravel()), dtype=bool)
-        return np.column_stack([xx.ravel()[keep], yy.ravel()[keep]])
+        pts = _periodic_grid(int(math.ceil(math.sqrt(grid.shape[0]))) * refine, 2)
+        return pts[problem.domain.contains(pts)]
     if problem.domain is not None and problem.domain.intervals is not None:
         total = refine * grid.size
         pieces = []

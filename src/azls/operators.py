@@ -56,11 +56,6 @@ def materialize(op: LinearOperator, cap: int = MATERIALIZE_CAP) -> np.ndarray:
     return np.asarray(op.apply(np.eye(op.cols, dtype=np.complex128)), dtype=np.complex128)
 
 
-def identity(n: int) -> LinearOperator:
-    return LinearOperator(n, n, lambda v: np.asarray(v, dtype=np.complex128).copy(),
-                          lambda v: np.asarray(v, dtype=np.complex128).copy())
-
-
 def adjoint(op: LinearOperator) -> LinearOperator:
     return LinearOperator(op.cols, op.rows, op.adjoint_apply, op.apply)
 
@@ -85,20 +80,45 @@ def diagonal(d) -> LinearOperator:
                           lambda v: _dmul(dbar, np.asarray(v, dtype=np.complex128)))
 
 
-def compose(b: LinearOperator, a: LinearOperator) -> LinearOperator:
-    """Operator computing b(a(v))."""
-    if b.cols != a.rows:
-        raise ShapeMismatchError(f"cannot compose {b.shape} after {a.shape}")
-    return LinearOperator(b.rows, a.cols,
-                          lambda v: b.apply(a.apply(v)),
-                          lambda v: a.adjoint_apply(b.adjoint_apply(v)))
+def compose(*ops: LinearOperator) -> LinearOperator:
+    """Product ops[0] ops[1] ... ops[-1]: applies the last operator first."""
+    for b, a in zip(ops, ops[1:]):
+        if b.cols != a.rows:
+            raise ShapeMismatchError(f"cannot compose {b.shape} after {a.shape}")
+
+    def apply(v):
+        for op in reversed(ops):
+            v = op.apply(v)
+        return v
+
+    def adjoint_apply(v):
+        for op in ops:
+            v = op.adjoint_apply(v)
+        return v
+
+    return LinearOperator(ops[0].rows, ops[-1].cols, apply, adjoint_apply)
 
 
-def subtract(a: LinearOperator, b: LinearOperator) -> LinearOperator:
-    _check_same_shape(a, b)
-    return LinearOperator(a.rows, a.cols,
-                          lambda v: a.apply(v) - b.apply(v),
-                          lambda v: a.adjoint_apply(v) - b.adjoint_apply(v))
+def columnwise(op: LinearOperator) -> LinearOperator:
+    """op applied to a block (N, k) one column at a time.
+
+    For the 2D Fourier frames this beats one batched call: on the n = 25 disk
+    (L = 100, numpy 2.4, 2 vCPUs) A on 228 columns takes 76-99 ms a column at
+    a time against 115-134 ms batched, with the same bits, because one L x L
+    slab stays in cache.  scipy.fft batches faster but changes the bits.  A
+    1D FFT is faster batched (266 ms against 458 ms at L = 32772, k = 72),
+    so only the 2D frames use this.
+    """
+    def per_column(fn):
+        def apply(v):
+            v = np.asarray(v, dtype=np.complex128)
+            if v.ndim == 1:
+                return fn(v)
+            return np.stack([fn(col) for col in v.T], axis=1)
+        return apply
+
+    return LinearOperator(op.rows, op.cols, per_column(op.apply),
+                          per_column(op.adjoint_apply))
 
 
 def hstack(a1: LinearOperator, a2: LinearOperator) -> LinearOperator:

@@ -10,7 +10,7 @@ internal algebra.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -26,15 +26,14 @@ class SolverConfig:
     """Truncation threshold and sketching parameters.
 
     eps is an absolute singular-value / diagonal threshold.  sketch_size is
-    R = r + p for a target rank r and oversampling p.  adaptive doubles R
-    (reusing the random stream) while the sketch shows no singular value
-    below eps, capped at N.
+    R = r + p for a target rank r and oversampling p.  The randomized solvers
+    double R (reusing the random stream) while the sketch keeps every one of
+    its directions, capped at N.
     """
 
     eps: float
     sketch_size: int
     seed: int = 0
-    adaptive: bool = False
 
     def __post_init__(self):
         if self.eps <= 0:
@@ -52,13 +51,6 @@ class SolveReport:
     wall_time: float = 0.0
     x1: np.ndarray | None = None
     x2: np.ndarray | None = None
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        for key in ("x", "x1", "x2"):
-            if d[key] is not None:
-                d[key] = [[float(z.real), float(z.imag)] for z in np.asarray(d[key])]
-        return d
 
 
 def _residual(apply_a, b, x) -> float:
@@ -124,7 +116,7 @@ def _as_operator(a) -> LinearOperator:
 
 
 def _sketch(a: LinearOperator, config: SolverConfig):
-    """Yield (Omega, A @ Omega) for R, then doubled R if adaptive, capped at N."""
+    """Yield (Omega, A @ Omega) for R, then for doubled R, capped at N."""
     n = a.cols
     rng = np.random.default_rng(config.seed)
     r_now = min(config.sketch_size, n)
@@ -132,7 +124,7 @@ def _sketch(a: LinearOperator, config: SolverConfig):
     atil = np.asarray(a.apply(omega), dtype=np.complex128)
     while True:
         yield omega, atil
-        if not config.adaptive or r_now >= n:
+        if r_now >= n:
             return
         extra = min(r_now, n - r_now)
         omega_new = rng.standard_normal((n, extra))
@@ -144,7 +136,7 @@ def _sketch(a: LinearOperator, config: SolverConfig):
 def _randomized_solve(a, b, config: SolverConfig, qr: bool) -> SolveReport:
     """Truncated solve on the sketch A Omega, then x = Omega y.
 
-    An adaptive sketch grows while every one of its directions is kept.
+    The sketch grows while every one of its directions is kept.
     """
     t0 = time.perf_counter()
     a = _as_operator(a)

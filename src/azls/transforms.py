@@ -38,8 +38,10 @@ def legendre_eval(n: int, x) -> np.ndarray:
 
 
 def _legendre_value_and_derivative(L: int, x: np.ndarray):
-    p = legendre_eval(L, x)
-    pl, plm1 = p[:, L], p[:, L - 1]
+    """P_L(x) and P_L'(x): legendre_eval's recurrence, keeping two rows."""
+    plm1, pl = np.ones_like(x), x
+    for k in range(1, L):
+        plm1, pl = pl, ((2 * k + 1) * x * pl - k * plm1) / (k + 1)
     dpl = L * (plm1 - x * pl) / (1.0 - x**2)
     return pl, dpl
 

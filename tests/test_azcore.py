@@ -272,3 +272,15 @@ def test_renormalization_covariance():
     # residual of the original system recovered from the scaled one
     res = np.linalg.norm(b - ops.materialize(p.A) @ rep.x)
     assert abs(res - base_res) <= 1e-10 * max(1.0, base_res)
+
+
+@pytest.mark.parametrize("step1", ["rand-tsvd", "rand-tqr"])
+def test_small_sketch_grows_to_the_rank(step1):
+    # a sketch of 5 keeps all 5 directions of a rank-29 step-1 system; it
+    # must grow rather than return a residual of 1e-2 ||b||
+    p = frames.fourier_extension_1d(65, DomainSpec.interval(-0.5, 0.5))
+    b = sample_function(np.exp, p.grid)
+    cfg = SolverConfig(eps=1e-10 * p.scale, sketch_size=5)
+    rep = az_solve(p, b, step1=step1, config=cfg)
+    assert rep.sketch_size > 5
+    assert rep.residual_norm <= 1e-10 * np.linalg.norm(b)

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from azls import matrixcore
 from azls.cli import main
 
 
@@ -150,6 +151,16 @@ class TestWeighted:
     def test_requires_list(self, tmp_path, capsys):
         assert main(["weighted", "--out", str(tmp_path / "w.csv")]) == 1
         assert "eps-w-list" in capsys.readouterr().err
+
+
+def test_factorization_error_is_one_line(tmp_path, monkeypatch, capsys):
+    def fail(a):
+        raise matrixcore.FactorizationError("SVD failed to converge")
+    monkeypatch.setattr(matrixcore, "svd", fail)
+    code = main(["singvals", "--problem", "legendre", "--n", "10",
+                 "--out", str(tmp_path / "sv.csv")])
+    assert code == 1
+    assert capsys.readouterr().err.splitlines() == ["error: SVD failed to converge"]
 
 
 def test_partial_output_never_left_behind(tmp_path):

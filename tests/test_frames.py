@@ -25,15 +25,20 @@ class TestDomainSpec:
         with pytest.raises(ValueError):
             DomainSpec.interval(-1.5, 0.0)
 
-    def test_json_round_trip(self):
-        dom = DomainSpec.union([[-0.75, -0.25], [0.0, 0.5]])
-        assert DomainSpec.from_json(dom.to_json()).intervals == dom.intervals
-
     def test_contains_and_measure(self):
         dom = DomainSpec.union([[-0.5, 0.0], [0.25, 0.5]])
-        assert np.array_equal(dom.contains_1d(np.array([-0.3, 0.1, 0.3])),
+        assert np.array_equal(dom.contains(np.array([-0.3, 0.1, 0.3])),
                               [True, False, True])
         assert np.isclose(dom.measure_1d(), 0.75)
+
+    def test_contains_mask_points(self):
+        disk = frames.named_mask("disk")
+        pts = np.array([[0.0, 0.0], [0.7, 0.7], [-0.5, 0.5]])
+        assert np.array_equal(disk.contains(pts), [True, False, True])
+        with pytest.raises(ValueError):
+            disk.contains(np.array([0.0, 0.5]))
+        with pytest.raises(ValueError):
+            DomainSpec.interval(-0.5, 0.5).contains(pts)
 
     def test_named_masks(self):
         disk = frames.named_mask("disk")
@@ -107,6 +112,31 @@ class TestFourier2d:
         v = rng.standard_normal(p.A.rows) + 1j * rng.standard_normal(p.A.rows)
         assert abs(np.vdot(v, p.A.apply(u)) - np.vdot(p.A.adjoint_apply(v), u)) \
             <= 1e-10 * np.linalg.norm(u) * np.linalg.norm(v)
+
+    def test_block_matches_per_column(self):
+        p = frames.fourier_extension_2d(7, frames.named_mask("punctured-disk"), 2.0)
+        rng = np.random.default_rng(5)
+        for op in (p.A, p.Z):
+            u = rng.standard_normal((op.cols, 4)) + 1j * rng.standard_normal((op.cols, 4))
+            v = rng.standard_normal((op.rows, 4)) + 1j * rng.standard_normal((op.rows, 4))
+            assert np.array_equal(op.apply(u),
+                                  np.stack([op.apply(c) for c in u.T], axis=1))
+            assert np.array_equal(op.adjoint_apply(v),
+                                  np.stack([op.adjoint_apply(c) for c in v.T], axis=1))
+
+    @pytest.mark.parametrize("n", [3, 5, 7])
+    def test_small_mask_grows_grid(self, n):
+        # the starting grid L = 4n holds fewer than 2N points of this disk
+        disk = DomainSpec.from_mask(lambda x, y: x**2 + y**2 <= 0.3**2)
+        start = disk.contains(frames._periodic_grid(4 * n, 2)).sum()
+        assert start < 2 * n * n
+        p = frames.fourier_extension_2d(n, disk, 2.0)
+        assert p.A.rows >= 2 * n * n
+        assert np.all(disk.contains(p.grid))
+
+    def test_sizing_error(self):
+        with pytest.raises(frames.DomainSizingError):
+            frames.fourier_extension_2d(5, frames.named_mask("disk"), 2.0, grid_size=5)
 
     def test_cluster_fraction_tracks_area(self):
         p = frames.fourier_extension_2d(9, frames.named_mask("disk"), 2.0)
@@ -275,7 +305,7 @@ class TestSamplingAndErrors:
         p = frames.fourier_extension_1d(21, dom, 2.0)
         pts = frames.refined_grid(p, refine=4)
         assert pts.size >= 4 * np.asarray(p.grid).size * 0.9
-        assert np.all(dom.contains_1d(pts))
+        assert np.all(dom.contains(pts))
 
 
 BUILDERS = [

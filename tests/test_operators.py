@@ -32,7 +32,7 @@ class TestDenseBridge:
         assert np.array_equal(ops.materialize(ops.from_dense(a)), a)
 
     def test_materialize_composed_diagonal(self):
-        op = ops.compose(ops.diagonal([2.0, 2.0, 2.0]), ops.identity(3))
+        op = ops.compose(ops.diagonal([2.0, 2.0, 2.0]), ops.from_dense(np.eye(3)))
         assert np.allclose(ops.materialize(op), np.diag([2.0, 2.0, 2.0]))
 
     def test_materialize_dft(self):
@@ -58,29 +58,50 @@ class TestCombinators:
         assert np.allclose(e.apply(np.array([5.0])), [0.0, 5.0, 0.0])
 
     def test_hstack(self):
-        h = ops.hstack(ops.identity(2), ops.identity(2))
+        h = ops.hstack(ops.from_dense(np.eye(2)), ops.from_dense(np.eye(2)))
         assert np.allclose(h.apply(np.array([1.0, 2.0, 3.0, 4.0])), [4.0, 6.0])
 
     def test_composed_dft_submatrix(self):
         L, m, n = 16, 8, 5
         rows = np.arange(m)
         cols = np.arange(n)
-        op = ops.compose(ops.restriction(rows, L),
-                         ops.compose(dft_operator(L), ops.extension(cols, L)))
+        op = ops.compose(ops.restriction(rows, L), dft_operator(L), ops.extension(cols, L))
         k, l = np.meshgrid(np.arange(L), np.arange(L), indexing="ij")
         dense = np.exp(-2j * np.pi * k * l / L)[np.ix_(rows, cols)]
         assert np.max(np.abs(ops.materialize(op) - dense)) <= 1e-12
 
-    def test_scale_subtract(self):
+    def test_scale(self):
         a = random_complex(3, 3, seed=4)
-        op = ops.subtract(ops.scale(2.0 + 1j, ops.from_dense(a)), ops.from_dense(a))
-        assert np.allclose(ops.materialize(op), (1.0 + 1j) * a)
+        op = ops.scale(2.0 + 1j, ops.from_dense(a))
+        assert np.allclose(ops.materialize(op), (2.0 + 1j) * a)
+        assert np.allclose(ops.materialize(ops.adjoint(op)), (2.0 - 1j) * a.conj().T)
+
+    def test_variadic_compose(self):
+        a, b, c = (random_complex(4, 5, 1), random_complex(5, 3, 2),
+                   random_complex(3, 6, 3))
+        op = ops.compose(*(ops.from_dense(m) for m in (a, b, c)))
+        assert op.shape == (4, 6)
+        assert np.max(np.abs(ops.materialize(op) - a @ b @ c)) <= 1e-12
+        assert np.max(np.abs(ops.materialize(ops.adjoint(op)) - (a @ b @ c).conj().T)) \
+            <= 1e-12
+        with pytest.raises(ops.ShapeMismatchError):
+            ops.compose(ops.from_dense(a), ops.from_dense(c), ops.from_dense(b))
+
+    def test_columnwise_matches_stacked_columns(self):
+        op = ops.from_dense(random_complex(6, 4, seed=11))
+        cw = ops.columnwise(op)
+        u = random_complex(4, 3, seed=12)
+        v = random_complex(6, 3, seed=13)
+        assert np.array_equal(cw.apply(u), np.stack([op.apply(c) for c in u.T], axis=1))
+        assert np.array_equal(cw.adjoint_apply(v),
+                              np.stack([op.adjoint_apply(c) for c in v.T], axis=1))
+        assert np.array_equal(cw.apply(u[:, 0]), op.apply(u[:, 0]))
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ops.ShapeMismatchError):
-            ops.compose(ops.identity(2), ops.identity(3))
+            ops.compose(ops.from_dense(np.eye(2)), ops.from_dense(np.eye(3)))
         with pytest.raises(ops.ShapeMismatchError):
-            ops.hstack(ops.identity(2), ops.identity(3))
+            ops.hstack(ops.from_dense(np.eye(2)), ops.from_dense(np.eye(3)))
 
 
 class TestAzStep1Operator:
@@ -122,7 +143,7 @@ class TestAzStep1Operator:
 
 
 def test_counted_wrapper():
-    op, counter = ops.counted(ops.identity(3))
+    op, counter = ops.counted(ops.from_dense(np.eye(3)))
     op.apply(np.zeros(3))
     op.apply(np.zeros(3))
     op.adjoint_apply(np.zeros(3))

@@ -144,7 +144,7 @@ class TestRandomizedTsvd:
         sigma = np.array([1.0] * 6 + [1e-14] * 4)
         a = spectrum_matrix(15, 10, sigma, seed=10)
         b = a @ np.ones(10)
-        cfg = SolverConfig(eps=1e-6, sketch_size=3, seed=0, adaptive=True)
+        cfg = SolverConfig(eps=1e-6, sketch_size=3, seed=0)
         rep = solvers.randomized_tsvd_solve(ops.from_dense(a), b, cfg)
         assert rep.sketch_size > 3
         assert rep.residual_norm <= 1e-8 * np.linalg.norm(b)

@@ -82,6 +82,14 @@ class TestLegendreEval:
         h2 = 2.0 / (2 * np.arange(L) + 1)
         assert np.max(np.abs(gram - np.diag(h2))) <= 1e-10
 
+    @pytest.mark.parametrize("L", [2, 50, 257])
+    def test_newton_step_values_match_table(self, L):
+        x = -np.cos(np.pi * (4 * np.arange(L) + 3) / (4 * L + 2))
+        pl, dpl = transforms._legendre_value_and_derivative(L, x)
+        p = transforms.legendre_eval(L, x)
+        assert np.array_equal(pl, p[:, L])
+        assert np.array_equal(dpl, L * (p[:, L - 1] - x * p[:, L]) / (1.0 - x**2))
+
 
 class TestGaussLegendre:
     def test_l1(self):
