@@ -27,8 +27,8 @@ from .operators import (LinearOperator, columnwise, compose, diagonal, extension
                         from_dense, hstack, restriction, scale)
 
 _MAX_GRID_GROWTH = 200
-# entries of the point-by-frequency matrix built per block when evaluating a
-# Fourier extension approximant (16 MiB of complex128)
+# entries of the point-by-frequency-block matrix built per chunk of points when
+# evaluating a 1D Fourier extension approximant (16 MiB of complex128)
 _EVAL_BLOCK_ENTRIES = 1 << 20
 
 
@@ -206,15 +206,29 @@ def fourier_extension_1d(n: int, domain: DomainSpec, oversampling: float = 2.0,
     restriction).  Z = A / L.
     """
     a, z, L, grid = _fourier_extension(n, 1, domain, oversampling, grid_size)
-    freqs = _symmetric_frequencies(n)
+    half = (n - 1) // 2
+    # frequency q*blk + r - half: exp(i pi (q*blk + r - half) t)
+    # = exp(i pi q*blk t) exp(i pi (r - half) t), so each point needs
+    # blk + nq (about 2 sqrt(N)) exponentials, not N
+    blk = math.isqrt(n - 1) + 1
+    nq = -(-n // blk)
 
     def evaluate(coeffs, pts):
         pts = np.asarray(pts, dtype=np.float64).ravel()
         coeffs = np.asarray(coeffs)
-        rows = max(1, _EVAL_BLOCK_ENTRIES // n)
-        out = np.empty((pts.size,) + coeffs.shape[1:], dtype=np.complex128)
+        tail = coeffs.shape[1:]
+        c = np.zeros((nq * blk,) + tail, dtype=np.complex128)
+        c[:n] = coeffs
+        # (blk, nq * k): column (q, j) holds c[q*blk + r, j] over r
+        c = c.reshape((nq, blk, -1)).transpose(1, 0, 2).reshape(blk, -1)
+        rows = max(1, _EVAL_BLOCK_ENTRIES // c.shape[1])
+        out = np.empty((pts.size,) + tail, dtype=np.complex128)
         for i in range(0, pts.size, rows):
-            out[i:i + rows] = np.exp(1j * np.pi * np.outer(pts[i:i + rows], freqs)) @ coeffs
+            t = pts[i:i + rows]
+            inner = np.exp(1j * np.pi * np.outer(t, np.arange(-half, blk - half))) @ c
+            outer = np.exp(1j * np.pi * blk * np.outer(t, np.arange(nq)))
+            inner = inner.reshape(t.size, nq, -1) * outer[:, :, None]
+            out[i:i + rows] = inner.sum(axis=1).reshape((t.size,) + tail)
         return out
 
     return AzProblem(A=a, Z=z, label=f"fourier1d(N={n}, L={L})",
@@ -448,8 +462,9 @@ def refined_grid(problem: AzProblem, refine: int = 4) -> np.ndarray:
     if grid.ndim == 2:
         if problem.domain is None or not problem.domain.is_2d:
             raise ValueError("2D refinement needs the mask domain")
-        # collocation grid spacing ~ 2/L with L ~ sqrt of bounding-grid count
-        pts = _periodic_grid(int(math.ceil(math.sqrt(grid.shape[0]))) * refine, 2)
+        # the collocation points lie on the periodic grid of spacing 2/L
+        L = round(2.0 / np.min(np.diff(np.unique(grid))))
+        pts = _periodic_grid(L * refine, 2)
         return pts[problem.domain.contains(pts)]
     if problem.domain is not None and problem.domain.intervals is not None:
         total = refine * grid.size

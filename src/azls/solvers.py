@@ -2,9 +2,10 @@
 
 Dense variants (direct, truncated SVD, truncated pivoted QR) take matrices;
 randomized variants take matrix-free operators and a SolverConfig and work on
-the sketch A Omega.  All of them factor once, truncate and back-solve through
-one core, and every solver recomputes the residual norm independently of its
-internal algebra.
+the sketch A Omega = Q T.  Its Householder QR grows with the sketch, one
+column block per doubling, and each round factors only the small core T.
+All of them factor once, truncate and back-solve through one core, and every
+solver recomputes the residual norm independently of its internal algebra.
 """
 
 from __future__ import annotations
@@ -116,33 +117,35 @@ def _as_operator(a) -> LinearOperator:
 
 
 def _sketch(a: LinearOperator, config: SolverConfig):
-    """Yield (Omega, A @ Omega) for R, then for doubled R, capped at N."""
+    """Yield (Omega, QR of A @ Omega) for R, then for doubled R, capped at N.
+
+    Each round draws the next columns of Omega from the same stream and
+    grows the Householder QR by their block; A @ Omega is never kept.
+    """
     n = a.cols
     rng = np.random.default_rng(config.seed)
-    r_now = min(config.sketch_size, n)
-    omega = rng.standard_normal((n, r_now))
-    atil = np.asarray(a.apply(omega), dtype=np.complex128)
-    while True:
-        yield omega, atil
-        if r_now >= n:
-            return
-        extra = min(r_now, n - r_now)
+    omega = np.empty((n, 0))
+    factor = None
+    while omega.shape[1] < n:
+        extra = min(max(config.sketch_size, omega.shape[1]), n - omega.shape[1])
         omega_new = rng.standard_normal((n, extra))
-        atil = np.concatenate([atil, np.asarray(a.apply(omega_new), dtype=np.complex128)], axis=1)
+        factor = mc.householder_qr(a.apply(omega_new), factor)
         omega = np.concatenate([omega, omega_new], axis=1)
-        r_now += extra
+        yield omega, factor
 
 
 def _randomized_solve(a, b, config: SolverConfig, qr: bool) -> SolveReport:
-    """Truncated solve on the sketch A Omega, then x = Omega y.
+    """Truncated solve on the sketch A Omega = Q T, then x = Omega y.
 
-    The sketch grows while every one of its directions is kept.
+    One Householder QR grows with the sketch, so each round factors only the
+    small core T (SVD or pivoted QR, through the one truncation core) against
+    Q* b.  The sketch grows while every one of its directions is kept.
     """
     t0 = time.perf_counter()
     a = _as_operator(a)
     b = np.asarray(b, dtype=np.complex128)
-    for omega, atil in _sketch(a, config):
-        y, k = _truncated_solve(atil, b, config.eps, qr)
+    for omega, factor in _sketch(a, config):
+        y, k = _truncated_solve(factor.R, factor.adjoint_q(b), config.eps, qr)
         if k < omega.shape[1] or omega.shape[1] >= a.cols:
             break
     return _report(a.apply, b, omega @ y, k, sketch=omega.shape[1], t0=t0)

@@ -59,14 +59,18 @@ class TestFourier1d:
         expected = np.exp(1j * np.pi * np.outer(p.grid, freqs))
         assert np.max(np.abs(a - expected)) <= 1e-12
 
-    def test_evaluate_in_blocks(self):
-        p = frames.fourier_extension_1d(65, DomainSpec.interval(-0.5, 0.5), 2.0)
-        rows = frames._EVAL_BLOCK_ENTRIES // 65
-        pts = np.linspace(-0.5, 0.5, rows + 7)  # one full block and a partial one
+    def test_evaluate_in_blocks(self, monkeypatch):
+        # N = 1025 splits into 32 frequency blocks of 33 (the last padded);
+        # 50 points a chunk puts two chunk boundaries and a partial chunk in 137
+        p = frames.fourier_extension_1d(1025, DomainSpec.interval(-0.5, 0.5), 2.0)
+        monkeypatch.setattr(frames, "_EVAL_BLOCK_ENTRIES", 32 * 50)
+        pts = np.linspace(-0.5, 0.5, 137)
         rng = np.random.default_rng(3)
-        c = rng.standard_normal(65) + 1j * rng.standard_normal(65)
-        direct = np.exp(1j * np.pi * np.outer(pts, np.arange(-32, 33))) @ c
+        c = rng.standard_normal((1025, 2)) + 1j * rng.standard_normal((1025, 2))
+        direct = np.exp(1j * np.pi * np.outer(pts, np.arange(-512, 513))) @ c
         assert np.max(np.abs(p.evaluate(c, pts) - direct)) <= 1e-12 * np.sum(np.abs(c))
+        assert np.max(np.abs(p.evaluate(c[:, 0], pts) - direct[:, 0])) \
+            <= 1e-12 * np.sum(np.abs(c[:, 0]))
 
     def test_even_n_rejected(self):
         with pytest.raises(ValueError):
@@ -299,6 +303,13 @@ class TestSamplingAndErrors:
         approx = p.evaluate(x, fine)
         err = np.max(np.abs(approx - f(fine)))
         assert err >= 0.05
+
+    def test_refined_grid_2d_spacing(self):
+        mask = frames.named_mask("disk")
+        p = frames.fourier_extension_2d(9, mask, 2.0, grid_size=40)
+        pts = frames.refined_grid(p, refine=4)
+        assert np.isclose(np.min(np.diff(np.unique(pts[:, 0]))), 2.0 / (40 * 4))
+        assert np.all(mask.contains(pts))
 
     def test_refined_grid_finer_and_inside(self):
         dom = DomainSpec.union([[-0.5, -0.1], [0.2, 0.5]])

@@ -132,6 +132,42 @@ def test_factorizations_recompose(m, n, seed):
     assert np.linalg.norm(a - mc.pivoted_qr(a).reconstruct(), "fro") <= tol
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 40), st.lists(st.integers(1, 30), min_size=1, max_size=5),
+       st.integers(0, 10_000))
+def test_grown_householder_qr_recomposes(m, widths, seed):
+    # blocks appended one by one, tall and wide alike, still factor the
+    # whole matrix: Q has orthonormal columns and Q R gives it back
+    a = random_complex(m, sum(widths), seed)
+    f, start = None, 0
+    for w in widths:
+        f = mc.householder_qr(a[:, start:start + w], f)
+        start += w
+    k = min(m, a.shape[1])
+    q = f.adjoint_q(np.eye(m)).conj().T
+    assert q.shape == (m, k) and f.R.shape == (k, a.shape[1])
+    tol = 1e-12 * max(1.0, np.linalg.norm(a, "fro"))
+    assert np.linalg.norm(a - q @ f.R, "fro") <= tol
+    assert np.linalg.norm(q.conj().T @ q - np.eye(k), "fro") <= 1e-12 * k
+    b = random_complex(m, 2, seed + 1)
+    assert np.linalg.norm(f.adjoint_q(b) - q.conj().T @ b) <= tol
+    assert np.linalg.norm(f.adjoint_q(b[:, 0]) - q.conj().T @ b[:, 0]) <= tol
+
+
+class TestHouseholderQr:
+    def test_row_mismatch_rejected(self):
+        f = mc.householder_qr(random_complex(5, 2, seed=1))
+        with pytest.raises(ValueError):
+            mc.householder_qr(random_complex(4, 2, seed=2), f)
+
+    def test_nonfinite_block_rejected(self):
+        f = mc.householder_qr(random_complex(5, 2, seed=3))
+        block = random_complex(5, 2, seed=4)
+        block[2, 1] = np.nan
+        with pytest.raises(ValueError):
+            mc.householder_qr(block, f)
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.integers(0, 1000),
        st.floats(1e-12, 10.0), st.floats(1e-12, 10.0))

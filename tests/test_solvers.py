@@ -3,6 +3,7 @@ bounds, randomized sketch solvers, determinism, and the Gaussian Monte Carlo."""
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from azls import matrixcore as mc, operators as ops, solvers
 from azls.solvers import SolverConfig
@@ -162,6 +163,74 @@ class TestRandomizedTqr:
         rep = solvers.randomized_tqr_solve(
             ops.from_dense(np.eye(8)), b, SolverConfig(eps=1e-8, sketch_size=8, seed=3))
         assert np.max(np.abs(rep.x - b)) <= 1e-10
+
+
+def explicit_sketch_solve(a, b, cfg, qr):
+    """The randomized solve written out: draw Omega from default_rng(seed) in
+    the solver's block order, factor the whole of A Omega each round, and
+    stop once the kept rank k < R or R = N.  Returns (x, k, R)."""
+    n = a.shape[1]
+    rng = np.random.default_rng(cfg.seed)
+    omega = rng.standard_normal((n, min(cfg.sketch_size, n)))
+    while True:
+        s = a @ omega
+        if qr:
+            q, r, perm = scipy.linalg.qr(s, mode="economic", pivoting=True)
+            k = int(np.sum(np.abs(np.diagonal(r)) >= cfg.eps))
+            y = np.zeros(s.shape[1], dtype=complex)
+            y[perm[:k]] = np.linalg.solve(r[:k, :k], q[:, :k].conj().T @ b)
+        else:
+            u, sigma, vh = np.linalg.svd(s, full_matrices=False)
+            k = int(np.sum(sigma >= cfg.eps))
+            y = vh[:k].conj().T @ ((u[:, :k].conj().T @ b) / sigma[:k])
+        big = omega.shape[1]
+        if k < big or big >= n:
+            return omega @ y, k, big
+        omega = np.concatenate(
+            [omega, rng.standard_normal((n, min(big, n - big)))], axis=1)
+
+
+class TestGrowingSketch:
+    # rank 25 with a graded spectrum: from a sketch of 3 the solver grows
+    # 3 -> 6 -> 12 -> 24 -> 40, four doublings
+    sigma = np.concatenate([np.logspace(0, -6, 25), np.full(15, 1e-15)])
+
+    @pytest.mark.parametrize("solve, qr", [(solvers.randomized_tsvd_solve, False),
+                                           (solvers.randomized_tqr_solve, True)])
+    def test_matches_explicit_sketch(self, solve, qr):
+        a = spectrum_matrix(60, 40, self.sigma, seed=17)
+        b = np.asarray(random_complex(60, 1, seed=18)).ravel()
+        cfg = SolverConfig(eps=1e-8, sketch_size=3, seed=4)
+        x_ref, k_ref, r_ref = explicit_sketch_solve(a, b, cfg, qr)
+        assert (k_ref, r_ref) == (25, 40)
+        rep = solve(ops.from_dense(a), b, cfg)
+        assert (rep.rank_used, rep.sketch_size) == (k_ref, r_ref)
+        assert np.linalg.norm(rep.x - x_ref) <= 1e-8 * np.linalg.norm(x_ref)
+        assert np.array_equal(solve(ops.from_dense(a), b, cfg).x, rep.x)
+
+    @pytest.mark.parametrize("solve", [solvers.randomized_tsvd_solve,
+                                       solvers.randomized_tqr_solve])
+    def test_wide_operator(self, solve):
+        # R outgrows M = 6: the factor stops adding reflectors and keeps growing R
+        a = random_complex(6, 20, seed=19)
+        b = np.asarray(random_complex(6, 1, seed=20)).ravel()
+        rep = solve(ops.from_dense(a), b, SolverConfig(eps=1e-8, sketch_size=3, seed=1))
+        assert (rep.rank_used, rep.sketch_size) == (6, 12)
+        assert rep.residual_norm <= 1e-13 * np.linalg.norm(b)
+
+    @pytest.mark.parametrize("solve", [solvers.randomized_tsvd_solve,
+                                       solvers.randomized_tqr_solve])
+    def test_nan_from_apply_raises(self, solve):
+        a = random_complex(10, 8, seed=21)
+
+        def apply(v):
+            out = a @ v
+            out[3] = np.nan
+            return out
+
+        op = ops.LinearOperator(10, 8, apply, lambda v: a.conj().T @ v)
+        with pytest.raises(ValueError, match="non-finite"):
+            solve(op, np.ones(10), SolverConfig(eps=1e-8, sketch_size=4))
 
 
 def test_baseline_dominance_well_conditioned():
