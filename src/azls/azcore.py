@@ -31,7 +31,9 @@ class AzProblem:
     truncation levels into the absolute thresholds the solvers expect.
     grid holds the collocation points (shape (M,) in 1D, (M, 2) in 2D) and
     evaluate, when present, evaluates the approximant built from a
-    coefficient vector at arbitrary points of the domain.
+    coefficient vector at arbitrary points of the domain.  gram is Z*A (N by
+    N), when the builder has a fast form of it; step 1 then applies
+    (I - A Z*) A as A (I - G).
     """
 
     A: LinearOperator
@@ -41,10 +43,14 @@ class AzProblem:
     grid: np.ndarray | None = None
     evaluate: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     domain: object | None = None
+    gram: LinearOperator | None = None
 
     def __post_init__(self):
         if self.A.shape != self.Z.shape:
             raise ValueError(f"A and Z shapes differ: {self.A.shape} vs {self.Z.shape}")
+        if self.gram is not None and self.gram.shape != (self.A.cols, self.A.cols):
+            raise ValueError(f"gram has shape {self.gram.shape}, expected "
+                             f"{(self.A.cols, self.A.cols)}")
 
 
 @dataclass(frozen=True)
@@ -96,13 +102,14 @@ def default_config(problem: AzProblem, seed: int = 0, eps: float | None = None,
 
 
 def _three_step(a: LinearOperator, z: LinearOperator, b: np.ndarray, step1,
-                config: SolverConfig, recompute_residual: bool) -> SolveReport:
+                config: SolverConfig, recompute_residual: bool,
+                gram: LinearOperator | None = None) -> SolveReport:
     t0 = time.perf_counter()
     if b.shape != (a.rows,):
         raise ValueError(f"b has shape {b.shape}, expected ({a.rows},)")
     if not np.all(np.isfinite(b)):
         raise ValueError("b contains non-finite entries")
-    op1 = az_step1_operator(a, z)
+    op1 = az_step1_operator(a, z, gram)
     rhs = b - np.asarray(a.apply(z.adjoint_apply(b)), dtype=np.complex128)
     rep1 = _solve_step1(op1, rhs, step1, config)
     x1 = np.asarray(rep1.x, dtype=np.complex128)
@@ -138,7 +145,7 @@ def az_solve(problem: AzProblem, b, step1="rand-tsvd",
     if config is None:
         config = default_config(problem)
     return _three_step(problem.A, problem.Z, np.asarray(b, dtype=np.complex128),
-                       step1, config, recompute_residual)
+                       step1, config, recompute_residual, problem.gram)
 
 
 def weighted_eps_pinv(d: np.ndarray, eps_w: float) -> np.ndarray:

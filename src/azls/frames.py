@@ -4,7 +4,9 @@ All builders return an AzProblem whose A and Z are matrix-free operators.
 Every fast frame has one shape: A = restriction . transform . extension,
 which zero-pads N coefficients to a length-L grid, applies a fast synthesis
 transform there and keeps the M grid points inside the domain; Z is the
-discrete dual restricted the same way.
+discrete dual restricted the same way.  The Fourier builders also give
+G = Z*A, a (block) Toeplitz matrix applied by a short FFT, so that step 1
+needs no Z.
 
 Grid convention for the Fourier builders: x_l = -1 + 2l/L, l = 0..L-1 (left
 endpoint included), in each dimension.  The basis functions are
@@ -123,13 +125,19 @@ def _symmetric_frequencies(n: int) -> np.ndarray:
 
 
 def _select_grid_size(n: int, dim: int, oversampling: float, points, domain: DomainSpec,
-                      grid_size: int | None):
+                      grid_size: int | None, estimate=None):
     """Grid length L, the grid points(L) and the indices of those inside the
     domain, for the smallest L >= 2*oversampling*N (per dimension) that puts
     >= oversampling*N^dim points inside.  A pinned grid_size only needs
-    M >= N^dim."""
-    def inside(L):
-        pts = points(L)
+    M >= N^dim.
+
+    With estimate, candidate lengths are counted on the cheap estimate(L) and
+    points(L) is built only for the length that meets the target; if its
+    exact count falls short (a point within the estimate's error of the
+    domain's edge), the search goes on from there on exact points.
+    """
+    def inside(L, at=points):
+        pts = at(L)
         return pts, np.nonzero(domain.contains(pts))[0]
 
     total = n**dim
@@ -142,7 +150,10 @@ def _select_grid_size(n: int, dim: int, oversampling: float, points, domain: Dom
     target = max(total, math.ceil(oversampling * total))
     L = max(n, math.ceil(2 * oversampling * n))
     for _ in range(_MAX_GRID_GROWTH):
-        pts, sel = inside(L)
+        pts, sel = inside(L, estimate or points)
+        if sel.size >= target and estimate is not None:
+            pts, sel = inside(L)
+            estimate = None
         if sel.size >= target:
             return L, pts, sel
         frac = max(sel.size, 1) / L**dim
@@ -161,8 +172,8 @@ def _periodic_grid(L: int, dim: int) -> np.ndarray:
 
 def _fourier_extension(n: int, dim: int, domain: DomainSpec, oversampling: float,
                        grid_size: int | None):
-    """A and Z of the tensor Fourier extension frame in 1 or 2 dimensions,
-    with L and the collocation points.
+    """A, Z and G = Z*A of the tensor Fourier extension frame in 1 or 2
+    dimensions, with L and the collocation points.
 
     A = restriction . (L^dim * inverse DFT on the L^dim grid) . frequency
     extension . phase, with row-major coefficients over (n1, n2) in 2D;
@@ -194,7 +205,42 @@ def _fourier_extension(n: int, dim: int, domain: DomainSpec, oversampling: float
                 extension(modes, size), diagonal(phase))
     if dim == 2:
         a = columnwise(a)
-    return a, scale(1.0 / size, a), L, full[sel]
+    return a, scale(1.0 / size, a), _fourier_gram(n, dim, L, sel), L, full[sel]
+
+
+def _fourier_gram(n: int, dim: int, L: int, sel: np.ndarray) -> LinearOperator:
+    """G = Z*A = A*A / L^dim of the Fourier extension frame, applied by FFT.
+
+    G[j, k] = g(n_k - n_j) with g(d) = L^-dim sum_{l inside} exp(i pi d.x_l)
+    = (-1)^(sum d) ifftn(mask)[d mod L], from one FFT of the mask indicator:
+    Toeplitz in 1D, block Toeplitz with Toeplitz blocks in 2D (the discrete
+    prolate matrix).  G v is the convolution of v with h(e) = g(-e), applied
+    through a circulant embedding of fast length P >= 2N - 1 per axis.  G is
+    Hermitian, so its adjoint is itself.
+    """
+    mask = np.zeros(L**dim)
+    mask[sel] = 1.0
+    g = np.fft.ifftn(mask.reshape((L,) * dim))
+    d = np.arange(1 - n, n)
+    sign = (-1.0) ** np.abs(d)
+    P = scipy.fft.next_fast_len(2 * n - 1)
+    kernel = np.zeros((P,) * dim, dtype=np.complex128)
+    h = g[np.ix_(*[np.mod(-d, L)] * dim)]
+    for axis in range(dim):
+        h *= sign.reshape((-1,) + (1,) * (dim - 1 - axis))
+    kernel[np.ix_(*[np.mod(d, P)] * dim)] = h
+    kernel_hat = scipy.fft.fftn(kernel)
+    axes = tuple(range(dim))
+
+    def apply(v):
+        v = np.asarray(v, dtype=np.complex128)
+        tail = v.shape[1:]
+        f = scipy.fft.fftn(v.reshape((n,) * dim + tail), s=(P,) * dim, axes=axes)
+        f *= kernel_hat.reshape(kernel_hat.shape + (1,) * len(tail))
+        w = scipy.fft.ifftn(f, axes=axes, overwrite_x=True)
+        return w[(slice(0, n),) * dim].reshape(v.shape)
+
+    return LinearOperator(n**dim, n**dim, apply, apply)
 
 
 def fourier_extension_1d(n: int, domain: DomainSpec, oversampling: float = 2.0,
@@ -205,7 +251,7 @@ def fourier_extension_1d(n: int, domain: DomainSpec, oversampling: float = 2.0,
     points inside the domain (frequency extension, length-L inverse DFT,
     restriction).  Z = A / L.
     """
-    a, z, L, grid = _fourier_extension(n, 1, domain, oversampling, grid_size)
+    a, z, g, L, grid = _fourier_extension(n, 1, domain, oversampling, grid_size)
     half = (n - 1) // 2
     # frequency q*blk + r - half: exp(i pi (q*blk + r - half) t)
     # = exp(i pi q*blk t) exp(i pi (r - half) t), so each point needs
@@ -233,7 +279,7 @@ def fourier_extension_1d(n: int, domain: DomainSpec, oversampling: float = 2.0,
 
     return AzProblem(A=a, Z=z, label=f"fourier1d(N={n}, L={L})",
                      scale=math.sqrt(L), grid=grid, evaluate=evaluate,
-                     domain=domain)
+                     domain=domain, gram=g)
 
 
 def fourier_extension_2d(n_per_dim: int, mask: DomainSpec,
@@ -243,7 +289,7 @@ def fourier_extension_2d(n_per_dim: int, mask: DomainSpec,
 
     Coefficients are row-major over (n1, n2); Z = A / L^2.
     """
-    a, z, L, grid = _fourier_extension(n_per_dim, 2, mask, oversampling, grid_size)
+    a, z, g, L, grid = _fourier_extension(n_per_dim, 2, mask, oversampling, grid_size)
     freqs = _symmetric_frequencies(n_per_dim)
 
     def evaluate(coeffs, pts):
@@ -254,7 +300,8 @@ def fourier_extension_2d(n_per_dim: int, mask: DomainSpec,
         return np.einsum("pi,ij,pj->p", ex, c, ey)
 
     return AzProblem(A=a, Z=z, label=f"fourier2d(N={n_per_dim}^2, L={L})",
-                     scale=float(L), grid=grid, evaluate=evaluate, domain=mask)
+                     scale=float(L), grid=grid, evaluate=evaluate, domain=mask,
+                     gram=g)
 
 
 def gram_fourier(n: int, domain: DomainSpec) -> np.ndarray:
@@ -370,7 +417,7 @@ def legendre_extension(n: int, domain: DomainSpec, oversampling: float = 2.0,
         return rules[L]
 
     L, _, sel = _select_grid_size(n, 1, oversampling, lambda L: rule_for(L).nodes,
-                                  domain, grid_size)
+                                  domain, grid_size, transforms.legendre_roots_estimate)
     rule = rule_for(L)
     nodes = rule.nodes[sel]
     p = transforms.legendre_eval(n - 1, nodes)

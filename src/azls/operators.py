@@ -160,9 +160,29 @@ def extension(indices, n: int) -> LinearOperator:
     return adjoint(restriction(indices, n))
 
 
-def az_step1_operator(a: LinearOperator, z: LinearOperator) -> LinearOperator:
-    """(I - A Z*) A, the system matrix of the first AZ step."""
+def az_step1_operator(a: LinearOperator, z: LinearOperator,
+                      gram: LinearOperator | None = None) -> LinearOperator:
+    """(I - A Z*) A, the system matrix of the first AZ step.
+
+    With gram = Z*A given as an operator of its own it is applied as
+    A (I - G), with adjoint (I - G*) A*: one A-apply and one G-apply per
+    column, and Z is never touched.
+    """
     _check_same_shape(a, z)
+    if gram is not None:
+        if gram.shape != (a.cols, a.cols):
+            raise ShapeMismatchError(f"gram has shape {gram.shape}, expected "
+                                     f"{(a.cols, a.cols)}")
+
+        def apply_gram(v):
+            v = np.asarray(v, dtype=np.complex128)
+            return a.apply(v - gram.apply(v))
+
+        def adjoint_apply_gram(w):
+            u = np.asarray(a.adjoint_apply(w), dtype=np.complex128)
+            return u - gram.adjoint_apply(u)
+
+        return LinearOperator(a.rows, a.cols, apply_gram, adjoint_apply_gram)
 
     def apply(v):
         av = a.apply(v)

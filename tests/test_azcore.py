@@ -2,6 +2,8 @@
 an injected step-1 vector, non-finite input, the weighted variant's limits,
 and the splitting check."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -272,6 +274,70 @@ def test_renormalization_covariance():
     # residual of the original system recovered from the scaled one
     res = np.linalg.norm(b - ops.materialize(p.A) @ rep.x)
     assert abs(res - base_res) <= 1e-10 * max(1.0, base_res)
+
+
+class TestFourierGram:
+    PROBLEMS = {
+        "1d-65": lambda: frames.fourier_extension_1d(65, DomainSpec.interval(-0.5, 0.5)),
+        "1d-1025": lambda: frames.fourier_extension_1d(1025, DomainSpec.interval(-0.5, 0.5)),
+        "2d-disk-9": lambda: frames.fourier_extension_2d(9, frames.named_mask("disk")),
+    }
+
+    @staticmethod
+    def rhs(p):
+        f = np.exp if p.grid.ndim == 1 else (lambda x, y: np.exp(x + y))
+        return sample_function(f, p.grid)
+
+    @pytest.mark.parametrize("step1", ["rand-tsvd", "rand-tqr", "tsvd"])
+    @pytest.mark.parametrize("name", sorted(PROBLEMS))
+    def test_agrees_with_generic_form(self, name, step1):
+        p = self.PROBLEMS[name]()
+        b = self.rhs(p)
+        cfg = default_config(p, seed=5)
+        rep = az_solve(p, b, step1=step1, config=cfg)
+        ref = az_solve(dataclasses.replace(p, gram=None), b, step1=step1, config=cfg)
+        assert rep.rank_used == ref.rank_used
+        assert rep.sketch_size == ref.sketch_size
+        # a residual at the rounding floor (1e-12 ||b|| in 1D) moves by 1e-5 of
+        # itself between BLAS thread counts, so it is compared against 1e-9 ||b||
+        assert abs(rep.residual_norm - ref.residual_norm) \
+            <= 1e-6 * max(ref.residual_norm, 1e-9 * np.linalg.norm(b))
+        # x is fixed only to about eps_mach sigma_1 / eps, with sigma_1 ~ scale
+        tol = 10 * np.finfo(np.float64).eps * p.scale / cfg.eps
+        assert np.linalg.norm(rep.x - ref.x) <= tol * np.linalg.norm(ref.x)
+
+    @pytest.mark.parametrize("name, step1", [("1d-65", "tsvd"), ("1d-65", "rand-tsvd"),
+                                             ("1d-1025", "rand-tqr"),
+                                             ("2d-disk-9", "rand-tsvd")])
+    def test_z_adjoint_applied_twice(self, name, step1):
+        # once for the right-hand side, once in step 2; never in step 1
+        p = self.PROBLEMS[name]()
+        z, counter = ops.counted(p.Z)
+        az_solve(dataclasses.replace(p, Z=z), self.rhs(p), step1=step1,
+                 config=default_config(p, seed=5))
+        assert counter.adjoint_applies == 2
+        assert counter.applies == 0
+
+    def test_weighted_and_sum_frames_do_not_use_it(self):
+        base = self.PROBLEMS["1d-65"]()
+
+        def unusable(v):
+            raise AssertionError("G applied")
+
+        n = base.A.cols
+        poisoned = dataclasses.replace(
+            base, gram=ops.LinearOperator(n, n, unusable, unusable))
+        d = 0.5 + np.abs(np.asarray(base.grid))
+        rep = az_weighted_solve(frames.weighted_lsq(poisoned, d, 0.6), self.rhs(base),
+                                step1="rand-tsvd", config=default_config(base, seed=5))
+        assert np.all(np.isfinite(rep.x))
+        summed = frames.weighted_sum_frame(base, lambda x: np.ones_like(x), np.abs)
+        assert summed.gram is None
+
+    def test_gram_shape_checked(self):
+        p = self.PROBLEMS["1d-65"]()
+        with pytest.raises(ValueError, match="gram has shape"):
+            dataclasses.replace(p, gram=ops.from_dense(np.eye(3)))
 
 
 @pytest.mark.parametrize("step1", ["rand-tsvd", "rand-tqr"])

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from azls import az_solve, default_config, frames, matrixcore as mc
-from azls import operators as ops, solvers
+from azls import operators as ops, solvers, transforms
 from azls.frames import DomainSpec, eval_error, sample_function
 
 
@@ -151,6 +151,36 @@ class TestFourier2d:
         assert abs(frac - rho) <= 0.15
 
 
+GRAM_BUILDERS = {
+    "1d-half-65": lambda: frames.fourier_extension_1d(65, DomainSpec.interval(-0.5, 0.5)),
+    "1d-half-1025": lambda: frames.fourier_extension_1d(1025, DomainSpec.interval(-0.5, 0.5)),
+    "1d-union": lambda: frames.fourier_extension_1d(
+        65, DomainSpec.union([[-0.9, -0.8], [0.5, 0.55]])),
+    # pinned grids shorter than 2N - 1, even and odd: g(d) wraps around mod L
+    "1d-pinned-36": lambda: frames.fourier_extension_1d(
+        31, DomainSpec.interval(-0.9, 0.9), grid_size=36),
+    "1d-pinned-37": lambda: frames.fourier_extension_1d(
+        31, DomainSpec.interval(-0.9, 0.9), grid_size=37),
+    "1d-pinned-128": lambda: frames.fourier_extension_1d(
+        31, DomainSpec.interval(-0.5, 0.5), grid_size=128),
+    **{f"2d-{mask}-{n}": (lambda mask=mask, n=n:
+                          frames.fourier_extension_2d(n, frames.named_mask(mask)))
+       for mask in ("disk", "punctured-disk", "square") for n in (5, 9, 25)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(GRAM_BUILDERS))
+def test_gram_is_z_adjoint_a(name):
+    p = GRAM_BUILDERS[name]()
+    assert p.gram.shape == (p.A.cols, p.A.cols)
+    rng = np.random.default_rng(3)
+    v = rng.standard_normal((p.A.cols, 4)) + 1j * rng.standard_normal((p.A.cols, 4))
+    ref = p.Z.adjoint_apply(p.A.apply(v))
+    assert np.linalg.norm(p.gram.apply(v) - ref) <= 1e-13 * np.linalg.norm(ref)
+    assert np.linalg.norm(p.gram.apply(v[:, 1]) - ref[:, 1]) \
+        <= 1e-13 * np.linalg.norm(ref[:, 1])
+
+
 class TestGram:
     def test_full_interval_identity(self):
         g = frames.gram_fourier(9, DomainSpec.interval(-1.0, 1.0))
@@ -232,6 +262,51 @@ class TestLegendre:
         z = ops.materialize(p.Z)
         r = mc.eps_rank(a - a @ z.conj().T @ a, 1e-8 * p.scale).r
         assert r <= 20
+
+    @pytest.mark.parametrize("dom", [DomainSpec.interval(-0.5, 0.5),
+                                     DomainSpec.interval(-0.1, 0.1),
+                                     DomainSpec.union([[-0.9, -0.8], [0.5, 0.55]])])
+    def test_sizing_builds_only_the_final_rule(self, monkeypatch, dom):
+        gauss_legendre = transforms.gauss_legendre
+        rules = {}
+
+        def rule(L):
+            if L not in rules:
+                rules[L] = gauss_legendre(L)
+            return rules[L]
+
+        for n in (5, 31, 64, 201, 401):
+            built = []
+            monkeypatch.setattr(transforms, "gauss_legendre",
+                                lambda L: built.append(L) or rule(L))
+            p = frames.legendre_extension(n, dom)
+            monkeypatch.setattr(transforms, "gauss_legendre", gauss_legendre)
+            # the sizing loop run on exact Gauss-Legendre nodes at every candidate
+            L, _, sel = frames._select_grid_size(n, 1, 2.0, lambda L: rule(L).nodes,
+                                                 dom, None)
+            assert built == [L]
+            assert np.array_equal(p.grid, rules[L].nodes[sel])
+
+    def test_misleading_estimate_falls_back_to_exact_points(self):
+        # an estimate that puts every point inside meets the target at once;
+        # the exact count falls short, so the search goes on as without it
+        narrow = DomainSpec.interval(-0.2, 0.2)
+
+        def grid(L):
+            return frames._periodic_grid(L, 1)
+
+        exact = frames._select_grid_size(31, 1, 2.0, grid, narrow, None)
+        guided = frames._select_grid_size(31, 1, 2.0, grid, narrow, None,
+                                          estimate=lambda L: np.zeros(L))
+        assert exact[0] == guided[0] > 4 * 31
+        assert np.array_equal(exact[2], guided[2])
+
+    def test_roots_estimate_near_nodes(self):
+        for L in (1, 2, 7, 64, 401):
+            est = transforms.legendre_roots_estimate(L)
+            nodes = transforms.gauss_legendre(L).nodes
+            assert np.max(np.abs(est - nodes)) <= 0.2 / L**2
+            assert np.array_equal(est, -est[::-1])
 
     def test_approximates_exp(self):
         p = frames.legendre_extension(40, DomainSpec.interval(-0.5, 0.5), 2.0)

@@ -21,6 +21,17 @@ def dft_operator(L):
         lambda v: np.conj(np.fft.fft(np.conj(np.asarray(v, dtype=np.complex128)), axis=0)))
 
 
+def dot_test(op, seed, k=3, rtol=1e-13):
+    """<op v, w> = <v, op* w> on random complex blocks and single vectors."""
+    for v, w in ((random_complex(op.cols, k, seed), random_complex(op.rows, k, seed + 1)),
+                 (random_complex(op.cols, 1, seed + 2)[:, 0],
+                  random_complex(op.rows, 1, seed + 3)[:, 0])):
+        av, aw = op.apply(v), op.adjoint_apply(w)
+        assert av.shape == w.shape and aw.shape == v.shape
+        scale = np.linalg.norm(av) * np.linalg.norm(w) + np.linalg.norm(v) * np.linalg.norm(aw)
+        assert abs(np.vdot(w, av) - np.vdot(aw, v)) <= rtol * scale
+
+
 class TestDenseBridge:
     def test_from_dense_identity(self):
         op = ops.from_dense(np.eye(2))
@@ -140,6 +151,43 @@ class TestAzStep1Operator:
             dense = a - a @ z.conj().T @ a
             eps = 0.3
             assert mc.eps_rank(ops.materialize(op), eps).r == mc.eps_rank(dense, eps).r
+
+
+FOURIER_PROBLEMS = [
+    lambda: frames.fourier_extension_1d(65, DomainSpec.interval(-0.5, 0.5)),
+    lambda: frames.fourier_extension_1d(1025, DomainSpec.union([[-0.9, -0.8], [0.5, 0.55]])),
+    lambda: frames.fourier_extension_2d(9, frames.named_mask("punctured-disk")),
+    lambda: frames.fourier_extension_2d(25, frames.named_mask("disk")),
+]
+
+
+@pytest.mark.parametrize("build", FOURIER_PROBLEMS,
+                         ids=["1d-65", "1d-union-1025", "2d-punctured-9", "2d-disk-25"])
+class TestGramStep1Operator:
+    def test_dot_tests_without_z(self, build):
+        p = build()
+        dot_test(p.gram, seed=20)
+        z, counter = ops.counted(p.Z)
+        dot_test(ops.az_step1_operator(p.A, z, p.gram), seed=30)
+        assert counter.applies == counter.adjoint_applies == 0
+
+    def test_matches_generic_form(self, build):
+        p = build()
+        fast = ops.az_step1_operator(p.A, p.Z, p.gram)
+        generic = ops.az_step1_operator(p.A, p.Z)
+        v = random_complex(p.A.cols, 3, seed=40)
+        w = random_complex(p.A.rows, 3, seed=41)
+        # both are accurate to eps_mach ||A|| ||v||, and scale ~ ||A||
+        assert np.linalg.norm(fast.apply(v) - generic.apply(v)) \
+            <= 1e-14 * p.scale * np.linalg.norm(v)
+        assert np.linalg.norm(fast.adjoint_apply(w) - generic.adjoint_apply(w)) \
+            <= 1e-14 * p.scale * np.linalg.norm(w)
+
+
+def test_gram_shape_checked():
+    a = ops.from_dense(random_complex(5, 3, seed=60))
+    with pytest.raises(ops.ShapeMismatchError):
+        ops.az_step1_operator(a, a, ops.from_dense(np.eye(5)))
 
 
 def test_counted_wrapper():
