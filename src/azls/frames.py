@@ -4,9 +4,11 @@ All builders return an AzProblem whose A and Z are matrix-free operators.
 Every fast frame has one shape: A = restriction . transform . extension,
 which zero-pads N coefficients to a length-L grid, applies a fast synthesis
 transform there and keeps the M grid points inside the domain; Z is the
-discrete dual restricted the same way.  The Fourier builders also give
-G = Z*A, a (block) Toeplitz matrix applied by a short FFT, so that step 1
-needs no Z.
+discrete dual restricted the same way.  The 1D Fourier A is the exception:
+it is a chirp-modulated Toeplitz product applied by an FFT of fast length
+P >= S + N - 1 (S the span of grid indices inside the domain), whatever
+the factors of L.  The Fourier builders also give G = Z*A, a (block)
+Toeplitz matrix applied through the same helper, so that step 1 needs no Z.
 
 Grid convention for the Fourier builders: x_l = -1 + 2l/L, l = 0..L-1 (left
 endpoint included), in each dimension.  The basis functions are
@@ -32,6 +34,9 @@ _MAX_GRID_GROWTH = 200
 # entries of the point-by-frequency-block matrix built per chunk of points when
 # evaluating a 1D Fourier extension approximant (16 MiB of complex128)
 _EVAL_BLOCK_ENTRIES = 1 << 20
+# entries, zero-padded to the circulant length, of the chunk of columns that
+# one Toeplitz apply transforms at a time (4 MiB of complex128)
+_TOEPLITZ_BLOCK_ENTRIES = 1 << 18
 
 
 class DomainSizingError(ValueError):
@@ -175,9 +180,10 @@ def _fourier_extension(n: int, dim: int, domain: DomainSpec, oversampling: float
     """A, Z and G = Z*A of the tensor Fourier extension frame in 1 or 2
     dimensions, with L and the collocation points.
 
-    A = restriction . (L^dim * inverse DFT on the L^dim grid) . frequency
-    extension . phase, with row-major coefficients over (n1, n2) in 2D;
-    Z = A / L^dim.
+    In 1D A is the chirp-z product of `_chirp_fourier`.  In 2D A =
+    restriction . (L^2 * inverse DFT on the L x L grid) . frequency
+    extension . phase, with row-major coefficients over (n1, n2), applied a
+    column at a time.  Z = A / L^dim.
     """
     freqs = _symmetric_frequencies(n)
     if domain.is_2d != (dim == 2):
@@ -185,27 +191,88 @@ def _fourier_extension(n: int, dim: int, domain: DomainSpec, oversampling: float
                          f"{'2D mask' if dim == 2 else '1D'} domain")
     L, full, sel = _select_grid_size(n, dim, oversampling,
                                      lambda L: _periodic_grid(L, dim), domain, grid_size)
-    bins = np.mod(freqs, L)
-    phase = (-1.0) ** np.abs(freqs)  # exp(-i*pi*n) at the grid offset x_0 = -1
-    modes = bins
-    if dim == 2:  # row-major over (n1, n2) on the row-major L x L grid
-        modes = np.add.outer(bins * L, bins).ravel()
-        phase = np.outer(phase, phase).ravel()
     size = L**dim
-    shape = (L,) * dim
-    axes = tuple(range(dim))
+    if dim == 1:
+        a = _chirp_fourier(freqs, L, sel)
+    else:
+        bins = np.mod(freqs, L)
+        sign = (-1.0) ** np.abs(freqs)  # exp(-i*pi*n) at the grid offset x_0 = -1
+        # row-major over (n1, n2) on the row-major L x L grid
+        modes = np.add.outer(bins * L, bins).ravel()
 
-    def synthesis(u):
-        return (np.fft.ifftn(u.reshape(shape + u.shape[1:]), axes=axes) * size).reshape(u.shape)
+        def synthesis(u):
+            return (np.fft.ifft2(u.reshape(L, L)) * size).ravel()
 
-    def analysis(v):
-        return np.fft.fftn(v.reshape(shape + v.shape[1:]), axes=axes).reshape(v.shape)
+        def analysis(v):
+            return np.fft.fft2(v.reshape(L, L)).ravel()
 
-    a = compose(restriction(sel, size), LinearOperator(size, size, synthesis, analysis),
-                extension(modes, size), diagonal(phase))
-    if dim == 2:
-        a = columnwise(a)
+        a = columnwise(compose(restriction(sel, size),
+                               LinearOperator(size, size, synthesis, analysis),
+                               extension(modes, size), diagonal(np.outer(sign, sign).ravel())))
     return a, scale(1.0 / size, a), _fourier_gram(n, dim, L, sel), L, full[sel]
+
+
+def _chirp(q, L: int) -> np.ndarray:
+    """w^(q^2) = exp(i pi q^2 / L) for integers q, the exponent reduced mod 2L
+    in integers so that the phase is exact before the one exp."""
+    q = np.asarray(q, dtype=np.int64)
+    return np.exp(1j * np.pi * ((q * q) % (2 * L)) / L)
+
+
+def _chirp_fourier(freqs: np.ndarray, L: int, sel: np.ndarray) -> LinearOperator:
+    """The 1D Fourier extension A[l, j] = (-1)^n exp(2 pi i n l / L), n = freqs[j],
+    for the grid indices l in sel, as a chirp-modulated Toeplitz product.
+
+    With 2 n l = n^2 + l^2 - (l - n)^2 and w = exp(i pi / L),
+    A = diag(w^(l^2)) . restriction(sel - l0) . T . diag((-1)^n w^(n^2)), where
+    T[m, j] = w^-(l0 + m - n_j)^2 is the S x N Toeplitz matrix over the span
+    l0 .. l0 + S - 1 of sel and the contiguous frequencies (Bluestein's
+    chirp-z transform).  T applies by a circulant of fast length
+    P >= S + N - 1, so the cost does not depend on how L factors.
+    """
+    n = freqs.size
+    l0 = int(sel[0])
+    span = int(sel[-1]) - l0 + 1
+    d = np.arange(1 - n, span)
+    kernel = np.zeros(scipy.fft.next_fast_len(span + n - 1), dtype=np.complex128)
+    kernel[d % kernel.size] = _chirp(l0 - freqs[0] + d, L).conj()
+    return compose(diagonal(_chirp(sel, L)), restriction(sel - l0, span),
+                   _toeplitz(kernel, span, n),
+                   diagonal((-1.0) ** np.abs(freqs) * _chirp(freqs, L)))
+
+
+def _toeplitz(kernel: np.ndarray, rows: int, cols: int) -> LinearOperator:
+    """The Toeplitz matrix T[i, j] = kernel[(i - j) mod P] of shape rows x cols,
+    or in 2D (kernel of shape (P, P)) the block Toeplitz matrix with Toeplitz
+    blocks over row-major rows^2 x cols^2 indices, applied as a circulant of
+    length P >= rows + cols - 1 per axis by one precomputed kernel FFT.  The
+    adjoint uses the conjugate kernel FFT.
+
+    A block goes through in chunks of about _TOEPLITZ_BLOCK_ENTRIES padded
+    entries, each chunk laid out with its transform axes contiguous.
+    """
+    dim, size = kernel.ndim, kernel.shape[0]
+    kernel_hat = scipy.fft.fftn(kernel)
+    axes = tuple(range(1, dim + 1))
+
+    def convolve(hat, v, n_in, n_out):
+        v = np.asarray(v, dtype=np.complex128)
+        chunk = max(1, _TOEPLITZ_BLOCK_ENTRIES // hat.size)
+        cols = v.reshape((n_in,) * dim + (-1,))
+        k = cols.shape[-1]
+        out = np.empty((k,) + (n_out,) * dim, dtype=np.complex128)
+        for c in range(0, k, chunk):
+            f = scipy.fft.fftn(np.moveaxis(cols[..., c:c + chunk], -1, 0),
+                               s=(size,) * dim, axes=axes)
+            f *= hat
+            w = scipy.fft.ifftn(f, axes=axes, overwrite_x=True)
+            out[c:c + chunk] = w[(slice(None),) + (slice(0, n_out),) * dim]
+        return np.moveaxis(out, 0, -1).reshape((n_out**dim,) + v.shape[1:])
+
+    hat_adjoint = kernel_hat.conj()
+    return LinearOperator(rows**dim, cols**dim,
+                          lambda v: convolve(kernel_hat, v, cols, rows),
+                          lambda u: convolve(hat_adjoint, u, rows, cols))
 
 
 def _fourier_gram(n: int, dim: int, L: int, sel: np.ndarray) -> LinearOperator:
@@ -216,7 +283,7 @@ def _fourier_gram(n: int, dim: int, L: int, sel: np.ndarray) -> LinearOperator:
     Toeplitz in 1D, block Toeplitz with Toeplitz blocks in 2D (the discrete
     prolate matrix).  G v is the convolution of v with h(e) = g(-e), applied
     through a circulant embedding of fast length P >= 2N - 1 per axis.  G is
-    Hermitian, so its adjoint is itself.
+    Hermitian.
     """
     mask = np.zeros(L**dim)
     mask[sel] = 1.0
@@ -229,18 +296,7 @@ def _fourier_gram(n: int, dim: int, L: int, sel: np.ndarray) -> LinearOperator:
     for axis in range(dim):
         h *= sign.reshape((-1,) + (1,) * (dim - 1 - axis))
     kernel[np.ix_(*[np.mod(d, P)] * dim)] = h
-    kernel_hat = scipy.fft.fftn(kernel)
-    axes = tuple(range(dim))
-
-    def apply(v):
-        v = np.asarray(v, dtype=np.complex128)
-        tail = v.shape[1:]
-        f = scipy.fft.fftn(v.reshape((n,) * dim + tail), s=(P,) * dim, axes=axes)
-        f *= kernel_hat.reshape(kernel_hat.shape + (1,) * len(tail))
-        w = scipy.fft.ifftn(f, axes=axes, overwrite_x=True)
-        return w[(slice(0, n),) * dim].reshape(v.shape)
-
-    return LinearOperator(n**dim, n**dim, apply, apply)
+    return _toeplitz(kernel, n, n)
 
 
 def fourier_extension_1d(n: int, domain: DomainSpec, oversampling: float = 2.0,
@@ -248,8 +304,8 @@ def fourier_extension_1d(n: int, domain: DomainSpec, oversampling: float = 2.0,
     """Fourier extension frame on a 1D domain inside [-1, 1].
 
     A maps N coefficients to samples of sum_n c_n exp(i*pi*n*x) at the grid
-    points inside the domain (frequency extension, length-L inverse DFT,
-    restriction).  Z = A / L.
+    points inside the domain, applied as a chirp-z Toeplitz product by an FFT
+    of fast length (see `_chirp_fourier`).  Z = A / L.
     """
     a, z, g, L, grid = _fourier_extension(n, 1, domain, oversampling, grid_size)
     half = (n - 1) // 2

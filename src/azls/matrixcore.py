@@ -1,5 +1,5 @@
-"""Dense complex matrix kernels: SVD, pivoted QR, a Householder QR that grows
-by column blocks, Gaussian sketches, epsilon rank.
+"""Dense complex matrix kernels: SVD (or its values alone), pivoted QR, a
+Householder QR that grows by column blocks, Gaussian sketches, epsilon rank.
 
 All factorization-scale objects are plain numpy arrays of dtype complex128
 (real inputs are promoted).  Factorizations are returned as small dataclasses
@@ -149,6 +149,15 @@ def svd(a) -> SvdFactorization:
     except np.linalg.LinAlgError as exc:
         raise FactorizationError(f"SVD failed to converge for {a.shape} matrix") from exc
     return SvdFactorization(U=u, sigma=s, V=vh.conj().T)
+
+
+def singular_values(a) -> np.ndarray:
+    """Singular values of a dense matrix, nonincreasing, without the vectors."""
+    a = _as_matrix(a)
+    try:
+        return np.linalg.svd(a, compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        raise FactorizationError(f"SVD failed to converge for {a.shape} matrix") from exc
 
 
 def pivoted_qr(a) -> PivotedQrFactorization:

@@ -105,9 +105,7 @@ def columnwise(op: LinearOperator) -> LinearOperator:
     For the 2D Fourier frames this beats one batched call: on the n = 25 disk
     (L = 100, numpy 2.4, 2 vCPUs) A on 228 columns takes 76-99 ms a column at
     a time against 115-134 ms batched, with the same bits, because one L x L
-    slab stays in cache.  scipy.fft batches faster but changes the bits.  A
-    1D FFT is faster batched (266 ms against 458 ms at L = 32772, k = 72),
-    so only the 2D frames use this.
+    slab stays in cache.  scipy.fft batches faster but changes the bits.
     """
     def per_column(fn):
         def apply(v):

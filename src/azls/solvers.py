@@ -3,7 +3,8 @@
 Dense variants (direct, truncated SVD, truncated pivoted QR) take matrices;
 randomized variants take matrix-free operators and a SolverConfig and work on
 the sketch A Omega = Q T.  Its Householder QR grows with the sketch, one
-column block per doubling, and each round factors only the small core T.
+column block per doubling, and each round factors only the small core T;
+for the SVD, rounds before the last take its singular values only.
 All of them factor once, truncate and back-solve through one core, and every
 solver recomputes the residual norm independently of its internal algebra.
 """
@@ -139,12 +140,18 @@ def _randomized_solve(a, b, config: SolverConfig, qr: bool) -> SolveReport:
 
     One Householder QR grows with the sketch, so each round factors only the
     small core T (SVD or pivoted QR, through the one truncation core) against
-    Q* b.  The sketch grows while every one of its directions is kept.
+    Q* b.  The sketch grows while every one of its directions is kept.  With
+    the SVD a round before the last needs only the kept rank, so it takes
+    the singular values alone; the full SVD runs once, on the round that
+    makes x (a round at R = N is the last and skips the values).
     """
     t0 = time.perf_counter()
     a = _as_operator(a)
     b = np.asarray(b, dtype=np.complex128)
     for omega, factor in _sketch(a, config):
+        if not qr and omega.shape[1] < a.cols and \
+                np.count_nonzero(mc.singular_values(factor.R) >= config.eps) == omega.shape[1]:
+            continue  # every direction kept: grow the sketch without the vectors
         y, k = _truncated_solve(factor.R, factor.adjoint_q(b), config.eps, qr)
         if k < omega.shape[1] or omega.shape[1] >= a.cols:
             break

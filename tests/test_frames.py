@@ -1,8 +1,11 @@
 """Problem-builder tests: domain handling, basis entries, discrete dualities,
 spectrum structure, sum frames, weighted wrappers, and error evaluation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+import scipy.fft
 
 from azls import az_solve, default_config, frames, matrixcore as mc
 from azls import operators as ops, solvers, transforms
@@ -179,6 +182,107 @@ def test_gram_is_z_adjoint_a(name):
     assert np.linalg.norm(p.gram.apply(v) - ref) <= 1e-13 * np.linalg.norm(ref)
     assert np.linalg.norm(p.gram.apply(v[:, 1]) - ref[:, 1]) \
         <= 1e-13 * np.linalg.norm(ref[:, 1])
+
+
+CHIRP_DOMAINS = {
+    "half": DomainSpec.interval(-0.5, 0.5),
+    "narrow": DomainSpec.interval(-0.1, 0.1),
+    # the index span of the rows covers the gap between the intervals
+    "union": DomainSpec.union([[-0.9, -0.8], [0.5, 0.55]]),
+}
+CHIRP_BUILDERS = {
+    **{f"{name}-{n}": (lambda dom=dom, n=n: frames.fourier_extension_1d(n, dom))
+       for name, dom in CHIRP_DOMAINS.items() for n in (1, 5, 65, 1025)},
+    # pinned grids: L = 36 and 37 are shorter than 2N - 1, L = 128 longer
+    "pinned-36": lambda: frames.fourier_extension_1d(
+        31, DomainSpec.interval(-0.9, 0.9), grid_size=36),
+    "pinned-37": lambda: frames.fourier_extension_1d(
+        31, DomainSpec.interval(-0.9, 0.9), grid_size=37),
+    "pinned-128": lambda: frames.fourier_extension_1d(
+        31, DomainSpec.interval(-0.5, 0.5), grid_size=128),
+}
+
+
+def grid_indices(p):
+    """L and the grid indices l of the collocation points x_l = -1 + 2l/L."""
+    L = round(p.scale**2)
+    return L, np.rint((np.asarray(p.grid) + 1.0) * L / 2.0).astype(np.int64)
+
+
+def exact_fourier_1d(p):
+    """The 1D Fourier extension A with its phases reduced mod L in integers:
+    (-1)^n exp(2 pi i ((l n) mod L) / L)."""
+    L, rows = grid_indices(p)
+    half = (p.A.cols - 1) // 2
+    freqs = np.arange(-half, half + 1)
+    return (-1.0) ** np.abs(freqs) * np.exp(2j * np.pi * (np.outer(rows, freqs) % L) / L)
+
+
+def fft_fourier_1d(p):
+    """The length-L grid form of the same A: zero-pad the phased coefficients
+    to the grid, take L times the inverse DFT and keep the rows inside."""
+    L, rows = grid_indices(p)
+    half = (p.A.cols - 1) // 2
+    freqs = np.arange(-half, half + 1)
+    bins = np.mod(freqs, L)
+    phase = (-1.0) ** np.abs(freqs)
+
+    def apply(v):
+        u = np.zeros((L,) + v.shape[1:], dtype=np.complex128)
+        u[bins] = phase.reshape((-1,) + (1,) * (v.ndim - 1)) * v
+        return (np.fft.ifft(u, axis=0) * L)[rows]
+
+    def adjoint_apply(w):
+        u = np.zeros((L,) + w.shape[1:], dtype=np.complex128)
+        u[rows] = w
+        return phase.reshape((-1,) + (1,) * (w.ndim - 1)) * np.fft.fft(u, axis=0)[bins]
+
+    return ops.LinearOperator(rows.size, p.A.cols, apply, adjoint_apply)
+
+
+@pytest.mark.parametrize("name", sorted(CHIRP_BUILDERS))
+def test_chirp_fourier_matches_exact_phases(name, monkeypatch):
+    p = CHIRP_BUILDERS[name]()
+    # chunks of 3 columns: a block of 7 runs two full chunks and a partial one
+    _, rows = grid_indices(p)
+    span = int(rows[-1] - rows[0]) + 1
+    monkeypatch.setattr(frames, "_TOEPLITZ_BLOCK_ENTRIES",
+                        3 * scipy.fft.next_fast_len(span + p.A.cols - 1))
+    exact = exact_fourier_1d(p)
+    rng = np.random.default_rng(7)
+    for k in (None, 7):
+        shape = (p.A.cols,) if k is None else (p.A.cols, k)
+        v = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        w = rng.standard_normal((p.A.rows,) + shape[1:]) \
+            + 1j * rng.standard_normal((p.A.rows,) + shape[1:])
+        ref, ref_adj = exact @ v, exact.conj().T @ w
+        assert np.linalg.norm(p.A.apply(v) - ref) <= 1e-13 * np.linalg.norm(ref)
+        assert np.linalg.norm(p.A.adjoint_apply(w) - ref_adj) \
+            <= 1e-13 * np.linalg.norm(ref_adj)
+
+
+class TestChirpSolve:
+    """az_solve with the chirp-z A against the length-L grid form of A."""
+
+    @pytest.mark.parametrize("n, step1", [(65, "rand-tsvd"), (65, "rand-tqr"), (65, "tsvd"),
+                                          (1025, "rand-tsvd"), (1025, "rand-tqr")])
+    def test_agrees_with_grid_fft_form(self, n, step1):
+        p = frames.fourier_extension_1d(n, DomainSpec.interval(-0.5, 0.5))
+        old = fft_fourier_1d(p)
+        L, _ = grid_indices(p)
+        q = dataclasses.replace(p, A=old, Z=ops.scale(1.0 / L, old))
+        b = sample_function(np.exp, p.grid)
+        cfg = default_config(p, seed=5)
+        rep = az_solve(p, b, step1=step1, config=cfg)
+        ref = az_solve(q, b, step1=step1, config=cfg)
+        assert rep.rank_used == ref.rank_used
+        assert rep.sketch_size == ref.sketch_size
+        # as in test_azcore's TestFourierGram: a residual at the rounding
+        # floor moves by 1e-5 of itself, x by about eps_mach sigma_1 / eps
+        assert abs(rep.residual_norm - ref.residual_norm) \
+            <= 1e-6 * max(ref.residual_norm, 1e-9 * np.linalg.norm(b))
+        tol = 10 * np.finfo(np.float64).eps * p.scale / cfg.eps
+        assert np.linalg.norm(rep.x - ref.x) <= tol * np.linalg.norm(ref.x)
 
 
 class TestGram:

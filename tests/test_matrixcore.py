@@ -40,6 +40,28 @@ class TestSvd:
         assert np.all(np.diff(f.sigma) <= 0)
 
 
+class TestSingularValues:
+    def test_match_svd(self):
+        a = random_complex(9, 6, seed=21)
+        sigma = mc.singular_values(a)
+        assert np.all(np.diff(sigma) <= 0)
+        assert np.max(np.abs(sigma - mc.svd(a).sigma)) <= 1e-13 * sigma[0]
+
+    def test_nonfinite_rejected(self):
+        a = random_complex(4, 4, seed=22)
+        a[1, 2] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            mc.singular_values(a)
+
+    def test_no_convergence_raises(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(np.linalg, "svd", fail)
+        with pytest.raises(mc.FactorizationError):
+            mc.singular_values(np.eye(3))
+
+
 class TestPivotedQr:
     def test_identity(self):
         f = mc.pivoted_qr(np.eye(3))

@@ -184,6 +184,29 @@ class TestGramStep1Operator:
             <= 1e-14 * p.scale * np.linalg.norm(w)
 
 
+CHIRP_PROBLEMS = {
+    "half-5": lambda: frames.fourier_extension_1d(5, DomainSpec.interval(-0.5, 0.5)),
+    "narrow-65": lambda: frames.fourier_extension_1d(65, DomainSpec.interval(-0.1, 0.1)),
+    "half-1025": lambda: frames.fourier_extension_1d(1025, DomainSpec.interval(-0.5, 0.5)),
+    "union-1025": lambda: frames.fourier_extension_1d(
+        1025, DomainSpec.union([[-0.9, -0.8], [0.5, 0.55]])),
+    "pinned-37": lambda: frames.fourier_extension_1d(
+        31, DomainSpec.interval(-0.9, 0.9), grid_size=37),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CHIRP_PROBLEMS))
+def test_chirp_fourier_adjoint_and_columns(name):
+    p = CHIRP_PROBLEMS[name]()
+    dot_test(p.A, seed=70)
+    dot_test(ops.az_step1_operator(p.A, p.Z, p.gram), seed=80)
+    # at N = 1025 a chunk holds 85 columns (half) and 12 (union): 100 span several
+    for apply, block in ((p.A.apply, random_complex(p.A.cols, 100, seed=90)),
+                         (p.A.adjoint_apply, random_complex(p.A.rows, 100, seed=91))):
+        stacked = np.stack([apply(c) for c in block.T], axis=1)
+        assert np.linalg.norm(apply(block) - stacked) <= 1e-14 * np.linalg.norm(stacked)
+
+
 def test_gram_shape_checked():
     a = ops.from_dense(random_complex(5, 3, seed=60))
     with pytest.raises(ops.ShapeMismatchError):

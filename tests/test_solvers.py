@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from azls import matrixcore as mc, operators as ops, solvers
+from azls import az_solve, default_config, frames, matrixcore as mc, operators as ops, solvers
+from azls.frames import DomainSpec, sample_function
 from azls.solvers import SolverConfig
 
 
@@ -231,6 +232,58 @@ class TestGrowingSketch:
         op = ops.LinearOperator(10, 8, apply, lambda v: a.conj().T @ v)
         with pytest.raises(ValueError, match="non-finite"):
             solve(op, np.ones(10), SolverConfig(eps=1e-8, sketch_size=4))
+
+
+class TestValuesOnlyRounds:
+    """rand-tsvd factors the core with vectors once, on the round that makes x."""
+
+    PROBLEMS = {
+        # saturates: the sketch grows to R = N = 81
+        "2d-disk-9": lambda: frames.fourier_extension_2d(9, frames.named_mask("disk")),
+        "1d-65": lambda: frames.fourier_extension_1d(65, DomainSpec.interval(-0.5, 0.5)),
+    }
+
+    @staticmethod
+    def rhs(p):
+        f = np.exp if p.grid.ndim == 1 else (lambda x, y: np.exp(x + y))
+        return sample_function(f, p.grid)
+
+    @pytest.mark.parametrize("name", sorted(PROBLEMS))
+    def test_one_full_svd_per_solve(self, name, monkeypatch):
+        p = self.PROBLEMS[name]()
+        svd, calls = mc.svd, []
+
+        def counted_svd(a):
+            calls.append(a.shape)
+            return svd(a)
+
+        monkeypatch.setattr(mc, "svd", counted_svd)
+        rep = az_solve(p, self.rhs(p), step1="rand-tsvd", config=default_config(p, seed=5))
+        assert calls == [(rep.sketch_size, rep.sketch_size)]
+
+    @pytest.mark.parametrize("name", sorted(PROBLEMS))
+    def test_matches_full_svd_every_round(self, name):
+        p = self.PROBLEMS[name]()
+        b = self.rhs(p)
+        op = ops.az_step1_operator(p.A, p.Z, p.gram)
+        rhs = b - p.A.apply(p.Z.adjoint_apply(b))
+        cfg = default_config(p, seed=5)
+        for omega, factor in solvers._sketch(op, cfg):
+            y, k = solvers._truncated_solve(factor.R, factor.adjoint_q(rhs), cfg.eps)
+            if k < omega.shape[1] or omega.shape[1] >= op.cols:
+                break
+        rep = solvers.randomized_tsvd_solve(op, rhs, cfg)
+        assert (rep.rank_used, rep.sketch_size) == (k, omega.shape[1])
+        assert np.array_equal(rep.x, omega @ y)
+
+    def test_tqr_rounds_take_no_values(self, monkeypatch):
+        def unusable(a):
+            raise AssertionError("singular values taken")
+
+        monkeypatch.setattr(mc, "singular_values", unusable)
+        p = self.PROBLEMS["2d-disk-9"]()
+        rep = az_solve(p, self.rhs(p), step1="rand-tqr", config=default_config(p, seed=5))
+        assert rep.sketch_size == p.A.cols
 
 
 def test_baseline_dominance_well_conditioned():
