@@ -31,9 +31,9 @@ class AzProblem:
     truncation levels into the absolute thresholds the solvers expect.
     grid holds the collocation points (shape (M,) in 1D, (M, 2) in 2D) and
     evaluate, when present, evaluates the approximant built from a
-    coefficient vector at arbitrary points of the domain.  gram is Z*A (N by
-    N), when the builder has a fast form of it; step 1 then applies
-    (I - A Z*) A as A (I - G).
+    coefficient vector at arbitrary points of the domain.  Step 1 applies
+    (I - A Z*) A as A (I - G) with G = Z*A (N by N); gram is a fast form of
+    G when the builder has one, and otherwise G is Z* composed with A.
     """
 
     A: LinearOperator
@@ -67,7 +67,7 @@ class WeightedAzProblem:
             raise ValueError("weight vector length must equal the row count")
         if not np.all((d > 0) & np.isfinite(d)):
             raise ValueError("all weights must be finite and strictly positive")
-        if self.eps_w < 0:
+        if not self.eps_w >= 0:
             raise ValueError("eps_w must be nonnegative")
         object.__setattr__(self, "d", d)
 
@@ -101,15 +101,18 @@ def default_config(problem: AzProblem, seed: int = 0, eps: float | None = None,
     return SolverConfig(eps=eps, sketch_size=sketch_size, seed=seed)
 
 
-def _three_step(a: LinearOperator, z: LinearOperator, b: np.ndarray, step1,
-                config: SolverConfig, recompute_residual: bool,
-                gram: LinearOperator | None = None) -> SolveReport:
+def _three_step(problem: AzProblem, b, step1, config: SolverConfig | None,
+                recompute_residual: bool) -> SolveReport:
     t0 = time.perf_counter()
+    a, z = problem.A, problem.Z
+    b = np.asarray(b, dtype=np.complex128)
     if b.shape != (a.rows,):
         raise ValueError(f"b has shape {b.shape}, expected ({a.rows},)")
     if not np.all(np.isfinite(b)):
         raise ValueError("b contains non-finite entries")
-    op1 = az_step1_operator(a, z, gram)
+    if config is None:
+        config = default_config(problem)
+    op1 = az_step1_operator(a, z, problem.gram)
     rhs = b - np.asarray(a.apply(z.adjoint_apply(b)), dtype=np.complex128)
     rep1 = _solve_step1(op1, rhs, step1, config)
     x1 = np.asarray(rep1.x, dtype=np.complex128)
@@ -142,10 +145,7 @@ def az_solve(problem: AzProblem, b, step1="rand-tsvd",
     (they agree identically) and steps 2-3 spend exactly one A-apply plus
     one Z*-apply.
     """
-    if config is None:
-        config = default_config(problem)
-    return _three_step(problem.A, problem.Z, np.asarray(b, dtype=np.complex128),
-                       step1, config, recompute_residual, problem.gram)
+    return _three_step(problem, b, step1, config, recompute_residual)
 
 
 def weighted_eps_pinv(d: np.ndarray, eps_w: float) -> np.ndarray:
@@ -163,13 +163,17 @@ def weighted_eps_pinv(d: np.ndarray, eps_w: float) -> np.ndarray:
 
 def az_weighted_solve(problem: WeightedAzProblem, b, step1: str = "tsvd",
                       config: SolverConfig | None = None) -> SolveReport:
-    """AZ for the weighted system W A x = W b with Z~ = pinv(W_eps) Z."""
+    """AZ for the weighted system W A x = W b with Z~ = pinv(W_eps) Z.
+
+    The weighted pair is an AzProblem of its own, solved on d b; its scale is
+    the base scale times max d, so the default eps is 1e-10 of that.
+    """
     base, d = problem.base, problem.d
-    wa = compose(diagonal(d), base.A)
-    ztil = compose(diagonal(weighted_eps_pinv(d, problem.eps_w)), base.Z)
-    if config is None:
-        config = default_config(base, eps=1e-10 * base.scale * float(d.max()))
-    return _three_step(wa, ztil, d * np.asarray(b, dtype=np.complex128), step1,
+    weighted = AzProblem(
+        A=compose(diagonal(d), base.A),
+        Z=compose(diagonal(weighted_eps_pinv(d, problem.eps_w)), base.Z),
+        scale=base.scale * float(d.max()))
+    return _three_step(weighted, d * np.asarray(b, dtype=np.complex128), step1,
                        config, recompute_residual=True)
 
 

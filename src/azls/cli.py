@@ -152,7 +152,11 @@ def _spectra_matrices(args) -> tuple[np.ndarray, np.ndarray]:
         dom = _parse_domain(args.domain, [[-0.5, 0.5]])
         g = frames.gram_fourier(args.n, dom)
         return g, mc.adjoint(mc.pseudoinverse(g))
-    problem = build_problem(args)
+    return _materialize_pair(build_problem(args))
+
+
+def _materialize_pair(problem) -> tuple[np.ndarray, np.ndarray]:
+    """Dense (A, Z) of a problem; a CliError when they exceed the cap."""
     try:
         return ops.materialize(problem.A), ops.materialize(problem.Z)
     except ValueError as exc:
@@ -187,12 +191,7 @@ def cmd_rankgrowth(args) -> None:
         sub = argparse.Namespace(**vars(args))
         sub.n = n
         problem = build_problem(sub)
-        try:
-            a = ops.materialize(problem.A)
-            z = ops.materialize(problem.Z)
-        except ValueError as exc:
-            raise CliError(f"{exc}; reduce N so the operators fit under the "
-                           f"materialization cap") from exc
+        a, z = _materialize_pair(problem)
         eps = args.eps if args.eps is not None else 1e-10 * problem.scale
         report = mc.eps_rank(a - a @ z.conj().T @ a, eps)
         records.append({"n": n, "eps": eps, "eps_rank": report.r})
@@ -204,7 +203,7 @@ def _timed_solve(problem, b, solver: str, seed: int):
     if solver == "direct":
         a = ops.materialize(problem.A)
         t0 = time.perf_counter()
-        x, *_ = np.linalg.lstsq(a, b, rcond=None)
+        x = solvers.direct_lsq(a, b).x
         return x, time.perf_counter() - t0
     config = default_config(problem, seed=seed)
     t0 = time.perf_counter()

@@ -182,8 +182,8 @@ def gaussian_matrix(n: int, k: int, seed: int) -> np.ndarray:
 
 def eps_rank(a, eps: float) -> EpsRankReport:
     """Smallest r such that sqrt(sum of squared singular values beyond r) <= eps."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    if not 0 < eps < np.inf:
+        raise ValueError("eps must be positive and finite")
     sigma = svd(a).sigma
     # tail[r] = sqrt(sum_{k >= r} sigma_k^2); find least r with tail[r] <= eps
     tails = np.sqrt(np.cumsum(sigma[::-1] ** 2)[::-1])

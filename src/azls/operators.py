@@ -160,35 +160,26 @@ def extension(indices, n: int) -> LinearOperator:
 
 def az_step1_operator(a: LinearOperator, z: LinearOperator,
                       gram: LinearOperator | None = None) -> LinearOperator:
-    """(I - A Z*) A, the system matrix of the first AZ step.
+    """(I - A Z*) A, the system matrix of the first AZ step, as A (I - G).
 
-    With gram = Z*A given as an operator of its own it is applied as
-    A (I - G), with adjoint (I - G*) A*: one A-apply and one G-apply per
-    column, and Z is never touched.
+    G = Z*A is gram when given, a fast form of it that leaves Z untouched;
+    otherwise G = compose(adjoint(z), a).  A column costs one A-apply and
+    one G-apply, and the adjoint is (I - G*) A*.
     """
     _check_same_shape(a, z)
-    if gram is not None:
-        if gram.shape != (a.cols, a.cols):
-            raise ShapeMismatchError(f"gram has shape {gram.shape}, expected "
-                                     f"{(a.cols, a.cols)}")
-
-        def apply_gram(v):
-            v = np.asarray(v, dtype=np.complex128)
-            return a.apply(v - gram.apply(v))
-
-        def adjoint_apply_gram(w):
-            u = np.asarray(a.adjoint_apply(w), dtype=np.complex128)
-            return u - gram.adjoint_apply(u)
-
-        return LinearOperator(a.rows, a.cols, apply_gram, adjoint_apply_gram)
+    if gram is None:
+        gram = compose(adjoint(z), a)
+    elif gram.shape != (a.cols, a.cols):
+        raise ShapeMismatchError(f"gram has shape {gram.shape}, expected "
+                                 f"{(a.cols, a.cols)}")
 
     def apply(v):
-        av = a.apply(v)
-        return av - a.apply(z.adjoint_apply(av))
-
-    def adjoint_apply(v):
         v = np.asarray(v, dtype=np.complex128)
-        return a.adjoint_apply(v - z.apply(a.adjoint_apply(v)))
+        return a.apply(v - gram.apply(v))
+
+    def adjoint_apply(w):
+        u = np.asarray(a.adjoint_apply(w), dtype=np.complex128)
+        return u - gram.adjoint_apply(u)
 
     return LinearOperator(a.rows, a.cols, apply, adjoint_apply)
 

@@ -27,7 +27,7 @@ DEFAULT_OVERSAMPLING = 20
 class SolverConfig:
     """Truncation threshold and sketching parameters.
 
-    eps is an absolute singular-value / diagonal threshold.  sketch_size is
+    eps is a finite, absolute singular-value / diagonal threshold.  sketch_size is
     R = r + p for a target rank r and oversampling p.  The randomized solvers
     double R (reusing the random stream) while the sketch keeps every one of
     its directions, capped at N.
@@ -38,8 +38,8 @@ class SolverConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.eps <= 0:
-            raise ValueError("eps must be positive")
+        if not 0 < self.eps < np.inf:
+            raise ValueError("eps must be positive and finite")
         if self.sketch_size < 1:
             raise ValueError("sketch_size must be >= 1")
 
@@ -89,8 +89,8 @@ def _truncated_solve(a: np.ndarray, b: np.ndarray, eps: float | None,
 
 
 def _dense_solve(a, b, eps: float | None, qr: bool = False) -> SolveReport:
-    if eps is not None and eps <= 0:
-        raise ValueError("eps must be positive")
+    if eps is not None and not 0 < eps < np.inf:
+        raise ValueError("eps must be positive and finite")
     t0 = time.perf_counter()
     a = np.asarray(a, dtype=np.complex128)
     b = np.asarray(b, dtype=np.complex128)

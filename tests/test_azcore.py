@@ -196,6 +196,30 @@ class TestWeighted:
         with pytest.raises(ValueError):
             WeightedAzProblem(base=base, d=np.array([1.0, np.nan, 1.0]), eps_w=0.1)
 
+    def test_nan_eps_w_rejected(self):
+        # NaN would fail every d >= eps_w test and drop all weights, so x2 = 0
+        base = dense_problem(np.eye(3), np.eye(3))
+        with pytest.raises(ValueError, match="eps_w must be nonnegative"):
+            WeightedAzProblem(base=base, d=np.ones(3), eps_w=float("nan"))
+        WeightedAzProblem(base=base, d=np.ones(3), eps_w=float("inf"))
+
+    @pytest.mark.parametrize("step1", ["tsvd", "rand-tsvd"])
+    @pytest.mark.parametrize("eps_w", [0.0, 1e-2, 1.0])
+    def test_is_an_az_problem(self, eps_w, step1):
+        # the weighted solve is az_solve on (W A, pinv(W_eps) Z) with d b, at
+        # scale base.scale * max d
+        p = frames.fourier_lsq_equispaced(61, 123)
+        b = sample_function(lambda x: np.sin(2 * np.pi * x) + np.mod(x + 0.5, 1.0), p.grid)
+        d = (np.asarray(p.grid) - 0.5) ** 2
+        rep = az_weighted_solve(frames.weighted_lsq(p, d, eps_w), b, step1=step1)
+        explicit = AzProblem(
+            A=ops.compose(ops.diagonal(d), p.A),
+            Z=ops.compose(ops.diagonal(weighted_eps_pinv(d, eps_w)), p.Z),
+            scale=p.scale * float(d.max()))
+        ref = az_solve(explicit, d * b, step1=step1)
+        assert rep.rank_used == ref.rank_used
+        assert np.linalg.norm(rep.x - ref.x) <= 1e-13 * np.linalg.norm(ref.x)
+
     def test_eps_w_zero_gives_unweighted_solution(self):
         p = frames.fourier_lsq_equispaced(21, 43)
         b = sample_function(lambda x: np.exp(np.sin(2 * np.pi * x)), p.grid)

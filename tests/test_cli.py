@@ -89,6 +89,11 @@ class TestTiming:
         assert main(["timing", "--problem", "fourier1d", "--n", "33",
                      "--solver", "direct", "--out", str(out)]) == 0
         assert len(read_csv(out)) == 2
+        # timing and approx run the same direct solve on the same samples
+        approx = tmp_path / "ad.csv"
+        assert main(["approx", "--problem", "fourier1d", "--n", "33",
+                     "--solver", "direct", "--out", str(approx)]) == 0
+        assert read_csv(out)[1][3] == read_csv(approx)[1][7]
 
     def test_unknown_solver(self, tmp_path, capsys):
         out = tmp_path / "x.csv"

@@ -217,5 +217,6 @@ def test_projector_property(seed):
 
 
 def test_eps_rank_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        mc.eps_rank(np.eye(2), 0.0)
+    for eps in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            mc.eps_rank(np.eye(2), eps)

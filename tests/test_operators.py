@@ -135,6 +135,19 @@ class TestAzStep1Operator:
         dense = a - a @ z.conj().T @ a
         assert np.max(np.abs(ops.materialize(op) - dense)) <= 1e-11
 
+    def test_composed_gram_matches_oracle(self):
+        # without a fast gram, G = Z*A is composed from the two operators
+        a = random_complex(40, 17, seed=8)
+        z = random_complex(40, 17, seed=9) / 40
+        op = ops.az_step1_operator(ops.from_dense(a), ops.from_dense(z))
+        oracle = a - a @ z.conj().T @ a
+        for apply, mat, v in ((op.apply, oracle, random_complex(17, 5, seed=10)),
+                              (op.adjoint_apply, oracle.conj().T,
+                               random_complex(40, 5, seed=11))):
+            for x in (v, v[:, 0]):
+                ref = mat @ x
+                assert np.linalg.norm(apply(x) - ref) <= 1e-13 * np.linalg.norm(ref)
+
     def test_fourier_plunge_rank(self):
         # measured oracle: the N=31 half-interval extension has a plunge
         # of epsilon rank 24 at the 1e-10 absolute threshold

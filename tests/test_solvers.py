@@ -30,6 +30,15 @@ class TestConfig:
         with pytest.raises(ValueError):
             SolverConfig(eps=1.0, sketch_size=0)
 
+    @pytest.mark.parametrize("eps", [float("nan"), float("inf")])
+    def test_nonfinite_eps_rejected(self, eps):
+        # each would keep no singular value and return x = 0 without error
+        for call in (lambda: SolverConfig(eps=eps, sketch_size=5),
+                     lambda: solvers.tsvd_solve(np.eye(2), np.ones(2), eps),
+                     lambda: solvers.tqr_solve(np.eye(2), np.ones(2), eps)):
+            with pytest.raises(ValueError, match="eps must be positive and finite"):
+                call()
+
 
 class TestDirectLsq:
     def test_identity(self):
