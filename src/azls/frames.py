@@ -478,14 +478,12 @@ def legendre_extension(n: int, domain: DomainSpec, oversampling: float = 2.0,
     nodes = rule.nodes[sel]
     p = transforms.legendre_eval(n - 1, nodes)
     h2 = 2.0 / (2.0 * np.arange(n) + 1.0)
-    a_mat = p.astype(np.complex128)
-    z_mat = (rule.weights[sel][:, None] * p / h2).astype(np.complex128)
 
     def evaluate(coeffs, pts):
         return transforms.legendre_eval(n - 1, np.asarray(pts, dtype=np.float64)) \
             @ np.asarray(coeffs)
 
-    return AzProblem(A=from_dense(a_mat), Z=from_dense(z_mat),
+    return AzProblem(A=from_dense(p), Z=from_dense(rule.weights[sel][:, None] * p / h2),
                      label=f"legendre(N={n}, L={L})", scale=math.sqrt(L),
                      grid=nodes, evaluate=evaluate, domain=domain)
 
@@ -496,8 +494,8 @@ def weighted_sum_frame(base: AzProblem, w1, w2) -> AzProblem:
     """
     if base.grid is None or base.evaluate is None:
         raise ValueError("base problem needs grid and evaluate metadata")
-    w1g = _call_on_grid(w1, base.grid).astype(np.complex128)
-    w2g = _call_on_grid(w2, base.grid).astype(np.complex128)
+    w1g = _call_on_grid(w1, base.grid)
+    w2g = _call_on_grid(w2, base.grid)
     wg = np.abs(w1g) ** 2 + np.abs(w2g) ** 2
     if np.any(wg <= 0):
         raise ValueError("dual frame does not exist: w1(x)^2 + w2(x)^2 must be "
@@ -515,7 +513,7 @@ def weighted_sum_frame(base: AzProblem, w1, w2) -> AzProblem:
         return v1 + v2
 
     return AzProblem(A=a, Z=z, label=f"sumframe({base.label})",
-                     scale=base.scale * float(np.sqrt(wg.real.max())),
+                     scale=base.scale * float(np.sqrt(wg.max())),
                      grid=base.grid, evaluate=evaluate, domain=base.domain)
 
 

@@ -1,9 +1,11 @@
-"""Dense complex matrix kernels: SVD (or its values alone), pivoted QR, a
-Householder QR that grows by column blocks, Gaussian sketches, epsilon rank.
+"""Dense matrix kernels: SVD, pivoted QR, a Householder QR that grows by
+column blocks, Gaussian sketches, epsilon rank.
 
-All factorization-scale objects are plain numpy arrays of dtype complex128
-(real inputs are promoted).  Factorizations are returned as small dataclasses
-so the blocks keep their names.
+All factorization-scale objects are plain numpy arrays.  A matrix keeps the
+promotion of its dtype and float64: real input is factored by real LAPACK
+(integers become float64), complex input by complex LAPACK.  The growing
+Householder QR is the exception and is always complex128.  Factorizations
+are returned as small dataclasses so the blocks keep their names.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ class FactorizationError(RuntimeError):
 
 
 def _as_matrix(a) -> np.ndarray:
-    a = np.asarray(a, dtype=np.complex128)
+    a = np.asarray(a)
+    a = a.astype(np.result_type(a, np.float64), copy=False)
     if a.ndim != 2 or a.size == 0:
         raise ValueError(f"expected a nonempty 2-d array, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
@@ -107,7 +110,8 @@ def householder_qr(a, base: HouseholderQr | None = None) -> HouseholderQr:
 
     The new columns get base's reflectors (Q0* a); only their rows below
     base's R are factored, and base's columns are not touched again.  Once R
-    has M rows (a wide matrix) new columns only add to R.
+    has M rows (a wide matrix) new columns only add to R.  The factor is
+    complex128 (LAPACK zgeqrf/zunmqr) whatever the dtype of a.
     """
     a = _as_matrix(a)
     m, w = a.shape
@@ -149,15 +153,6 @@ def svd(a) -> SvdFactorization:
     except np.linalg.LinAlgError as exc:
         raise FactorizationError(f"SVD failed to converge for {a.shape} matrix") from exc
     return SvdFactorization(U=u, sigma=s, V=vh.conj().T)
-
-
-def singular_values(a) -> np.ndarray:
-    """Singular values of a dense matrix, nonincreasing, without the vectors."""
-    a = _as_matrix(a)
-    try:
-        return np.linalg.svd(a, compute_uv=False)
-    except np.linalg.LinAlgError as exc:
-        raise FactorizationError(f"SVD failed to converge for {a.shape} matrix") from exc
 
 
 def pivoted_qr(a) -> PivotedQrFactorization:

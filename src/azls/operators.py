@@ -4,6 +4,10 @@ An operator maps C^N -> C^M and always carries its adjoint.  Apply callables
 accept a vector of shape (N,) or a block of column vectors of shape (N, k);
 every combinator preserves that convention.  Operators are immutable and
 safe to share.
+
+Dtypes follow numpy promotion: a combinator returns the promotion of its
+input, its own data and float64, so real data on real input stays float64
+(integers become float64) and complex on either side gives complex128.
 """
 
 from __future__ import annotations
@@ -42,8 +46,14 @@ def _check_same_shape(a: LinearOperator, z: LinearOperator) -> None:
         raise ShapeMismatchError(f"operators have shapes {a.shape} and {z.shape}")
 
 
+def _promote(v) -> np.ndarray:
+    """v as an array of the promotion of its dtype and float64."""
+    v = np.asarray(v)
+    return v.astype(np.result_type(v, np.float64), copy=False)
+
+
 def from_dense(mat) -> LinearOperator:
-    mat = np.asarray(mat, dtype=np.complex128)
+    mat = _promote(mat)
     m, n = mat.shape
     mh = mat.conj().T
     return LinearOperator(m, n, lambda v: mat @ v, lambda v: mh @ v)
@@ -53,7 +63,7 @@ def materialize(op: LinearOperator, cap: int = MATERIALIZE_CAP) -> np.ndarray:
     """Dense matrix of an operator, built by applying it to basis vectors."""
     if op.cols > cap:
         raise ValueError(f"refusing to materialize {op.shape} operator (cap {cap} columns)")
-    return np.asarray(op.apply(np.eye(op.cols, dtype=np.complex128)), dtype=np.complex128)
+    return _promote(op.apply(np.eye(op.cols)))
 
 
 def adjoint(op: LinearOperator) -> LinearOperator:
@@ -72,12 +82,12 @@ def _dmul(d: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def diagonal(d) -> LinearOperator:
-    d = np.asarray(d, dtype=np.complex128)
+    d = _promote(d)
     dbar = d.conj()
     n = d.shape[0]
     return LinearOperator(n, n,
-                          lambda v: _dmul(d, np.asarray(v, dtype=np.complex128)),
-                          lambda v: _dmul(dbar, np.asarray(v, dtype=np.complex128)))
+                          lambda v: _dmul(d, _promote(v)),
+                          lambda v: _dmul(dbar, _promote(v)))
 
 
 def compose(*ops: LinearOperator) -> LinearOperator:
@@ -109,7 +119,7 @@ def columnwise(op: LinearOperator) -> LinearOperator:
     """
     def per_column(fn):
         def apply(v):
-            v = np.asarray(v, dtype=np.complex128)
+            v = _promote(v)
             if v.ndim == 1:
                 return fn(v)
             return np.stack([fn(col) for col in v.T], axis=1)
@@ -126,11 +136,11 @@ def hstack(a1: LinearOperator, a2: LinearOperator) -> LinearOperator:
     n1 = a1.cols
 
     def apply(v):
-        v = np.asarray(v, dtype=np.complex128)
+        v = _promote(v)
         return a1.apply(v[:n1]) + a2.apply(v[n1:])
 
     def adjoint_apply(v):
-        v = np.asarray(v, dtype=np.complex128)
+        v = _promote(v)
         return np.concatenate([a1.adjoint_apply(v), a2.adjoint_apply(v)], axis=0)
 
     return LinearOperator(a1.rows, n1 + a2.cols, apply, adjoint_apply)
@@ -141,12 +151,11 @@ def restriction(indices, m: int) -> LinearOperator:
     idx = np.asarray(indices, dtype=np.intp)
 
     def apply(v):
-        return np.asarray(v, dtype=np.complex128)[idx]
+        return _promote(v)[idx]
 
     def adjoint_apply(v):
-        v = np.asarray(v, dtype=np.complex128)
-        out_shape = (m,) + v.shape[1:]
-        out = np.zeros(out_shape, dtype=np.complex128)
+        v = _promote(v)
+        out = np.zeros((m,) + v.shape[1:], dtype=v.dtype)
         out[idx] = v
         return out
 
@@ -174,11 +183,11 @@ def az_step1_operator(a: LinearOperator, z: LinearOperator,
                                  f"{(a.cols, a.cols)}")
 
     def apply(v):
-        v = np.asarray(v, dtype=np.complex128)
+        v = _promote(v)
         return a.apply(v - gram.apply(v))
 
     def adjoint_apply(w):
-        u = np.asarray(a.adjoint_apply(w), dtype=np.complex128)
+        u = _promote(a.adjoint_apply(w))
         return u - gram.adjoint_apply(u)
 
     return LinearOperator(a.rows, a.cols, apply, adjoint_apply)

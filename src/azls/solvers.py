@@ -3,8 +3,8 @@
 Dense variants (direct, truncated SVD, truncated pivoted QR) take matrices;
 randomized variants take matrix-free operators and a SolverConfig and work on
 the sketch A Omega = Q T.  Its Householder QR grows with the sketch, one
-column block per doubling, and each round factors only the small core T;
-for the SVD, rounds before the last take its singular values only.
+column block per doubling, and each round factors only the small core T,
+unless a triangular inverse already certifies that T keeps every direction.
 All of them factor once, truncate and back-solve through one core, and every
 solver recomputes the residual norm independently of its internal algebra.
 """
@@ -92,7 +92,7 @@ def _dense_solve(a, b, eps: float | None, qr: bool = False) -> SolveReport:
     if eps is not None and not 0 < eps < np.inf:
         raise ValueError("eps must be positive and finite")
     t0 = time.perf_counter()
-    a = np.asarray(a, dtype=np.complex128)
+    a = np.asarray(a)
     b = np.asarray(b, dtype=np.complex128)
     x, k = _truncated_solve(a, b, eps, qr)
     return _report(lambda v: a @ v, b, x, k, t0=t0)
@@ -135,23 +135,33 @@ def _sketch(a: LinearOperator, config: SolverConfig):
         yield omega, factor
 
 
+def _keeps_every_direction(t: np.ndarray, eps: float) -> bool:
+    """Certify that the square triangular core t has sigma_min >= 2 eps, so
+    that a truncation at eps keeps all of it, SVD and pivoted QR alike (each
+    |diag R| of a QR is at least sigma_min).  It uses
+    sigma_min(t) >= 1 / ||t^-1||_F; False means only "not certified"."""
+    if t.shape[0] != t.shape[1]:
+        return False
+    inv, info = scipy.linalg.lapack.ztrtri(t)
+    return info == 0 and 2.0 * eps * np.linalg.norm(inv) <= 1.0
+
+
 def _randomized_solve(a, b, config: SolverConfig, qr: bool) -> SolveReport:
     """Truncated solve on the sketch A Omega = Q T, then x = Omega y.
 
     One Householder QR grows with the sketch, so each round factors only the
     small core T (SVD or pivoted QR, through the one truncation core) against
-    Q* b.  The sketch grows while every one of its directions is kept.  With
-    the SVD a round before the last needs only the kept rank, so it takes
-    the singular values alone; the full SVD runs once, on the round that
-    makes x (a round at R = N is the last and skips the values).
+    Q* b.  The sketch grows while every one of its directions is kept.  A
+    round before R = N whose T is certified to keep them all grows at once,
+    for the price of one triangular inverse; any other round factors T, and
+    the round that makes x always does.
     """
     t0 = time.perf_counter()
     a = _as_operator(a)
     b = np.asarray(b, dtype=np.complex128)
     for omega, factor in _sketch(a, config):
-        if not qr and omega.shape[1] < a.cols and \
-                np.count_nonzero(mc.singular_values(factor.R) >= config.eps) == omega.shape[1]:
-            continue  # every direction kept: grow the sketch without the vectors
+        if omega.shape[1] < a.cols and _keeps_every_direction(factor.R, config.eps):
+            continue
         y, k = _truncated_solve(factor.R, factor.adjoint_q(b), config.eps, qr)
         if k < omega.shape[1] or omega.shape[1] >= a.cols:
             break

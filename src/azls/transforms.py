@@ -107,8 +107,11 @@ def chebyshev_nodes(L: int, kind: str = "roots") -> np.ndarray:
 
 
 def chebyshev_evaluate(coeffs) -> np.ndarray:
-    """Evaluate a Chebyshev series at the L roots of T_L (increasing order)."""
-    c = np.asarray(coeffs, dtype=np.complex128).copy()
+    """Evaluate a Chebyshev series at the L roots of T_L (increasing order).
+
+    Real coefficients give real values (one DCT), complex ones complex."""
+    c = np.asarray(coeffs)
+    c = c.astype(np.result_type(c, np.float64))
     L = c.shape[0]
     c[1:] *= 0.5
     return scipy.fft.dct(c, type=3, axis=0)[::-1]

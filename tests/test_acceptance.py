@@ -292,25 +292,26 @@ def test_criterion_12_complexity_trend():
     solver's slope is at least 2.5 over its top range."""
     half = DomainSpec.interval(-0.5, 0.5)
 
+    def warm_median(solve):
+        runs = []
+        for _ in range(4):
+            t0 = time.perf_counter()
+            solve()
+            runs.append(time.perf_counter() - t0)
+        return float(np.median(runs[1:]))  # first run warms caches
+
     def az_time(n):
         p = frames.fourier_extension_1d(n, half, 2.0)
         b = sample_function(np.exp, p.grid)
         cfg = default_config(p, seed=0)
-        runs = []
-        for _ in range(4):
-            t0 = time.perf_counter()
-            az_solve(p, b, step1="rand-tsvd", config=cfg,
-                     recompute_residual=False)
-            runs.append(time.perf_counter() - t0)
-        return float(np.median(runs[1:]))  # first run warms caches
+        return warm_median(lambda: az_solve(p, b, step1="rand-tsvd", config=cfg,
+                                            recompute_residual=False))
 
     def direct_time(n):
         p = frames.fourier_extension_1d(n, half, 2.0)
         a = ops.materialize(p.A)
         b = sample_function(np.exp, p.grid)
-        t0 = time.perf_counter()
-        np.linalg.lstsq(a, b, rcond=None)
-        return time.perf_counter() - t0
+        return warm_median(lambda: np.linalg.lstsq(a, b, rcond=None))
 
     def fitted_slope(ns, ts, tail):
         lx = np.log(np.asarray(ns[-tail:], dtype=float))
@@ -322,7 +323,6 @@ def test_criterion_12_complexity_trend():
     az_slope = fitted_slope(az_ns, az_ts, tail=5)
 
     direct_ns = [2**k - 1 for k in range(8, 12)]
-    direct_time(direct_ns[0])  # warm the LAPACK path once
     direct_ts = [direct_time(n) for n in direct_ns]
     direct_slope = fitted_slope(direct_ns, direct_ts, tail=3)
 

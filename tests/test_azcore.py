@@ -3,6 +3,7 @@ an injected step-1 vector, non-finite input, the weighted variant's limits,
 and the splitting check."""
 
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
@@ -362,6 +363,68 @@ class TestFourierGram:
         p = self.PROBLEMS["1d-65"]()
         with pytest.raises(ValueError, match="gram has shape"):
             dataclasses.replace(p, gram=ops.from_dense(np.eye(3)))
+
+
+def complexified(op):
+    """op with its input and output promoted to complex128, so that every
+    dense step on it runs complex LAPACK: the oracle for real arithmetic."""
+    def cast(fn):
+        return lambda v: np.asarray(fn(np.asarray(v, dtype=np.complex128)),
+                                    dtype=np.complex128)
+    return ops.LinearOperator(op.rows, op.cols, cast(op.apply), cast(op.adjoint_apply))
+
+
+_HALF = DomainSpec.interval(-0.5, 0.5)
+
+
+@functools.lru_cache(maxsize=None)
+def real_frame(name):
+    """A real frame (an AzProblem or a WeightedAzProblem) and its complex
+    oracle: the same operators, promoted to complex128."""
+    if name == "weighted-chebyshev-129":
+        base = frames.chebyshev_extension(129, _HALF)
+        d = 0.1 + np.asarray(base.grid) ** 2
+        real = frames.weighted_lsq(base, d, 0.15)
+        oracle = dataclasses.replace(real, base=dataclasses.replace(
+            base, A=complexified(base.A), Z=complexified(base.Z)))
+        return real, oracle
+    kind, n = name.rsplit("-", 1)
+    real = {"chebyshev-roots": lambda: frames.chebyshev_extension(int(n), _HALF),
+            "chebyshev-extremae": lambda: frames.chebyshev_extension(
+                int(n), _HALF, kind="extremae"),
+            "legendre": lambda: frames.legendre_extension(int(n), _HALF),
+            "sumframe": lambda: frames.weighted_sum_frame(
+                frames.chebyshev_extension(int(n), _HALF),
+                lambda x: np.ones_like(x), np.abs)}[kind]()
+    return real, dataclasses.replace(real, A=complexified(real.A), Z=complexified(real.Z))
+
+
+@pytest.mark.parametrize("step1", STEP1_SOLVERS)
+@pytest.mark.parametrize("name", ["chebyshev-roots-64", "chebyshev-roots-513",
+                                  "chebyshev-extremae-64", "chebyshev-extremae-513",
+                                  "legendre-201", "legendre-401", "sumframe-32",
+                                  "weighted-chebyshev-129"])
+def test_real_frames_agree_with_complex_arithmetic(name, step1):
+    real, oracle = real_frame(name)
+    p = real.base if isinstance(real, WeightedAzProblem) else real
+    x = np.asarray(p.grid)
+    b = np.exp(x) + 1j * np.cos(5 * x)
+    if isinstance(real, WeightedAzProblem):
+        scale = p.scale * float(real.d.max())  # the weighted problem's scale
+        rep, ref = (az_weighted_solve(q, b, step1=step1) for q in (real, oracle))
+    else:
+        scale = p.scale
+        cfg = default_config(p, seed=5)
+        rep, ref = (az_solve(q, b, step1=step1, config=cfg) for q in (real, oracle))
+    eps_mach = np.finfo(np.float64).eps
+    # the default eps; the pseudoinverse cuts at max(M, N) eps_mach sigma_1
+    eps = max(p.A.shape) * eps_mach * scale if step1 == "direct" else 1e-10 * scale
+    assert rep.rank_used == ref.rank_used
+    assert abs(rep.residual_norm - ref.residual_norm) \
+        <= 1e-6 * max(ref.residual_norm, 1e-9 * np.linalg.norm(b))
+    # x is fixed only to about eps_mach sigma_1 / eps, with sigma_1 ~ scale
+    tol = 10 * eps_mach * scale / eps
+    assert np.linalg.norm(rep.x - ref.x) <= tol * np.linalg.norm(ref.x)
 
 
 @pytest.mark.parametrize("step1", ["rand-tsvd", "rand-tqr"])

@@ -197,6 +197,73 @@ class TestGramStep1Operator:
             <= 1e-14 * p.scale * np.linalg.norm(w)
 
 
+DTYPES = {"int": np.array([3, 1, 4, 1]), "real": np.array([0.5, 2.0, -1.0, 3.0]),
+          "complex": np.array([0.5, 2.0j, -1.0, 3.0 - 1.0j])}
+
+
+def _promoted(*kinds):
+    return np.result_type(*(DTYPES[k] for k in kinds), np.float64)
+
+
+def _combinators(d):
+    """Each combinator built on the length-4 data d, as (name, operator)."""
+    mat = np.outer(d, d[::-1])[:, :3] + np.eye(4, 3)
+    return [
+        ("from_dense", ops.from_dense(mat)),
+        ("diagonal", ops.diagonal(d)),
+        ("compose", ops.compose(ops.diagonal(d), ops.from_dense(mat))),
+        ("hstack", ops.hstack(ops.from_dense(mat), ops.from_dense(mat))),
+        ("columnwise", ops.columnwise(ops.from_dense(mat))),
+        ("az_step1_operator", ops.az_step1_operator(ops.from_dense(mat),
+                                                    ops.from_dense(0.1 * mat))),
+    ]
+
+
+class TestDtypePromotion:
+    """A combinator returns the promotion of its input, its data and float64:
+    real on real stays float64, complex on either side gives complex128 and
+    integers become float64."""
+
+    @pytest.mark.parametrize("data", sorted(DTYPES))
+    @pytest.mark.parametrize("given", sorted(DTYPES))
+    def test_combinators(self, data, given):
+        expected = _promoted(data, given)
+        for name, op in _combinators(DTYPES[data]):
+            for k in ((), (2,)):  # a vector and a block
+                v = np.resize(DTYPES[given], (op.cols,) + k)
+                w = np.resize(DTYPES[given], (op.rows,) + k)
+                assert op.apply(v).dtype == expected, name
+                assert op.adjoint_apply(w).dtype == expected, name
+            assert ops.materialize(op).dtype == _promoted(data), name
+
+    @pytest.mark.parametrize("given", sorted(DTYPES))
+    def test_restriction_and_extension(self, given):
+        v = DTYPES[given]
+        r, e = ops.restriction([0, 2], 4), ops.extension([0, 2], 4)
+        for out in (r.apply(v), r.adjoint_apply(v[:2]), e.apply(v[:2]), e.adjoint_apply(v),
+                    r.apply(np.stack([v, v], axis=1))):
+            assert out.dtype == _promoted(given)
+        assert ops.materialize(r).dtype == np.float64
+
+    @pytest.mark.parametrize("build, dtype", [
+        (lambda: frames.chebyshev_extension(33, DomainSpec.interval(-0.5, 0.5)), np.float64),
+        (lambda: frames.chebyshev_extension(33, DomainSpec.interval(-0.5, 0.5),
+                                            kind="extremae"), np.float64),
+        (lambda: frames.legendre_extension(33, DomainSpec.interval(-0.5, 0.5)), np.float64),
+        (lambda: frames.weighted_sum_frame(
+            frames.chebyshev_extension(17, DomainSpec.interval(-0.5, 0.5)),
+            lambda x: np.ones_like(x), np.abs), np.float64),
+        (lambda: frames.fourier_extension_1d(33, DomainSpec.interval(-0.5, 0.5)),
+         np.complex128),
+        (lambda: frames.fourier_extension_2d(5, frames.named_mask("disk")), np.complex128),
+        (lambda: frames.fourier_lsq_equispaced(9, 19), np.complex128),
+    ], ids=["chebyshev-roots", "chebyshev-extremae", "legendre", "sumframe", "fourier1d",
+            "fourier2d", "fourier01"])
+    def test_step1_operator_materializes_real_for_real_frames(self, build, dtype):
+        p = build()
+        assert ops.materialize(ops.az_step1_operator(p.A, p.Z, p.gram)).dtype == dtype
+
+
 CHIRP_PROBLEMS = {
     "half-5": lambda: frames.fourier_extension_1d(5, DomainSpec.interval(-0.5, 0.5)),
     "narrow-65": lambda: frames.fourier_extension_1d(65, DomainSpec.interval(-0.1, 0.1)),

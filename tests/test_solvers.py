@@ -244,7 +244,9 @@ class TestGrowingSketch:
 
 
 class TestValuesOnlyRounds:
-    """rand-tsvd factors the core with vectors once, on the round that makes x."""
+    """A round that only grows the sketch is certified by a triangular
+    inverse and factors nothing; the core is factored once, on the round
+    that makes x."""
 
     PROBLEMS = {
         # saturates: the sketch grows to R = N = 81
@@ -287,12 +289,33 @@ class TestValuesOnlyRounds:
 
     def test_tqr_rounds_take_no_values(self, monkeypatch):
         def unusable(a):
-            raise AssertionError("singular values taken")
+            raise AssertionError("SVD taken")
 
-        monkeypatch.setattr(mc, "singular_values", unusable)
+        qr, calls = mc.pivoted_qr, []
+
+        def counted_qr(a):
+            calls.append(a.shape)
+            return qr(a)
+
+        monkeypatch.setattr(mc, "svd", unusable)
+        monkeypatch.setattr(mc, "pivoted_qr", counted_qr)
         p = self.PROBLEMS["2d-disk-9"]()
         rep = az_solve(p, self.rhs(p), step1="rand-tqr", config=default_config(p, seed=5))
         assert rep.sketch_size == p.A.cols
+        assert calls == [(p.A.cols, p.A.cols)]
+
+    @pytest.mark.parametrize("tail, certified", [(2.5e-8, True), (1.5e-8, False),
+                                                 (0.5e-8, False)])
+    def test_certificate_is_sufficient(self, tail, certified):
+        # sigma_min = tail against eps = 1e-8: certified only with room to
+        # spare, and never when a truncation at eps would drop a direction
+        sigma = np.concatenate([np.logspace(0, -4, 11), [tail]])
+        t = mc.householder_qr(spectrum_matrix(12, 12, sigma, seed=7)).R
+        assert solvers._keeps_every_direction(t, 1e-8) == certified
+        assert not solvers._keeps_every_direction(t[:, :-1], 1e-8)  # not square
+        if certified:
+            assert np.min(mc.svd(t).sigma) >= 1e-8
+            assert np.min(np.abs(np.diagonal(mc.pivoted_qr(t).R))) >= 1e-8
 
 
 def test_baseline_dominance_well_conditioned():
