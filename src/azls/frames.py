@@ -1,14 +1,16 @@
 """Problem builders: extension frames, Gram matrices, weighted sum frames.
 
 All builders return an AzProblem whose A and Z are matrix-free operators.
-Every fast frame has one shape: A = restriction . transform . extension,
-which zero-pads N coefficients to a length-L grid, applies a fast synthesis
-transform there and keeps the M grid points inside the domain; Z is the
-discrete dual restricted the same way.  The 1D Fourier A is the exception:
-it is a chirp-modulated Toeplitz product applied by an FFT of fast length
+The Chebyshev frame is A = restriction . transform . extension, which
+zero-pads N coefficients to a length-L grid, applies a fast synthesis
+transform (a DCT) there and keeps the M grid points inside the domain; Z is
+the discrete dual restricted the same way.  The 1D Fourier A is a
+chirp-modulated Toeplitz product applied by an FFT of fast length
 P >= S + N - 1 (S the span of grid indices inside the domain), whatever
-the factors of L.  The Fourier builders also give G = Z*A, a (block)
-Toeplitz matrix applied through the same helper, so that step 1 needs no Z.
+the factors of L.  The 2D Fourier A is separable: two GEMMs with the L x n
+matrix E = [exp(i pi n x_l)] per chunk of columns, through scipy's BLAS,
+then a gather of the mask points.  The Fourier builders also give G = Z*A,
+a (block) Toeplitz matrix applied by FFT, so that step 1 needs no Z.
 
 Grid convention for the Fourier builders: x_l = -1 + 2l/L, l = 0..L-1 (left
 endpoint included), in each dimension.  The basis functions are
@@ -24,18 +26,20 @@ from typing import Callable, Sequence
 
 import numpy as np
 import scipy.fft
+import scipy.linalg.blas
 
 from . import transforms
 from .azcore import AzProblem, WeightedAzProblem
-from .operators import (LinearOperator, columnwise, compose, diagonal, extension,
-                        from_dense, hstack, restriction, scale)
+from .operators import (LinearOperator, compose, diagonal, extension, from_dense,
+                        hstack, restriction, scale)
 
 _MAX_GRID_GROWTH = 200
 # entries of the point-by-frequency-block matrix built per chunk of points when
 # evaluating a 1D Fourier extension approximant (16 MiB of complex128)
 _EVAL_BLOCK_ENTRIES = 1 << 20
 # entries, zero-padded to the circulant length, of the chunk of columns that
-# one Toeplitz apply transforms at a time (4 MiB of complex128)
+# one Toeplitz apply transforms at a time, and of the largest intermediate of
+# a chunk of the separable 2D Fourier apply (4 MiB of complex128)
 _TOEPLITZ_BLOCK_ENTRIES = 1 << 18
 
 
@@ -180,10 +184,9 @@ def _fourier_extension(n: int, dim: int, domain: DomainSpec, oversampling: float
     """A, Z and G = Z*A of the tensor Fourier extension frame in 1 or 2
     dimensions, with L and the collocation points.
 
-    In 1D A is the chirp-z product of `_chirp_fourier`.  In 2D A =
-    restriction . (L^2 * inverse DFT on the L x L grid) . frequency
-    extension . phase, with row-major coefficients over (n1, n2), applied a
-    column at a time.  Z = A / L^dim.
+    In 1D A is the chirp-z product of `_chirp_fourier`; in 2D it is the
+    separable two-GEMM product of `_separable_fourier`, with row-major
+    coefficients over (n1, n2).  Z = A / L^dim.
     """
     freqs = _symmetric_frequencies(n)
     if domain.is_2d != (dim == 2):
@@ -191,25 +194,8 @@ def _fourier_extension(n: int, dim: int, domain: DomainSpec, oversampling: float
                          f"{'2D mask' if dim == 2 else '1D'} domain")
     L, full, sel = _select_grid_size(n, dim, oversampling,
                                      lambda L: _periodic_grid(L, dim), domain, grid_size)
-    size = L**dim
-    if dim == 1:
-        a = _chirp_fourier(freqs, L, sel)
-    else:
-        bins = np.mod(freqs, L)
-        sign = (-1.0) ** np.abs(freqs)  # exp(-i*pi*n) at the grid offset x_0 = -1
-        # row-major over (n1, n2) on the row-major L x L grid
-        modes = np.add.outer(bins * L, bins).ravel()
-
-        def synthesis(u):
-            return (np.fft.ifft2(u.reshape(L, L)) * size).ravel()
-
-        def analysis(v):
-            return np.fft.fft2(v.reshape(L, L)).ravel()
-
-        a = columnwise(compose(restriction(sel, size),
-                               LinearOperator(size, size, synthesis, analysis),
-                               extension(modes, size), diagonal(np.outer(sign, sign).ravel())))
-    return a, scale(1.0 / size, a), _fourier_gram(n, dim, L, sel), L, full[sel]
+    a = _chirp_fourier(freqs, L, sel) if dim == 1 else _separable_fourier(freqs, L, sel)
+    return a, scale(1.0 / L**dim, a), _fourier_gram(n, dim, L, sel), L, full[sel]
 
 
 def _chirp(q, L: int) -> np.ndarray:
@@ -239,6 +225,57 @@ def _chirp_fourier(freqs: np.ndarray, L: int, sel: np.ndarray) -> LinearOperator
     return compose(diagonal(_chirp(sel, L)), restriction(sel - l0, span),
                    _toeplitz(kernel, span, n),
                    diagonal((-1.0) ** np.abs(freqs) * _chirp(freqs, L)))
+
+
+def _separable_fourier(freqs: np.ndarray, L: int, sel: np.ndarray) -> LinearOperator:
+    """The 2D Fourier extension A[(l1, l2), (j1, j2)] = E[l1, j1] E[l2, j2],
+    E[l, j] = exp(i pi n_j x_l) (L x n), for the row-major grid points
+    l1 * L + l2 in sel, as two GEMMs per chunk of columns.
+
+    The first GEMM applies the rows of E that hold mask points along n1, the
+    second applies all of E along n2, and the M mask points are gathered from
+    that; the adjoint scatters them and runs the same GEMMs transposed.  Both
+    GEMMs go through scipy's BLAS, which also runs the sketch QR, on
+    Fortran-ordered views.  A chunk of k columns keeps its largest
+    intermediate, L x (used rows) x k, within _TOEPLITZ_BLOCK_ENTRIES entries.
+    """
+    n = freqs.size
+    # x_l = -1 + 2l/L, so the phase pi n x_l is pi * (n (2l - L) mod 2L) / L,
+    # reduced in integers before the one exp
+    e = np.exp(1j * np.pi * (np.outer(2 * np.arange(L) - L, freqs) % (2 * L)) / L)
+    e_conj = np.asfortranarray(e.conj())
+    l1, l2 = np.divmod(sel, L)
+    used, u = np.unique(l1, return_inverse=True)
+    e_used = np.asfortranarray(e[used])
+    chunk = max(1, _TOEPLITZ_BLOCK_ENTRIES // (L * used.size))
+    gemm = scipy.linalg.blas.zgemm
+
+    def blocked(fn, v, rows):
+        v = np.asarray(v)
+        cols = v.reshape(v.shape[0], -1)
+        out = np.empty((rows, cols.shape[1]), dtype=np.complex128)
+        for c in range(0, cols.shape[1], chunk):
+            out[:, c:c + chunk] = fn(cols[:, c:c + chunk])
+        return out.reshape((rows,) + v.shape[1:])
+
+    def apply(v):
+        k = v.shape[1]
+        # x[j2, col, j1] is the Fortran n x (n k) matrix C[j1, (j2, col)]
+        x = np.ascontiguousarray(v.reshape(n, n, k).transpose(1, 2, 0), dtype=np.complex128)
+        t = gemm(1.0, e_used, x.reshape(n * k, n).T)  # E[used] C: (u, (j2, col))
+        w = gemm(1.0, t.T.reshape(n, k * used.size).T, e.T)  # ((u, col), l2)
+        return w.T.reshape(L, k, used.size)[l2, :, u]
+
+    def adjoint_apply(v):
+        k = v.shape[1]
+        w = np.zeros((L, k, used.size), dtype=np.complex128)
+        w[l2, :, u] = v
+        y = gemm(1.0, w.reshape(L, k * used.size).T, e_conj)  # ((u, col), j2)
+        x = gemm(1.0, e_used, y.T.reshape(n * k, used.size).T, trans_a=2)  # (j1, (j2, col))
+        return x.T.reshape(n, k, n).transpose(2, 0, 1).reshape(n * n, k)
+
+    return LinearOperator(sel.size, n * n, lambda v: blocked(apply, v, sel.size),
+                          lambda v: blocked(adjoint_apply, v, n * n))
 
 
 def _toeplitz(kernel: np.ndarray, rows: int, cols: int) -> LinearOperator:

@@ -6,6 +6,12 @@ promotion of its dtype and float64: real input is factored by real LAPACK
 (integers become float64), complex input by complex LAPACK.  The growing
 Householder QR is the exception and is always complex128.  Factorizations
 are returned as small dataclasses so the blocks keep their names.
+
+numpy and scipy each bundle their own OpenBLAS.  `svd` runs numpy's LAPACK,
+next to the caller's numpy work on the dense path; `pivoted_qr` and the
+growing `householder_qr` run scipy's, as does the sketch loop around them
+(see solvers), so that one library does not wait on the other's idle
+worker threads.
 """
 
 from __future__ import annotations

@@ -2,8 +2,10 @@
 
 An operator maps C^N -> C^M and always carries its adjoint.  Apply callables
 accept a vector of shape (N,) or a block of column vectors of shape (N, k);
-every combinator preserves that convention.  Operators are immutable and
-safe to share.
+every combinator preserves that convention and applies a block in one
+call.  Operators are immutable and safe to share.  The combinators build
+the Chebyshev and 1D Fourier frames; the 2D Fourier frame applies its own
+separable GEMM kernel (see frames).
 
 Dtypes follow numpy promotion: a combinator returns the promotion of its
 input, its own data and float64, so real data on real input stays float64
@@ -107,26 +109,6 @@ def compose(*ops: LinearOperator) -> LinearOperator:
         return v
 
     return LinearOperator(ops[0].rows, ops[-1].cols, apply, adjoint_apply)
-
-
-def columnwise(op: LinearOperator) -> LinearOperator:
-    """op applied to a block (N, k) one column at a time.
-
-    For the 2D Fourier frames this beats one batched call: on the n = 25 disk
-    (L = 100, numpy 2.4, 2 vCPUs) A on 228 columns takes 76-99 ms a column at
-    a time against 115-134 ms batched, with the same bits, because one L x L
-    slab stays in cache.  scipy.fft batches faster but changes the bits.
-    """
-    def per_column(fn):
-        def apply(v):
-            v = _promote(v)
-            if v.ndim == 1:
-                return fn(v)
-            return np.stack([fn(col) for col in v.T], axis=1)
-        return apply
-
-    return LinearOperator(op.rows, op.cols, per_column(op.apply),
-                          per_column(op.adjoint_apply))
 
 
 def hstack(a1: LinearOperator, a2: LinearOperator) -> LinearOperator:

@@ -7,6 +7,8 @@ column block per doubling, and each round factors only the small core T,
 unless a triangular inverse already certifies that T keeps every direction.
 All of them factor once, truncate and back-solve through one core, and every
 solver recomputes the residual norm independently of its internal algebra.
+The sketch loop keeps its dense kernels (QR, certificate, core SVD) in
+scipy's BLAS/LAPACK; the dense variants factor with matrixcore.svd.
 """
 
 from __future__ import annotations
@@ -65,14 +67,29 @@ def _report(apply_a, b, x, rank, sketch=0, t0=None) -> SolveReport:
                        rank_used=rank, sketch_size=sketch, wall_time=wall)
 
 
+def _core_svd(t: np.ndarray) -> mc.SvdFactorization:
+    """Thin SVD of a sketch core through scipy's LAPACK (gesdd).
+
+    The sketch loop runs its QR and certificate in scipy's BLAS/LAPACK; with
+    numpy and scipy each bundling an OpenBLAS, numpy's SVD here would wait
+    on scipy's spinning worker threads, and scipy's next QR on numpy's.
+    """
+    try:
+        u, s, vh = scipy.linalg.svd(t, full_matrices=False, check_finite=False)
+    except np.linalg.LinAlgError as exc:
+        raise mc.FactorizationError(f"SVD failed to converge for {t.shape} matrix") from exc
+    return mc.SvdFactorization(U=u, sigma=s, V=vh.conj().T)
+
+
 def _truncated_solve(a: np.ndarray, b: np.ndarray, eps: float | None,
-                     qr: bool = False) -> tuple[np.ndarray, int]:
+                     qr: bool = False, svd=None) -> tuple[np.ndarray, int]:
     """Factor a once, keep its leading part, back-solve; returns (y, rank).
 
-    The SVD keeps the singular values >= eps; with qr the column-pivoted QR
-    keeps the leading block whose |diag R| >= eps.  eps=None keeps what
-    matrixcore.pseudoinverse keeps: sigma > max(M, N) * eps_mach * sigma_1.
-    y is in the column coordinates of a.
+    The SVD (by svd, matrixcore.svd when None) keeps the singular values
+    >= eps; with qr the column-pivoted QR keeps the leading block whose
+    |diag R| >= eps.  eps=None keeps what matrixcore.pseudoinverse keeps:
+    sigma > max(M, N) * eps_mach * sigma_1.  y is in the column coordinates
+    of a.
     """
     if qr:
         f = mc.pivoted_qr(a)
@@ -80,7 +97,7 @@ def _truncated_solve(a: np.ndarray, b: np.ndarray, eps: float | None,
         y = np.zeros(a.shape[1], dtype=np.complex128)
         y[f.perm[:k]] = scipy.linalg.solve_triangular(f.R[:k, :k], f.Q[:, :k].conj().T @ b)
         return y, k
-    f = mc.svd(a)
+    f = (svd or mc.svd)(a)
     if eps is None:
         k = int(np.count_nonzero(f.sigma > max(a.shape) * np.finfo(np.float64).eps * f.sigma[0]))
     else:
@@ -143,7 +160,9 @@ def _keeps_every_direction(t: np.ndarray, eps: float) -> bool:
     if t.shape[0] != t.shape[1]:
         return False
     inv, info = scipy.linalg.lapack.ztrtri(t)
-    return info == 0 and 2.0 * eps * np.linalg.norm(inv) <= 1.0
+    # ||t^-1||_F elementwise: np.linalg.norm would run numpy's BLAS between
+    # scipy's QR calls (see _core_svd)
+    return info == 0 and 2.0 * eps * np.sqrt(np.sum(inv.real**2 + inv.imag**2)) <= 1.0
 
 
 def _randomized_solve(a, b, config: SolverConfig, qr: bool) -> SolveReport:
@@ -162,7 +181,7 @@ def _randomized_solve(a, b, config: SolverConfig, qr: bool) -> SolveReport:
     for omega, factor in _sketch(a, config):
         if omega.shape[1] < a.cols and _keeps_every_direction(factor.R, config.eps):
             continue
-        y, k = _truncated_solve(factor.R, factor.adjoint_q(b), config.eps, qr)
+        y, k = _truncated_solve(factor.R, factor.adjoint_q(b), config.eps, qr, _core_svd)
         if k < omega.shape[1] or omega.shape[1] >= a.cols:
             break
     return _report(a.apply, b, omega @ y, k, sketch=omega.shape[1], t0=t0)

@@ -120,16 +120,27 @@ class TestFourier2d:
         assert abs(np.vdot(v, p.A.apply(u)) - np.vdot(p.A.adjoint_apply(v), u)) \
             <= 1e-10 * np.linalg.norm(u) * np.linalg.norm(v)
 
-    def test_block_matches_per_column(self):
-        p = frames.fourier_extension_2d(7, frames.named_mask("punctured-disk"), 2.0)
-        rng = np.random.default_rng(5)
-        for op in (p.A, p.Z):
-            u = rng.standard_normal((op.cols, 4)) + 1j * rng.standard_normal((op.cols, 4))
-            v = rng.standard_normal((op.rows, 4)) + 1j * rng.standard_normal((op.rows, 4))
-            assert np.array_equal(op.apply(u),
-                                  np.stack([op.apply(c) for c in u.T], axis=1))
-            assert np.array_equal(op.adjoint_apply(v),
-                                  np.stack([op.adjoint_apply(c) for c in v.T], axis=1))
+    @pytest.mark.parametrize("mask", ["disk", "punctured-disk", "square"])
+    @pytest.mark.parametrize("n", [5, 9, 25])
+    def test_matches_dense_tensor_product(self, n, mask):
+        # the oracle is the rows inside the mask of E (x) E, with
+        # E[l, j] = exp(i pi n_j x_l), for a vector and for blocks of one
+        # column, of a chunk less one and of a chunk and three more
+        p = frames.fourier_extension_2d(n, frames.named_mask(mask))
+        freqs = np.arange(n) - n // 2
+        ex, ey = (np.exp(1j * np.pi * np.outer(p.grid[:, axis], freqs)) for axis in (0, 1))
+        dense = (ex[:, :, None] * ey[:, None, :]).reshape(p.A.rows, n * n)
+        L = round(2.0 / np.min(np.diff(np.unique(p.grid))))
+        chunk = max(1, frames._TOEPLITZ_BLOCK_ENTRIES // (L * np.unique(p.grid[:, 0]).size))
+        rng = np.random.default_rng(n)
+        for k in ((), (1,), (chunk - 1,), (chunk + 3,)):
+            u = rng.standard_normal((n * n,) + k) + 1j * rng.standard_normal((n * n,) + k)
+            v = rng.standard_normal((p.A.rows,) + k) + 1j * rng.standard_normal((p.A.rows,) + k)
+            for op, mat in ((p.A, dense), (p.Z, dense / L**2)):
+                for got, ref in ((op.apply(u), mat @ u),
+                                 (op.adjoint_apply(v), mat.conj().T @ v)):
+                    assert got.shape == ref.shape
+                    assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
 
     @pytest.mark.parametrize("n", [3, 5, 7])
     def test_small_mask_grows_grid(self, n):

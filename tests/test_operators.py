@@ -98,16 +98,6 @@ class TestCombinators:
         with pytest.raises(ops.ShapeMismatchError):
             ops.compose(ops.from_dense(a), ops.from_dense(c), ops.from_dense(b))
 
-    def test_columnwise_matches_stacked_columns(self):
-        op = ops.from_dense(random_complex(6, 4, seed=11))
-        cw = ops.columnwise(op)
-        u = random_complex(4, 3, seed=12)
-        v = random_complex(6, 3, seed=13)
-        assert np.array_equal(cw.apply(u), np.stack([op.apply(c) for c in u.T], axis=1))
-        assert np.array_equal(cw.adjoint_apply(v),
-                              np.stack([op.adjoint_apply(c) for c in v.T], axis=1))
-        assert np.array_equal(cw.apply(u[:, 0]), op.apply(u[:, 0]))
-
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ops.ShapeMismatchError):
             ops.compose(ops.from_dense(np.eye(2)), ops.from_dense(np.eye(3)))
@@ -213,7 +203,6 @@ def _combinators(d):
         ("diagonal", ops.diagonal(d)),
         ("compose", ops.compose(ops.diagonal(d), ops.from_dense(mat))),
         ("hstack", ops.hstack(ops.from_dense(mat), ops.from_dense(mat))),
-        ("columnwise", ops.columnwise(ops.from_dense(mat))),
         ("az_step1_operator", ops.az_step1_operator(ops.from_dense(mat),
                                                     ops.from_dense(0.1 * mat))),
     ]

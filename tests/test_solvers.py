@@ -262,13 +262,13 @@ class TestValuesOnlyRounds:
     @pytest.mark.parametrize("name", sorted(PROBLEMS))
     def test_one_full_svd_per_solve(self, name, monkeypatch):
         p = self.PROBLEMS[name]()
-        svd, calls = mc.svd, []
+        svd, calls = scipy.linalg.svd, []
 
-        def counted_svd(a):
+        def counted_svd(a, *args, **kwargs):
             calls.append(a.shape)
-            return svd(a)
+            return svd(a, *args, **kwargs)
 
-        monkeypatch.setattr(mc, "svd", counted_svd)
+        monkeypatch.setattr(scipy.linalg, "svd", counted_svd)
         rep = az_solve(p, self.rhs(p), step1="rand-tsvd", config=default_config(p, seed=5))
         assert calls == [(rep.sketch_size, rep.sketch_size)]
 
@@ -280,7 +280,8 @@ class TestValuesOnlyRounds:
         rhs = b - p.A.apply(p.Z.adjoint_apply(b))
         cfg = default_config(p, seed=5)
         for omega, factor in solvers._sketch(op, cfg):
-            y, k = solvers._truncated_solve(factor.R, factor.adjoint_q(rhs), cfg.eps)
+            y, k = solvers._truncated_solve(factor.R, factor.adjoint_q(rhs), cfg.eps,
+                                            svd=solvers._core_svd)
             if k < omega.shape[1] or omega.shape[1] >= op.cols:
                 break
         rep = solvers.randomized_tsvd_solve(op, rhs, cfg)
@@ -298,6 +299,7 @@ class TestValuesOnlyRounds:
             return qr(a)
 
         monkeypatch.setattr(mc, "svd", unusable)
+        monkeypatch.setattr(scipy.linalg, "svd", unusable)
         monkeypatch.setattr(mc, "pivoted_qr", counted_qr)
         p = self.PROBLEMS["2d-disk-9"]()
         rep = az_solve(p, self.rhs(p), step1="rand-tqr", config=default_config(p, seed=5))
@@ -316,6 +318,45 @@ class TestValuesOnlyRounds:
         if certified:
             assert np.min(mc.svd(t).sigma) >= 1e-8
             assert np.min(np.abs(np.diagonal(mc.pivoted_qr(t).R))) >= 1e-8
+
+
+class TestSketchLibrary:
+    """numpy and scipy each bundle an OpenBLAS; the sketch loop keeps its
+    dense kernels (QR, certificate, core SVD) in scipy's, so that neither
+    library waits on the other's idle worker threads."""
+
+    def test_rand_tsvd_takes_no_numpy_svd(self, monkeypatch):
+        p = frames.fourier_extension_2d(9, frames.named_mask("disk"))
+        b = sample_function(lambda x, y: np.exp(x + y), p.grid)
+        cfg = default_config(p, seed=5)
+        ref = az_solve(p, b, step1="rand-tsvd", config=cfg)
+
+        def unusable(*args, **kwargs):
+            raise AssertionError("numpy SVD taken")
+
+        monkeypatch.setattr(np.linalg, "svd", unusable)
+        rep = az_solve(p, b, step1="rand-tsvd", config=cfg)
+        assert rep.sketch_size == p.A.cols
+        assert np.array_equal(rep.x, ref.x)
+
+    def test_certificate_takes_no_numpy_norm(self, monkeypatch):
+        t = mc.householder_qr(spectrum_matrix(12, 12, np.logspace(0, -4, 12), seed=7)).R
+
+        def unusable(*args, **kwargs):
+            raise AssertionError("numpy norm taken")
+
+        monkeypatch.setattr(np.linalg, "norm", unusable)
+        assert solvers._keeps_every_direction(t, 1e-8)
+        assert not solvers._keeps_every_direction(t, 1e-3)
+
+    def test_core_svd_failure_raises(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(scipy.linalg, "svd", fail)
+        a = ops.from_dense(random_complex(12, 8, seed=3))
+        with pytest.raises(mc.FactorizationError):
+            solvers.randomized_tsvd_solve(a, np.ones(12), SolverConfig(eps=1e-8, sketch_size=8))
 
 
 def test_baseline_dominance_well_conditioned():
