@@ -3,7 +3,7 @@ systems given a complementary operator Z with A - A Z* A numerically low
 rank, plus frame-approximation problem builders and experiment tooling."""
 
 from .azcore import (AzProblem, WeightedAzProblem, az_solve, az_weighted_solve,
-                     default_config, splitting_certificate)
+                     default_config)
 from .operators import LinearOperator, az_step1_operator, from_dense, materialize
 from .solvers import (SolveReport, SolverConfig, direct_lsq,
                       randomized_tqr_solve, randomized_tsvd_solve, tqr_solve,
@@ -11,7 +11,7 @@ from .solvers import (SolveReport, SolverConfig, direct_lsq,
 
 __all__ = [
     "AzProblem", "WeightedAzProblem", "az_solve", "az_weighted_solve",
-    "default_config", "splitting_certificate",
+    "default_config",
     "LinearOperator", "az_step1_operator", "from_dense", "materialize",
     "SolveReport", "SolverConfig", "direct_lsq", "randomized_tqr_solve",
     "randomized_tsvd_solve", "tqr_solve", "tsvd_solve",

@@ -1,7 +1,8 @@
-"""The AZ algorithm, its weighted variant, and the synthetic splitting check.
+"""The AZ algorithm and its weighted variant.
 
 Step 1 solves (I - A Z*) A x1 = (I - A Z*) b with a pluggable low-rank
-solver; step 2 corrects with x2 = Z* (b - A x1); the answer is x1 + x2.
+solver; step 2 corrects with x2 = Z* (b - A x1); the answer is x1 + x2,
+reported with the residual ||b - A x|| of that answer.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from typing import Callable
 
 import numpy as np
 
-from . import matrixcore as mc
 from . import solvers
 from .operators import (LinearOperator, az_step1_operator, compose, diagonal,
                         materialize)
@@ -101,8 +101,7 @@ def default_config(problem: AzProblem, seed: int = 0, eps: float | None = None,
     return SolverConfig(eps=eps, sketch_size=sketch_size, seed=seed)
 
 
-def _three_step(problem: AzProblem, b, step1, config: SolverConfig | None,
-                recompute_residual: bool) -> SolveReport:
+def _three_step(problem: AzProblem, b, step1, config: SolverConfig | None) -> SolveReport:
     t0 = time.perf_counter()
     a, z = problem.A, problem.Z
     b = np.asarray(b, dtype=np.complex128)
@@ -120,32 +119,26 @@ def _three_step(problem: AzProblem, b, step1, config: SolverConfig | None,
         raise ValueError(f"x1 has shape {x1.shape}, expected ({a.cols},)")
     if not np.all(np.isfinite(x1)):
         raise ValueError("step 1 returned an x1 with non-finite entries")
-    # steps 2-3: exactly one A-apply and one Z*-apply
+    # steps 2-3: one A-apply and one Z*-apply, then one A-apply for the residual
     r1 = b - np.asarray(a.apply(x1), dtype=np.complex128)
     x2 = np.asarray(z.adjoint_apply(r1), dtype=np.complex128)
     x = x1 + x2
-    if recompute_residual:
-        res = float(np.linalg.norm(b - a.apply(x)))
-    else:
-        # the final residual equals the step-1 residual identically
-        res = rep1.residual_norm
+    res = float(np.linalg.norm(b - a.apply(x)))
     return SolveReport(x=x, residual_norm=res, rank_used=rep1.rank_used,
                        sketch_size=rep1.sketch_size,
                        wall_time=time.perf_counter() - t0, x1=x1, x2=x2)
 
 
 def az_solve(problem: AzProblem, b, step1="rand-tsvd",
-             config: SolverConfig | None = None,
-             recompute_residual: bool = True) -> SolveReport:
+             config: SolverConfig | None = None) -> SolveReport:
     """Run the three-step AZ algorithm with the chosen step-1 solver.
 
     step1 is a solver name from STEP1_SOLVERS or a callable
     (operator, rhs) -> SolveReport; a callable can also inject a fixed x1.
-    With recompute_residual=False the reported residual is taken from step 1
-    (they agree identically) and steps 2-3 spend exactly one A-apply plus
-    one Z*-apply.
+    The reported residual is always ||b - A x|| recomputed from the x
+    returned, never taken from step 1.
     """
-    return _three_step(problem, b, step1, config, recompute_residual)
+    return _three_step(problem, b, step1, config)
 
 
 def weighted_eps_pinv(d: np.ndarray, eps_w: float) -> np.ndarray:
@@ -173,42 +166,4 @@ def az_weighted_solve(problem: WeightedAzProblem, b, step1: str = "tsvd",
         A=compose(diagonal(d), base.A),
         Z=compose(diagonal(weighted_eps_pinv(d, problem.eps_w)), base.Z),
         scale=base.scale * float(d.max()))
-    return _three_step(weighted, d * np.asarray(b, dtype=np.complex128), step1,
-                       config, recompute_residual=True)
-
-
-@dataclass(frozen=True)
-class SplittingReport:
-    """Synthetic (A, Z) built from W plus low-rank plus noise, and the rank check."""
-
-    A: np.ndarray
-    Z: np.ndarray
-    e_bound: float
-    eps_rank_report: mc.EpsRankReport
-    rank_cap: int
-
-    @property
-    def holds(self) -> bool:
-        return self.eps_rank_report.r <= self.rank_cap
-
-
-def splitting_certificate(w, l1, e1, l2, e2, rank_cap: int) -> SplittingReport:
-    """Build A = W + L1 + E1 and Z* = pinv(W) + L2 + E2 and certify that
-    A - A Z* A has epsilon rank at most rank_cap at the analytic E-bound.
-
-    The bound is eps * (1 + ||I - A Z*||_2 + ||A||_2^2) + eps^2 * ||A||_2
-    with eps = max(||E1||_F, ||E2||_F).
-    """
-    w = np.asarray(w, dtype=np.complex128)
-    a = w + l1 + e1
-    zstar = mc.pseudoinverse(w) + l2 + e2
-    z = zstar.conj().T
-    eps = max(mc.frobenius_norm(e1), mc.frobenius_norm(e2))
-    m = a.shape[0]
-    norm_a = mc.two_norm(a)
-    bound = eps * (1.0 + mc.two_norm(np.eye(m) - a @ zstar) + norm_a**2) + eps**2 * norm_a
-    diff = a - a @ zstar @ a
-    # a zero E-bound (exact splitting) degenerates to a plain rank cutoff
-    report = mc.eps_rank(diff, bound if bound > 0 else 1e-12 * max(1.0, norm_a))
-    return SplittingReport(A=a, Z=z, e_bound=bound, eps_rank_report=report,
-                           rank_cap=rank_cap)
+    return _three_step(weighted, d * np.asarray(b, dtype=np.complex128), step1, config)

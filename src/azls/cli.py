@@ -151,7 +151,7 @@ def _spectra_matrices(args) -> tuple[np.ndarray, np.ndarray]:
             raise CliError("--n is required")
         dom = _parse_domain(args.domain, [[-0.5, 0.5]])
         g = frames.gram_fourier(args.n, dom)
-        return g, mc.adjoint(mc.pseudoinverse(g))
+        return g, mc.pseudoinverse(g).conj().T
     return _materialize_pair(build_problem(args))
 
 
@@ -167,8 +167,9 @@ def _materialize_pair(problem) -> tuple[np.ndarray, np.ndarray]:
 def cmd_singvals(args) -> None:
     a, z = _spectra_matrices(args)
     sig_a = mc.svd(a).sigma
-    sig_z = mc.svd(mc.adjoint(z)).sigma
-    sig_d = mc.svd(a - a @ mc.adjoint(z) @ a).sigma
+    zstar = z.conj().T
+    sig_z = mc.svd(zstar).sigma
+    sig_d = mc.svd(a - a @ zstar @ a).sigma
     records = [{"index": i, "sigma_a": float(sig_a[i]),
                 "sigma_zstar": float(sig_z[i]),
                 "sigma_plunge": float(sig_d[i])}
@@ -207,8 +208,7 @@ def _timed_solve(problem, b, solver: str, seed: int):
         return x, time.perf_counter() - t0
     config = default_config(problem, seed=seed)
     t0 = time.perf_counter()
-    rep = az_solve(problem, b, step1=STEP1_BY_SOLVER[solver], config=config,
-                   recompute_residual=False)
+    rep = az_solve(problem, b, step1=STEP1_BY_SOLVER[solver], config=config)
     return rep.x, time.perf_counter() - t0
 
 

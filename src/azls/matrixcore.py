@@ -1,5 +1,5 @@
 """Dense matrix kernels: SVD, pivoted QR, a Householder QR that grows by
-column blocks, Gaussian sketches, epsilon rank.
+column blocks, epsilon rank and the pseudoinverse.
 
 All factorization-scale objects are plain numpy arrays.  A matrix keeps the
 promotion of its dtype and float64: real input is factored by real LAPACK
@@ -44,9 +44,6 @@ class SvdFactorization:
     sigma: np.ndarray
     V: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        return (self.U * self.sigma) @ self.V.conj().T
-
 
 @dataclass(frozen=True)
 class PivotedQrFactorization:
@@ -55,12 +52,6 @@ class PivotedQrFactorization:
     Q: np.ndarray
     R: np.ndarray
     perm: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        """Recompose A (with the permutation undone)."""
-        inv = np.empty_like(self.perm)
-        inv[self.perm] = np.arange(len(self.perm))
-        return (self.Q @ self.R)[:, inv]
 
 
 @dataclass(frozen=True)
@@ -168,19 +159,6 @@ def pivoted_qr(a) -> PivotedQrFactorization:
     return PivotedQrFactorization(Q=q, R=r, perm=perm)
 
 
-def gaussian_matrix(n: int, k: int, seed: int) -> np.ndarray:
-    """n-by-k matrix of i.i.d. real standard normals, deterministic per seed.
-
-    Uses numpy's PCG64 stream with the ziggurat normal transform; the same
-    seed always yields the same matrix.  The entries are real even when the
-    matrix multiplies complex data: real sketches preserve complex spans.
-    """
-    if n < 1 or k < 1:
-        raise ValueError("sketch dimensions must be positive")
-    rng = np.random.default_rng(seed)
-    return rng.standard_normal((n, k))
-
-
 def eps_rank(a, eps: float) -> EpsRankReport:
     """Smallest r such that sqrt(sum of squared singular values beyond r) <= eps."""
     if not 0 < eps < np.inf:
@@ -202,16 +180,3 @@ def pseudoinverse(a) -> np.ndarray:
     inv_sigma = np.zeros_like(f.sigma)
     inv_sigma[keep] = 1.0 / f.sigma[keep]
     return (f.V * inv_sigma) @ f.U.conj().T
-
-
-def two_norm(a) -> float:
-    return float(np.linalg.norm(np.asarray(a), 2))
-
-
-def frobenius_norm(a) -> float:
-    return float(np.linalg.norm(np.asarray(a), "fro"))
-
-
-def adjoint(a) -> np.ndarray:
-    return np.asarray(a).conj().T
-

@@ -173,26 +173,3 @@ def az_step1_operator(a: LinearOperator, z: LinearOperator,
         return u - gram.adjoint_apply(u)
 
     return LinearOperator(a.rows, a.cols, apply, adjoint_apply)
-
-
-@dataclass
-class CallCounter:
-    """Mutable apply/adjoint counters for a wrapped operator (test aid)."""
-
-    applies: int = 0
-    adjoint_applies: int = 0
-
-
-def counted(op: LinearOperator) -> tuple[LinearOperator, CallCounter]:
-    """Wrap an operator so every apply/adjoint-apply is counted."""
-    counter = CallCounter()
-
-    def apply(v):
-        counter.applies += 1
-        return op.apply(v)
-
-    def adjoint_apply(v):
-        counter.adjoint_applies += 1
-        return op.adjoint_apply(v)
-
-    return LinearOperator(op.rows, op.cols, apply, adjoint_apply), counter

@@ -195,48 +195,3 @@ def randomized_tsvd_solve(a, b, config: SolverConfig) -> SolveReport:
 def randomized_tqr_solve(a, b, config: SolverConfig) -> SolveReport:
     """Sketch-then-truncated-pivoted-QR solve, thresholding |diag(R)| at eps."""
     return _randomized_solve(a, b, config, qr=True)
-
-
-@dataclass(frozen=True)
-class GaussianSketchStats:
-    """Monte Carlo summary of pseudoinverse norms of r-by-(r+p) Gaussians."""
-
-    r: int
-    p: int
-    trials: int
-    mean_pinv_fro: float
-    expected_pinv_fro: float
-    tail_s: float
-    tail_fraction: float
-    tail_bound: float
-    mean_fro: float
-
-
-def mc_gaussian_props(r: int, p: int, trials: int, seed: int,
-                      tail_s: float = 2.0) -> GaussianSketchStats:
-    """Empirical check of the Gaussian pseudoinverse norm law and its tail.
-
-    For r-by-(r+p) standard Gaussians with p >= 4 the mean Frobenius norm of
-    the pseudoinverse is sqrt(r / (p - 1)), and the probability that it
-    exceeds s * sqrt(3r / (p + 1)) is at most s**(-p).
-    """
-    if p < 4:
-        raise ValueError("oversampling p must be >= 4")
-    if trials < 100:
-        raise ValueError("need at least 100 trials")
-    threshold = tail_s * np.sqrt(3.0 * r / (p + 1))
-    pinv_norms = np.empty(trials)
-    fro_norms = np.empty(trials)
-    for t in range(trials):
-        omega = mc.gaussian_matrix(r, r + p, seed + t)
-        pinv_norms[t] = np.linalg.norm(np.linalg.pinv(omega), "fro")
-        fro_norms[t] = np.linalg.norm(omega, "fro")
-    return GaussianSketchStats(
-        r=r, p=p, trials=trials,
-        mean_pinv_fro=float(pinv_norms.mean()),
-        expected_pinv_fro=float(np.sqrt(r / (p - 1))),
-        tail_s=tail_s,
-        tail_fraction=float(np.mean(pinv_norms >= threshold)),
-        tail_bound=float(tail_s ** (-p)),
-        mean_fro=float(fro_norms.mean()),
-    )

@@ -7,11 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from azls import frames, matrixcore as mc, operators as ops
 from azls.frames import DomainSpec
-
-
-def random_complex(m, n, seed):
-    rng = np.random.default_rng(seed)
-    return rng.standard_normal((m, n)) + 1j * rng.standard_normal((m, n))
+from helpers import counted, random_complex
 
 
 def dft_operator(L):
@@ -170,7 +166,7 @@ class TestGramStep1Operator:
     def test_dot_tests_without_z(self, build):
         p = build()
         dot_test(p.gram, seed=20)
-        z, counter = ops.counted(p.Z)
+        z, counter = counted(p.Z)
         dot_test(ops.az_step1_operator(p.A, z, p.gram), seed=30)
         assert counter.applies == counter.adjoint_applies == 0
 
@@ -283,7 +279,7 @@ def test_gram_shape_checked():
 
 
 def test_counted_wrapper():
-    op, counter = ops.counted(ops.from_dense(np.eye(3)))
+    op, counter = counted(ops.from_dense(np.eye(3)))
     op.apply(np.zeros(3))
     op.apply(np.zeros(3))
     op.adjoint_apply(np.zeros(3))
