@@ -502,17 +502,24 @@ def legendre_extension(n: int, domain: DomainSpec, oversampling: float = 2.0,
     if domain.is_2d:
         raise ValueError("legendre_extension needs a 1D domain")
 
-    rules: dict[int, transforms.QuadratureRule] = {}
+    weights: dict[int, np.ndarray] = {}
 
-    def rule_for(L):
-        if L not in rules:
-            rules[L] = transforms.gauss_legendre(L)
-        return rules[L]
+    def nodes_for(L):
+        # the estimate, with Newton-polished roots at every estimate inside an
+        # interval and two neighbours past each end: a root further out stays
+        # out, as the estimate's error is under half the gap between roots
+        x = transforms.legendre_roots_estimate(L)
+        ends = np.searchsorted(x, np.array(domain.intervals), side="right")
+        index = np.concatenate([np.arange(max(i - 2, 0), min(j + 2, L)) for i, j in ends])
+        rule = transforms.gauss_legendre(L, index)
+        x[index] = rule.nodes
+        weights[L] = np.full(L, np.nan)
+        weights[L][index] = rule.weights
+        return x
 
-    L, _, sel = _select_grid_size(n, 1, oversampling, lambda L: rule_for(L).nodes,
-                                  domain, grid_size, transforms.legendre_roots_estimate)
-    rule = rule_for(L)
-    nodes = rule.nodes[sel]
+    L, grid, sel = _select_grid_size(n, 1, oversampling, nodes_for, domain, grid_size,
+                                     transforms.legendre_roots_estimate)
+    nodes = grid[sel]
     p = transforms.legendre_eval(n - 1, nodes)
     h2 = 2.0 / (2.0 * np.arange(n) + 1.0)
 
@@ -520,7 +527,7 @@ def legendre_extension(n: int, domain: DomainSpec, oversampling: float = 2.0,
         return transforms.legendre_eval(n - 1, np.asarray(pts, dtype=np.float64)) \
             @ np.asarray(coeffs)
 
-    return AzProblem(A=from_dense(p), Z=from_dense(rule.weights[sel][:, None] * p / h2),
+    return AzProblem(A=from_dense(p), Z=from_dense(weights[L][sel][:, None] * p / h2),
                      label=f"legendre(N={n}, L={L})", scale=math.sqrt(L),
                      grid=nodes, evaluate=evaluate, domain=domain)
 

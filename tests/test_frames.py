@@ -371,6 +371,11 @@ class TestLegendre:
                                       grid_size=64)
         assert duality_defect(p) <= 1e-10
 
+    def test_pinned_full_grid_polishes_every_node(self):
+        p = frames.legendre_extension(401, DomainSpec.interval(-1.0, 1.0), grid_size=401)
+        assert np.array_equal(p.grid, transforms.gauss_legendre(401).nodes)
+        assert duality_defect(p) <= 1e-11
+
     def test_plunge_is_isolated(self):
         p = frames.legendre_extension(40, DomainSpec.interval(-0.5, 0.5), 2.0)
         a = ops.materialize(p.A)
@@ -380,7 +385,9 @@ class TestLegendre:
 
     @pytest.mark.parametrize("dom", [DomainSpec.interval(-0.5, 0.5),
                                      DomainSpec.interval(-0.1, 0.1),
-                                     DomainSpec.union([[-0.9, -0.8], [0.5, 0.55]])])
+                                     DomainSpec.union([[-0.9, -0.8], [0.5, 0.55]]),
+                                     DomainSpec.interval(0.9, 1.0),
+                                     DomainSpec.interval(-1.0, -0.95)])
     def test_sizing_builds_only_the_final_rule(self, monkeypatch, dom):
         gauss_legendre = transforms.gauss_legendre
         rules = {}
@@ -392,15 +399,39 @@ class TestLegendre:
 
         for n in (5, 31, 64, 201, 401):
             built = []
-            monkeypatch.setattr(transforms, "gauss_legendre",
-                                lambda L: built.append(L) or rule(L))
+            monkeypatch.setattr(transforms, "gauss_legendre", lambda L, index=None:
+                                built.append(L) or gauss_legendre(L, index))
             p = frames.legendre_extension(n, dom)
             monkeypatch.setattr(transforms, "gauss_legendre", gauss_legendre)
-            # the sizing loop run on exact Gauss-Legendre nodes at every candidate
+            # the sizing loop run on the full Gauss-Legendre rule at every candidate
             L, _, sel = frames._select_grid_size(n, 1, 2.0, lambda L: rule(L).nodes,
                                                  dom, None)
             assert built == [L]
-            assert np.array_equal(p.grid, rules[L].nodes[sel])
+            # same size and each node within 2 ulp: the same selection, as
+            # neighbouring nodes lie far more than 2 ulp apart
+            assert p.grid.size == sel.size
+            assert np.max(np.abs(p.grid - rules[L].nodes[sel])) <= 2 * np.spacing(1.0)
+
+    def test_polishes_only_the_kept_nodes(self, monkeypatch):
+        # Newton work is O(M L) on the M kept nodes, not O(L^2) on all L
+        value_and_derivative = transforms._legendre_value_and_derivative
+        sizes = []
+        monkeypatch.setattr(transforms, "_legendre_value_and_derivative",
+                            lambda L, x: sizes.append(x.size) or value_and_derivative(L, x))
+        p = frames.legendre_extension(401, DomainSpec.interval(-0.1, 0.1))
+        assert p.label == "legendre(N=401, L=12612)"
+        assert 1 <= len(sizes) <= 3
+        assert max(sizes) <= p.grid.size + 8
+
+    @pytest.mark.parametrize("dom", [DomainSpec.interval(0.9, 1.0),
+                                     DomainSpec.interval(-1.0, -0.95)])
+    def test_approximates_exp_at_the_endpoints(self, dom):
+        # Tricomi's estimate is weakest next to +-1
+        for n in (40, 201):
+            p = frames.legendre_extension(n, dom)
+            b = sample_function(np.exp, p.grid)
+            rep = az_solve(p, b, step1="tsvd", config=default_config(p, seed=2))
+            assert eval_error(p, rep.x, np.exp)["max_err"] <= 1e-8
 
     def test_misleading_estimate_falls_back_to_exact_points(self):
         # an estimate that puts every point inside meets the target at once;
@@ -417,7 +448,7 @@ class TestLegendre:
         assert np.array_equal(exact[2], guided[2])
 
     def test_roots_estimate_near_nodes(self):
-        for L in (1, 2, 7, 64, 401):
+        for L in (1, 2, 7, 64, 401, 2410):
             est = transforms.legendre_roots_estimate(L)
             nodes = transforms.gauss_legendre(L).nodes
             assert np.max(np.abs(est - nodes)) <= 0.2 / L**2

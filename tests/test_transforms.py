@@ -115,6 +115,26 @@ class TestGaussLegendre:
         assert np.max(np.abs(rule.nodes + rule.nodes[::-1])) <= 1e-14
         assert np.max(np.abs(rule.weights - rule.weights[::-1])) <= 1e-13
 
+    @pytest.mark.parametrize("L", [2, 3, 64, 401, 2410])
+    def test_subset_matches_full_rule(self, L):
+        full = transforms.gauss_legendre(L)
+        assert np.array_equal(full.nodes, -full.nodes[::-1])
+        assert np.array_equal(full.weights, full.weights[::-1])
+        mid = np.arange(L // 3, L - L // 3)
+        ends = np.array([0, L - 1])
+        union = np.unique(np.concatenate([ends, mid[::2], [L // 2]]))
+        for index in (np.arange(L), mid, ends, union):
+            rule = transforms.gauss_legendre(L, index)
+            assert np.max(np.abs(rule.nodes - full.nodes[index])) <= 2 * np.spacing(1.0)
+            assert np.max(np.abs(rule.weights / full.weights[index] - 1.0)) <= 1e-13
+
+    def test_newton_failure_names_the_node(self, monkeypatch):
+        monkeypatch.setattr(transforms, "_NEWTON_CAP", 0)
+        with pytest.raises(RuntimeError, match="node index 0"):
+            transforms.gauss_legendre(64)
+        with pytest.raises(RuntimeError, match="node index 7"):
+            transforms.gauss_legendre(64, [7, 9])
+
     def test_exactness_high_degree(self):
         L = 12
         rule = transforms.gauss_legendre(L)
