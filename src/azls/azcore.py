@@ -90,14 +90,13 @@ def _solve_step1(op: LinearOperator, rhs: np.ndarray, step1,
     return solvers.tqr_solve(dense, rhs, config.eps)
 
 
-def default_config(problem: AzProblem, seed: int = 0, eps: float | None = None,
-                   sketch_size: int | None = None) -> SolverConfig:
+def default_config(problem: AzProblem, seed: int = 0,
+                   eps: float | None = None) -> SolverConfig:
     """Step-1 config with eps defaulting to 1e-10 times the problem scale."""
     if eps is None:
         eps = 1e-10 * problem.scale
-    if sketch_size is None:
-        n = problem.A.cols
-        sketch_size = min(n, max(1, int(4 * np.log2(n + 1))) + solvers.DEFAULT_OVERSAMPLING)
+    n = problem.A.cols
+    sketch_size = min(n, max(1, int(4 * np.log2(n + 1))) + solvers.DEFAULT_OVERSAMPLING)
     return SolverConfig(eps=eps, sketch_size=sketch_size, seed=seed)
 
 

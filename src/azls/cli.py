@@ -2,8 +2,10 @@
 growth of A - A Z* A, wall-clock timings, approximation-error reports, and
 the weighted-threshold sweep.
 
-Every subcommand is deterministic given --seed and writes CSV (default) or
-JSON through a temp-file-plus-rename so no partial outputs survive a crash.
+Every subcommand is deterministic (given --seed where it solves) and writes
+CSV (default) or JSON through a temp-file-plus-rename so no partial outputs
+survive a crash.  Each takes only the flags it reads; argparse rejects the
+rest, and a selector flag the --problem ignores is a CliError.
 """
 
 from __future__ import annotations
@@ -24,8 +26,14 @@ from . import azcore, frames, matrixcore as mc, operators as ops, solvers
 from .azcore import az_solve, az_weighted_solve, default_config
 from .frames import DomainSpec
 
-PROBLEM_CHOICES = ("fourier1d", "fourier2d", "gram", "chebyshev", "legendre",
-                   "sumframe", "weighted")
+# The selector flags each --problem reads; giving it any other is an error.
+SELECTORS = {"fourier1d": ("domain", "oversampling"),
+             "fourier2d": ("mask", "oversampling"),
+             "gram": ("domain",),
+             "chebyshev": ("domain", "nodes", "oversampling"),
+             "legendre": ("domain", "oversampling"),
+             "sumframe": ("domain", "nodes", "oversampling"),
+             "weighted": ()}
 FUNCTION_CHOICES = ("exp", "phi0", "cos", "singular", "jump")
 APPROX_SOLVERS = ("az-rand-svd", "az-rand-qr", "az-tsvd", "az-tqr", "direct")
 STEP1_BY_SOLVER = {"az-rand-svd": "rand-tsvd", "az-rand-qr": "rand-tqr",
@@ -36,54 +44,42 @@ class CliError(ValueError):
     """Raised for precondition violations; the top level prints one line."""
 
 
-def _parse_domain(text: str | None, default: list) -> DomainSpec:
-    data = default if text is None else json.loads(text)
+def _parse_domain(text: str | None) -> DomainSpec:
     try:
-        return DomainSpec.union(data)
+        return DomainSpec.union([[-0.5, 0.5]] if text is None else json.loads(text))
     except (TypeError, ValueError) as exc:
         raise CliError(f"bad --domain {text!r}: {exc}") from exc
 
 
-def _reject(args, forbidden: dict) -> None:
-    for flag, value in forbidden.items():
-        if value is not None:
-            raise CliError(f"{flag} does not apply to problem "
-                           f"{args.problem!r}")
-
-
-def build_problem(args) -> azcore.AzProblem:
-    """Construct the AzProblem named by the selector flags (not gram)."""
-    sel = args.problem
-    n = args.n
+def _check_selectors(args, n: int | None) -> None:
     if n is None:
         raise CliError("--n is required for this subcommand")
-    ov = args.oversampling
-    if sel == "fourier1d":
-        _reject(args, {"--mask": args.mask})
-        dom = _parse_domain(args.domain, [[-0.5, 0.5]])
-        return frames.fourier_extension_1d(n, dom, ov)
+    for flag in ("domain", "mask", "nodes", "oversampling"):
+        if getattr(args, flag) is not None and flag not in SELECTORS[args.problem]:
+            raise CliError(f"--{flag} does not apply to problem {args.problem!r}")
+
+
+def build_problem(args, n: int | None) -> azcore.AzProblem:
+    """Construct the AzProblem of size n named by the selector flags (not gram)."""
+    _check_selectors(args, n)
+    sel = args.problem
+    if sel == "gram":
+        raise CliError(f"problem {sel!r} is not valid for this subcommand")
+    ov = 2.0 if args.oversampling is None else args.oversampling
+    if sel == "weighted":
+        return frames.fourier_lsq_equispaced(n, 2 * n + 1)
     if sel == "fourier2d":
-        _reject(args, {"--domain": args.domain})
         return frames.fourier_extension_2d(
             n, frames.named_mask(args.mask or "punctured-disk"), ov)
-    if sel == "chebyshev":
-        _reject(args, {"--mask": args.mask})
-        dom = _parse_domain(args.domain, [[-0.5, 0.5]])
-        return frames.chebyshev_extension(n, dom, ov, kind=args.nodes)
+    dom = _parse_domain(args.domain)
+    if sel == "fourier1d":
+        return frames.fourier_extension_1d(n, dom, ov)
     if sel == "legendre":
-        _reject(args, {"--mask": args.mask})
-        dom = _parse_domain(args.domain, [[-0.5, 0.5]])
         return frames.legendre_extension(n, dom, ov)
-    if sel == "sumframe":
-        _reject(args, {"--mask": args.mask})
-        dom = _parse_domain(args.domain, [[-0.5, 0.5]])
-        base = frames.chebyshev_extension(n, dom, ov, kind=args.nodes)
-        return frames.weighted_sum_frame(base, lambda x: np.ones_like(x),
-                                         np.abs)
-    if sel == "weighted":
-        _reject(args, {"--mask": args.mask, "--domain": args.domain})
-        return frames.fourier_lsq_equispaced(n, 2 * n + 1)
-    raise CliError(f"problem {sel!r} is not valid for this subcommand")
+    cheb = frames.chebyshev_extension(n, dom, ov, kind=args.nodes or "roots")
+    if sel == "chebyshev":
+        return cheb
+    return frames.weighted_sum_frame(cheb, lambda x: np.ones_like(x), np.abs)
 
 
 def select_function(name: str, two_d: bool):
@@ -146,13 +142,10 @@ def checksum(x: np.ndarray) -> str:
 def _spectra_matrices(args) -> tuple[np.ndarray, np.ndarray]:
     """(A, Z) dense pair for the spectrum command; gram uses (G, (G^+)*)."""
     if args.problem == "gram":
-        _reject(args, {"--mask": args.mask})
-        if args.n is None:
-            raise CliError("--n is required")
-        dom = _parse_domain(args.domain, [[-0.5, 0.5]])
-        g = frames.gram_fourier(args.n, dom)
+        _check_selectors(args, args.n)
+        g = frames.gram_fourier(args.n, _parse_domain(args.domain))
         return g, mc.pseudoinverse(g).conj().T
-    return _materialize_pair(build_problem(args))
+    return _materialize_pair(build_problem(args, args.n))
 
 
 def _materialize_pair(problem) -> tuple[np.ndarray, np.ndarray]:
@@ -189,9 +182,7 @@ def _n_list(args) -> list[int]:
 def cmd_rankgrowth(args) -> None:
     records = []
     for n in _n_list(args):
-        sub = argparse.Namespace(**vars(args))
-        sub.n = n
-        problem = build_problem(sub)
+        problem = build_problem(args, n)
         a, z = _materialize_pair(problem)
         eps = args.eps if args.eps is not None else 1e-10 * problem.scale
         report = mc.eps_rank(a - a @ z.conj().T @ a, eps)
@@ -199,41 +190,37 @@ def cmd_rankgrowth(args) -> None:
     write_records(records, ["n", "eps", "eps_rank"], args.out, args.format)
 
 
-def _timed_solve(problem, b, solver: str, seed: int):
-    """One solve returning (x, seconds); dense work excludes materialization."""
-    if solver == "direct":
+def _sample(problem, name: str):
+    """The test function called name and its samples on the problem's grid."""
+    f = select_function(name, np.asarray(problem.grid).ndim == 2)
+    return f, frames.sample_function(f, problem.grid)
+
+
+def _solve(problem, b, args, seed: int):
+    """One solve with --solver and --eps, returning (report, seconds); the
+    seconds of the direct solve leave out materializing A."""
+    if args.solver not in APPROX_SOLVERS:
+        raise CliError(f"--solver must be one of {APPROX_SOLVERS}")
+    if args.solver == "direct":
         a = ops.materialize(problem.A)
         t0 = time.perf_counter()
-        x = solvers.direct_lsq(a, b).x
-        return x, time.perf_counter() - t0
-    config = default_config(problem, seed=seed)
+        return solvers.direct_lsq(a, b), time.perf_counter() - t0
+    config = default_config(problem, seed=seed, eps=args.eps)
     t0 = time.perf_counter()
-    rep = az_solve(problem, b, step1=STEP1_BY_SOLVER[solver], config=config)
-    return rep.x, time.perf_counter() - t0
+    rep = az_solve(problem, b, step1=STEP1_BY_SOLVER[args.solver], config=config)
+    return rep, time.perf_counter() - t0
 
 
 def cmd_timing(args) -> None:
-    if args.solver not in APPROX_SOLVERS:
-        raise CliError(f"timing solver must be one of {APPROX_SOLVERS}")
-    ns = _n_list(args)
     records = []
     prev = None
-    for i, n in enumerate(ns):
-        sub = argparse.Namespace(**vars(args))
-        sub.n = n
-        problem = build_problem(sub)
-        f = select_function("exp", problem.grid is not None
-                            and np.asarray(problem.grid).ndim == 2)
-        b = frames.sample_function(f, problem.grid)
-        seed = args.seed + i
-        runs = []
-        xs = []
-        for rep in range(4):  # first run is the discarded warmup
-            x, seconds = _timed_solve(problem, b, args.solver, seed)
-            if rep > 0:
-                runs.append(seconds)
-                xs.append(x)
-        median = statistics.median(runs)
+    for i, n in enumerate(_n_list(args)):
+        problem = build_problem(args, n)
+        _, b = _sample(problem, "exp")
+        # the first run is the discarded warmup
+        runs = [_solve(problem, b, args, args.seed + i) for _ in range(4)][1:]
+        median = statistics.median(seconds for _, seconds in runs)
+        xs = [rep.x for rep, _ in runs]
         if not all(np.array_equal(x, xs[0]) for x in xs):
             raise CliError("nondeterministic solve despite fixed seed")
         exponent = ""
@@ -247,25 +234,14 @@ def cmd_timing(args) -> None:
 
 
 def cmd_approx(args) -> None:
-    if args.solver not in APPROX_SOLVERS:
-        raise CliError(f"approx solver must be one of {APPROX_SOLVERS}")
-    problem = build_problem(args)
-    two_d = np.asarray(problem.grid).ndim == 2
-    f = select_function(args.function, two_d)
-    b = frames.sample_function(f, problem.grid)
-    if args.solver == "direct":
-        rep = solvers.direct_lsq(ops.materialize(problem.A), b)
-        x, residual, rank = rep.x, rep.residual_norm, rep.rank_used
-    else:
-        config = default_config(problem, seed=args.seed, eps=args.eps)
-        rep = az_solve(problem, b, step1=STEP1_BY_SOLVER[args.solver],
-                       config=config)
-        x, residual, rank = rep.x, rep.residual_norm, rep.rank_used
-    err = frames.eval_error(problem, x, f)
+    problem = build_problem(args, args.n)
+    f, b = _sample(problem, args.function)
+    rep, _ = _solve(problem, b, args, args.seed)
+    err = frames.eval_error(problem, rep.x, f)
     record = {"n": args.n, "function": args.function, "solver": args.solver,
               "max_err": err["max_err"], "l2_err": err["l2_err"],
-              "residual": residual, "rank_used": rank,
-              "checksum": checksum(x)}
+              "residual": rep.residual_norm, "rank_used": rep.rank_used,
+              "checksum": checksum(rep.x)}
     write_records([record], list(record.keys()), args.out, args.format)
 
 
@@ -297,26 +273,37 @@ def cmd_weighted(args) -> None:
                             "diff_unweighted"], args.out, args.format)
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--problem", choices=PROBLEM_CHOICES, default="fourier1d")
-    sub.add_argument("--n", type=int, default=None)
-    sub.add_argument("--n-list", default=None,
-                     help="comma-separated N sweep")
-    sub.add_argument("--domain", default=None,
-                     help='JSON interval list, e.g. "[[-0.5,0.5]]"')
-    sub.add_argument("--mask", choices=("disk", "punctured-disk", "square"),
-                     default=None, help="2D domain for fourier2d")
-    sub.add_argument("--nodes", choices=("roots", "extremae"), default="roots",
-                     help="Chebyshev node family")
-    sub.add_argument("--solver", default="az-rand-svd")
-    sub.add_argument("--eps", type=float, default=None,
-                     help="absolute truncation threshold (default 1e-10*scale)")
-    sub.add_argument("--eps-w-list", default=None,
-                     help="comma-separated weight thresholds")
-    sub.add_argument("--oversampling", type=float, default=2.0)
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--format", choices=("csv", "json"), default="csv")
-    sub.add_argument("--out", default=None)
+FLAGS = {
+    "--problem": dict(choices=tuple(SELECTORS), default="fourier1d"),
+    "--n": dict(type=int),
+    "--domain": dict(help='JSON interval list (default "[[-0.5,0.5]]")'),
+    "--mask": dict(choices=("disk", "punctured-disk", "square"),
+                   help="2D domain for fourier2d (default punctured-disk)"),
+    "--nodes": dict(choices=("roots", "extremae"),
+                    help="Chebyshev node family (default roots)"),
+    "--oversampling": dict(type=float, help="grid oversampling (default 2)"),
+    "--n-list": dict(help="comma-separated N sweep"),
+    "--eps": dict(type=float,
+                  help="absolute truncation threshold (default 1e-10*scale)"),
+    "--solver": dict(default="az-rand-svd"),
+    "--seed": dict(type=int, default=0),
+    "--function": dict(choices=FUNCTION_CHOICES, default="exp"),
+    "--eps-w-list": dict(help="comma-separated weight thresholds"),
+    "--format": dict(choices=("csv", "json"), default="csv"),
+    "--out": dict(),
+}
+_PROBLEM_FLAGS = ("--problem", "--n", "--domain", "--mask", "--nodes",
+                  "--oversampling")
+_SWEEP_FLAGS = _PROBLEM_FLAGS + ("--n-list", "--eps")
+# Each subcommand and the flags it reads, besides --format and --out.
+COMMANDS = {
+    "singvals": (cmd_singvals, _PROBLEM_FLAGS),
+    "rankgrowth": (cmd_rankgrowth, _SWEEP_FLAGS),
+    "timing": (cmd_timing, _SWEEP_FLAGS + ("--solver", "--seed")),
+    "approx": (cmd_approx, _PROBLEM_FLAGS + ("--solver", "--eps", "--seed",
+                                             "--function")),
+    "weighted": (cmd_weighted, ("--n", "--eps-w-list")),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -324,16 +311,11 @@ def build_parser() -> argparse.ArgumentParser:
         prog="azls", description="Experiments for low-rank-corrected least "
         "squares: spectra, rank growth, timings, errors, weight sweeps.")
     subs = parser.add_subparsers(dest="subcommand", required=True)
-    for name, func in (("singvals", cmd_singvals),
-                       ("rankgrowth", cmd_rankgrowth),
-                       ("timing", cmd_timing),
-                       ("approx", cmd_approx),
-                       ("weighted", cmd_weighted)):
-        sub = subs.add_parser(name)
-        _add_common(sub)
-        if name == "approx":
-            sub.add_argument("--function", choices=FUNCTION_CHOICES,
-                             default="exp")
+    for name, (func, flags) in COMMANDS.items():
+        # no prefixes: weighted would take --eps as --eps-w-list
+        sub = subs.add_parser(name, allow_abbrev=False)
+        for flag in flags + ("--format", "--out"):
+            sub.add_argument(flag, **FLAGS[flag])
         sub.set_defaults(func=func)
     return parser
 

@@ -138,7 +138,8 @@ def _select_grid_size(n: int, dim: int, oversampling: float, points, domain: Dom
     """Grid length L, the grid points(L) and the indices of those inside the
     domain, for the smallest L >= 2*oversampling*N (per dimension) that puts
     >= oversampling*N^dim points inside.  A pinned grid_size only needs
-    M >= N^dim.
+    M >= N^dim.  N < 1, or an oversampling that is not a finite number >= 1,
+    is a ValueError.
 
     With estimate, candidate lengths are counted on the cheap estimate(L) and
     points(L) is built only for the length that meets the target; if its
@@ -149,6 +150,10 @@ def _select_grid_size(n: int, dim: int, oversampling: float, points, domain: Dom
         pts = at(L)
         return pts, np.nonzero(domain.contains(pts))[0]
 
+    if n < 1:
+        raise ValueError(f"N must be >= 1, got {n}")
+    if not (math.isfinite(oversampling) and oversampling >= 1):
+        raise ValueError(f"oversampling must be finite and >= 1, got {oversampling}")
     total = n**dim
     if grid_size is not None:
         pts, sel = inside(grid_size)
@@ -156,8 +161,8 @@ def _select_grid_size(n: int, dim: int, oversampling: float, points, domain: Dom
             raise DomainSizingError(
                 f"grid_size {grid_size} yields only M={sel.size} points for N={total}")
         return grid_size, pts, sel
-    target = max(total, math.ceil(oversampling * total))
-    L = max(n, math.ceil(2 * oversampling * n))
+    target = math.ceil(oversampling * total)
+    L = math.ceil(2 * oversampling * n)
     for _ in range(_MAX_GRID_GROWTH):
         pts, sel = inside(L, estimate or points)
         if sel.size >= target and estimate is not None:

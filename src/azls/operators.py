@@ -61,10 +61,11 @@ def from_dense(mat) -> LinearOperator:
     return LinearOperator(m, n, lambda v: mat @ v, lambda v: mh @ v)
 
 
-def materialize(op: LinearOperator, cap: int = MATERIALIZE_CAP) -> np.ndarray:
+def materialize(op: LinearOperator) -> np.ndarray:
     """Dense matrix of an operator, built by applying it to basis vectors."""
-    if op.cols > cap:
-        raise ValueError(f"refusing to materialize {op.shape} operator (cap {cap} columns)")
+    if op.cols > MATERIALIZE_CAP:
+        raise ValueError(f"refusing to materialize {op.shape} operator "
+                         f"(cap {MATERIALIZE_CAP} columns)")
     return _promote(op.apply(np.eye(op.cols)))
 
 

@@ -7,7 +7,7 @@ import json
 import pytest
 
 from azls import matrixcore
-from azls.cli import main
+from azls.cli import build_parser, main
 
 
 def read_csv(path):
@@ -29,7 +29,7 @@ class TestSingvals:
 
     def test_byte_identical_rerun(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        args = ["singvals", "--problem", "fourier1d", "--n", "31", "--seed", "5"]
+        args = ["singvals", "--problem", "fourier1d", "--n", "31"]
         assert main(args + ["--out", str(a)]) == 0
         assert main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
@@ -95,6 +95,18 @@ class TestTiming:
                      "--solver", "direct", "--out", str(approx)]) == 0
         assert read_csv(out)[1][3] == read_csv(approx)[1][7]
 
+    def test_reads_eps_as_approx_does(self, tmp_path):
+        # same n, seed, solver and eps: the same solve, so the same x
+        args = ["--problem", "fourier1d", "--n", "33", "--seed", "4",
+                "--solver", "az-rand-svd", "--eps", "1e-4"]
+        timing, approx = tmp_path / "t.csv", tmp_path / "a.csv"
+        assert main(["timing", *args, "--out", str(timing)]) == 0
+        assert main(["approx", *args, "--out", str(approx)]) == 0
+        assert read_csv(timing)[1][3] == read_csv(approx)[1][7]
+        default = tmp_path / "d.csv"
+        assert main(["timing", *args[:-2], "--out", str(default)]) == 0
+        assert read_csv(default)[1][3] != read_csv(timing)[1][3]
+
     def test_unknown_solver(self, tmp_path, capsys):
         out = tmp_path / "x.csv"
         assert main(["timing", "--n", "33", "--solver", "magic",
@@ -130,6 +142,26 @@ class TestApprox:
                      "--mask", "disk", "--out", str(out)])
         assert code == 1
         assert "does not apply" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_malformed_domain_names_the_flag(self, tmp_path, capsys):
+        out = tmp_path / "dom.csv"
+        code = main(["approx", "--problem", "fourier1d", "--n", "31",
+                     "--domain", "[[0,0.5", "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: bad --domain")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--problem", "chebyshev", "--n", "0"], "N must be >= 1"),
+        (["--n", "31", "--oversampling", "0"], "oversampling"),
+        (["--n", "31", "--oversampling", "nan"], "oversampling"),
+    ])
+    def test_bad_size_diagnostic(self, tmp_path, capsys, flags, message):
+        out = tmp_path / "size.csv"
+        assert main(["approx", *flags, "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
         assert not out.exists()
 
     def test_even_n_diagnostic(self, tmp_path, capsys):
@@ -173,3 +205,54 @@ def test_partial_output_never_left_behind(tmp_path):
     main(["singvals", "--problem", "fourier1d", "--n", "30", "--out", str(out)])
     assert not out.exists()
     assert not (tmp_path / "never.csv.tmp").exists()
+
+
+# A command line that each subcommand runs, and a value for every flag.
+VALID = {"singvals": ["--n", "15"], "rankgrowth": ["--n", "15"],
+         "timing": ["--n", "15"], "approx": ["--n", "15"],
+         "weighted": ["--n", "15", "--eps-w-list", "0"]}
+VALUES = {"--problem": "fourier1d", "--domain": "[[-0.5,0.5]]", "--mask": "disk",
+          "--nodes": "roots", "--oversampling": "2", "--n-list": "15",
+          "--solver": "direct", "--eps": "1e-8", "--eps-w-list": "0",
+          "--seed": "1"}
+# The (subcommand, flag) pairs the subcommand does not read.
+UNREAD = ([("singvals", f) for f in ("--n-list", "--solver", "--eps",
+                                    "--eps-w-list", "--seed")]
+          + [("rankgrowth", f) for f in ("--solver", "--eps-w-list", "--seed")]
+          + [("timing", "--eps-w-list")]
+          + [("approx", f) for f in ("--n-list", "--eps-w-list")]
+          + [("weighted", f) for f in ("--problem", "--domain", "--mask",
+                                       "--nodes", "--oversampling", "--n-list",
+                                       "--solver", "--eps", "--seed")])
+
+
+@pytest.mark.parametrize("command, flag", UNREAD)
+def test_unread_flag_rejected(tmp_path, capsys, command, flag):
+    out = tmp_path / "unread.csv"
+    with pytest.raises(SystemExit) as exc:
+        main([command, *VALID[command], flag, VALUES[flag], "--out", str(out)])
+    assert exc.value.code != 0
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_accepted_pairs():
+    subs = next(a for a in build_parser()._actions if a.dest == "subcommand").choices
+    pairs = {(name, opt) for name, sub in subs.items() for a in sub._actions
+             for opt in a.option_strings if opt.startswith("--") and opt != "--help"}
+    assert len(pairs) == 46
+    assert not pairs & set(UNREAD)
+
+
+@pytest.mark.parametrize("problem, flag", [
+    ("fourier1d", "--nodes"), ("fourier2d", "--nodes"), ("gram", "--nodes"),
+    ("legendre", "--nodes"), ("weighted", "--nodes"),
+    ("gram", "--oversampling"), ("weighted", "--oversampling"),
+])
+def test_selector_the_problem_ignores_rejected(tmp_path, capsys, problem, flag):
+    out = tmp_path / "sel.csv"
+    code = main(["singvals", "--problem", problem, "--n", "15",
+                 flag, VALUES[flag], "--out", str(out)])
+    assert code == 1
+    assert "does not apply" in capsys.readouterr().err
+    assert not out.exists()

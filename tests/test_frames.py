@@ -577,3 +577,47 @@ def test_restriction_monotonicity():
         ranks.append(mc.eps_rank(a - a @ z.conj().T @ a, 1e-10 * p.scale).r)
     assert ranks[1] >= ranks[0] - 2
     assert ranks[2] >= ranks[1] - 2
+
+
+SIZED_BUILDERS = {
+    "fourier1d": lambda n, ov: frames.fourier_extension_1d(
+        n, DomainSpec.interval(-0.5, 0.5), ov),
+    "fourier2d": lambda n, ov: frames.fourier_extension_2d(
+        n, frames.named_mask("disk"), ov),
+    "chebyshev": lambda n, ov: frames.chebyshev_extension(
+        n, DomainSpec.interval(-0.5, 0.5), ov),
+    "legendre": lambda n, ov: frames.legendre_extension(
+        n, DomainSpec.interval(-0.5, 0.5), ov),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SIZED_BUILDERS))
+@pytest.mark.parametrize("ov", [0.0, 0.5, float("nan"), float("inf"), -2.0])
+def test_grid_sizing_rejects_bad_oversampling(name, ov):
+    # below 1 the promise of >= oversampling*N points inside is no bound at all
+    with pytest.raises(ValueError, match="oversampling must be finite and >= 1"):
+        SIZED_BUILDERS[name](5, ov)
+
+
+@pytest.mark.parametrize("name", sorted(SIZED_BUILDERS))
+def test_grid_sizing_accepts_oversampling_one(name):
+    p = SIZED_BUILDERS[name](5, 1.0)
+    assert p.grid.shape[0] >= p.A.cols
+
+
+@pytest.mark.parametrize("name", ["chebyshev", "legendre"])
+@pytest.mark.parametrize("n", [0, -3])
+def test_grid_sizing_rejects_n_below_one(name, n):
+    with pytest.raises(ValueError, match="N must be >= 1"):
+        SIZED_BUILDERS[name](n, 2.0)
+
+
+def test_grid_sizing_checks_before_any_points():
+    def points(L):
+        raise AssertionError("points built for an invalid request")
+
+    dom = DomainSpec.interval(-0.5, 0.5)
+    with pytest.raises(ValueError, match="N must be >= 1"):
+        frames._select_grid_size(0, 1, 2.0, points, dom, None)
+    with pytest.raises(ValueError, match="oversampling"):
+        frames._select_grid_size(9, 1, float("nan"), points, dom, 40)
