@@ -33,7 +33,9 @@ class AzProblem:
     evaluate, when present, evaluates the approximant built from a
     coefficient vector at arbitrary points of the domain.  Step 1 applies
     (I - A Z*) A as A (I - G) with G = Z*A (N by N); gram is a fast form of
-    G when the builder has one, and otherwise G is Z* composed with A.
+    G when the builder has one (the Fourier frames' Toeplitz G, the
+    Chebyshev frame's Toeplitz-plus-Hankel G, fourier01's exact I), and
+    otherwise G is Z* composed with A.
     """
 
     A: LinearOperator
@@ -158,11 +160,19 @@ def az_weighted_solve(problem: WeightedAzProblem, b, step1: str = "tsvd",
     """AZ for the weighted system W A x = W b with Z~ = pinv(W_eps) Z.
 
     The weighted pair is an AzProblem of its own, solved on d b; its scale is
-    the base scale times max d, so the default eps is 1e-10 of that.
+    the base scale times max d, so the default eps is 1e-10 of that.  Its
+    G~ = Z~* W A = Z* pinv(W_eps) W A is the base G when no weight is dropped
+    and 0 when every weight is (then Z~ = 0); only in between is it Z~*
+    composed with A~.
     """
     base, d = problem.base, problem.d
+    pinv = weighted_eps_pinv(d, problem.eps_w)
+    gram = None
+    if pinv.all():
+        gram = base.gram
+    elif not pinv.any():
+        gram = diagonal(np.zeros(base.A.cols))
     weighted = AzProblem(
-        A=compose(diagonal(d), base.A),
-        Z=compose(diagonal(weighted_eps_pinv(d, problem.eps_w)), base.Z),
-        scale=base.scale * float(d.max()))
+        A=compose(diagonal(d), base.A), Z=compose(diagonal(pinv), base.Z),
+        scale=base.scale * float(d.max()), gram=gram)
     return _three_step(weighted, d * np.asarray(b, dtype=np.complex128), step1, config)

@@ -171,12 +171,32 @@ def cmd_singvals(args) -> None:
                   args.out, args.format)
 
 
+def _comma_list(text: str, flag: str, parse) -> list:
+    """The items of a comma-separated flag value; an empty value, or an item
+    that parse rejects or that is NaN, is a CliError naming the flag."""
+    if not text:
+        raise CliError(f"{flag} is empty")
+    items = []
+    for item in text.split(","):
+        try:
+            value = parse(item)
+        except ValueError:
+            value = None
+        if value is None or value != value:  # unparsed or NaN
+            raise CliError(f"bad {flag} item {item!r}")
+        items.append(value)
+    return items
+
+
 def _n_list(args) -> list[int]:
-    if args.n_list:
-        return [int(s) for s in args.n_list.split(",")]
-    if args.n is not None:
+    if args.n_list is None:
+        if args.n is None:
+            raise CliError("provide --n or --n-list")
         return [args.n]
-    raise CliError("provide --n or --n-list")
+    ns = _comma_list(args.n_list, "--n-list", int)
+    if args.n is not None:
+        raise CliError("give --n or --n-list, not both")
+    return ns
 
 
 def cmd_rankgrowth(args) -> None:
@@ -246,9 +266,9 @@ def cmd_approx(args) -> None:
 
 
 def cmd_weighted(args) -> None:
-    if not args.eps_w_list:
+    if args.eps_w_list is None:
         raise CliError("--eps-w-list is required")
-    eps_ws = [float(s) for s in args.eps_w_list.split(",")]
+    eps_ws = _comma_list(args.eps_w_list, "--eps-w-list", float)
     if any(e < 0 for e in eps_ws):
         raise CliError("eps_w values must be nonnegative")
     n = args.n if args.n is not None else 121

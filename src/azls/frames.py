@@ -10,7 +10,9 @@ P >= S + N - 1 (S the span of grid indices inside the domain), whatever
 the factors of L.  The 2D Fourier A is separable: two GEMMs with the L x n
 matrix E = [exp(i pi n x_l)] per chunk of columns, through scipy's BLAS,
 then a gather of the mask points.  The Fourier builders also give G = Z*A,
-a (block) Toeplitz matrix applied by FFT, so that step 1 needs no Z.
+a (block) Toeplitz matrix applied by FFT, and the Chebyshev builder a
+Toeplitz-plus-Hankel G of Chebyshev moments applied by a real FFT, so that
+step 1 needs no Z.
 
 Grid convention for the Fourier builders: x_l = -1 + 2l/L, l = 0..L-1 (left
 endpoint included), in each dimension.  The basis functions are
@@ -38,8 +40,9 @@ _MAX_GRID_GROWTH = 200
 # evaluating a 1D Fourier extension approximant (16 MiB of complex128)
 _EVAL_BLOCK_ENTRIES = 1 << 20
 # entries, zero-padded to the circulant length, of the chunk of columns that
-# one Toeplitz apply transforms at a time, and of the largest intermediate of
-# a chunk of the separable 2D Fourier apply (4 MiB of complex128)
+# one Toeplitz (or Chebyshev Toeplitz-plus-Hankel) apply transforms at a
+# time, and of the largest intermediate of a chunk of the separable 2D
+# Fourier apply (4 MiB of complex128)
 _TOEPLITZ_BLOCK_ENTRIES = 1 << 18
 
 
@@ -461,6 +464,63 @@ def _cheb_nodes_to_modes(u: np.ndarray, L: int, kind: str) -> np.ndarray:
     return 0.5 * (y + nat[0] + sign.reshape(shape) * nat[-1])
 
 
+def _cheb_moments(u: np.ndarray, L: int, kind: str, count: int) -> np.ndarray:
+    """mu_p = sum_l u_l T_p(x_l) for p = 0..count-1 (count <= 2L - 1), u in
+    increasing node order, from one F^T pass.  Past L - 1 the moments alias,
+    as T_p(x_l) = cos(p theta_l): at the roots (L theta_l = pi (l + 1/2))
+    mu_L = 0 and mu_{2L-p} = -mu_p; at the extremae (theta_l = pi l / (L-1))
+    mu_{2(L-1)-p} = mu_p."""
+    mu = _cheb_nodes_to_modes(u, L, kind)
+    if kind == "roots":
+        mu = np.concatenate([mu, [0.0], -mu[:0:-1]])
+    else:
+        mu = np.concatenate([mu, mu[-2::-1]])
+    return mu[:count]
+
+
+def _cheb_gram(moments: np.ndarray, h2: np.ndarray) -> LinearOperator:
+    """G = Z*A of the Chebyshev frame from the moments mu_0 .. mu_{2N-2} of
+    the weighted mask and the squared norms h_0^2 .. h_{N-1}^2, with no
+    N x N matrix.
+
+    T_j T_k = (T_{j+k} + T_{|j-k|}) / 2 gives
+    G[j, k] = (mu_{j+k} + mu_{|j-k|}) / (2 h_j^2): the rows of a symmetric
+    Toeplitz-plus-Hankel matrix T + H scaled by 1 / (2 h_j^2).  With V the
+    real FFT of a real v over a length P >= 2N - 1, (T + H) v is the inverse
+    real FFT of T^ V + H^ conj(V) (a convolution with mu_|d| plus a
+    correlation with mu_p), so real input stays real; a complex v goes
+    through as its real and imaginary parts, and a block in chunks of about
+    _TOEPLITZ_BLOCK_ENTRIES padded entries.  G is real but not symmetric:
+    G* u = (T + H)(u / h^2) / 2.
+    """
+    n = h2.size
+    P = scipy.fft.next_fast_len(2 * n - 1, real=True)
+    d = np.arange(1 - n, n)
+    toeplitz = np.zeros(P)
+    toeplitz[d % P] = moments[np.abs(d)]
+    hankel = np.zeros(P)
+    hankel[:2 * n - 1] = moments
+    t_hat, h_hat = scipy.fft.rfft(toeplitz), scipy.fft.rfft(hankel)
+    chunk = max(1, _TOEPLITZ_BLOCK_ENTRIES // P)
+
+    def t_plus_h(v):
+        v = np.asarray(v)
+        if np.iscomplexobj(v):
+            return t_plus_h(v.real) + 1j * t_plus_h(v.imag)
+        cols = v.reshape(n, -1)
+        out = np.empty(cols.shape)
+        for c in range(0, cols.shape[1], chunk):
+            f = scipy.fft.rfft(cols[:, c:c + chunk], P, axis=0)
+            g = f.conj()
+            g *= h_hat[:, None]
+            f *= t_hat[:, None]
+            f += g
+            out[:, c:c + chunk] = scipy.fft.irfft(f, P, axis=0, overwrite_x=True)[:n]
+        return out.reshape(v.shape)
+
+    return compose(diagonal(0.5 / h2), LinearOperator(n, n, t_plus_h, t_plus_h))
+
+
 def chebyshev_extension(n: int, domain: DomainSpec, oversampling: float = 2.0,
                         kind: str = "roots",
                         grid_size: int | None = None) -> AzProblem:
@@ -468,7 +528,10 @@ def chebyshev_extension(n: int, domain: DomainSpec, oversampling: float = 2.0,
     nodes (roots of T_L or extremae grid) that fall inside the domain.
 
     Z is the matching subblock of the discrete dual W F D, so that on the
-    full grid Z* A = I.
+    full grid Z* A = I.  G = Z*A is a row-scaled Toeplitz-plus-Hankel matrix
+    of the moments mu_p = sum_{m inside} w_m T_p(x_m), p = 0..2N-2, taken by
+    one F^T pass over the weighted mask and applied by a real FFT of length
+    P >= 2N - 1 (see `_cheb_gram`), so step 1 needs no Z.
     """
     if domain.is_2d:
         raise ValueError("chebyshev_extension needs a 1D domain")
@@ -486,6 +549,9 @@ def chebyshev_extension(n: int, domain: DomainSpec, oversampling: float = 2.0,
                                lambda v: _cheb_nodes_to_modes(v, L, kind))
     a = compose(restriction(sel, L), transform, extension(np.arange(n), L))
     z = compose(diagonal(w[sel]), a, diagonal(1.0 / h2[:n]))
+    masked = np.zeros(L)
+    masked[sel] = w[sel]
+    gram = _cheb_gram(_cheb_moments(masked, L, kind, 2 * n - 1), h2[:n])
 
     def evaluate(coeffs, pts):
         return np.polynomial.chebyshev.chebval(np.asarray(pts, dtype=np.float64),
@@ -493,7 +559,7 @@ def chebyshev_extension(n: int, domain: DomainSpec, oversampling: float = 2.0,
 
     return AzProblem(A=a, Z=z, label=f"chebyshev(N={n}, L={L}, {kind})",
                      scale=math.sqrt(L / 2.0), grid=nodes[sel], evaluate=evaluate,
-                     domain=domain)
+                     domain=domain, gram=gram)
 
 
 def legendre_extension(n: int, domain: DomainSpec, oversampling: float = 2.0,
@@ -586,7 +652,8 @@ def weighted_oracle_solve(a_dense, d, b) -> np.ndarray:
 
 def fourier_lsq_equispaced(n: int, m: int) -> AzProblem:
     """Periodic Fourier least squares on [0, 1): N terms, M >= N equispaced
-    samples x_j = j/M.  Discrete orthogonality gives the exact dual Z = A/M.
+    samples x_j = j/M.  Discrete orthogonality gives the exact dual Z = A/M
+    and G = Z*A = I exactly: N <= M frequencies stay distinct mod M.
     """
     freqs = _symmetric_frequencies(n)
     if m < n:
@@ -600,7 +667,8 @@ def fourier_lsq_equispaced(n: int, m: int) -> AzProblem:
 
     a = from_dense(a_mat)
     return AzProblem(A=a, Z=scale(1.0 / m, a), label=f"fourier01(N={n}, M={m})",
-                     scale=math.sqrt(m), grid=grid, evaluate=evaluate)
+                     scale=math.sqrt(m), grid=grid, evaluate=evaluate,
+                     gram=diagonal(np.ones(n)))
 
 
 def refined_grid(problem: AzProblem, refine: int = 4) -> np.ndarray:

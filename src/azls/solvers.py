@@ -111,7 +111,13 @@ def _dense_solve(a, b, eps: float | None, qr: bool = False) -> SolveReport:
     t0 = time.perf_counter()
     a = np.asarray(a)
     b = np.asarray(b, dtype=np.complex128)
-    x, k = _truncated_solve(a, b, eps, qr)
+    # sigma_1 and |R_11| are at most ||a||_F: below eps, a truncation keeps
+    # nothing, and the answer is the zero vector it would have given (a
+    # matrix that is empty, not 2-d or not finite goes on to be rejected)
+    if eps is not None and a.ndim == 2 and a.size and np.linalg.norm(a) < eps:
+        x, k = np.zeros(a.shape[1], dtype=np.complex128), 0
+    else:
+        x, k = _truncated_solve(a, b, eps, qr)
     return _report(lambda v: a @ v, b, x, k, t0=t0)
 
 

@@ -350,6 +350,71 @@ class TestFourierGram:
         summed = frames.weighted_sum_frame(base, lambda x: np.ones_like(x), np.abs)
         assert summed.gram is None
 
+    @pytest.mark.parametrize("step1", ["tsvd", "tqr", "rand-tsvd"])
+    @pytest.mark.parametrize("kind", ["roots", "extremae"])
+    @pytest.mark.parametrize("n", [129, 513])
+    def test_chebyshev_agrees_with_generic_form(self, n, kind, step1):
+        p = frames.chebyshev_extension(n, DomainSpec.interval(-0.5, 0.5), kind=kind)
+        b = self.rhs(p)
+        cfg = default_config(p, seed=5)
+        rep = az_solve(p, b, step1=step1, config=cfg)
+        ref = az_solve(dataclasses.replace(p, gram=None), b, step1=step1, config=cfg)
+        assert rep.rank_used == ref.rank_used
+        assert rep.sketch_size == ref.sketch_size
+        assert abs(rep.residual_norm - ref.residual_norm) \
+            <= 1e-6 * max(ref.residual_norm, 1e-9 * np.linalg.norm(b))
+        tol = 10 * np.finfo(np.float64).eps * p.scale / cfg.eps
+        assert np.linalg.norm(rep.x - ref.x) <= tol * np.linalg.norm(ref.x)
+
+    @staticmethod
+    def weighted_lsq_problem(eps_w):
+        base = frames.fourier_lsq_equispaced(61, 123)
+        grid = np.asarray(base.grid)
+        d = (grid - 0.5) ** 2
+        eps_w = 2.0 * d.max() if eps_w == "above-max" else eps_w
+        b = np.sin(2 * np.pi * grid) + np.mod(grid + 0.5, 1.0) - 0.5
+        return frames.weighted_lsq(base, d, eps_w), b
+
+    @pytest.mark.parametrize("step1", ["tsvd", "tqr", "rand-tsvd"])
+    @pytest.mark.parametrize("eps_w", [0.0, "above-max"])
+    def test_weighted_agrees_with_generic_form(self, eps_w, step1):
+        # the generic form: the weighted pair with G~ = Z~* A~ composed
+        wp, b = self.weighted_lsq_problem(eps_w)
+        base, d = wp.base, wp.d
+        generic = AzProblem(A=ops.compose(ops.diagonal(d), base.A),
+                            Z=ops.compose(ops.diagonal(weighted_eps_pinv(d, wp.eps_w)),
+                                          base.Z),
+                            scale=base.scale * float(d.max()))
+        cfg = default_config(generic, seed=5)
+        rep = az_weighted_solve(wp, b, step1=step1, config=cfg)
+        ref = az_solve(generic, d * b, step1=step1, config=cfg)
+        assert rep.rank_used == ref.rank_used
+        assert abs(rep.residual_norm - ref.residual_norm) \
+            <= 1e-6 * max(ref.residual_norm, 1e-9 * np.linalg.norm(d * b))
+        tol = 10 * np.finfo(np.float64).eps * generic.scale / cfg.eps
+        assert np.linalg.norm(rep.x - ref.x) <= tol * np.linalg.norm(ref.x)
+
+    @pytest.mark.parametrize("step1", ["tsvd", "rand-tsvd"])
+    @pytest.mark.parametrize("eps_w", [0.0, "above-max"])
+    def test_weighted_step1_never_applies_z(self, eps_w, step1):
+        # no weight dropped (G~ = G = I) or every weight dropped (G~ = 0): Z~*
+        # is applied for the right-hand side and in step 2 only
+        wp, b = self.weighted_lsq_problem(eps_w)
+        z, counter = counted(wp.base.Z)
+        wrapped = dataclasses.replace(wp, base=dataclasses.replace(wp.base, Z=z))
+        az_weighted_solve(wrapped, b, step1=step1)
+        assert counter.adjoint_applies == 2
+        assert counter.applies == 0
+
+    @pytest.mark.parametrize("kind", ["roots", "extremae"])
+    def test_chebyshev_step1_never_applies_z(self, kind):
+        p = frames.chebyshev_extension(65, DomainSpec.interval(-0.5, 0.5), kind=kind)
+        z, counter = counted(p.Z)
+        az_solve(dataclasses.replace(p, Z=z), self.rhs(p), step1="tsvd",
+                 config=default_config(p, seed=5))
+        assert counter.adjoint_applies == 2
+        assert counter.applies == 0
+
     def test_gram_shape_checked(self):
         p = self.PROBLEMS["1d-65"]()
         with pytest.raises(ValueError, match="gram has shape"):

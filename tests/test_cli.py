@@ -190,6 +190,21 @@ class TestWeighted:
         assert "eps-w-list" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["rankgrowth", "--n", "15", "--n-list", "33"], "give --n or --n-list, not both"),
+    (["timing", "--n-list", ""], "--n-list is empty"),
+    (["rankgrowth", "--n-list", "33,x"], "bad --n-list item 'x'"),
+    (["weighted", "--eps-w-list", ""], "--eps-w-list is empty"),
+    (["weighted", "--eps-w-list", "0,abc"], "bad --eps-w-list item 'abc'"),
+    (["weighted", "--eps-w-list", "0,nan"], "bad --eps-w-list item 'nan'"),
+])
+def test_list_flag_diagnostic(tmp_path, capsys, argv, message):
+    out = tmp_path / "list.csv"
+    assert main([*argv, "--out", str(out)]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert not out.exists()
+
+
 def test_factorization_error_is_one_line(tmp_path, monkeypatch, capsys):
     def fail(a):
         raise matrixcore.FactorizationError("SVD failed to converge")

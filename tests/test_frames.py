@@ -180,6 +180,20 @@ GRAM_BUILDERS = {
     **{f"2d-{mask}-{n}": (lambda mask=mask, n=n:
                           frames.fourier_extension_2d(n, frames.named_mask(mask)))
        for mask in ("disk", "punctured-disk", "square") for n in (5, 9, 25)},
+    # Chebyshev: the pinned L = 37 < 2N - 1 needs the moments aliased past L
+    **{f"cheb-{kind}-{name}": (lambda kind=kind, n=n, dom=dom, gs=gs:
+                               frames.chebyshev_extension(n, dom, kind=kind, grid_size=gs))
+       for kind in ("roots", "extremae") for name, (n, dom, gs) in {
+           "half-65": (65, DomainSpec.interval(-0.5, 0.5), None),
+           "half-513": (513, DomainSpec.interval(-0.5, 0.5), None),
+           "union-65": (65, DomainSpec.union([[-0.9, -0.5], [0.2, 0.6]]), None),
+           "left-end-33": (33, DomainSpec.interval(-1.0, 0.3), None),
+           "right-end-33": (33, DomainSpec.interval(-0.2, 1.0), None),
+           "pinned-37": (21, DomainSpec.interval(-0.9, 0.9), 37),
+           "pinned-full-37": (31, DomainSpec.interval(-1.0, 1.0), 37),
+       }.items()},
+    "fourier01-61": lambda: frames.fourier_lsq_equispaced(61, 123),
+    "fourier01-square-61": lambda: frames.fourier_lsq_equispaced(61, 61),
 }
 
 
@@ -363,6 +377,42 @@ class TestChebyshev:
         cfg = default_config(p, seed=1, eps=1e-12 * p.scale)
         rep = az_solve(p, b, step1="rand-tsvd", config=cfg)
         assert eval_error(p, rep.x, np.exp)["max_err"] <= 1e-10
+
+    @pytest.mark.parametrize("kind", ["roots", "extremae"])
+    def test_moments_alias_past_l(self, kind):
+        # mu_p = sum_l u_l T_p(x_l) for p = 0..2L-2, against cos(p arccos x)
+        L = 37
+        x = transforms.chebyshev_nodes(L, kind)
+        u = np.random.default_rng(4).standard_normal(L)
+        p = np.arange(2 * L - 1)
+        direct = np.cos(np.outer(p, np.arccos(x))) @ u
+        mu = frames._cheb_moments(u, L, kind, 2 * L - 1)
+        assert np.max(np.abs(mu - direct)) <= 1e-13 * np.max(np.abs(direct))
+
+    @pytest.mark.parametrize("kind", ["roots", "extremae"])
+    @pytest.mark.parametrize("n, grid_size", [(65, None), (513, None), (21, 37)])
+    def test_gram_dot_test(self, kind, n, grid_size):
+        # G is real and not symmetric; its adjoint is (T + H)(D^-1 u) / 2
+        p = frames.chebyshev_extension(n, DomainSpec.interval(-0.9, 0.9), kind=kind,
+                                       grid_size=grid_size)
+        rng = np.random.default_rng(5)
+        v = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
+        u = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
+        lhs = np.vdot(u, p.gram.apply(v))
+        rhs = np.vdot(p.gram.adjoint_apply(u), v)
+        g = ops.materialize(p.gram)
+        assert abs(lhs - rhs) <= 1e-14 * np.linalg.norm(g) * np.linalg.norm(u) \
+            * np.linalg.norm(v)
+        assert np.linalg.norm(g - g.T) > 1e-3 * np.linalg.norm(g)
+
+    @pytest.mark.parametrize("kind", ["roots", "extremae"])
+    def test_step1_materializes_real(self, kind):
+        p = frames.chebyshev_extension(65, DomainSpec.interval(-0.5, 0.5), kind=kind)
+        assert ops.materialize(p.gram).dtype == np.float64
+        step1 = ops.materialize(ops.az_step1_operator(p.A, p.Z, p.gram))
+        assert step1.dtype == np.float64
+        ref = ops.materialize(ops.az_step1_operator(p.A, p.Z))
+        assert np.linalg.norm(step1 - ref) <= 1e-14 * np.linalg.norm(ops.materialize(p.A))
 
 
 class TestLegendre:

@@ -114,6 +114,43 @@ class TestTqr:
             solvers.tqr_solve(np.eye(2), np.zeros(2), eps=0.0)
 
 
+class TestZeroRankExit:
+    """tsvd and tqr keep nothing of a matrix with ||A||_F < eps (sigma_1 and
+    |R_11| are both at most ||A||_F), so they return x = 0 unfactored."""
+
+    SOLVES = [(solvers.tsvd_solve, False), (solvers.tqr_solve, True)]
+
+    @pytest.mark.parametrize("solve, qr", SOLVES)
+    def test_below_eps_does_not_factor(self, solve, qr, monkeypatch):
+        a = 1e-12 * random_complex(9, 5, seed=2)
+        b = np.asarray(random_complex(9, 1, seed=3)).ravel()
+        x_factored, _ = solvers._truncated_solve(a, b, 1e-8, qr)
+
+        def unusable(*args, **kwargs):
+            raise AssertionError("factored")
+
+        monkeypatch.setattr(mc, "svd", unusable)
+        monkeypatch.setattr(mc, "pivoted_qr", unusable)
+        rep = solve(a, b, 1e-8)
+        assert rep.rank_used == 0
+        assert rep.x.dtype == x_factored.dtype == np.complex128
+        assert np.array_equal(rep.x, x_factored)
+        assert rep.residual_norm == np.linalg.norm(b)
+
+    @pytest.mark.parametrize("solve, qr", SOLVES)
+    def test_at_eps_factors(self, solve, qr, monkeypatch):
+        # ||A||_F = 1.2 eps although every singular value is 0.6 eps
+        a = 0.6e-8 * np.vstack([np.eye(4), np.zeros((2, 4))])
+        calls = []
+        for name in ("svd", "pivoted_qr"):
+            fn = getattr(mc, name)
+            monkeypatch.setattr(mc, name, lambda m, fn=fn: calls.append(m) or fn(m))
+        rep = solve(a, np.ones(6), 1e-8)
+        assert len(calls) == 1
+        assert rep.rank_used == 0
+        assert np.array_equal(rep.x, np.zeros(4))
+
+
 class TestRandomizedTsvd:
     def test_zero_operator(self):
         zero = ops.from_dense(np.zeros((6, 4)))
