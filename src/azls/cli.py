@@ -196,6 +196,8 @@ def _n_list(args) -> list[int]:
     ns = _comma_list(args.n_list, "--n-list", int)
     if args.n is not None:
         raise CliError("give --n or --n-list, not both")
+    if len(set(ns)) < len(ns):
+        raise CliError(f"--n-list repeats an item: {args.n_list!r}")
     return ns
 
 

@@ -14,6 +14,11 @@ a (block) Toeplitz matrix applied by FFT, and the Chebyshev builder a
 Toeplitz-plus-Hankel G of Chebyshev moments applied by a real FFT, so that
 step 1 needs no Z.
 
+Every builder sizes its grid by one rule, `_select_grid_size`: the smallest
+L >= 2*oversampling*N per dimension that puts >= oversampling*N^dim points
+inside the domain.  A domain that needs a grid of more than
+_MAX_GRID_POINTS points for that raises DomainSizingError.
+
 Grid convention for the Fourier builders: x_l = -1 + 2l/L, l = 0..L-1 (left
 endpoint included), in each dimension.  The basis functions are
 phi_n(x) = exp(i*pi*n*x), so that on the full grid the columns of A are
@@ -35,7 +40,11 @@ from .azcore import AzProblem, WeightedAzProblem
 from .operators import (LinearOperator, compose, diagonal, extension, from_dense,
                         hstack, restriction, scale)
 
-_MAX_GRID_GROWTH = 200
+# grid points L^dim of the largest candidate grid the size search builds; past
+# it the domain is too small for N (the largest grid in use is L = 32772 in 1D)
+_MAX_GRID_POINTS = 1 << 24
+# how many times finer than the collocation grid refined_grid samples
+_REFINE = 4
 # entries of the point-by-frequency-block matrix built per chunk of points when
 # evaluating a 1D Fourier extension approximant (16 MiB of complex128)
 _EVAL_BLOCK_ENTRIES = 1 << 20
@@ -47,7 +56,8 @@ _TOEPLITZ_BLOCK_ENTRIES = 1 << 18
 
 
 class DomainSizingError(ValueError):
-    """The domain holds too few grid points for the requested frame size."""
+    """The domain holds too few grid points for the requested frame size on
+    any grid of at most _MAX_GRID_POINTS points."""
 
 
 @dataclass(frozen=True)
@@ -137,12 +147,13 @@ def _symmetric_frequencies(n: int) -> np.ndarray:
 
 
 def _select_grid_size(n: int, dim: int, oversampling: float, points, domain: DomainSpec,
-                      grid_size: int | None, estimate=None):
+                      estimate=None):
     """Grid length L, the grid points(L) and the indices of those inside the
     domain, for the smallest L >= 2*oversampling*N (per dimension) that puts
-    >= oversampling*N^dim points inside.  A pinned grid_size only needs
-    M >= N^dim.  N < 1, or an oversampling that is not a finite number >= 1,
-    is a ValueError.
+    >= oversampling*N^dim points inside.  N < 1, or an oversampling that is
+    not a finite number >= 1, is a ValueError.  The search grows L from the
+    fraction of points inside; a candidate of more than _MAX_GRID_POINTS
+    points is a DomainSizingError, raised before its points are built.
 
     With estimate, candidate lengths are counted on the cheap estimate(L) and
     points(L) is built only for the length that meets the target; if its
@@ -157,16 +168,9 @@ def _select_grid_size(n: int, dim: int, oversampling: float, points, domain: Dom
         raise ValueError(f"N must be >= 1, got {n}")
     if not (math.isfinite(oversampling) and oversampling >= 1):
         raise ValueError(f"oversampling must be finite and >= 1, got {oversampling}")
-    total = n**dim
-    if grid_size is not None:
-        pts, sel = inside(grid_size)
-        if sel.size < total:
-            raise DomainSizingError(
-                f"grid_size {grid_size} yields only M={sel.size} points for N={total}")
-        return grid_size, pts, sel
-    target = math.ceil(oversampling * total)
+    target = math.ceil(oversampling * n**dim)
     L = math.ceil(2 * oversampling * n)
-    for _ in range(_MAX_GRID_GROWTH):
+    while L**dim <= _MAX_GRID_POINTS:
         pts, sel = inside(L, estimate or points)
         if sel.size >= target and estimate is not None:
             pts, sel = inside(L)
@@ -175,7 +179,8 @@ def _select_grid_size(n: int, dim: int, oversampling: float, points, domain: Dom
             return L, pts, sel
         frac = max(sel.size, 1) / L**dim
         L = max(L + 1, math.ceil((target / frac) ** (1.0 / dim)))
-    raise DomainSizingError(f"domain too small: achieved M={sel.size} < {target} at L={L}")
+    raise DomainSizingError(f"domain too small for N={n**dim}: the search for {target} points "
+                            f"inside reached L={L}, past {_MAX_GRID_POINTS} grid points")
 
 
 def _periodic_grid(L: int, dim: int) -> np.ndarray:
@@ -187,8 +192,7 @@ def _periodic_grid(L: int, dim: int) -> np.ndarray:
     return np.column_stack([x.ravel() for x in np.meshgrid(g, g, indexing="ij")])
 
 
-def _fourier_extension(n: int, dim: int, domain: DomainSpec, oversampling: float,
-                       grid_size: int | None):
+def _fourier_extension(n: int, dim: int, domain: DomainSpec, oversampling: float):
     """A, Z and G = Z*A of the tensor Fourier extension frame in 1 or 2
     dimensions, with L and the collocation points.
 
@@ -201,7 +205,7 @@ def _fourier_extension(n: int, dim: int, domain: DomainSpec, oversampling: float
         raise ValueError(f"fourier_extension_{dim}d needs a "
                          f"{'2D mask' if dim == 2 else '1D'} domain")
     L, full, sel = _select_grid_size(n, dim, oversampling,
-                                     lambda L: _periodic_grid(L, dim), domain, grid_size)
+                                     lambda L: _periodic_grid(L, dim), domain)
     a = _chirp_fourier(freqs, L, sel) if dim == 1 else _separable_fourier(freqs, L, sel)
     return a, scale(1.0 / L**dim, a), _fourier_gram(n, dim, L, sel), L, full[sel]
 
@@ -344,15 +348,15 @@ def _fourier_gram(n: int, dim: int, L: int, sel: np.ndarray) -> LinearOperator:
     return _toeplitz(kernel, n, n)
 
 
-def fourier_extension_1d(n: int, domain: DomainSpec, oversampling: float = 2.0,
-                         grid_size: int | None = None) -> AzProblem:
+def fourier_extension_1d(n: int, domain: DomainSpec, oversampling: float = 2.0) -> AzProblem:
     """Fourier extension frame on a 1D domain inside [-1, 1].
 
     A maps N coefficients to samples of sum_n c_n exp(i*pi*n*x) at the grid
     points inside the domain, applied as a chirp-z Toeplitz product by an FFT
-    of fast length (see `_chirp_fourier`).  Z = A / L.
+    of fast length (see `_chirp_fourier`).  Z = A / L, with L from
+    `_select_grid_size`.
     """
-    a, z, g, L, grid = _fourier_extension(n, 1, domain, oversampling, grid_size)
+    a, z, g, L, grid = _fourier_extension(n, 1, domain, oversampling)
     half = (n - 1) // 2
     # frequency q*blk + r - half: exp(i pi (q*blk + r - half) t)
     # = exp(i pi q*blk t) exp(i pi (r - half) t), so each point needs
@@ -384,13 +388,13 @@ def fourier_extension_1d(n: int, domain: DomainSpec, oversampling: float = 2.0,
 
 
 def fourier_extension_2d(n_per_dim: int, mask: DomainSpec,
-                         oversampling: float = 2.0,
-                         grid_size: int | None = None) -> AzProblem:
+                         oversampling: float = 2.0) -> AzProblem:
     """Tensor Fourier extension frame on a masked subset of [-1, 1]^2.
 
-    Coefficients are row-major over (n1, n2); Z = A / L^2.
+    Coefficients are row-major over (n1, n2); Z = A / L^2, with L per axis
+    from `_select_grid_size`.
     """
-    a, z, g, L, grid = _fourier_extension(n_per_dim, 2, mask, oversampling, grid_size)
+    a, z, g, L, grid = _fourier_extension(n_per_dim, 2, mask, oversampling)
     freqs = _symmetric_frequencies(n_per_dim)
 
     def evaluate(coeffs, pts):
@@ -464,20 +468,6 @@ def _cheb_nodes_to_modes(u: np.ndarray, L: int, kind: str) -> np.ndarray:
     return 0.5 * (y + nat[0] + sign.reshape(shape) * nat[-1])
 
 
-def _cheb_moments(u: np.ndarray, L: int, kind: str, count: int) -> np.ndarray:
-    """mu_p = sum_l u_l T_p(x_l) for p = 0..count-1 (count <= 2L - 1), u in
-    increasing node order, from one F^T pass.  Past L - 1 the moments alias,
-    as T_p(x_l) = cos(p theta_l): at the roots (L theta_l = pi (l + 1/2))
-    mu_L = 0 and mu_{2L-p} = -mu_p; at the extremae (theta_l = pi l / (L-1))
-    mu_{2(L-1)-p} = mu_p."""
-    mu = _cheb_nodes_to_modes(u, L, kind)
-    if kind == "roots":
-        mu = np.concatenate([mu, [0.0], -mu[:0:-1]])
-    else:
-        mu = np.concatenate([mu, mu[-2::-1]])
-    return mu[:count]
-
-
 def _cheb_gram(moments: np.ndarray, h2: np.ndarray) -> LinearOperator:
     """G = Z*A of the Chebyshev frame from the moments mu_0 .. mu_{2N-2} of
     the weighted mask and the squared norms h_0^2 .. h_{N-1}^2, with no
@@ -522,10 +512,10 @@ def _cheb_gram(moments: np.ndarray, h2: np.ndarray) -> LinearOperator:
 
 
 def chebyshev_extension(n: int, domain: DomainSpec, oversampling: float = 2.0,
-                        kind: str = "roots",
-                        grid_size: int | None = None) -> AzProblem:
+                        kind: str = "roots") -> AzProblem:
     """Chebyshev extension frame: series of length N sampled at the Chebyshev
-    nodes (roots of T_L or extremae grid) that fall inside the domain.
+    nodes (roots of T_L or extremae grid) that fall inside the domain, with L
+    from `_select_grid_size`.
 
     Z is the matching subblock of the discrete dual W F D, so that on the
     full grid Z* A = I.  G = Z*A is a row-scaled Toeplitz-plus-Hankel matrix
@@ -538,12 +528,8 @@ def chebyshev_extension(n: int, domain: DomainSpec, oversampling: float = 2.0,
     if kind not in ("roots", "extremae"):
         raise ValueError(f"unknown node kind {kind!r}")
 
-    def nodes_for(L):
-        if kind == "extremae" and L < 2:
-            return np.empty(0)
-        return transforms.chebyshev_nodes(L, kind)
-
-    L, nodes, sel = _select_grid_size(n, 1, oversampling, nodes_for, domain, grid_size)
+    L, nodes, sel = _select_grid_size(n, 1, oversampling,
+                                      lambda L: transforms.chebyshev_nodes(L, kind), domain)
     w, h2 = _cheb_weights(L, kind)
     transform = LinearOperator(L, L, lambda u: _cheb_series_at_nodes(u, L, kind),
                                lambda v: _cheb_nodes_to_modes(v, L, kind))
@@ -551,7 +537,8 @@ def chebyshev_extension(n: int, domain: DomainSpec, oversampling: float = 2.0,
     z = compose(diagonal(w[sel]), a, diagonal(1.0 / h2[:n]))
     masked = np.zeros(L)
     masked[sel] = w[sel]
-    gram = _cheb_gram(_cheb_moments(masked, L, kind, 2 * n - 1), h2[:n])
+    # L >= 2N, so mu_0 .. mu_{2N-2} are the first 2N - 1 modes of one F^T pass
+    gram = _cheb_gram(_cheb_nodes_to_modes(masked, L, kind)[:2 * n - 1], h2[:n])
 
     def evaluate(coeffs, pts):
         return np.polynomial.chebyshev.chebval(np.asarray(pts, dtype=np.float64),
@@ -562,9 +549,9 @@ def chebyshev_extension(n: int, domain: DomainSpec, oversampling: float = 2.0,
                      domain=domain, gram=gram)
 
 
-def legendre_extension(n: int, domain: DomainSpec, oversampling: float = 2.0,
-                       grid_size: int | None = None) -> AzProblem:
-    """Legendre extension frame on Gauss-Legendre nodes, dense operators.
+def legendre_extension(n: int, domain: DomainSpec, oversampling: float = 2.0) -> AzProblem:
+    """Legendre extension frame on the L Gauss-Legendre nodes, L from
+    `_select_grid_size`, with dense operators.
 
     Rows are points, columns are degrees 0..N-1 (A[m, j] = P_j(x_m)); Z is
     the matching subblock of W F D with the Gauss-Legendre weights W and
@@ -588,7 +575,7 @@ def legendre_extension(n: int, domain: DomainSpec, oversampling: float = 2.0,
         weights[L][index] = rule.weights
         return x
 
-    L, grid, sel = _select_grid_size(n, 1, oversampling, nodes_for, domain, grid_size,
+    L, grid, sel = _select_grid_size(n, 1, oversampling, nodes_for, domain,
                                      transforms.legendre_roots_estimate)
     nodes = grid[sel]
     p = transforms.legendre_eval(n - 1, nodes)
@@ -671,9 +658,9 @@ def fourier_lsq_equispaced(n: int, m: int) -> AzProblem:
                      gram=diagonal(np.ones(n)))
 
 
-def refined_grid(problem: AzProblem, refine: int = 4) -> np.ndarray:
-    """An evaluation grid at least `refine` times finer than the collocation
-    grid, restricted to the problem domain."""
+def refined_grid(problem: AzProblem) -> np.ndarray:
+    """An evaluation grid _REFINE times finer than the collocation grid,
+    restricted to the problem domain."""
     if problem.grid is None:
         raise ValueError("problem has no grid metadata")
     grid = np.asarray(problem.grid)
@@ -682,10 +669,10 @@ def refined_grid(problem: AzProblem, refine: int = 4) -> np.ndarray:
             raise ValueError("2D refinement needs the mask domain")
         # the collocation points lie on the periodic grid of spacing 2/L
         L = round(2.0 / np.min(np.diff(np.unique(grid))))
-        pts = _periodic_grid(L * refine, 2)
+        pts = _periodic_grid(L * _REFINE, 2)
         return pts[problem.domain.contains(pts)]
     if problem.domain is not None and problem.domain.intervals is not None:
-        total = refine * grid.size
+        total = _REFINE * grid.size
         pieces = []
         measure = problem.domain.measure_1d()
         for lo, hi in problem.domain.intervals:
@@ -693,12 +680,12 @@ def refined_grid(problem: AzProblem, refine: int = 4) -> np.ndarray:
             pieces.append(np.linspace(lo, hi, k))
         return np.concatenate(pieces)
     lo, hi = float(grid.min()), float(grid.max())
-    return np.linspace(lo, hi, refine * grid.size)
+    return np.linspace(lo, hi, _REFINE * grid.size)
 
 
-def eval_error(problem: AzProblem, x, f, refine: int = 4) -> dict:
+def eval_error(problem: AzProblem, x, f) -> dict:
     """Max and RMS error of the approximant against f on a refined grid."""
-    pts = refined_grid(problem, refine)
+    pts = refined_grid(problem)
     approx = np.asarray(problem.evaluate(np.asarray(x), pts))
     exact = _call_on_grid(f, pts).astype(np.complex128)
     err = np.abs(approx - exact)

@@ -39,9 +39,6 @@ class LinearOperator:
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
 
-    def __call__(self, v: np.ndarray) -> np.ndarray:
-        return self.apply(v)
-
 
 def _check_same_shape(a: LinearOperator, z: LinearOperator) -> None:
     if a.shape != z.shape:

@@ -13,6 +13,7 @@ scipy's BLAS/LAPACK; the dense variants factor with matrixcore.svd.
 
 from __future__ import annotations
 
+import operator
 import time
 from dataclasses import dataclass
 
@@ -30,9 +31,9 @@ class SolverConfig:
     """Truncation threshold and sketching parameters.
 
     eps is a finite, absolute singular-value / diagonal threshold.  sketch_size is
-    R = r + p for a target rank r and oversampling p.  The randomized solvers
-    double R (reusing the random stream) while the sketch keeps every one of
-    its directions, capped at N.
+    R = r + p for a target rank r and oversampling p, an integer >= 1; seed is
+    an integer >= 0.  The randomized solvers double R (reusing the random
+    stream) while the sketch keeps every one of its directions, capped at N.
     """
 
     eps: float
@@ -42,8 +43,14 @@ class SolverConfig:
     def __post_init__(self):
         if not 0 < self.eps < np.inf:
             raise ValueError("eps must be positive and finite")
-        if self.sketch_size < 1:
-            raise ValueError("sketch_size must be >= 1")
+        for name, low in (("sketch_size", 1), ("seed", 0)):
+            value = getattr(self, name)
+            try:
+                ok = operator.index(value) >= low
+            except TypeError:
+                ok = False
+            if not ok:
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
 
 
 @dataclass

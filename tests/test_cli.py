@@ -164,6 +164,16 @@ class TestApprox:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    def test_too_small_domain_diagnostic(self, tmp_path, capsys):
+        # no grid under the size search's cap puts 2N points in [0, 1e-9]
+        out = tmp_path / "tiny.csv"
+        code = main(["approx", "--problem", "fourier1d", "--n", "17",
+                     "--domain", "[[0,1e-9]]", "--out", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: domain too small")
+        assert not out.exists()
+
     def test_even_n_diagnostic(self, tmp_path, capsys):
         out = tmp_path / "even.csv"
         code = main(["approx", "--problem", "fourier1d", "--n", "30",
@@ -197,6 +207,8 @@ class TestWeighted:
     (["weighted", "--eps-w-list", ""], "--eps-w-list is empty"),
     (["weighted", "--eps-w-list", "0,abc"], "bad --eps-w-list item 'abc'"),
     (["weighted", "--eps-w-list", "0,nan"], "bad --eps-w-list item 'nan'"),
+    # a repeated N gives the timing exponent log(t2/t1)/log(1) = -inf
+    (["timing", "--n-list", "17,33,17"], "--n-list repeats an item: '17,33,17'"),
 ])
 def test_list_flag_diagnostic(tmp_path, capsys, argv, message):
     out = tmp_path / "list.csv"

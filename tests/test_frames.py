@@ -17,6 +17,30 @@ def duality_defect(problem):
     return np.max(np.abs(za - np.eye(problem.A.cols)))
 
 
+# domains too small for any grid of at most frames._MAX_GRID_POINTS points
+TINY_INTERVAL = DomainSpec.interval(0.0, 1e-9)
+TINY_MASK = DomainSpec.from_mask(lambda x, y: x**2 + y**2 <= 1e-8)
+
+
+def assert_sizing_error_under_cap(monkeypatch, build):
+    """build() raises DomainSizingError, and the size search builds no
+    candidate grid, exact or estimated, of more than the cap's points."""
+    select = frames._select_grid_size
+    sizes = []
+
+    def watch(points, dim):
+        return lambda L: sizes.append(L**dim) or points(L)
+
+    def watched(n, dim, oversampling, points, domain, estimate=None):
+        return select(n, dim, oversampling, watch(points, dim), domain,
+                      estimate and watch(estimate, dim))
+
+    monkeypatch.setattr(frames, "_select_grid_size", watched)
+    with pytest.raises(frames.DomainSizingError, match="domain too small"):
+        build()
+    assert sizes and max(sizes) <= frames._MAX_GRID_POINTS
+
+
 class TestDomainSpec:
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -80,8 +104,7 @@ class TestFourier1d:
             frames.fourier_extension_1d(8, DomainSpec.interval(-0.5, 0.5), 2.0)
 
     def test_full_domain_exact_dual(self):
-        p = frames.fourier_extension_1d(15, DomainSpec.interval(-1.0, 1.0),
-                                        2.0, grid_size=15)
+        p = frames.fourier_extension_1d(15, DomainSpec.interval(-1.0, 1.0), 2.0)
         assert duality_defect(p) <= 1e-12
         a = ops.materialize(p.A)
         z = ops.materialize(p.Z)
@@ -99,10 +122,9 @@ class TestFourier1d:
         sz = np.linalg.svd(ops.materialize(p.Z), compute_uv=False)
         assert np.sum(np.abs(sz - 1 / sq) <= 0.05 / sq) >= 80
 
-    def test_sizing_error(self):
-        with pytest.raises(frames.DomainSizingError):
-            frames.fourier_extension_1d(15, DomainSpec.interval(-0.5, 0.5),
-                                        2.0, grid_size=16)
+    def test_sizing_error(self, monkeypatch):
+        assert_sizing_error_under_cap(monkeypatch, lambda: frames.fourier_extension_1d(
+            15, TINY_INTERVAL, 2.0))
 
 
 class TestFourier2d:
@@ -152,9 +174,9 @@ class TestFourier2d:
         assert p.A.rows >= 2 * n * n
         assert np.all(disk.contains(p.grid))
 
-    def test_sizing_error(self):
-        with pytest.raises(frames.DomainSizingError):
-            frames.fourier_extension_2d(5, frames.named_mask("disk"), 2.0, grid_size=5)
+    def test_sizing_error(self, monkeypatch):
+        assert_sizing_error_under_cap(monkeypatch, lambda: frames.fourier_extension_2d(
+            5, TINY_MASK, 2.0))
 
     def test_cluster_fraction_tracks_area(self):
         p = frames.fourier_extension_2d(9, frames.named_mask("disk"), 2.0)
@@ -170,27 +192,20 @@ GRAM_BUILDERS = {
     "1d-half-1025": lambda: frames.fourier_extension_1d(1025, DomainSpec.interval(-0.5, 0.5)),
     "1d-union": lambda: frames.fourier_extension_1d(
         65, DomainSpec.union([[-0.9, -0.8], [0.5, 0.55]])),
-    # pinned grids shorter than 2N - 1, even and odd: g(d) wraps around mod L
-    "1d-pinned-36": lambda: frames.fourier_extension_1d(
-        31, DomainSpec.interval(-0.9, 0.9), grid_size=36),
-    "1d-pinned-37": lambda: frames.fourier_extension_1d(
-        31, DomainSpec.interval(-0.9, 0.9), grid_size=37),
-    "1d-pinned-128": lambda: frames.fourier_extension_1d(
-        31, DomainSpec.interval(-0.5, 0.5), grid_size=128),
+    # odd grid lengths from the oversampling: L = 69 and 143
+    "1d-odd-69": lambda: frames.fourier_extension_1d(31, DomainSpec.interval(-0.9, 0.9), 1.1),
+    "1d-odd-143": lambda: frames.fourier_extension_1d(31, DomainSpec.interval(-0.9, 0.9), 2.3),
     **{f"2d-{mask}-{n}": (lambda mask=mask, n=n:
                           frames.fourier_extension_2d(n, frames.named_mask(mask)))
        for mask in ("disk", "punctured-disk", "square") for n in (5, 9, 25)},
-    # Chebyshev: the pinned L = 37 < 2N - 1 needs the moments aliased past L
-    **{f"cheb-{kind}-{name}": (lambda kind=kind, n=n, dom=dom, gs=gs:
-                               frames.chebyshev_extension(n, dom, kind=kind, grid_size=gs))
-       for kind in ("roots", "extremae") for name, (n, dom, gs) in {
-           "half-65": (65, DomainSpec.interval(-0.5, 0.5), None),
-           "half-513": (513, DomainSpec.interval(-0.5, 0.5), None),
-           "union-65": (65, DomainSpec.union([[-0.9, -0.5], [0.2, 0.6]]), None),
-           "left-end-33": (33, DomainSpec.interval(-1.0, 0.3), None),
-           "right-end-33": (33, DomainSpec.interval(-0.2, 1.0), None),
-           "pinned-37": (21, DomainSpec.interval(-0.9, 0.9), 37),
-           "pinned-full-37": (31, DomainSpec.interval(-1.0, 1.0), 37),
+    **{f"cheb-{kind}-{name}": (lambda kind=kind, n=n, dom=dom:
+                               frames.chebyshev_extension(n, dom, kind=kind))
+       for kind in ("roots", "extremae") for name, (n, dom) in {
+           "half-65": (65, DomainSpec.interval(-0.5, 0.5)),
+           "half-513": (513, DomainSpec.interval(-0.5, 0.5)),
+           "union-65": (65, DomainSpec.union([[-0.9, -0.5], [0.2, 0.6]])),
+           "left-end-33": (33, DomainSpec.interval(-1.0, 0.3)),
+           "right-end-33": (33, DomainSpec.interval(-0.2, 1.0)),
        }.items()},
     "fourier01-61": lambda: frames.fourier_lsq_equispaced(61, 123),
     "fourier01-square-61": lambda: frames.fourier_lsq_equispaced(61, 61),
@@ -218,13 +233,9 @@ CHIRP_DOMAINS = {
 CHIRP_BUILDERS = {
     **{f"{name}-{n}": (lambda dom=dom, n=n: frames.fourier_extension_1d(n, dom))
        for name, dom in CHIRP_DOMAINS.items() for n in (1, 5, 65, 1025)},
-    # pinned grids: L = 36 and 37 are shorter than 2N - 1, L = 128 longer
-    "pinned-36": lambda: frames.fourier_extension_1d(
-        31, DomainSpec.interval(-0.9, 0.9), grid_size=36),
-    "pinned-37": lambda: frames.fourier_extension_1d(
-        31, DomainSpec.interval(-0.9, 0.9), grid_size=37),
-    "pinned-128": lambda: frames.fourier_extension_1d(
-        31, DomainSpec.interval(-0.5, 0.5), grid_size=128),
+    # odd grid lengths from the oversampling: L = 69 and 143
+    "odd-69": lambda: frames.fourier_extension_1d(31, DomainSpec.interval(-0.9, 0.9), 1.1),
+    "odd-143": lambda: frames.fourier_extension_1d(31, DomainSpec.interval(-0.9, 0.9), 2.3),
 }
 
 
@@ -349,8 +360,10 @@ class TestGram:
 class TestChebyshev:
     @pytest.mark.parametrize("kind,L", [("roots", 256), ("extremae", 257)])
     def test_full_grid_duality(self, kind, L):
+        # the oversampling that sizes the grid at L: L = ceil(2 * ov * 64)
         p = frames.chebyshev_extension(64, DomainSpec.interval(-1.0, 1.0),
-                                       2.0, kind=kind, grid_size=L)
+                                       (L - 0.5) / 128, kind=kind)
+        assert p.label == f"chebyshev(N=64, L={L}, {kind})"
         assert duality_defect(p) <= 1e-11
 
     def test_entries_are_chebyshev_values(self):
@@ -379,22 +392,10 @@ class TestChebyshev:
         assert eval_error(p, rep.x, np.exp)["max_err"] <= 1e-10
 
     @pytest.mark.parametrize("kind", ["roots", "extremae"])
-    def test_moments_alias_past_l(self, kind):
-        # mu_p = sum_l u_l T_p(x_l) for p = 0..2L-2, against cos(p arccos x)
-        L = 37
-        x = transforms.chebyshev_nodes(L, kind)
-        u = np.random.default_rng(4).standard_normal(L)
-        p = np.arange(2 * L - 1)
-        direct = np.cos(np.outer(p, np.arccos(x))) @ u
-        mu = frames._cheb_moments(u, L, kind, 2 * L - 1)
-        assert np.max(np.abs(mu - direct)) <= 1e-13 * np.max(np.abs(direct))
-
-    @pytest.mark.parametrize("kind", ["roots", "extremae"])
-    @pytest.mark.parametrize("n, grid_size", [(65, None), (513, None), (21, 37)])
-    def test_gram_dot_test(self, kind, n, grid_size):
+    @pytest.mark.parametrize("n", [65, 513])
+    def test_gram_dot_test(self, kind, n):
         # G is real and not symmetric; its adjoint is (T + H)(D^-1 u) / 2
-        p = frames.chebyshev_extension(n, DomainSpec.interval(-0.9, 0.9), kind=kind,
-                                       grid_size=grid_size)
+        p = frames.chebyshev_extension(n, DomainSpec.interval(-0.9, 0.9), kind=kind)
         rng = np.random.default_rng(5)
         v = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
         u = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
@@ -417,13 +418,13 @@ class TestChebyshev:
 
 class TestLegendre:
     def test_full_grid_duality(self):
-        p = frames.legendre_extension(64, DomainSpec.interval(-1.0, 1.0),
-                                      grid_size=64)
+        p = frames.legendre_extension(64, DomainSpec.interval(-1.0, 1.0))
         assert duality_defect(p) <= 1e-10
 
     def test_pinned_full_grid_polishes_every_node(self):
-        p = frames.legendre_extension(401, DomainSpec.interval(-1.0, 1.0), grid_size=401)
-        assert np.array_equal(p.grid, transforms.gauss_legendre(401).nodes)
+        p = frames.legendre_extension(401, DomainSpec.interval(-1.0, 1.0))
+        assert p.label == "legendre(N=401, L=1604)"
+        assert np.array_equal(p.grid, transforms.gauss_legendre(1604).nodes)
         assert duality_defect(p) <= 1e-11
 
     def test_plunge_is_isolated(self):
@@ -454,8 +455,7 @@ class TestLegendre:
             p = frames.legendre_extension(n, dom)
             monkeypatch.setattr(transforms, "gauss_legendre", gauss_legendre)
             # the sizing loop run on the full Gauss-Legendre rule at every candidate
-            L, _, sel = frames._select_grid_size(n, 1, 2.0, lambda L: rule(L).nodes,
-                                                 dom, None)
+            L, _, sel = frames._select_grid_size(n, 1, 2.0, lambda L: rule(L).nodes, dom)
             assert built == [L]
             # same size and each node within 2 ulp: the same selection, as
             # neighbouring nodes lie far more than 2 ulp apart
@@ -491,8 +491,8 @@ class TestLegendre:
         def grid(L):
             return frames._periodic_grid(L, 1)
 
-        exact = frames._select_grid_size(31, 1, 2.0, grid, narrow, None)
-        guided = frames._select_grid_size(31, 1, 2.0, grid, narrow, None,
+        exact = frames._select_grid_size(31, 1, 2.0, grid, narrow)
+        guided = frames._select_grid_size(31, 1, 2.0, grid, narrow,
                                           estimate=lambda L: np.zeros(L))
         assert exact[0] == guided[0] > 4 * 31
         assert np.array_equal(exact[2], guided[2])
@@ -577,15 +577,17 @@ class TestSamplingAndErrors:
 
     def test_refined_grid_2d_spacing(self):
         mask = frames.named_mask("disk")
-        p = frames.fourier_extension_2d(9, mask, 2.0, grid_size=40)
-        pts = frames.refined_grid(p, refine=4)
-        assert np.isclose(np.min(np.diff(np.unique(pts[:, 0]))), 2.0 / (40 * 4))
+        p = frames.fourier_extension_2d(9, mask, 2.0)
+        L = round(p.scale)
+        assert L == 36
+        pts = frames.refined_grid(p)
+        assert np.isclose(np.min(np.diff(np.unique(pts[:, 0]))), 2.0 / (L * 4))
         assert np.all(mask.contains(pts))
 
     def test_refined_grid_finer_and_inside(self):
         dom = DomainSpec.union([[-0.5, -0.1], [0.2, 0.5]])
         p = frames.fourier_extension_1d(21, dom, 2.0)
-        pts = frames.refined_grid(p, refine=4)
+        pts = frames.refined_grid(p)
         assert pts.size >= 4 * np.asarray(p.grid).size * 0.9
         assert np.all(dom.contains(pts))
 
@@ -620,8 +622,7 @@ def test_restriction_monotonicity():
     n = 41
     ranks = []
     for hi in (0.8, 0.5, 0.3):
-        p = frames.fourier_extension_1d(n, DomainSpec.interval(-0.5, hi), 2.0,
-                                        grid_size=164)
+        p = frames.fourier_extension_1d(n, DomainSpec.interval(-0.5, hi), 2.0)
         a = ops.materialize(p.A)
         z = ops.materialize(p.Z)
         ranks.append(mc.eps_rank(a - a @ z.conj().T @ a, 1e-10 * p.scale).r)
@@ -662,12 +663,22 @@ def test_grid_sizing_rejects_n_below_one(name, n):
         SIZED_BUILDERS[name](n, 2.0)
 
 
+# the Fourier builders' sizing errors are TestFourier1d and TestFourier2d's
+@pytest.mark.parametrize("build", [
+    lambda: frames.chebyshev_extension(17, TINY_INTERVAL, kind="roots"),
+    lambda: frames.chebyshev_extension(17, TINY_INTERVAL, kind="extremae"),
+    lambda: frames.legendre_extension(17, TINY_INTERVAL),
+], ids=["chebyshev-roots", "chebyshev-extremae", "legendre"])
+def test_too_small_domain_stops_at_the_grid_cap(monkeypatch, build):
+    assert_sizing_error_under_cap(monkeypatch, build)
+
+
 def test_grid_sizing_checks_before_any_points():
     def points(L):
         raise AssertionError("points built for an invalid request")
 
     dom = DomainSpec.interval(-0.5, 0.5)
     with pytest.raises(ValueError, match="N must be >= 1"):
-        frames._select_grid_size(0, 1, 2.0, points, dom, None)
+        frames._select_grid_size(0, 1, 2.0, points, dom)
     with pytest.raises(ValueError, match="oversampling"):
-        frames._select_grid_size(9, 1, float("nan"), points, dom, 40)
+        frames._select_grid_size(9, 1, float("nan"), points, dom)

@@ -255,8 +255,8 @@ CHIRP_PROBLEMS = {
     "half-1025": lambda: frames.fourier_extension_1d(1025, DomainSpec.interval(-0.5, 0.5)),
     "union-1025": lambda: frames.fourier_extension_1d(
         1025, DomainSpec.union([[-0.9, -0.8], [0.5, 0.55]])),
-    "pinned-37": lambda: frames.fourier_extension_1d(
-        31, DomainSpec.interval(-0.9, 0.9), grid_size=37),
+    # an odd grid length from the oversampling: L = 69
+    "odd-69": lambda: frames.fourier_extension_1d(31, DomainSpec.interval(-0.9, 0.9), 1.1),
 }
 
 

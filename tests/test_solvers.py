@@ -18,6 +18,22 @@ class TestConfig:
         with pytest.raises(ValueError):
             SolverConfig(eps=1.0, sketch_size=0)
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be an integer >= 0, got -1"):
+            SolverConfig(eps=1.0, sketch_size=5, seed=-1)
+
+    def test_fractional_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed must be an integer >= 0, got 1.5"):
+            SolverConfig(eps=1.0, sketch_size=5, seed=1.5)
+
+    def test_fractional_sketch_size_rejected(self):
+        with pytest.raises(ValueError, match="sketch_size must be an integer >= 1, got 2.5"):
+            SolverConfig(eps=1.0, sketch_size=2.5)
+
+    def test_numpy_integers_accepted(self):
+        cfg = SolverConfig(eps=1.0, sketch_size=np.int64(5), seed=np.uint32(7))
+        assert (cfg.sketch_size, cfg.seed) == (5, 7)
+
     @pytest.mark.parametrize("eps", [float("nan"), float("inf")])
     def test_nonfinite_eps_rejected(self, eps):
         # each would keep no singular value and return x = 0 without error
