@@ -18,7 +18,7 @@ from .operators import (LinearOperator, az_step1_operator, compose, diagonal,
                         materialize)
 from .solvers import SolveReport, SolverConfig
 
-DENSE_STEP1_SOLVERS = ("direct", "tsvd", "tqr")
+DENSE_STEP1_SOLVERS = ("tsvd", "tqr")
 RANDOMIZED_STEP1_SOLVERS = ("rand-tsvd", "rand-tqr")
 STEP1_SOLVERS = DENSE_STEP1_SOLVERS + RANDOMIZED_STEP1_SOLVERS
 
@@ -85,8 +85,6 @@ def _solve_step1(op: LinearOperator, rhs: np.ndarray, step1,
     if step1 not in DENSE_STEP1_SOLVERS:
         raise ValueError(f"unknown step-1 solver {step1!r}; choose from {STEP1_SOLVERS}")
     dense = materialize(op)
-    if step1 == "direct":
-        return solvers.direct_lsq(dense, rhs)
     if step1 == "tsvd":
         return solvers.tsvd_solve(dense, rhs, config.eps)
     return solvers.tqr_solve(dense, rhs, config.eps)

@@ -4,20 +4,19 @@ All builders return an AzProblem whose A and Z are matrix-free operators.
 The Chebyshev frame is A = restriction . transform . extension, which
 zero-pads N coefficients to a length-L grid, applies a fast synthesis
 transform (a DCT) there and keeps the M grid points inside the domain; Z is
-the discrete dual restricted the same way.  The 1D Fourier A is a
-chirp-modulated Toeplitz product applied by an FFT of fast length
-P >= S + N - 1 (S the span of grid indices inside the domain), whatever
-the factors of L.  The 2D Fourier A is separable: two GEMMs with the L x n
-matrix E = [exp(i pi n x_l)] per chunk of columns, through scipy's BLAS,
-then a gather of the mask points.  The Fourier builders also give G = Z*A,
-a (block) Toeplitz matrix applied by FFT, and the Chebyshev builder a
-Toeplitz-plus-Hankel G of Chebyshev moments applied by a real FFT, so that
-step 1 needs no Z.
+the discrete dual restricted the same way.  The 1D Fourier A has the same
+form with one inverse FFT of length L as the transform.  The 2D Fourier A
+is separable: two GEMMs with the L x n matrix E = [exp(i pi n x_l)] per
+chunk of columns, through scipy's BLAS, then a gather of the mask points.
+The Fourier builders also give G = Z*A, a (block) Toeplitz matrix applied
+by FFT, and the Chebyshev builder a Toeplitz-plus-Hankel G of Chebyshev
+moments applied by a real FFT, so that step 1 needs no Z.
 
 Every builder sizes its grid by one rule, `_select_grid_size`: the smallest
-L >= 2*oversampling*N per dimension that puts >= oversampling*N^dim points
-inside the domain.  A domain that needs a grid of more than
-_MAX_GRID_POINTS points for that raises DomainSizingError.
+fast FFT length L >= 2*oversampling*N per dimension (scipy.fft.next_fast_len)
+that puts >= oversampling*N^dim points inside the domain.  A domain that
+needs a grid of more than _MAX_GRID_POINTS points for that raises
+DomainSizingError.
 
 Grid convention for the Fourier builders: x_l = -1 + 2l/L, l = 0..L-1 (left
 endpoint included), in each dimension.  The basis functions are
@@ -41,16 +40,16 @@ from .operators import (LinearOperator, compose, diagonal, extension, from_dense
                         hstack, restriction, scale)
 
 # grid points L^dim of the largest candidate grid the size search builds; past
-# it the domain is too small for N (the largest grid in use is L = 32772 in 1D)
+# it the domain is too small for N (the largest grid in use is L = 32805 in 1D)
 _MAX_GRID_POINTS = 1 << 24
 # how many times finer than the collocation grid refined_grid samples
 _REFINE = 4
 # entries of the point-by-frequency-block matrix built per chunk of points when
 # evaluating a 1D Fourier extension approximant (16 MiB of complex128)
 _EVAL_BLOCK_ENTRIES = 1 << 20
-# entries, zero-padded to the circulant length, of the chunk of columns that
-# one Toeplitz (or Chebyshev Toeplitz-plus-Hankel) apply transforms at a
-# time, and of the largest intermediate of a chunk of the separable 2D
+# entries of the largest intermediate of one chunk of columns of an FFT
+# apply (the 1D Fourier A's length-L grid, a Toeplitz or Chebyshev
+# Toeplitz-plus-Hankel G's zero-padded circulant) and of the separable 2D
 # Fourier apply (4 MiB of complex128)
 _TOEPLITZ_BLOCK_ENTRIES = 1 << 18
 
@@ -149,10 +148,11 @@ def _symmetric_frequencies(n: int) -> np.ndarray:
 def _select_grid_size(n: int, dim: int, oversampling: float, points, domain: DomainSpec,
                       estimate=None):
     """Grid length L, the grid points(L) and the indices of those inside the
-    domain, for the smallest L >= 2*oversampling*N (per dimension) that puts
-    >= oversampling*N^dim points inside.  N < 1, or an oversampling that is
-    not a finite number >= 1, is a ValueError.  The search grows L from the
-    fraction of points inside; a candidate of more than _MAX_GRID_POINTS
+    domain, for the smallest fast FFT length L >= 2*oversampling*N (per
+    dimension) that puts >= oversampling*N^dim points inside.  N < 1, or an
+    oversampling that is not a finite number >= 1, is a ValueError.  The
+    search grows L from the fraction of points inside, each candidate rounded
+    up by scipy.fft.next_fast_len; a candidate of more than _MAX_GRID_POINTS
     points is a DomainSizingError, raised before its points are built.
 
     With estimate, candidate lengths are counted on the cheap estimate(L) and
@@ -169,7 +169,7 @@ def _select_grid_size(n: int, dim: int, oversampling: float, points, domain: Dom
     if not (math.isfinite(oversampling) and oversampling >= 1):
         raise ValueError(f"oversampling must be finite and >= 1, got {oversampling}")
     target = math.ceil(oversampling * n**dim)
-    L = math.ceil(2 * oversampling * n)
+    L = scipy.fft.next_fast_len(math.ceil(2 * oversampling * n))
     while L**dim <= _MAX_GRID_POINTS:
         pts, sel = inside(L, estimate or points)
         if sel.size >= target and estimate is not None:
@@ -178,7 +178,7 @@ def _select_grid_size(n: int, dim: int, oversampling: float, points, domain: Dom
         if sel.size >= target:
             return L, pts, sel
         frac = max(sel.size, 1) / L**dim
-        L = max(L + 1, math.ceil((target / frac) ** (1.0 / dim)))
+        L = scipy.fft.next_fast_len(max(L + 1, math.ceil((target / frac) ** (1.0 / dim))))
     raise DomainSizingError(f"domain too small for N={n**dim}: the search for {target} points "
                             f"inside reached L={L}, past {_MAX_GRID_POINTS} grid points")
 
@@ -192,11 +192,28 @@ def _periodic_grid(L: int, dim: int) -> np.ndarray:
     return np.column_stack([x.ravel() for x in np.meshgrid(g, g, indexing="ij")])
 
 
+def _in_chunks(fn, v, rows: int, chunk: int) -> np.ndarray:
+    """fn, a map from (cols, k) blocks to (rows, k) blocks, applied to v of
+    shape (cols,) or (cols, k) in chunks of at most `chunk` columns, so that
+    no intermediate of fn outgrows one chunk; the result has fn's dtype.
+
+    fn's dtype comes from a call on zero columns, so that the result is
+    allocated before the first chunk runs; allocating it after the first
+    chunk raised the peak resident set of a fourier_extension_2d(25) solve
+    by 7 MiB."""
+    v = np.asarray(v)
+    cols = v.reshape(v.shape[0], -1)
+    out = np.empty((rows, cols.shape[1]), dtype=fn(cols[:, :0]).dtype)
+    for c in range(0, cols.shape[1], chunk):
+        out[:, c:c + chunk] = fn(cols[:, c:c + chunk])
+    return out.reshape((rows,) + v.shape[1:])
+
+
 def _fourier_extension(n: int, dim: int, domain: DomainSpec, oversampling: float):
     """A, Z and G = Z*A of the tensor Fourier extension frame in 1 or 2
     dimensions, with L and the collocation points.
 
-    In 1D A is the chirp-z product of `_chirp_fourier`; in 2D it is the
+    In 1D A is the one-FFT product of `_fft_fourier`; in 2D it is the
     separable two-GEMM product of `_separable_fourier`, with row-major
     coefficients over (n1, n2).  Z = A / L^dim.
     """
@@ -206,37 +223,24 @@ def _fourier_extension(n: int, dim: int, domain: DomainSpec, oversampling: float
                          f"{'2D mask' if dim == 2 else '1D'} domain")
     L, full, sel = _select_grid_size(n, dim, oversampling,
                                      lambda L: _periodic_grid(L, dim), domain)
-    a = _chirp_fourier(freqs, L, sel) if dim == 1 else _separable_fourier(freqs, L, sel)
+    a = _fft_fourier(freqs, L, sel) if dim == 1 else _separable_fourier(freqs, L, sel)
     return a, scale(1.0 / L**dim, a), _fourier_gram(n, dim, L, sel), L, full[sel]
 
 
-def _chirp(q, L: int) -> np.ndarray:
-    """w^(q^2) = exp(i pi q^2 / L) for integers q, the exponent reduced mod 2L
-    in integers so that the phase is exact before the one exp."""
-    q = np.asarray(q, dtype=np.int64)
-    return np.exp(1j * np.pi * ((q * q) % (2 * L)) / L)
-
-
-def _chirp_fourier(freqs: np.ndarray, L: int, sel: np.ndarray) -> LinearOperator:
+def _fft_fourier(freqs: np.ndarray, L: int, sel: np.ndarray) -> LinearOperator:
     """The 1D Fourier extension A[l, j] = (-1)^n exp(2 pi i n l / L), n = freqs[j],
-    for the grid indices l in sel, as a chirp-modulated Toeplitz product.
-
-    With 2 n l = n^2 + l^2 - (l - n)^2 and w = exp(i pi / L),
-    A = diag(w^(l^2)) . restriction(sel - l0) . T . diag((-1)^n w^(n^2)), where
-    T[m, j] = w^-(l0 + m - n_j)^2 is the S x N Toeplitz matrix over the span
-    l0 .. l0 + S - 1 of sel and the contiguous frequencies (Bluestein's
-    chirp-z transform).  T applies by a circulant of fast length
-    P >= S + N - 1, so the cost does not depend on how L factors.
+    for the grid indices l in sel: restriction(sel) . DFT_L . extension(freqs
+    mod L) . diag((-1)^n), with DFT_L the unscaled inverse DFT of fast length L.
+    A block goes through in chunks of _TOEPLITZ_BLOCK_ENTRIES // L columns.
     """
-    n = freqs.size
-    l0 = int(sel[0])
-    span = int(sel[-1]) - l0 + 1
-    d = np.arange(1 - n, span)
-    kernel = np.zeros(scipy.fft.next_fast_len(span + n - 1), dtype=np.complex128)
-    kernel[d % kernel.size] = _chirp(l0 - freqs[0] + d, L).conj()
-    return compose(diagonal(_chirp(sel, L)), restriction(sel - l0, span),
-                   _toeplitz(kernel, span, n),
-                   diagonal((-1.0) ** np.abs(freqs) * _chirp(freqs, L)))
+    dft = LinearOperator(L, L, lambda u: scipy.fft.ifft(u, axis=0, norm="forward"),
+                         lambda u: scipy.fft.fft(u, axis=0))
+    a = compose(restriction(sel, L), dft, extension(np.mod(freqs, L), L),
+                diagonal((-1.0) ** np.abs(freqs)))
+    chunk = max(1, _TOEPLITZ_BLOCK_ENTRIES // L)
+    return LinearOperator(sel.size, freqs.size,
+                          lambda v: _in_chunks(a.apply, v, sel.size, chunk),
+                          lambda w: _in_chunks(a.adjoint_apply, w, freqs.size, chunk))
 
 
 def _separable_fourier(freqs: np.ndarray, L: int, sel: np.ndarray) -> LinearOperator:
@@ -262,14 +266,6 @@ def _separable_fourier(freqs: np.ndarray, L: int, sel: np.ndarray) -> LinearOper
     chunk = max(1, _TOEPLITZ_BLOCK_ENTRIES // (L * used.size))
     gemm = scipy.linalg.blas.zgemm
 
-    def blocked(fn, v, rows):
-        v = np.asarray(v)
-        cols = v.reshape(v.shape[0], -1)
-        out = np.empty((rows, cols.shape[1]), dtype=np.complex128)
-        for c in range(0, cols.shape[1], chunk):
-            out[:, c:c + chunk] = fn(cols[:, c:c + chunk])
-        return out.reshape((rows,) + v.shape[1:])
-
     def apply(v):
         k = v.shape[1]
         # x[j2, col, j1] is the Fortran n x (n k) matrix C[j1, (j2, col)]
@@ -286,8 +282,8 @@ def _separable_fourier(freqs: np.ndarray, L: int, sel: np.ndarray) -> LinearOper
         x = gemm(1.0, e_used, y.T.reshape(n * k, used.size).T, trans_a=2)  # (j1, (j2, col))
         return x.T.reshape(n, k, n).transpose(2, 0, 1).reshape(n * n, k)
 
-    return LinearOperator(sel.size, n * n, lambda v: blocked(apply, v, sel.size),
-                          lambda v: blocked(adjoint_apply, v, n * n))
+    return LinearOperator(sel.size, n * n, lambda v: _in_chunks(apply, v, sel.size, chunk),
+                          lambda v: _in_chunks(adjoint_apply, v, n * n, chunk))
 
 
 def _toeplitz(kernel: np.ndarray, rows: int, cols: int) -> LinearOperator:
@@ -303,25 +299,20 @@ def _toeplitz(kernel: np.ndarray, rows: int, cols: int) -> LinearOperator:
     dim, size = kernel.ndim, kernel.shape[0]
     kernel_hat = scipy.fft.fftn(kernel)
     axes = tuple(range(1, dim + 1))
+    chunk = max(1, _TOEPLITZ_BLOCK_ENTRIES // kernel.size)
 
-    def convolve(hat, v, n_in, n_out):
-        v = np.asarray(v, dtype=np.complex128)
-        chunk = max(1, _TOEPLITZ_BLOCK_ENTRIES // hat.size)
-        cols = v.reshape((n_in,) * dim + (-1,))
-        k = cols.shape[-1]
-        out = np.empty((k,) + (n_out,) * dim, dtype=np.complex128)
-        for c in range(0, k, chunk):
-            f = scipy.fft.fftn(np.moveaxis(cols[..., c:c + chunk], -1, 0),
+    def convolve(hat, n_in, n_out):
+        def fn(cols):
+            k = cols.shape[1]
+            f = scipy.fft.fftn(np.moveaxis(cols.reshape((n_in,) * dim + (k,)), -1, 0),
                                s=(size,) * dim, axes=axes)
             f *= hat
             w = scipy.fft.ifftn(f, axes=axes, overwrite_x=True)
-            out[c:c + chunk] = w[(slice(None),) + (slice(0, n_out),) * dim]
-        return np.moveaxis(out, 0, -1).reshape((n_out**dim,) + v.shape[1:])
+            return w[(slice(None),) + (slice(0, n_out),) * dim].reshape(k, n_out**dim).T
+        return lambda v: _in_chunks(fn, np.asarray(v, dtype=np.complex128), n_out**dim, chunk)
 
-    hat_adjoint = kernel_hat.conj()
-    return LinearOperator(rows**dim, cols**dim,
-                          lambda v: convolve(kernel_hat, v, cols, rows),
-                          lambda u: convolve(hat_adjoint, u, rows, cols))
+    return LinearOperator(rows**dim, cols**dim, convolve(kernel_hat, cols, rows),
+                          convolve(kernel_hat.conj(), rows, cols))
 
 
 def _fourier_gram(n: int, dim: int, L: int, sel: np.ndarray) -> LinearOperator:
@@ -352,9 +343,8 @@ def fourier_extension_1d(n: int, domain: DomainSpec, oversampling: float = 2.0) 
     """Fourier extension frame on a 1D domain inside [-1, 1].
 
     A maps N coefficients to samples of sum_n c_n exp(i*pi*n*x) at the grid
-    points inside the domain, applied as a chirp-z Toeplitz product by an FFT
-    of fast length (see `_chirp_fourier`).  Z = A / L, with L from
-    `_select_grid_size`.
+    points inside the domain, applied by one inverse FFT of the fast length L
+    from `_select_grid_size` (see `_fft_fourier`).  Z = A / L.
     """
     a, z, g, L, grid = _fourier_extension(n, 1, domain, oversampling)
     half = (n - 1) // 2
@@ -493,20 +483,19 @@ def _cheb_gram(moments: np.ndarray, h2: np.ndarray) -> LinearOperator:
     t_hat, h_hat = scipy.fft.rfft(toeplitz), scipy.fft.rfft(hankel)
     chunk = max(1, _TOEPLITZ_BLOCK_ENTRIES // P)
 
+    def fn(cols):
+        f = scipy.fft.rfft(cols, P, axis=0)
+        g = f.conj()
+        g *= h_hat[:, None]
+        f *= t_hat[:, None]
+        f += g
+        return scipy.fft.irfft(f, P, axis=0, overwrite_x=True)[:n]
+
     def t_plus_h(v):
         v = np.asarray(v)
         if np.iscomplexobj(v):
             return t_plus_h(v.real) + 1j * t_plus_h(v.imag)
-        cols = v.reshape(n, -1)
-        out = np.empty(cols.shape)
-        for c in range(0, cols.shape[1], chunk):
-            f = scipy.fft.rfft(cols[:, c:c + chunk], P, axis=0)
-            g = f.conj()
-            g *= h_hat[:, None]
-            f *= t_hat[:, None]
-            f += g
-            out[:, c:c + chunk] = scipy.fft.irfft(f, P, axis=0, overwrite_x=True)[:n]
-        return out.reshape(v.shape)
+        return _in_chunks(fn, v, n, chunk)
 
     return compose(diagonal(0.5 / h2), LinearOperator(n, n, t_plus_h, t_plus_h))
 

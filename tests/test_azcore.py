@@ -55,7 +55,7 @@ class TestAzSolve:
         with pytest.raises(ValueError):
             az_solve(p, np.zeros(4))
 
-    @pytest.mark.parametrize("step1", ["direct", "tsvd", "tqr", "rand-tsvd", "rand-tqr"])
+    @pytest.mark.parametrize("step1", ["tsvd", "tqr", "rand-tsvd", "rand-tqr"])
     def test_az_residual_identity(self, step1):
         # final residual vector equals the step-1 residual vector
         for seed in range(5):
@@ -466,20 +466,16 @@ def test_real_frames_agree_with_complex_arithmetic(name, step1):
     x = np.asarray(p.grid)
     b = np.exp(x) + 1j * np.cos(5 * x)
     if isinstance(real, WeightedAzProblem):
-        scale = p.scale * float(real.d.max())  # the weighted problem's scale
         rep, ref = (az_weighted_solve(q, b, step1=step1) for q in (real, oracle))
     else:
-        scale = p.scale
         cfg = default_config(p, seed=5)
         rep, ref = (az_solve(q, b, step1=step1, config=cfg) for q in (real, oracle))
-    eps_mach = np.finfo(np.float64).eps
-    # the default eps; the pseudoinverse cuts at max(M, N) eps_mach sigma_1
-    eps = max(p.A.shape) * eps_mach * scale if step1 == "direct" else 1e-10 * scale
     assert rep.rank_used == ref.rank_used
     assert abs(rep.residual_norm - ref.residual_norm) \
         <= 1e-6 * max(ref.residual_norm, 1e-9 * np.linalg.norm(b))
-    # x is fixed only to about eps_mach sigma_1 / eps, with sigma_1 ~ scale
-    tol = 10 * eps_mach * scale / eps
+    # x is fixed only to about eps_mach sigma_1 / eps, with sigma_1 ~ scale and
+    # the default eps = 1e-10 scale
+    tol = 10 * np.finfo(np.float64).eps / 1e-10
     assert np.linalg.norm(rep.x - ref.x) <= tol * np.linalg.norm(ref.x)
 
 

@@ -249,23 +249,24 @@ class TestDtypePromotion:
         assert ops.materialize(ops.az_step1_operator(p.A, p.Z, p.gram)).dtype == dtype
 
 
-CHIRP_PROBLEMS = {
+FOURIER1D_PROBLEMS = {
     "half-5": lambda: frames.fourier_extension_1d(5, DomainSpec.interval(-0.5, 0.5)),
     "narrow-65": lambda: frames.fourier_extension_1d(65, DomainSpec.interval(-0.1, 0.1)),
     "half-1025": lambda: frames.fourier_extension_1d(1025, DomainSpec.interval(-0.5, 0.5)),
     "union-1025": lambda: frames.fourier_extension_1d(
         1025, DomainSpec.union([[-0.9, -0.8], [0.5, 0.55]])),
-    # an odd grid length from the oversampling: L = 69
-    "odd-69": lambda: frames.fourier_extension_1d(31, DomainSpec.interval(-0.9, 0.9), 1.1),
+    # an odd grid length from the oversampling: L = 75
+    "odd-75": lambda: frames.fourier_extension_1d(31, DomainSpec.interval(-0.9, 0.9), 1.2),
 }
 
 
-@pytest.mark.parametrize("name", sorted(CHIRP_PROBLEMS))
+@pytest.mark.parametrize("name", sorted(FOURIER1D_PROBLEMS))
 def test_chirp_fourier_adjoint_and_columns(name):
-    p = CHIRP_PROBLEMS[name]()
+    p = FOURIER1D_PROBLEMS[name]()
     dot_test(p.A, seed=70)
     dot_test(ops.az_step1_operator(p.A, p.Z, p.gram), seed=80)
-    # at N = 1025 a chunk holds 85 columns (half) and 12 (union): 100 span several
+    # at N = 1025 a chunk of A holds 63 columns (half, L = 4116) and 9 (union,
+    # L = 27440): 100 span several
     for apply, block in ((p.A.apply, random_complex(p.A.cols, 100, seed=90)),
                          (p.A.adjoint_apply, random_complex(p.A.rows, 100, seed=91))):
         stacked = np.stack([apply(c) for c in block.T], axis=1)
