@@ -1,16 +1,18 @@
 """Problem builders: extension frames, Gram matrices, weighted sum frames.
 
 All builders return an AzProblem whose A and Z are matrix-free operators.
-The Chebyshev frame is A = restriction . transform . extension, which
-zero-pads N coefficients to a length-L grid, applies a fast synthesis
-transform (a DCT) there and keeps the M grid points inside the domain; Z is
-the discrete dual restricted the same way.  The 1D Fourier A has the same
-form with one inverse FFT of length L as the transform.  The 2D Fourier A
-is separable: two GEMMs with the L x n matrix E = [exp(i pi n x_l)] per
-chunk of columns, through scipy's BLAS, then a gather of the mask points.
-The Fourier builders also give G = Z*A, a (block) Toeplitz matrix applied
-by FFT, and the Chebyshev builder a Toeplitz-plus-Hankel G of Chebyshev
-moments applied by a real FFT, so that step 1 needs no Z.
+Every fast operator is a pair of row kernels behind `_chunked`, which shows
+a block of k columns to them as k rows and runs them a chunk of rows at a
+time, so each kernel transforms along the last axis and sizes nothing
+itself.  The 1D Fourier A scatters N coefficients onto a length-L grid,
+takes one inverse FFT there and gathers the M points inside the domain; the
+Chebyshev A does the same with a DCT, and Z is the discrete dual restricted
+the same way.  The 2D Fourier A is separable: two GEMMs with the L x n
+matrix E = [exp(i pi n x_l)] per chunk, through scipy's BLAS, then a gather
+of the mask points.  The Fourier builders also give G = Z*A, a (block)
+Toeplitz matrix applied by FFT, and the Chebyshev builder a
+Toeplitz-plus-Hankel G of Chebyshev moments applied by a real FFT, so that
+step 1 needs no Z.
 
 Every builder sizes its grid by one rule, `_select_grid_size`: the smallest
 fast FFT length L >= 2*oversampling*N per dimension (scipy.fft.next_fast_len)
@@ -36,8 +38,7 @@ import scipy.linalg.blas
 
 from . import transforms
 from .azcore import AzProblem, WeightedAzProblem
-from .operators import (LinearOperator, compose, diagonal, extension, from_dense,
-                        hstack, restriction, scale)
+from .operators import LinearOperator, compose, diagonal, from_dense, hstack, scale
 
 # grid points L^dim of the largest candidate grid the size search builds; past
 # it the domain is too small for N (the largest grid in use is L = 32805 in 1D)
@@ -47,10 +48,9 @@ _REFINE = 4
 # entries of the point-by-frequency-block matrix built per chunk of points when
 # evaluating a 1D Fourier extension approximant (16 MiB of complex128)
 _EVAL_BLOCK_ENTRIES = 1 << 20
-# entries of the largest intermediate of one chunk of columns of an FFT
-# apply (the 1D Fourier A's length-L grid, a Toeplitz or Chebyshev
-# Toeplitz-plus-Hankel G's zero-padded circulant) and of the separable 2D
-# Fourier apply (4 MiB of complex128)
+# the one chunk budget of every fast operator: entries of the largest
+# intermediate of one chunk of rows in `_chunked` (4 MiB of complex128), a
+# chunk holding _TOEPLITZ_BLOCK_ENTRIES // width rows of the kernel's width
 _TOEPLITZ_BLOCK_ENTRIES = 1 << 18
 
 
@@ -192,21 +192,34 @@ def _periodic_grid(L: int, dim: int) -> np.ndarray:
     return np.column_stack([x.ravel() for x in np.meshgrid(g, g, indexing="ij")])
 
 
-def _in_chunks(fn, v, rows: int, chunk: int) -> np.ndarray:
-    """fn, a map from (cols, k) blocks to (rows, k) blocks, applied to v of
-    shape (cols,) or (cols, k) in chunks of at most `chunk` columns, so that
-    no intermediate of fn outgrows one chunk; the result has fn's dtype.
+def _chunked(rows: int, cols: int, apply, adjoint_apply, width: int) -> LinearOperator:
+    """The rows x cols operator of two row kernels: apply maps a (k, cols)
+    block of rows to (k, rows), adjoint_apply (k, rows) to (k, cols), each
+    along the last axis.
 
-    fn's dtype comes from a call on zero columns, so that the result is
-    allocated before the first chunk runs; allocating it after the first
-    chunk raised the peak resident set of a fourier_extension_2d(25) solve
-    by 7 MiB."""
-    v = np.asarray(v)
-    cols = v.reshape(v.shape[0], -1)
-    out = np.empty((rows, cols.shape[1]), dtype=fn(cols[:, :0]).dtype)
-    for c in range(0, cols.shape[1], chunk):
-        out[:, c:c + chunk] = fn(cols[:, c:c + chunk])
-    return out.reshape((rows,) + v.shape[1:])
+    A vector of shape (n,) or a block of shape (n, k) is transposed once
+    into a (k, n) view, the kernel runs on chunks of
+    _TOEPLITZ_BLOCK_ENTRIES // width rows of it (width: the entries of the
+    kernel's largest intermediate per row), and each result goes into
+    contiguous rows of a (k, m) array, whose transpose is returned.  The
+    result has the kernel's dtype, which a call on zero rows gives, so that
+    it is allocated before the first chunk runs; allocating it after the
+    first chunk raised the peak resident set of a fourier_extension_2d(25)
+    solve by 7 MiB.
+    """
+    chunk = max(1, _TOEPLITZ_BLOCK_ENTRIES // width)
+
+    def run(fn, m):
+        def block(v):
+            v = np.asarray(v)
+            x = v.reshape(v.shape[0], -1).T
+            out = np.empty((x.shape[0], m), dtype=fn(x[:0]).dtype)
+            for c in range(0, x.shape[0], chunk):
+                out[c:c + chunk] = fn(x[c:c + chunk])
+            return out.T.reshape((m,) + v.shape[1:])
+        return block
+
+    return LinearOperator(rows, cols, run(apply, rows), run(adjoint_apply, cols))
 
 
 def _fourier_extension(n: int, dim: int, domain: DomainSpec, oversampling: float):
@@ -229,31 +242,36 @@ def _fourier_extension(n: int, dim: int, domain: DomainSpec, oversampling: float
 
 def _fft_fourier(freqs: np.ndarray, L: int, sel: np.ndarray) -> LinearOperator:
     """The 1D Fourier extension A[l, j] = (-1)^n exp(2 pi i n l / L), n = freqs[j],
-    for the grid indices l in sel: restriction(sel) . DFT_L . extension(freqs
-    mod L) . diag((-1)^n), with DFT_L the unscaled inverse DFT of fast length L.
-    A block goes through in chunks of _TOEPLITZ_BLOCK_ENTRIES // L columns.
+    for the grid indices l in sel: scatter (-1)^n c_n at n mod L, one
+    unscaled inverse DFT of fast length L, gather the points sel.
     """
-    dft = LinearOperator(L, L, lambda u: scipy.fft.ifft(u, axis=0, norm="forward"),
-                         lambda u: scipy.fft.fft(u, axis=0))
-    a = compose(restriction(sel, L), dft, extension(np.mod(freqs, L), L),
-                diagonal((-1.0) ** np.abs(freqs)))
-    chunk = max(1, _TOEPLITZ_BLOCK_ENTRIES // L)
-    return LinearOperator(sel.size, freqs.size,
-                          lambda v: _in_chunks(a.apply, v, sel.size, chunk),
-                          lambda w: _in_chunks(a.adjoint_apply, w, freqs.size, chunk))
+    at = np.mod(freqs, L)
+    sign = (-1.0) ** np.abs(freqs)
+
+    def apply(x):
+        grid = np.zeros((x.shape[0], L), dtype=np.result_type(x, np.float64))
+        grid[:, at] = sign * x
+        return scipy.fft.ifft(grid, axis=-1, norm="forward")[:, sel]
+
+    def adjoint_apply(y):
+        grid = np.zeros((y.shape[0], L), dtype=np.result_type(y, np.float64))
+        grid[:, sel] = y
+        return sign * scipy.fft.fft(grid, axis=-1)[:, at]
+
+    return _chunked(sel.size, freqs.size, apply, adjoint_apply, L)
 
 
 def _separable_fourier(freqs: np.ndarray, L: int, sel: np.ndarray) -> LinearOperator:
     """The 2D Fourier extension A[(l1, l2), (j1, j2)] = E[l1, j1] E[l2, j2],
     E[l, j] = exp(i pi n_j x_l) (L x n), for the row-major grid points
-    l1 * L + l2 in sel, as two GEMMs per chunk of columns.
+    l1 * L + l2 in sel, as two GEMMs per chunk of rows.
 
     The first GEMM applies the rows of E that hold mask points along n1, the
     second applies all of E along n2, and the M mask points are gathered from
     that; the adjoint scatters them and runs the same GEMMs transposed.  Both
     GEMMs go through scipy's BLAS, which also runs the sketch QR, on
-    Fortran-ordered views.  A chunk of k columns keeps its largest
-    intermediate, L x (used rows) x k, within _TOEPLITZ_BLOCK_ENTRIES entries.
+    Fortran-ordered views.  The largest intermediate of a row is
+    L x (used rows).
     """
     n = freqs.size
     # x_l = -1 + 2l/L, so the phase pi n x_l is pi * (n (2l - L) mod 2L) / L,
@@ -263,27 +281,25 @@ def _separable_fourier(freqs: np.ndarray, L: int, sel: np.ndarray) -> LinearOper
     l1, l2 = np.divmod(sel, L)
     used, u = np.unique(l1, return_inverse=True)
     e_used = np.asfortranarray(e[used])
-    chunk = max(1, _TOEPLITZ_BLOCK_ENTRIES // (L * used.size))
     gemm = scipy.linalg.blas.zgemm
 
     def apply(v):
-        k = v.shape[1]
+        k = v.shape[0]
         # x[j2, col, j1] is the Fortran n x (n k) matrix C[j1, (j2, col)]
-        x = np.ascontiguousarray(v.reshape(n, n, k).transpose(1, 2, 0), dtype=np.complex128)
+        x = np.ascontiguousarray(v.reshape(k, n, n).transpose(2, 0, 1), dtype=np.complex128)
         t = gemm(1.0, e_used, x.reshape(n * k, n).T)  # E[used] C: (u, (j2, col))
-        w = gemm(1.0, t.T.reshape(n, k * used.size).T, e.T)  # ((u, col), l2)
-        return w.T.reshape(L, k, used.size)[l2, :, u]
+        w = gemm(1.0, t.T.reshape(n, k * used.size).T, e.T)  # ((col, u), l2)
+        return w.T.reshape(L, k, used.size)[l2, :, u].T
 
     def adjoint_apply(v):
-        k = v.shape[1]
+        k = v.shape[0]
         w = np.zeros((L, k, used.size), dtype=np.complex128)
-        w[l2, :, u] = v
-        y = gemm(1.0, w.reshape(L, k * used.size).T, e_conj)  # ((u, col), j2)
+        w[l2, :, u] = v.T
+        y = gemm(1.0, w.reshape(L, k * used.size).T, e_conj)  # ((col, u), j2)
         x = gemm(1.0, e_used, y.T.reshape(n * k, used.size).T, trans_a=2)  # (j1, (j2, col))
-        return x.T.reshape(n, k, n).transpose(2, 0, 1).reshape(n * n, k)
+        return x.T.reshape(n, k, n).transpose(1, 2, 0).reshape(k, n * n)
 
-    return LinearOperator(sel.size, n * n, lambda v: _in_chunks(apply, v, sel.size, chunk),
-                          lambda v: _in_chunks(adjoint_apply, v, n * n, chunk))
+    return _chunked(sel.size, n * n, apply, adjoint_apply, L * used.size)
 
 
 def _toeplitz(kernel: np.ndarray, rows: int, cols: int) -> LinearOperator:
@@ -293,26 +309,27 @@ def _toeplitz(kernel: np.ndarray, rows: int, cols: int) -> LinearOperator:
     length P >= rows + cols - 1 per axis by one precomputed kernel FFT.  The
     adjoint uses the conjugate kernel FFT.
 
-    A block goes through in chunks of about _TOEPLITZ_BLOCK_ENTRIES padded
-    entries, each chunk laid out with its transform axes contiguous.
+    A block is cast to complex once, before the chunks, so that fftn never
+    takes its real-input path, which rounds differently.
     """
     dim, size = kernel.ndim, kernel.shape[0]
     kernel_hat = scipy.fft.fftn(kernel)
     axes = tuple(range(1, dim + 1))
-    chunk = max(1, _TOEPLITZ_BLOCK_ENTRIES // kernel.size)
 
     def convolve(hat, n_in, n_out):
-        def fn(cols):
-            k = cols.shape[1]
-            f = scipy.fft.fftn(np.moveaxis(cols.reshape((n_in,) * dim + (k,)), -1, 0),
-                               s=(size,) * dim, axes=axes)
+        def fn(x):
+            k = x.shape[0]
+            f = scipy.fft.fftn(x.reshape((k,) + (n_in,) * dim), s=(size,) * dim, axes=axes)
             f *= hat
             w = scipy.fft.ifftn(f, axes=axes, overwrite_x=True)
-            return w[(slice(None),) + (slice(0, n_out),) * dim].reshape(k, n_out**dim).T
-        return lambda v: _in_chunks(fn, np.asarray(v, dtype=np.complex128), n_out**dim, chunk)
+            return w[(slice(None),) + (slice(0, n_out),) * dim].reshape(k, n_out**dim)
+        return fn
 
-    return LinearOperator(rows**dim, cols**dim, convolve(kernel_hat, cols, rows),
-                          convolve(kernel_hat.conj(), rows, cols))
+    op = _chunked(rows**dim, cols**dim, convolve(kernel_hat, cols, rows),
+                  convolve(kernel_hat.conj(), rows, cols), kernel.size)
+    return LinearOperator(op.rows, op.cols,
+                          lambda v: op.apply(np.asarray(v, dtype=np.complex128)),
+                          lambda v: op.adjoint_apply(np.asarray(v, dtype=np.complex128)))
 
 
 def _fourier_gram(n: int, dim: int, L: int, sel: np.ndarray) -> LinearOperator:
@@ -436,26 +453,27 @@ def _cheb_weights(L: int, kind: str):
     return w, h2
 
 
-def _cheb_series_at_nodes(c: np.ndarray, L: int, kind: str) -> np.ndarray:
-    """Evaluate a length-L Chebyshev coefficient vector at the L nodes
-    (increasing order)."""
+def _cheb_series_at_nodes(c: np.ndarray, kind: str) -> np.ndarray:
+    """Values at the L nodes (increasing order) of the Chebyshev series whose
+    L coefficients run along the last axis of c, by one DCT; c is
+    overwritten."""
     if kind == "roots":
-        return transforms.chebyshev_evaluate(c)
-    x = c.copy()
-    x[1:-1] *= 0.5
-    return scipy.fft.dct(x, type=1, axis=0)[::-1]
+        c[..., 1:] *= 0.5
+        return scipy.fft.dct(c, type=3, axis=-1)[..., ::-1]
+    c[..., 1:-1] *= 0.5
+    return scipy.fft.dct(c, type=1, axis=-1)[..., ::-1]
 
 
-def _cheb_nodes_to_modes(u: np.ndarray, L: int, kind: str) -> np.ndarray:
-    """Apply F^T: mode k gets sum_l u_l T_k(x_l), u in increasing node order."""
-    nat = u[::-1]  # natural DCT ordering runs over decreasing x
+def _cheb_nodes_to_modes(u: np.ndarray, kind: str) -> np.ndarray:
+    """Apply F^T along the last axis: mode k gets sum_l u_l T_k(x_l), u in
+    increasing node order."""
+    nat = u[..., ::-1]  # natural DCT ordering runs over decreasing x
     if kind == "roots":
-        return scipy.fft.dct(nat, type=2, axis=0) * 0.5
+        return scipy.fft.dct(nat, type=2, axis=-1) * 0.5
     # DCT-I double-counts interior terms relative to the plain sum
-    y = scipy.fft.dct(nat, type=1, axis=0)
-    sign = (-1.0) ** np.arange(L)
-    shape = (-1,) + (1,) * (u.ndim - 1)
-    return 0.5 * (y + nat[0] + sign.reshape(shape) * nat[-1])
+    y = scipy.fft.dct(nat, type=1, axis=-1)
+    sign = (-1.0) ** np.arange(u.shape[-1])
+    return 0.5 * (y + nat[..., :1] + sign * nat[..., -1:])
 
 
 def _cheb_gram(moments: np.ndarray, h2: np.ndarray) -> LinearOperator:
@@ -469,8 +487,7 @@ def _cheb_gram(moments: np.ndarray, h2: np.ndarray) -> LinearOperator:
     real FFT of a real v over a length P >= 2N - 1, (T + H) v is the inverse
     real FFT of T^ V + H^ conj(V) (a convolution with mu_|d| plus a
     correlation with mu_p), so real input stays real; a complex v goes
-    through as its real and imaginary parts, and a block in chunks of about
-    _TOEPLITZ_BLOCK_ENTRIES padded entries.  G is real but not symmetric:
+    through as its real and imaginary parts.  G is real but not symmetric:
     G* u = (T + H)(u / h^2) / 2.
     """
     n = h2.size
@@ -481,30 +498,29 @@ def _cheb_gram(moments: np.ndarray, h2: np.ndarray) -> LinearOperator:
     hankel = np.zeros(P)
     hankel[:2 * n - 1] = moments
     t_hat, h_hat = scipy.fft.rfft(toeplitz), scipy.fft.rfft(hankel)
-    chunk = max(1, _TOEPLITZ_BLOCK_ENTRIES // P)
+    scaling = 0.5 / h2
 
-    def fn(cols):
-        f = scipy.fft.rfft(cols, P, axis=0)
+    def t_plus_h(x):
+        if np.iscomplexobj(x):
+            return t_plus_h(x.real) + 1j * t_plus_h(x.imag)
+        f = scipy.fft.rfft(x, P, axis=-1)
         g = f.conj()
-        g *= h_hat[:, None]
-        f *= t_hat[:, None]
+        g *= h_hat
+        f *= t_hat
         f += g
-        return scipy.fft.irfft(f, P, axis=0, overwrite_x=True)[:n]
+        return scipy.fft.irfft(f, P, axis=-1, overwrite_x=True)[:, :n]
 
-    def t_plus_h(v):
-        v = np.asarray(v)
-        if np.iscomplexobj(v):
-            return t_plus_h(v.real) + 1j * t_plus_h(v.imag)
-        return _in_chunks(fn, v, n, chunk)
-
-    return compose(diagonal(0.5 / h2), LinearOperator(n, n, t_plus_h, t_plus_h))
+    return _chunked(n, n, lambda x: scaling * t_plus_h(x),
+                    lambda x: t_plus_h(scaling * x), P)
 
 
 def chebyshev_extension(n: int, domain: DomainSpec, oversampling: float = 2.0,
                         kind: str = "roots") -> AzProblem:
     """Chebyshev extension frame: series of length N sampled at the Chebyshev
-    nodes (roots of T_L or extremae grid) that fall inside the domain, with L
-    from `_select_grid_size`.
+    nodes that fall inside the domain, for the fast L from
+    `_select_grid_size`: the L roots of T_L, or the L + 1 extremae of T_L,
+    so that their DCT-I, an FFT of length 2L, is fast too.  A applies by one
+    DCT of the grid's length per column.
 
     Z is the matching subblock of the discrete dual W F D, so that on the
     full grid Z* A = I.  G = Z*A is a row-scaled Toeplitz-plus-Hankel matrix
@@ -517,17 +533,28 @@ def chebyshev_extension(n: int, domain: DomainSpec, oversampling: float = 2.0,
     if kind not in ("roots", "extremae"):
         raise ValueError(f"unknown node kind {kind!r}")
 
-    L, nodes, sel = _select_grid_size(n, 1, oversampling,
-                                      lambda L: transforms.chebyshev_nodes(L, kind), domain)
+    extra = int(kind == "extremae")
+    _, nodes, sel = _select_grid_size(
+        n, 1, oversampling, lambda L: transforms.chebyshev_nodes(L + extra, kind), domain)
+    L = nodes.size
     w, h2 = _cheb_weights(L, kind)
-    transform = LinearOperator(L, L, lambda u: _cheb_series_at_nodes(u, L, kind),
-                               lambda v: _cheb_nodes_to_modes(v, L, kind))
-    a = compose(restriction(sel, L), transform, extension(np.arange(n), L))
+
+    def apply(x):
+        c = np.zeros((x.shape[0], L), dtype=np.result_type(x, np.float64))
+        c[:, :n] = x
+        return _cheb_series_at_nodes(c, kind)[:, sel]
+
+    def adjoint_apply(y):
+        u = np.zeros((y.shape[0], L), dtype=np.result_type(y, np.float64))
+        u[:, sel] = y
+        return _cheb_nodes_to_modes(u, kind)[:, :n]
+
+    a = _chunked(sel.size, n, apply, adjoint_apply, L)
     z = compose(diagonal(w[sel]), a, diagonal(1.0 / h2[:n]))
     masked = np.zeros(L)
     masked[sel] = w[sel]
     # L >= 2N, so mu_0 .. mu_{2N-2} are the first 2N - 1 modes of one F^T pass
-    gram = _cheb_gram(_cheb_nodes_to_modes(masked, L, kind)[:2 * n - 1], h2[:n])
+    gram = _cheb_gram(_cheb_nodes_to_modes(masked, kind)[:2 * n - 1], h2[:n])
 
     def evaluate(coeffs, pts):
         return np.polynomial.chebyshev.chebval(np.asarray(pts, dtype=np.float64),

@@ -3,9 +3,9 @@
 An operator maps C^N -> C^M and always carries its adjoint.  Apply callables
 accept a vector of shape (N,) or a block of column vectors of shape (N, k);
 every combinator preserves that convention and applies a block in one
-call.  Operators are immutable and safe to share.  The combinators build
-the Chebyshev and 1D Fourier frames; the 2D Fourier frame applies its own
-separable GEMM kernel (see frames).
+call.  Operators are immutable and safe to share.  The combinators scale,
+weight, stack and chain operators; the fast frame operators themselves are
+FFT, DCT and GEMM row kernels in frames.
 
 Dtypes follow numpy promotion: a combinator returns the promotion of its
 input, its own data and float64, so real data on real input stays float64
@@ -124,27 +124,6 @@ def hstack(a1: LinearOperator, a2: LinearOperator) -> LinearOperator:
         return np.concatenate([a1.adjoint_apply(v), a2.adjoint_apply(v)], axis=0)
 
     return LinearOperator(a1.rows, n1 + a2.cols, apply, adjoint_apply)
-
-
-def restriction(indices, m: int) -> LinearOperator:
-    """Select the given rows out of a length-m vector; adjoint zero-pads."""
-    idx = np.asarray(indices, dtype=np.intp)
-
-    def apply(v):
-        return _promote(v)[idx]
-
-    def adjoint_apply(v):
-        v = _promote(v)
-        out = np.zeros((m,) + v.shape[1:], dtype=v.dtype)
-        out[idx] = v
-        return out
-
-    return LinearOperator(len(idx), m, apply, adjoint_apply)
-
-
-def extension(indices, n: int) -> LinearOperator:
-    """Zero-padding embed into length n at the given rows; adjoint restricts."""
-    return adjoint(restriction(indices, n))
 
 
 def az_step1_operator(a: LinearOperator, z: LinearOperator,

@@ -1,5 +1,5 @@
-"""Fast transform and quadrature primitives: Chebyshev nodes and series
-evaluation at the roots of T_L, Legendre evaluation and Gauss-Legendre rules.
+"""Nodes and quadrature primitives: Chebyshev nodes, Legendre evaluation and
+Gauss-Legendre rules.  The Chebyshev DCTs are row kernels in frames.
 
 A Gauss-Legendre rule can be asked for a subset of its L nodes only: Newton
 polishes Tricomi's estimate of each asked-for root on its own, at O(L) per
@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 
 _NEWTON_CAP = 100
 
@@ -119,14 +118,3 @@ def chebyshev_nodes(L: int, kind: str = "roots") -> np.ndarray:
             raise ValueError("extremae grid needs L >= 2")
         return -np.cos(np.pi * np.arange(L) / (L - 1))
     raise ValueError(f"unknown node kind {kind!r}")
-
-
-def chebyshev_evaluate(coeffs) -> np.ndarray:
-    """Evaluate a Chebyshev series at the L roots of T_L (increasing order).
-
-    Real coefficients give real values (one DCT), complex ones complex."""
-    c = np.asarray(coeffs)
-    c = c.astype(np.result_type(c, np.float64))
-    L = c.shape[0]
-    c[1:] *= 0.5
-    return scipy.fft.dct(c, type=3, axis=0)[::-1]

@@ -61,9 +61,13 @@ GRID_RULE_BUILDERS = {
 
 @pytest.mark.parametrize("name", sorted(GRID_RULE_BUILDERS))
 def test_grid_length_is_fast(name):
-    # every frame's L, where the search starts and where it grows (the narrow
-    # and union domains and the small disk), is a fast FFT length
+    # every frame's transform length, where the search starts and where it
+    # grows (the narrow and union domains and the small disk), is a fast FFT
+    # length: the grid's L, or L - 1 for the L extremae, whose DCT-I is an
+    # FFT of length 2(L - 1)
     L = int(re.search(r"L=(\d+)", GRID_RULE_BUILDERS[name]().label).group(1))
+    if "extremae" in name:
+        L -= 1
     assert L == scipy.fft.next_fast_len(L)
 
 
@@ -343,10 +347,11 @@ class TestGram:
 class TestChebyshev:
     @pytest.mark.parametrize("kind,L", [("roots", 256), ("extremae", 243)])
     def test_full_grid_duality(self, kind, L):
-        # the oversampling that sizes the grid at L: L = ceil(2 * ov * 64)
+        # the oversampling that sizes the grid at the fast L = ceil(2 * ov * 64);
+        # the extremae grid holds the L + 1 extrema of T_L
         p = frames.chebyshev_extension(64, DomainSpec.interval(-1.0, 1.0),
                                        (L - 0.5) / 128, kind=kind)
-        assert p.label == f"chebyshev(N=64, L={L}, {kind})"
+        assert p.label == f"chebyshev(N=64, L={L + (kind == 'extremae')}, {kind})"
         assert duality_defect(p) <= 1e-11
 
     def test_entries_are_chebyshev_values(self):
@@ -586,18 +591,38 @@ BUILDERS = [
 
 
 @pytest.mark.parametrize("build", BUILDERS)
-def test_fast_apply_matches_dense(build):
+def test_fast_apply_matches_dense(build, monkeypatch):
+    # the dense matrices come from a build at the default chunk budget, the
+    # operators under test from one at 200 entries, which puts 1 to 3 columns
+    # in a chunk of every fast operator here: a block of 7 runs through full
+    # chunks and a partial one, in C and in Fortran order
+    ref = build()
+    widths = []
+    chunked = frames._chunked
+    monkeypatch.setattr(frames, "_TOEPLITZ_BLOCK_ENTRIES", 200)
+    monkeypatch.setattr(frames, "_chunked",
+                        lambda *args: widths.append(args[-1]) or chunked(*args))
     p = build()
-    a = ops.materialize(p.A)
-    z = ops.materialize(p.Z)
+    assert all(200 // w <= 3 for w in widths)
     rng = np.random.default_rng(1)
-    for op, dense in ((p.A, a), (p.Z, z)):
-        u = rng.standard_normal(op.cols) + 1j * rng.standard_normal(op.cols)
-        v = rng.standard_normal(op.rows) + 1j * rng.standard_normal(op.rows)
-        assert np.linalg.norm(op.apply(u) - dense @ u) \
-            <= 1e-11 * max(1.0, np.linalg.norm(dense @ u))
-        assert np.linalg.norm(op.adjoint_apply(v) - dense.conj().T @ v) \
-            <= 1e-11 * max(1.0, np.linalg.norm(dense.conj().T @ v))
+    for name in ("A", "Z", "gram"):
+        op = getattr(p, name)
+        if op is None:
+            continue
+        dense = ops.materialize(getattr(ref, name))
+        for k in ((), (7,)):
+            u = rng.standard_normal((op.cols,) + k) + 1j * rng.standard_normal((op.cols,) + k)
+            v = rng.standard_normal((op.rows,) + k) + 1j * rng.standard_normal((op.rows,) + k)
+            ref_u, ref_v = dense @ u, dense.conj().T @ v
+            for order in "CF":
+                got = op.apply(np.asarray(u, order=order))
+                got_adj = op.adjoint_apply(np.asarray(v, order=order))
+                assert got.shape == ref_u.shape and got_adj.shape == ref_v.shape
+                assert np.linalg.norm(got - ref_u) <= 1e-11 * max(1.0, np.linalg.norm(ref_u))
+                assert np.linalg.norm(got_adj - ref_v) <= 1e-11 * max(1.0, np.linalg.norm(ref_v))
+            # dot test: <v, op u> = <op* v, u>
+            assert abs(np.vdot(v, got) - np.vdot(got_adj, u)) \
+                <= 1e-13 * np.linalg.norm(dense) * np.linalg.norm(u) * np.linalg.norm(v)
 
 
 def test_restriction_monotonicity():

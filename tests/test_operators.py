@@ -55,15 +55,6 @@ class TestDenseBridge:
 
 
 class TestCombinators:
-    def test_restriction_and_adjoint(self):
-        r = ops.restriction([0, 2], 3)
-        assert np.allclose(r.apply(np.array([1.0, 2.0, 3.0])), [1.0, 3.0])
-        assert np.allclose(r.adjoint_apply(np.array([1.0, 3.0])), [1.0, 0.0, 3.0])
-
-    def test_extension_is_restriction_adjoint(self):
-        e = ops.extension([1], 3)
-        assert np.allclose(e.apply(np.array([5.0])), [0.0, 5.0, 0.0])
-
     def test_hstack(self):
         h = ops.hstack(ops.from_dense(np.eye(2)), ops.from_dense(np.eye(2)))
         assert np.allclose(h.apply(np.array([1.0, 2.0, 3.0, 4.0])), [4.0, 6.0])
@@ -72,7 +63,8 @@ class TestCombinators:
         L, m, n = 16, 8, 5
         rows = np.arange(m)
         cols = np.arange(n)
-        op = ops.compose(ops.restriction(rows, L), dft_operator(L), ops.extension(cols, L))
+        eye = np.eye(L)
+        op = ops.compose(ops.from_dense(eye[rows]), dft_operator(L), ops.from_dense(eye[:, cols]))
         k, l = np.meshgrid(np.arange(L), np.arange(L), indexing="ij")
         dense = np.exp(-2j * np.pi * k * l / L)[np.ix_(rows, cols)]
         assert np.max(np.abs(ops.materialize(op) - dense)) <= 1e-12
@@ -220,15 +212,6 @@ class TestDtypePromotion:
                 assert op.apply(v).dtype == expected, name
                 assert op.adjoint_apply(w).dtype == expected, name
             assert ops.materialize(op).dtype == _promoted(data), name
-
-    @pytest.mark.parametrize("given", sorted(DTYPES))
-    def test_restriction_and_extension(self, given):
-        v = DTYPES[given]
-        r, e = ops.restriction([0, 2], 4), ops.extension([0, 2], 4)
-        for out in (r.apply(v), r.adjoint_apply(v[:2]), e.apply(v[:2]), e.adjoint_apply(v),
-                    r.apply(np.stack([v, v], axis=1))):
-            assert out.dtype == _promoted(given)
-        assert ops.materialize(r).dtype == np.float64
 
     @pytest.mark.parametrize("build, dtype", [
         (lambda: frames.chebyshev_extension(33, DomainSpec.interval(-0.5, 0.5)), np.float64),

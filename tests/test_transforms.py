@@ -179,10 +179,14 @@ class TestChebyshev:
 
     def test_round_trip_degree_15(self):
         rng = np.random.default_rng(15)
-        c = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-        values = transforms.chebyshev_evaluate(c)
-        direct = np.polynomial.chebyshev.chebval(transforms.chebyshev_nodes(16, "roots"), c)
-        assert np.max(np.abs(values - direct)) <= 1e-11
+        # two series, one per row; the DCT overwrites its input, so it gets a copy
+        c = rng.standard_normal((2, 16)) + 1j * rng.standard_normal((2, 16))
+        for kind in ("roots", "extremae"):
+            values = frames._cheb_series_at_nodes(c.copy(), kind)
+            nodes = transforms.chebyshev_nodes(16, kind)
+            for row, coeffs in zip(values, c):
+                direct = np.polynomial.chebyshev.chebval(nodes, coeffs)
+                assert np.max(np.abs(row - direct)) <= 1e-11
 
     def test_transform_matches_vandermonde(self):
         L = 12
