@@ -32,10 +32,11 @@ class AzProblem:
     grid holds the collocation points (shape (M,) in 1D, (M, 2) in 2D) and
     evaluate, when present, evaluates the approximant built from a
     coefficient vector at arbitrary points of the domain.  Step 1 applies
-    (I - A Z*) A as A (I - G) with G = Z*A (N by N); gram is a fast form of
-    G when the builder has one (the Fourier frames' Toeplitz G, the
-    Chebyshev frame's Toeplitz-plus-Hankel G, fourier01's exact I), and
-    otherwise G is Z* composed with A.
+    (I - A Z*) A as A (I - G) with G = Z*A (N by N).  Every extension
+    builder gives gram, its own form of G (the Fourier frames' Hermitian
+    Toeplitz G, the Chebyshev frame's Toeplitz-plus-Hankel G, the Legendre
+    frame's dense G), and fourier01 its exact I; without gram (the sum
+    frame, a problem built by the caller) G is Z* composed with A.
     """
 
     A: LinearOperator

@@ -206,7 +206,7 @@ def cmd_rankgrowth(args) -> None:
     for n in _n_list(args):
         problem = build_problem(args, n)
         a, z = _materialize_pair(problem)
-        eps = args.eps if args.eps is not None else 1e-10 * problem.scale
+        eps = default_config(problem, eps=args.eps).eps
         report = mc.eps_rank(a - a @ z.conj().T @ a, eps)
         records.append({"n": n, "eps": eps, "eps_rank": report.r})
     write_records(records, ["n", "eps", "eps_rank"], args.out, args.format)
@@ -220,10 +220,13 @@ def _sample(problem, name: str):
 
 def _solve(problem, b, args, seed: int):
     """One solve with --solver and --eps, returning (report, seconds); the
-    seconds of the direct solve leave out materializing A."""
+    seconds of the direct solve leave out materializing A, and --eps does
+    not apply to it."""
     if args.solver not in APPROX_SOLVERS:
         raise CliError(f"--solver must be one of {APPROX_SOLVERS}")
     if args.solver == "direct":
+        if args.eps is not None:
+            raise CliError("--eps does not apply to --solver direct")
         a = ops.materialize(problem.A)
         t0 = time.perf_counter()
         return solvers.direct_lsq(a, b), time.perf_counter() - t0

@@ -9,10 +9,11 @@ takes one inverse FFT there and gathers the M points inside the domain; the
 Chebyshev A does the same with a DCT, and Z is the discrete dual restricted
 the same way.  The 2D Fourier A is separable: two GEMMs with the L x n
 matrix E = [exp(i pi n x_l)] per chunk, through scipy's BLAS, then a gather
-of the mask points.  The Fourier builders also give G = Z*A, a (block)
-Toeplitz matrix applied by FFT, and the Chebyshev builder a
-Toeplitz-plus-Hankel G of Chebyshev moments applied by a real FFT, so that
-step 1 needs no Z.
+of the mask points.  Every extension builder also gives G = Z*A, so that
+step 1 needs no Z: the Fourier G is a Hermitian (block) Toeplitz matrix,
+one circulant kernel applied by FFT; the Chebyshev G is Toeplitz-plus-Hankel
+in Chebyshev moments, applied by a real FFT; the Legendre G is dense, like
+its A and Z.
 
 Every builder sizes its grid by one rule, `_select_grid_size`: the smallest
 fast FFT length L >= 2*oversampling*N per dimension (scipy.fft.next_fast_len)
@@ -50,8 +51,8 @@ _REFINE = 4
 _EVAL_BLOCK_ENTRIES = 1 << 20
 # the one chunk budget of every fast operator: entries of the largest
 # intermediate of one chunk of rows in `_chunked` (4 MiB of complex128), a
-# chunk holding _TOEPLITZ_BLOCK_ENTRIES // width rows of the kernel's width
-_TOEPLITZ_BLOCK_ENTRIES = 1 << 18
+# chunk holding _CHUNK_ENTRIES // width rows of the kernel's width
+_CHUNK_ENTRIES = 1 << 18
 
 
 class DomainSizingError(ValueError):
@@ -198,16 +199,15 @@ def _chunked(rows: int, cols: int, apply, adjoint_apply, width: int) -> LinearOp
     along the last axis.
 
     A vector of shape (n,) or a block of shape (n, k) is transposed once
-    into a (k, n) view, the kernel runs on chunks of
-    _TOEPLITZ_BLOCK_ENTRIES // width rows of it (width: the entries of the
-    kernel's largest intermediate per row), and each result goes into
-    contiguous rows of a (k, m) array, whose transpose is returned.  The
-    result has the kernel's dtype, which a call on zero rows gives, so that
-    it is allocated before the first chunk runs; allocating it after the
-    first chunk raised the peak resident set of a fourier_extension_2d(25)
-    solve by 7 MiB.
+    into a (k, n) view, the kernel runs on chunks of _CHUNK_ENTRIES // width
+    rows of it (width: the entries of the kernel's largest intermediate per
+    row), and each result goes into contiguous rows of a (k, m) array,
+    whose transpose is returned.  The result has the kernel's dtype, which
+    a call on zero rows gives, so that it is allocated before the first
+    chunk runs; allocating it after the first chunk raised the peak
+    resident set of a fourier_extension_2d(25) solve by 7 MiB.
     """
-    chunk = max(1, _TOEPLITZ_BLOCK_ENTRIES // width)
+    chunk = max(1, _CHUNK_ENTRIES // width)
 
     def run(fn, m):
         def block(v):
@@ -302,45 +302,19 @@ def _separable_fourier(freqs: np.ndarray, L: int, sel: np.ndarray) -> LinearOper
     return _chunked(sel.size, n * n, apply, adjoint_apply, L * used.size)
 
 
-def _toeplitz(kernel: np.ndarray, rows: int, cols: int) -> LinearOperator:
-    """The Toeplitz matrix T[i, j] = kernel[(i - j) mod P] of shape rows x cols,
-    or in 2D (kernel of shape (P, P)) the block Toeplitz matrix with Toeplitz
-    blocks over row-major rows^2 x cols^2 indices, applied as a circulant of
-    length P >= rows + cols - 1 per axis by one precomputed kernel FFT.  The
-    adjoint uses the conjugate kernel FFT.
-
-    A block is cast to complex once, before the chunks, so that fftn never
-    takes its real-input path, which rounds differently.
-    """
-    dim, size = kernel.ndim, kernel.shape[0]
-    kernel_hat = scipy.fft.fftn(kernel)
-    axes = tuple(range(1, dim + 1))
-
-    def convolve(hat, n_in, n_out):
-        def fn(x):
-            k = x.shape[0]
-            f = scipy.fft.fftn(x.reshape((k,) + (n_in,) * dim), s=(size,) * dim, axes=axes)
-            f *= hat
-            w = scipy.fft.ifftn(f, axes=axes, overwrite_x=True)
-            return w[(slice(None),) + (slice(0, n_out),) * dim].reshape(k, n_out**dim)
-        return fn
-
-    op = _chunked(rows**dim, cols**dim, convolve(kernel_hat, cols, rows),
-                  convolve(kernel_hat.conj(), rows, cols), kernel.size)
-    return LinearOperator(op.rows, op.cols,
-                          lambda v: op.apply(np.asarray(v, dtype=np.complex128)),
-                          lambda v: op.adjoint_apply(np.asarray(v, dtype=np.complex128)))
-
-
 def _fourier_gram(n: int, dim: int, L: int, sel: np.ndarray) -> LinearOperator:
     """G = Z*A = A*A / L^dim of the Fourier extension frame, applied by FFT.
 
     G[j, k] = g(n_k - n_j) with g(d) = L^-dim sum_{l inside} exp(i pi d.x_l)
     = (-1)^(sum d) ifftn(mask)[d mod L], from one FFT of the mask indicator:
-    Toeplitz in 1D, block Toeplitz with Toeplitz blocks in 2D (the discrete
-    prolate matrix).  G v is the convolution of v with h(e) = g(-e), applied
-    through a circulant embedding of fast length P >= 2N - 1 per axis.  G is
-    Hermitian.
+    Toeplitz in 1D, block Toeplitz with Toeplitz blocks in 2D over row-major
+    indices (the discrete prolate matrix).  G v is the convolution of v with
+    h(e) = g(-e), applied through a circulant embedding of fast length
+    P >= 2N - 1 per axis by one precomputed kernel FFT.  G is Hermitian, so
+    the adjoint runs the same row kernel.
+
+    A block is cast to complex once, before the chunks, so that fftn never
+    takes its real-input path, which rounds differently.
     """
     mask = np.zeros(L**dim)
     mask[sel] = 1.0
@@ -353,7 +327,22 @@ def _fourier_gram(n: int, dim: int, L: int, sel: np.ndarray) -> LinearOperator:
     for axis in range(dim):
         h *= sign.reshape((-1,) + (1,) * (dim - 1 - axis))
     kernel[np.ix_(*[np.mod(d, P)] * dim)] = h
-    return _toeplitz(kernel, n, n)
+    kernel_hat = scipy.fft.fftn(kernel)
+    axes = tuple(range(1, dim + 1))
+
+    def convolve(x):
+        k = x.shape[0]
+        f = scipy.fft.fftn(x.reshape((k,) + (n,) * dim), s=(P,) * dim, axes=axes)
+        f *= kernel_hat
+        w = scipy.fft.ifftn(f, axes=axes, overwrite_x=True)
+        return w[(slice(None),) + (slice(0, n),) * dim].reshape(k, n**dim)
+
+    op = _chunked(n**dim, n**dim, convolve, convolve, kernel.size)
+
+    def apply(v):
+        return op.apply(np.asarray(v, dtype=np.complex128))
+
+    return LinearOperator(op.rows, op.cols, apply, apply)
 
 
 def fourier_extension_1d(n: int, domain: DomainSpec, oversampling: float = 2.0) -> AzProblem:
@@ -571,7 +560,8 @@ def legendre_extension(n: int, domain: DomainSpec, oversampling: float = 2.0) ->
 
     Rows are points, columns are degrees 0..N-1 (A[m, j] = P_j(x_m)); Z is
     the matching subblock of W F D with the Gauss-Legendre weights W and
-    D = diag(1 / h_j^2), h_j^2 = 2 / (2j + 1).
+    D = diag(1 / h_j^2), h_j^2 = 2 / (2j + 1).  G = Z^T A is dense too: one
+    GEMM at build, so step 1 needs no Z.
     """
     if domain.is_2d:
         raise ValueError("legendre_extension needs a 1D domain")
@@ -601,9 +591,10 @@ def legendre_extension(n: int, domain: DomainSpec, oversampling: float = 2.0) ->
         return transforms.legendre_eval(n - 1, np.asarray(pts, dtype=np.float64)) \
             @ np.asarray(coeffs)
 
-    return AzProblem(A=from_dense(p), Z=from_dense(weights[L][sel][:, None] * p / h2),
-                     label=f"legendre(N={n}, L={L})", scale=math.sqrt(L),
-                     grid=nodes, evaluate=evaluate, domain=domain)
+    z = weights[L][sel][:, None] * p / h2
+    return AzProblem(A=from_dense(p), Z=from_dense(z), label=f"legendre(N={n}, L={L})",
+                     scale=math.sqrt(L), grid=nodes, evaluate=evaluate, domain=domain,
+                     gram=from_dense(z.T @ p))
 
 
 def weighted_sum_frame(base: AzProblem, w1, w2) -> AzProblem:

@@ -283,3 +283,14 @@ def test_selector_the_problem_ignores_rejected(tmp_path, capsys, problem, flag):
     assert code == 1
     assert "does not apply" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["approx", "timing"])
+def test_eps_with_direct_solver_rejected(tmp_path, capsys, command):
+    # the direct solve has no truncation, so --eps would be ignored
+    out = tmp_path / "eps.csv"
+    code = main([command, "--problem", "fourier1d", "--n", "65", "--solver", "direct",
+                 "--eps", "1e-3", "--out", str(out)])
+    assert code == 1
+    assert "--eps does not apply" in capsys.readouterr().err
+    assert not out.exists()

@@ -183,7 +183,7 @@ class TestFourier2d:
         ex, ey = (np.exp(1j * np.pi * np.outer(p.grid[:, axis], freqs)) for axis in (0, 1))
         dense = (ex[:, :, None] * ey[:, None, :]).reshape(p.A.rows, n * n)
         L = round(2.0 / np.min(np.diff(np.unique(p.grid))))
-        chunk = max(1, frames._TOEPLITZ_BLOCK_ENTRIES // (L * np.unique(p.grid[:, 0]).size))
+        chunk = max(1, frames._CHUNK_ENTRIES // (L * np.unique(p.grid[:, 0]).size))
         rng = np.random.default_rng(n)
         for k in ((), (1,), (chunk - 1,), (chunk + 3,)):
             u = rng.standard_normal((n * n,) + k) + 1j * rng.standard_normal((n * n,) + k)
@@ -237,6 +237,9 @@ GRAM_BUILDERS = {
            "left-end-33": (33, DomainSpec.interval(-1.0, 0.3)),
            "right-end-33": (33, DomainSpec.interval(-0.2, 1.0)),
        }.items()},
+    "legendre-half-65": lambda: frames.legendre_extension(65, DomainSpec.interval(-0.5, 0.5)),
+    "legendre-union-65": lambda: frames.legendre_extension(
+        65, DomainSpec.union([[-0.9, -0.5], [0.2, 0.6]])),
     "fourier01-61": lambda: frames.fourier_lsq_equispaced(61, 123),
     "fourier01-square-61": lambda: frames.fourier_lsq_equispaced(61, 61),
 }
@@ -289,7 +292,7 @@ def test_chirp_fourier_matches_exact_phases(name, monkeypatch):
     # the one-FFT A against its entries; chunks of 3 columns, so that a block
     # of 7 runs two full chunks and a partial one
     L, _ = grid_indices(FOURIER1D_BUILDERS[name]())
-    monkeypatch.setattr(frames, "_TOEPLITZ_BLOCK_ENTRIES", 3 * L)
+    monkeypatch.setattr(frames, "_CHUNK_ENTRIES", 3 * L)
     p = FOURIER1D_BUILDERS[name]()
     exact = exact_fourier_1d(p)
     rng = np.random.default_rng(7)
@@ -414,6 +417,14 @@ class TestLegendre:
         assert p.label == "legendre(N=401, L=1617)"
         assert np.array_equal(p.grid, transforms.gauss_legendre(1617).nodes)
         assert duality_defect(p) <= 1e-11
+
+    @pytest.mark.parametrize("dom", [DomainSpec.interval(-0.5, 0.5),
+                                     DomainSpec.union([[-0.9, -0.8], [0.5, 0.55]])])
+    def test_step1_with_gram_is_bitwise_the_composed_one(self, dom):
+        # G = Z^T A is the same GEMM that Z* composed with A runs on eye(N)
+        p = frames.legendre_extension(401, dom)
+        step1 = ops.materialize(ops.az_step1_operator(p.A, p.Z, p.gram))
+        assert np.array_equal(step1, ops.materialize(ops.az_step1_operator(p.A, p.Z)))
 
     def test_plunge_is_isolated(self):
         p = frames.legendre_extension(40, DomainSpec.interval(-0.5, 0.5), 2.0)
@@ -599,7 +610,7 @@ def test_fast_apply_matches_dense(build, monkeypatch):
     ref = build()
     widths = []
     chunked = frames._chunked
-    monkeypatch.setattr(frames, "_TOEPLITZ_BLOCK_ENTRIES", 200)
+    monkeypatch.setattr(frames, "_CHUNK_ENTRIES", 200)
     monkeypatch.setattr(frames, "_chunked",
                         lambda *args: widths.append(args[-1]) or chunked(*args))
     p = build()
