@@ -7,7 +7,6 @@ reported with the residual ||b - A x|| of that answer.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Callable
 
@@ -101,14 +100,19 @@ def default_config(problem: AzProblem, seed: int = 0,
     return SolverConfig(eps=eps, sketch_size=sketch_size, seed=seed)
 
 
-def _three_step(problem: AzProblem, b, step1, config: SolverConfig | None) -> SolveReport:
-    t0 = time.perf_counter()
-    a, z = problem.A, problem.Z
+def _rhs(b, rows: int) -> np.ndarray:
+    """b as a finite complex vector of length rows, else a ValueError."""
     b = np.asarray(b, dtype=np.complex128)
-    if b.shape != (a.rows,):
-        raise ValueError(f"b has shape {b.shape}, expected ({a.rows},)")
+    if b.shape != (rows,):
+        raise ValueError(f"b has shape {b.shape}, expected ({rows},)")
     if not np.all(np.isfinite(b)):
         raise ValueError("b contains non-finite entries")
+    return b
+
+
+def _three_step(problem: AzProblem, b, step1, config: SolverConfig | None) -> SolveReport:
+    a, z = problem.A, problem.Z
+    b = _rhs(b, a.rows)
     if config is None:
         config = default_config(problem)
     op1 = az_step1_operator(a, z, problem.gram)
@@ -125,8 +129,7 @@ def _three_step(problem: AzProblem, b, step1, config: SolverConfig | None) -> So
     x = x1 + x2
     res = float(np.linalg.norm(b - a.apply(x)))
     return SolveReport(x=x, residual_norm=res, rank_used=rep1.rank_used,
-                       sketch_size=rep1.sketch_size,
-                       wall_time=time.perf_counter() - t0, x1=x1, x2=x2)
+                       sketch_size=rep1.sketch_size, x1=x1, x2=x2)
 
 
 def az_solve(problem: AzProblem, b, step1="rand-tsvd",
@@ -174,4 +177,4 @@ def az_weighted_solve(problem: WeightedAzProblem, b, step1: str = "tsvd",
     weighted = AzProblem(
         A=compose(diagonal(d), base.A), Z=compose(diagonal(pinv), base.Z),
         scale=base.scale * float(d.max()), gram=gram)
-    return _three_step(weighted, d * np.asarray(b, dtype=np.complex128), step1, config)
+    return _three_step(weighted, d * _rhs(b, base.A.rows), step1, config)

@@ -1,6 +1,6 @@
 """Experiment runner producing data files: singular-value spectra, rank
-growth of A - A Z* A, wall-clock timings, approximation-error reports, and
-the weighted-threshold sweep.
+growth of the step-1 matrix (I - A Z*) A, wall-clock timings,
+approximation-error reports, and the weighted-threshold sweep.
 
 Every subcommand is deterministic (given --seed where it solves) and writes
 CSV (default) or JSON through a temp-file-plus-rename so no partial outputs
@@ -25,6 +25,7 @@ import numpy as np
 from . import azcore, frames, matrixcore as mc, operators as ops, solvers
 from .azcore import az_solve, az_weighted_solve, default_config
 from .frames import DomainSpec
+from .operators import az_step1_operator
 
 # The selector flags each --problem reads; giving it any other is an error.
 SELECTORS = {"fourier1d": ("domain", "oversampling"),
@@ -34,7 +35,15 @@ SELECTORS = {"fourier1d": ("domain", "oversampling"),
              "legendre": ("domain", "oversampling"),
              "sumframe": ("domain", "nodes", "oversampling"),
              "weighted": ()}
-FUNCTION_CHOICES = ("exp", "phi0", "cos", "singular", "jump")
+# Test functions of (x, y=0.0); phi0 is the constant first basis function.
+FUNCTIONS = {
+    "exp": lambda x, y=0.0: np.exp(x + y),
+    "phi0": lambda x, y=0.0: np.ones_like(np.asarray(x), dtype=float),
+    "cos": lambda x, y=0.0: np.cos(2 * np.pi * x) * np.cos(2 * np.pi * y),
+    "singular": lambda x, y=0.0: np.cos(2 * np.pi * x) + np.abs(x) * np.sin(1 + 2 * np.pi * x),
+    # periodic sawtooth: single jump at x = 0.5 (mod 1)
+    "jump": lambda x, y=0.0: np.sin(2 * np.pi * x) + np.mod(x + 0.5, 1.0) - 0.5,
+}
 APPROX_SOLVERS = ("az-rand-svd", "az-rand-qr", "az-tsvd", "az-tqr", "direct")
 STEP1_BY_SOLVER = {"az-rand-svd": "rand-tsvd", "az-rand-qr": "rand-tqr",
                    "az-tsvd": "tsvd", "az-tqr": "tqr"}
@@ -82,30 +91,6 @@ def build_problem(args, n: int | None) -> azcore.AzProblem:
     return frames.weighted_sum_frame(cheb, lambda x: np.ones_like(x), np.abs)
 
 
-def select_function(name: str, two_d: bool):
-    """Test functions; phi0 is the constant first basis function everywhere."""
-    if name == "exp":
-        return (lambda x, y: np.exp(x + y)) if two_d else np.exp
-    if name == "phi0":
-        if two_d:
-            return lambda x, y: np.ones_like(np.asarray(x), dtype=float)
-        return lambda x: np.ones_like(np.asarray(x), dtype=float)
-    if name == "cos":
-        if two_d:
-            return lambda x, y: np.cos(2 * np.pi * x) * np.cos(2 * np.pi * y)
-        return lambda x: np.cos(2 * np.pi * x)
-    if name == "singular":
-        if two_d:
-            raise CliError("function 'singular' is 1D only")
-        return lambda x: np.cos(2 * np.pi * x) + np.abs(x) * np.sin(1 + 2 * np.pi * x)
-    if name == "jump":
-        if two_d:
-            raise CliError("function 'jump' is 1D only")
-        # periodic sawtooth: single jump at x = 0.5 (mod 1)
-        return lambda x: np.sin(2 * np.pi * x) + np.mod(x + 0.5, 1.0) - 0.5
-    raise CliError(f"unknown function {name!r}")
-
-
 def _fmt(value) -> str:
     if isinstance(value, float):
         return format(value, ".17g")
@@ -139,30 +124,32 @@ def checksum(x: np.ndarray) -> str:
     return hashlib.sha256(data.tobytes()).hexdigest()[:16]
 
 
-def _spectra_matrices(args) -> tuple[np.ndarray, np.ndarray]:
-    """(A, Z) dense pair for the spectrum command; gram uses (G, (G^+)*)."""
-    if args.problem == "gram":
-        _check_selectors(args, args.n)
-        g = frames.gram_fourier(args.n, _parse_domain(args.domain))
-        return g, mc.pseudoinverse(g).conj().T
-    return _materialize_pair(build_problem(args, args.n))
+def _spectra_problem(args) -> azcore.AzProblem:
+    """The problem of the spectrum command; gram is the pair (G, (G^+)*)."""
+    if args.problem != "gram":
+        return build_problem(args, args.n)
+    _check_selectors(args, args.n)
+    g = frames.gram_fourier(args.n, _parse_domain(args.domain))
+    return azcore.AzProblem(A=ops.from_dense(g),
+                            Z=ops.from_dense(mc.pseudoinverse(g).conj().T))
 
 
-def _materialize_pair(problem) -> tuple[np.ndarray, np.ndarray]:
-    """Dense (A, Z) of a problem; a CliError when they exceed the cap."""
+def _materialize(*operators) -> list[np.ndarray]:
+    """Dense matrices of the operators; a CliError when they exceed the cap."""
     try:
-        return ops.materialize(problem.A), ops.materialize(problem.Z)
+        return [ops.materialize(op) for op in operators]
     except ValueError as exc:
         raise CliError(f"{exc}; reduce N so the operators fit under the "
                        f"materialization cap") from exc
 
 
 def cmd_singvals(args) -> None:
-    a, z = _spectra_matrices(args)
+    p = _spectra_problem(args)
+    # the plunge matrix (I - A Z*) A is the matrix that step 1 factors
+    a, z, plunge = _materialize(p.A, p.Z, az_step1_operator(p.A, p.Z, p.gram))
     sig_a = mc.svd(a).sigma
-    zstar = z.conj().T
-    sig_z = mc.svd(zstar).sigma
-    sig_d = mc.svd(a - a @ zstar @ a).sigma
+    sig_z = mc.svd(z.conj().T).sigma
+    sig_d = mc.svd(plunge).sigma
     records = [{"index": i, "sigma_a": float(sig_a[i]),
                 "sigma_zstar": float(sig_z[i]),
                 "sigma_plunge": float(sig_d[i])}
@@ -205,16 +192,19 @@ def cmd_rankgrowth(args) -> None:
     records = []
     for n in _n_list(args):
         problem = build_problem(args, n)
-        a, z = _materialize_pair(problem)
+        [plunge] = _materialize(
+            az_step1_operator(problem.A, problem.Z, problem.gram))
         eps = default_config(problem, eps=args.eps).eps
-        report = mc.eps_rank(a - a @ z.conj().T @ a, eps)
+        report = mc.eps_rank(plunge, eps)
         records.append({"n": n, "eps": eps, "eps_rank": report.r})
     write_records(records, ["n", "eps", "eps_rank"], args.out, args.format)
 
 
 def _sample(problem, name: str):
     """The test function called name and its samples on the problem's grid."""
-    f = select_function(name, np.asarray(problem.grid).ndim == 2)
+    if name in ("singular", "jump") and np.asarray(problem.grid).ndim == 2:
+        raise CliError(f"function {name!r} is 1D only")
+    f = FUNCTIONS[name]
     return f, frames.sample_function(f, problem.grid)
 
 
@@ -278,12 +268,11 @@ def cmd_weighted(args) -> None:
         raise CliError("eps_w values must be nonnegative")
     n = args.n if args.n is not None else 121
     problem = frames.fourier_lsq_equispaced(n, 2 * n + 1)
-    f = select_function("jump", False)
-    b = frames.sample_function(f, problem.grid)
+    _, b = _sample(problem, "jump")
     d = (np.asarray(problem.grid) - 0.5) ** 2
     a_dense = ops.materialize(problem.A)
     x_unweighted = problem.Z.adjoint_apply(b)
-    x_oracle = frames.weighted_oracle_solve(a_dense, d, b)
+    x_oracle = solvers.direct_lsq(d[:, None] * a_dense, d * b).x
     records = []
     for eps_w in eps_ws:
         wp = frames.weighted_lsq(problem, d, eps_w)
@@ -312,7 +301,7 @@ FLAGS = {
                   help="absolute truncation threshold (default 1e-10*scale)"),
     "--solver": dict(default="az-rand-svd"),
     "--seed": dict(type=int, default=0),
-    "--function": dict(choices=FUNCTION_CHOICES, default="exp"),
+    "--function": dict(choices=tuple(FUNCTIONS), default="exp"),
     "--eps-w-list": dict(help="comma-separated weight thresholds"),
     "--format": dict(choices=("csv", "json"), default="csv"),
     "--out": dict(),
@@ -351,7 +340,7 @@ def main(argv=None) -> int:
         args.out = f"azls-{args.subcommand}.{args.format}"
     try:
         args.func(args)
-    except (ValueError, RuntimeError) as exc:
+    except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     return 0

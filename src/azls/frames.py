@@ -636,14 +636,6 @@ def weighted_lsq(base: AzProblem, d, eps_w: float) -> WeightedAzProblem:
     return WeightedAzProblem(base=base, d=d, eps_w=float(eps_w))
 
 
-def weighted_oracle_solve(a_dense, d, b) -> np.ndarray:
-    """Dense weighted least squares reference: minimize ||W(Ax - b)||."""
-    wa = np.asarray(d)[:, None] * np.asarray(a_dense, dtype=np.complex128)
-    wb = np.asarray(d) * np.asarray(b, dtype=np.complex128)
-    x, *_ = np.linalg.lstsq(wa, wb, rcond=None)
-    return x
-
-
 def fourier_lsq_equispaced(n: int, m: int) -> AzProblem:
     """Periodic Fourier least squares on [0, 1): N terms, M >= N equispaced
     samples x_j = j/M.  Discrete orthogonality gives the exact dual Z = A/M

@@ -26,7 +26,9 @@ class FactorizationError(RuntimeError):
     """A dense factorization failed to converge."""
 
 
-def _as_matrix(a) -> np.ndarray:
+def as_matrix(a) -> np.ndarray:
+    """a as a nonempty, finite 2-d array of the promotion of its dtype and
+    float64; anything else is a ValueError."""
     a = np.asarray(a)
     a = a.astype(np.result_type(a, np.float64), copy=False)
     if a.ndim != 2 or a.size == 0:
@@ -110,7 +112,7 @@ def householder_qr(a, base: HouseholderQr | None = None) -> HouseholderQr:
     has M rows (a wide matrix) new columns only add to R.  The factor is
     complex128 (LAPACK zgeqrf/zunmqr) whatever the dtype of a.
     """
-    a = _as_matrix(a)
+    a = as_matrix(a)
     m, w = a.shape
     if base is None:
         base = HouseholderQr(packed=np.empty((m, 0), dtype=np.complex128, order="F"),
@@ -144,7 +146,7 @@ class EpsRankReport:
 
 def svd(a) -> SvdFactorization:
     """Full (thin) SVD of a dense matrix."""
-    a = _as_matrix(a)
+    a = as_matrix(a)
     try:
         u, s, vh = np.linalg.svd(a, full_matrices=False)
     except np.linalg.LinAlgError as exc:
@@ -154,7 +156,7 @@ def svd(a) -> SvdFactorization:
 
 def pivoted_qr(a) -> PivotedQrFactorization:
     """Column-pivoted QR decomposition (economy size)."""
-    a = _as_matrix(a)
+    a = as_matrix(a)
     q, r, perm = scipy.linalg.qr(a, mode="economic", pivoting=True)
     return PivotedQrFactorization(Q=q, R=r, perm=perm)
 
@@ -173,7 +175,7 @@ def eps_rank(a, eps: float) -> EpsRankReport:
 
 def pseudoinverse(a) -> np.ndarray:
     """Moore-Penrose pseudoinverse with cutoff max(M, N) * eps_mach * sigma_1."""
-    a = _as_matrix(a)
+    a = as_matrix(a)
     f = svd(a)
     cutoff = max(a.shape) * np.finfo(np.float64).eps * (f.sigma[0] if f.sigma.size else 0.0)
     keep = f.sigma > cutoff

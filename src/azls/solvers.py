@@ -1,20 +1,20 @@
 """Least squares solvers for numerically low-rank systems.
 
-Dense variants (direct, truncated SVD, truncated pivoted QR) take matrices;
-randomized variants take matrix-free operators and a SolverConfig and work on
-the sketch A Omega = Q T.  Its Householder QR grows with the sketch, one
-column block per doubling, and each round factors only the small core T,
-unless a triangular inverse already certifies that T keeps every direction.
-All of them factor once, truncate and back-solve through one core, and every
-solver recomputes the residual norm independently of its internal algebra.
+The direct solve is numpy's lstsq.  The truncated dense variants (SVD,
+pivoted QR) take matrices; randomized variants take matrix-free operators
+and a SolverConfig and work on the sketch A Omega = Q T.  Its Householder QR
+grows with the sketch, one column block per doubling, and each round
+factors only the small core T, unless a triangular inverse already
+certifies that T keeps every direction.  Every truncated solve factors
+once, truncates and back-solves through one core, and every solver
+recomputes the residual norm independently of its internal algebra.
 The sketch loop keeps its dense kernels (QR, certificate, core SVD) in
-scipy's BLAS/LAPACK; the dense variants factor with matrixcore.svd.
+scipy's BLAS/LAPACK; the dense SVDs (lstsq, matrixcore.svd) run numpy's.
 """
 
 from __future__ import annotations
 
 import operator
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,7 +59,6 @@ class SolveReport:
     residual_norm: float
     rank_used: int
     sketch_size: int = 0
-    wall_time: float = 0.0
     x1: np.ndarray | None = None
     x2: np.ndarray | None = None
 
@@ -68,10 +67,9 @@ def _residual(apply_a, b, x) -> float:
     return float(np.linalg.norm(b - apply_a(x)))
 
 
-def _report(apply_a, b, x, rank, sketch=0, t0=None) -> SolveReport:
-    wall = 0.0 if t0 is None else time.perf_counter() - t0
+def _report(apply_a, b, x, rank, sketch=0) -> SolveReport:
     return SolveReport(x=x, residual_norm=_residual(apply_a, b, x),
-                       rank_used=rank, sketch_size=sketch, wall_time=wall)
+                       rank_used=rank, sketch_size=sketch)
 
 
 def _core_svd(t: np.ndarray) -> mc.SvdFactorization:
@@ -88,15 +86,13 @@ def _core_svd(t: np.ndarray) -> mc.SvdFactorization:
     return mc.SvdFactorization(U=u, sigma=s, V=vh.conj().T)
 
 
-def _truncated_solve(a: np.ndarray, b: np.ndarray, eps: float | None,
+def _truncated_solve(a: np.ndarray, b: np.ndarray, eps: float,
                      qr: bool = False, svd=None) -> tuple[np.ndarray, int]:
     """Factor a once, keep its leading part, back-solve; returns (y, rank).
 
     The SVD (by svd, matrixcore.svd when None) keeps the singular values
     >= eps; with qr the column-pivoted QR keeps the leading block whose
-    |diag R| >= eps.  eps=None keeps what matrixcore.pseudoinverse keeps:
-    sigma > max(M, N) * eps_mach * sigma_1.  y is in the column coordinates
-    of a.
+    |diag R| >= eps.  y is in the column coordinates of a.
     """
     if qr:
         f = mc.pivoted_qr(a)
@@ -105,32 +101,33 @@ def _truncated_solve(a: np.ndarray, b: np.ndarray, eps: float | None,
         y[f.perm[:k]] = scipy.linalg.solve_triangular(f.R[:k, :k], f.Q[:, :k].conj().T @ b)
         return y, k
     f = (svd or mc.svd)(a)
-    if eps is None:
-        k = int(np.count_nonzero(f.sigma > max(a.shape) * np.finfo(np.float64).eps * f.sigma[0]))
-    else:
-        k = int(np.count_nonzero(f.sigma >= eps))
+    k = int(np.count_nonzero(f.sigma >= eps))
     return f.V[:, :k] @ ((f.U[:, :k].conj().T @ b) / f.sigma[:k]), k
 
 
-def _dense_solve(a, b, eps: float | None, qr: bool = False) -> SolveReport:
-    if eps is not None and not 0 < eps < np.inf:
+def _dense_solve(a, b, eps: float, qr: bool = False) -> SolveReport:
+    if not 0 < eps < np.inf:
         raise ValueError("eps must be positive and finite")
-    t0 = time.perf_counter()
     a = np.asarray(a)
     b = np.asarray(b, dtype=np.complex128)
     # sigma_1 and |R_11| are at most ||a||_F: below eps, a truncation keeps
     # nothing, and the answer is the zero vector it would have given (a
     # matrix that is empty, not 2-d or not finite goes on to be rejected)
-    if eps is not None and a.ndim == 2 and a.size and np.linalg.norm(a) < eps:
+    if a.ndim == 2 and a.size and np.linalg.norm(a) < eps:
         x, k = np.zeros(a.shape[1], dtype=np.complex128), 0
     else:
         x, k = _truncated_solve(a, b, eps, qr)
-    return _report(lambda v: a @ v, b, x, k, t0=t0)
+    return _report(lambda v: a @ v, b, x, k)
 
 
 def direct_lsq(a, b) -> SolveReport:
-    """Minimum-norm least squares x = pinv(A) b via the SVD."""
-    return _dense_solve(a, b, None)
+    """Minimum-norm least squares x = pinv(A) b by numpy's lstsq, which
+    keeps the singular values sigma > max(M, N) * eps_mach * sigma_1; its
+    rank is that count.  A matrix that is empty, not 2-d or not finite is
+    a ValueError."""
+    a = mc.as_matrix(a)
+    x, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
+    return _report(lambda v: a @ v, b, np.asarray(x, dtype=np.complex128), int(rank))
 
 
 def tsvd_solve(a, b, eps: float) -> SolveReport:
@@ -188,7 +185,6 @@ def _randomized_solve(a, b, config: SolverConfig, qr: bool) -> SolveReport:
     for the price of one triangular inverse; any other round factors T, and
     the round that makes x always does.
     """
-    t0 = time.perf_counter()
     a = _as_operator(a)
     b = np.asarray(b, dtype=np.complex128)
     for omega, factor in _sketch(a, config):
@@ -197,7 +193,7 @@ def _randomized_solve(a, b, config: SolverConfig, qr: bool) -> SolveReport:
         y, k = _truncated_solve(factor.R, factor.adjoint_q(b), config.eps, qr, _core_svd)
         if k < omega.shape[1] or omega.shape[1] >= a.cols:
             break
-    return _report(a.apply, b, omega @ y, k, sketch=omega.shape[1], t0=t0)
+    return _report(a.apply, b, omega @ y, k, sketch=omega.shape[1])
 
 
 def randomized_tsvd_solve(a, b, config: SolverConfig) -> SolveReport:

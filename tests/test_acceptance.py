@@ -248,7 +248,7 @@ def test_criterion_11_weighted_limits_and_sweep():
     d = (grid - 0.5) ** 2
     a = ops.materialize(p.A)
     x_unweighted = p.Z.adjoint_apply(b)
-    x_oracle = frames.weighted_oracle_solve(a, d, b)
+    x_oracle = solvers.direct_lsq(d[:, None] * a, d * b).x
 
     rep0 = az_weighted_solve(WeightedAzProblem(base=p, d=d, eps_w=0.0), b)
     zero_ok = np.linalg.norm(rep0.x - x_unweighted) <= 1e-12 * np.linalg.norm(b)

@@ -4,6 +4,7 @@ and the splitting check."""
 
 import dataclasses
 import functools
+import re
 
 import numpy as np
 import pytest
@@ -181,6 +182,14 @@ class TestWeighted:
         out = weighted_eps_pinv(np.array([1.0, 2.0, 4.0]), eps_w=2.0)
         assert np.allclose(out, [0.0, 0.5, 0.25])
 
+    @pytest.mark.parametrize("shape", [(), (1,), (31, 1), (30,)])
+    def test_b_shape_checked_before_weighting(self, shape):
+        # d * b would broadcast a scalar, a length-1 or an (M, 1) b
+        p = frames.fourier_lsq_equispaced(15, 31)
+        wp = frames.weighted_lsq(p, 0.5 + np.asarray(p.grid), 1e-2)
+        with pytest.raises(ValueError, match=re.escape(f"b has shape {shape}, expected (31,)")):
+            az_weighted_solve(wp, np.full(shape, 5.0))
+
     def test_nonpositive_weights_rejected(self):
         base = dense_problem(np.eye(3), np.eye(3))
         with pytest.raises(ValueError):
@@ -236,8 +245,9 @@ class TestWeighted:
         p = frames.fourier_lsq_equispaced(15, 31)
         b = sample_function(lambda x: np.sin(4 * np.pi * x) + 2.0, p.grid)
         a = ops.materialize(p.A)
-        x_w = frames.weighted_oracle_solve(a, np.full(31, 3.7), b)
-        x_u = frames.weighted_oracle_solve(a, np.ones(31), b)
+        d = np.full(31, 3.7)
+        x_w = solvers.direct_lsq(d[:, None] * a, d * b).x
+        x_u = solvers.direct_lsq(a, b).x
         assert np.linalg.norm(x_w - x_u) <= 1e-10 * max(1.0, np.linalg.norm(x_u))
 
 

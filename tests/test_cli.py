@@ -4,15 +4,33 @@ precondition diagnostics."""
 import csv
 import json
 
+import numpy as np
 import pytest
 
-from azls import matrixcore
+from azls import frames, matrixcore, operators
 from azls.cli import build_parser, main
+from azls.frames import DomainSpec
 
 
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
+
+
+# The default problem of each (--problem, --mask) pair the plunge tests run.
+HALF = DomainSpec.interval(-0.5, 0.5)
+PROBLEMS = {
+    ("fourier1d", None): lambda n: frames.fourier_extension_1d(n, HALF),
+    ("chebyshev", None): lambda n: frames.chebyshev_extension(n, HALF),
+    ("fourier2d", "disk"): lambda n: frames.fourier_extension_2d(n, frames.named_mask("disk")),
+}
+
+
+def dense_plunge(problem):
+    """A - A Z* A from the dense A and Z: a reference apart from step 1's operator."""
+    a = operators.materialize(problem.A)
+    z = operators.materialize(problem.Z)
+    return a - a @ z.conj().T @ a
 
 
 class TestSingvals:
@@ -34,6 +52,14 @@ class TestSingvals:
         assert main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize("problem, n", [("fourier1d", 51), ("chebyshev", 40)])
+    def test_plunge_is_the_dense_product(self, tmp_path, problem, n):
+        out = tmp_path / "sv.csv"
+        assert main(["singvals", "--problem", problem, "--n", str(n), "--out", str(out)]) == 0
+        sigma = np.array([float(r[3]) for r in read_csv(out)[1:]])
+        ref = np.linalg.svd(dense_plunge(PROBLEMS[problem, None](n)), compute_uv=False)
+        assert np.max(np.abs(sigma - ref)) <= 1e-12 * ref[0]
+
     def test_gram_selector(self, tmp_path):
         out = tmp_path / "g.csv"
         code = main(["singvals", "--problem", "gram", "--n", "51",
@@ -54,6 +80,18 @@ class TestRankgrowth:
         assert len(ranks) == 3
         assert ranks[1] - ranks[0] <= 10
         assert ranks[2] - ranks[1] <= 10
+
+    @pytest.mark.parametrize("problem, mask, ns", [("fourier1d", None, [51, 101]),
+                                                   ("fourier2d", "disk", [9])])
+    def test_ranks_are_the_dense_products(self, tmp_path, problem, mask, ns):
+        out = tmp_path / "rg.csv"
+        flags = [] if mask is None else ["--mask", mask]
+        assert main(["rankgrowth", "--problem", problem, *flags,
+                     "--n-list", ",".join(map(str, ns)), "--out", str(out)]) == 0
+        ranks = [int(r[2]) for r in read_csv(out)[1:]]
+        ref = [matrixcore.eps_rank(dense_plunge(p), 1e-10 * p.scale).r
+               for p in map(PROBLEMS[problem, mask], ns)]
+        assert ranks == ref
 
     def test_full_domain_rank_zero(self, tmp_path):
         out = tmp_path / "rg0.csv"
@@ -225,6 +263,15 @@ def test_factorization_error_is_one_line(tmp_path, monkeypatch, capsys):
                  "--out", str(tmp_path / "sv.csv")])
     assert code == 1
     assert capsys.readouterr().err.splitlines() == ["error: SVD failed to converge"]
+
+
+def test_unwritable_out_is_one_line(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.csv"
+    code = main(["approx", "--problem", "fourier1d", "--n", "31", "--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert not out.parent.exists()
 
 
 def test_partial_output_never_left_behind(tmp_path):

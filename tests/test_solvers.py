@@ -59,6 +59,22 @@ class TestDirectLsq:
         rep = solvers.direct_lsq(a, b)
         assert np.max(np.abs(a.conj().T @ (b - a @ rep.x))) <= 1e-10
 
+    def test_matches_pinv_on_rank_deficient(self):
+        a = spectrum_matrix(12, 6, [3.0, 2.0, 1.0, 0.5, 0.0, 0.0], seed=7)
+        b = np.asarray(random_complex(12, 1, seed=8)).ravel()
+        rep = solvers.direct_lsq(a, b)
+        x = np.linalg.pinv(a) @ b
+        assert rep.rank_used == np.linalg.matrix_rank(a) == 4
+        assert np.linalg.norm(rep.x - x) <= 1e-12 * np.linalg.norm(x)
+        assert rep.residual_norm == np.linalg.norm(b - a @ rep.x)
+
+    @pytest.mark.parametrize("a", [np.array([[1.0, np.nan], [0.0, 1.0]]),
+                                   np.array([[np.inf], [1.0]]),
+                                   np.zeros((0, 2)), np.ones(3)])
+    def test_bad_matrix_rejected(self, a):
+        with pytest.raises(ValueError):
+            solvers.direct_lsq(a, np.ones(a.shape[0]))
+
     def test_zero_matrix(self):
         # the relative cutoff is strict, so a zero matrix keeps nothing
         rep = solvers.direct_lsq(np.zeros((3, 2)), np.ones(3))
