@@ -86,7 +86,7 @@ def _solve_step1(op: LinearOperator, rhs: np.ndarray, step1,
         raise ValueError(f"unknown step-1 solver {step1!r}; choose from {STEP1_SOLVERS}")
     dense = materialize(op)
     if step1 == "tsvd":
-        return solvers.tsvd_solve(dense, rhs, config.eps)
+        return solvers.tsvd_solve(dense, rhs, config)
     return solvers.tqr_solve(dense, rhs, config.eps)
 
 

@@ -113,9 +113,22 @@ def write_records(records: list[dict], fieldnames: list[str], out: str,
     else:
         raise CliError(f"unknown format {fmt!r}")
     tmp = out + ".tmp"
-    with open(tmp, "w", newline="") as fh:
-        fh.write(payload)
-    os.replace(tmp, out)
+    try:
+        with open(tmp, "w", newline="") as fh:
+            fh.write(payload)
+        os.replace(tmp, out)
+    except OSError as exc:
+        raise CliError(f"cannot write --out {out}: {exc.strerror}") from exc
+
+
+def _check_out(out: str) -> None:
+    """Fail before any work when --out cannot be written: its directory must
+    exist and be writable, and out itself must not be a directory."""
+    parent = os.path.dirname(out) or "."
+    if not os.path.isdir(parent):
+        raise CliError(f"cannot write --out {out}: no directory {parent}")
+    if os.path.isdir(out) or not os.access(parent, os.W_OK):
+        raise CliError(f"cannot write --out {out}")
 
 
 def checksum(x: np.ndarray) -> str:
@@ -339,6 +352,7 @@ def main(argv=None) -> int:
     if args.out is None:
         args.out = f"azls-{args.subcommand}.{args.format}"
     try:
+        _check_out(args.out)
         args.func(args)
     except (ValueError, RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

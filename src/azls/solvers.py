@@ -8,8 +8,14 @@ factors only the small core T, unless a triangular inverse already
 certifies that T keeps every direction.  Every truncated solve factors
 once, truncates and back-solves through one core, and every solver
 recomputes the residual norm independently of its internal algebra.
-The sketch loop keeps its dense kernels (QR, certificate, core SVD) in
-scipy's BLAS/LAPACK; the dense SVDs (lstsq, matrixcore.svd) run numpy's.
+
+The dense tsvd takes a SolverConfig too.  In rounds of R Gaussian columns
+(from sketch_size, doubling, drawn from seed) it builds A = Q C + E with
+orthonormal Q and deflated E, and once the explicit ||E||_F < eps it factors
+only the R x N core C; a round that would take R past N/2 is left to the full
+SVD of A.  The dense tqr factors the whole matrix.  The sketch loop keeps its
+dense kernels (QR, certificate, core SVD) in scipy's BLAS/LAPACK; the dense
+path (lstsq, the certified rounds, matrixcore.svd) runs numpy's.
 """
 
 from __future__ import annotations
@@ -33,7 +39,8 @@ class SolverConfig:
     eps is a finite, absolute singular-value / diagonal threshold.  sketch_size is
     R = r + p for a target rank r and oversampling p, an integer >= 1; seed is
     an integer >= 0.  The randomized solvers double R (reusing the random
-    stream) while the sketch keeps every one of its directions, capped at N.
+    stream) while the sketch keeps every one of its directions, capped at N;
+    the dense tsvd doubles it until its certificate holds, up to N/2.
     """
 
     eps: float
@@ -105,7 +112,39 @@ def _truncated_solve(a: np.ndarray, b: np.ndarray, eps: float,
     return f.V[:, :k] @ ((f.U[:, :k].conj().T @ b) / f.sigma[:k]), k
 
 
-def _dense_solve(a, b, eps: float, qr: bool = False) -> SolveReport:
+def _low_rank_factor(a: np.ndarray, config: SolverConfig):
+    """(Q, C) with orthonormal Q (M x R) and the explicit ||a - Q C||_F
+    below config.eps, or None once R would pass N/2.
+
+    Each round draws a Gaussian block Omega from config.seed, orthonormalizes
+    Y = E Omega for the deflated E = a - Q C, then once more against the
+    earlier blocks (E keeps its orthogonality to them only to rounding), and
+    deflates E by C_blk = Q_blk* E; R starts at config.sketch_size and
+    doubles (HMT, SIAM Review 53 (2011), Algorithm 4.2, blocked).  The
+    certificate is ||E||_F itself, not ||a||^2 - ||C||^2, which cancels
+    near eps.  numpy's BLAS/LAPACK throughout, real for a real a.
+    """
+    n = a.shape[1]
+    rng = np.random.default_rng(config.seed)
+    e = a.copy()
+    q, c = np.empty((a.shape[0], 0), dtype=a.dtype), np.empty((0, n), dtype=a.dtype)
+    width = config.sketch_size
+    while 2 * (q.shape[1] + width) <= n:
+        q_blk = np.linalg.qr(e @ rng.standard_normal((n, width)))[0]
+        q_blk = np.linalg.qr(q_blk - q @ (q.conj().T @ q_blk))[0]
+        c_blk = q_blk.conj().T @ e
+        e -= q_blk @ c_blk
+        q, c = np.hstack([q, q_blk]), np.vstack([c, c_blk])
+        if np.linalg.norm(e) < config.eps:
+            return q, c
+        width = q.shape[1]
+    return None
+
+
+def _dense_solve(a, b, eps: float, qr: bool = False,
+                 config: SolverConfig | None = None) -> SolveReport:
+    """Truncated solve of the dense a by its full SVD or pivoted QR; with a
+    config, the SVD of a certified low-rank factor Q C when there is one."""
     if not 0 < eps < np.inf:
         raise ValueError("eps must be positive and finite")
     a = np.asarray(a)
@@ -113,11 +152,18 @@ def _dense_solve(a, b, eps: float, qr: bool = False) -> SolveReport:
     # sigma_1 and |R_11| are at most ||a||_F: below eps, a truncation keeps
     # nothing, and the answer is the zero vector it would have given (a
     # matrix that is empty, not 2-d or not finite goes on to be rejected)
+    r = 0
     if a.ndim == 2 and a.size and np.linalg.norm(a) < eps:
         x, k = np.zeros(a.shape[1], dtype=np.complex128), 0
+    elif config is not None and (factor := _low_rank_factor(mc.as_matrix(a), config)):
+        # each sigma of C is within ||a - Q C||_F of a's, and x = V_k
+        # Sigma_k^-1 U_k* Q* b lies in a's row space: no back-solve
+        q, c = factor
+        x, k = _truncated_solve(c, q.conj().T @ b, eps)
+        r = q.shape[1]
     else:
         x, k = _truncated_solve(a, b, eps, qr)
-    return _report(lambda v: a @ v, b, x, k)
+    return _report(lambda v: a @ v, b, x, k, r)
 
 
 def direct_lsq(a, b) -> SolveReport:
@@ -130,9 +176,12 @@ def direct_lsq(a, b) -> SolveReport:
     return _report(lambda v: a @ v, b, np.asarray(x, dtype=np.complex128), int(rank))
 
 
-def tsvd_solve(a, b, eps: float) -> SolveReport:
-    """Truncated SVD solve: invert only singular values >= eps."""
-    return _dense_solve(a, b, eps)
+def tsvd_solve(a, b, config: SolverConfig) -> SolveReport:
+    """Truncated SVD solve of a dense matrix: invert only singular values
+    >= config.eps.  It factors the R x N core of a certified low-rank factor
+    (R from config.sketch_size, doubling; Omega from config.seed), or the
+    whole matrix once R would pass N/2; sketch_size reports that R, or 0."""
+    return _dense_solve(a, b, config.eps, config=config)
 
 
 def tqr_solve(a, b, eps: float) -> SolveReport:

@@ -93,7 +93,7 @@ def test_criterion_04_truncation_residual_bounds():
     f = mc.pivoted_qr(a)
     ok = True
     for eps in (1e-1, 1e-3, 1e-6):
-        rep = solvers.tsvd_solve(a, b, eps)
+        rep = solvers._dense_solve(a, b, eps)
         ok &= bool(rep.residual_norm <= base + eps * np.linalg.norm(v) + 1e-12)
         rep_qr = solvers.tqr_solve(a, b, eps)
         r = rep_qr.rank_used
@@ -230,7 +230,7 @@ def test_criterion_10_approximation_accuracy():
         cfg = default_config(p, seed=10 + i, eps=eps_rel * p.scale)
         rep = az_solve(p, b, step1="rand-tsvd", config=cfg)
         err = eval_error(p, rep.x, f)["max_err"]
-        oracle = solvers.tsvd_solve(ops.materialize(p.A), b, cfg.eps)
+        oracle = solvers._dense_solve(ops.materialize(p.A), b, cfg.eps)
         floor = max(oracle.residual_norm, 1e-14 * np.linalg.norm(b))
         ok &= bool(err <= tol)
         ok &= bool(rep.residual_norm <= 10.0 * floor)

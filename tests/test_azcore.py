@@ -39,7 +39,7 @@ class TestAzSolve:
         b = np.asarray(random_complex(8, 1, seed=1)).ravel()
         cfg = SolverConfig(eps=1e-8, sketch_size=5)
         rep = az_solve(dense_problem(a, z), b, step1="tsvd", config=cfg)
-        ref = solvers.tsvd_solve(a, b, cfg.eps)
+        ref = solvers._dense_solve(a, b, cfg.eps)
         assert np.allclose(rep.x, ref.x, atol=1e-12)
 
     def test_fourier_extension_matches_dense_oracle(self):
@@ -48,7 +48,7 @@ class TestAzSolve:
         cfg = default_config(p, seed=2)
         rep = az_solve(p, b, step1="rand-tsvd", config=cfg)
         assert rep.residual_norm / np.max(np.abs(b)) <= 1e-8
-        oracle = solvers.tsvd_solve(ops.materialize(p.A), b, cfg.eps)
+        oracle = solvers._dense_solve(ops.materialize(p.A), b, cfg.eps)
         assert abs(rep.residual_norm - oracle.residual_norm) <= 1e-8
 
     def test_b_length_checked(self):
@@ -77,7 +77,7 @@ class TestAzSolve:
         snapshot = {}
 
         def step1(op, rhs):
-            rep = solvers.tsvd_solve(ops.materialize(op), rhs, 1e-8)
+            rep = solvers.tsvd_solve(ops.materialize(op), rhs, SolverConfig(1e-8, 5))
             snapshot["a"] = a_counter.applies
             snapshot["z"] = z_counter.adjoint_applies
             return rep

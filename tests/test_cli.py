@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from azls import frames, matrixcore, operators
+from azls import cli, frames, matrixcore, operators
 from azls.cli import build_parser, main
 from azls.frames import DomainSpec
 
@@ -265,13 +265,39 @@ def test_factorization_error_is_one_line(tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().err.splitlines() == ["error: SVD failed to converge"]
 
 
-def test_unwritable_out_is_one_line(tmp_path, capsys):
+def test_unwritable_out_is_one_line(tmp_path, monkeypatch, capsys):
+    # the check comes before any work: a solve here would fail the test
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before checking --out")
+
+    monkeypatch.setattr(cli, "az_solve", no_solve)
     out = tmp_path / "missing" / "x.csv"
     code = main(["approx", "--problem", "fourier1d", "--n", "31", "--out", str(out)])
     assert code == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
+    assert f"--out {out}:" in err[0] and ".tmp" not in err[0]
     assert not out.parent.exists()
+
+
+def test_out_that_is_a_directory_is_one_line(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "build_problem", lambda *args: pytest.fail("built a problem"))
+    code = main(["singvals", "--n", "15", "--out", str(tmp_path)])
+    assert code == 1
+    assert capsys.readouterr().err == f"error: cannot write --out {tmp_path}\n"
+
+
+def test_failed_write_names_out(tmp_path, monkeypatch):
+    # a write that fails after the check (a full disk, say) still names the
+    # path given, not its temporary file
+    out = tmp_path / "x.csv"
+
+    def unwritable(*args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(out) + ".tmp")
+
+    monkeypatch.setattr(cli, "open", unwritable, raising=False)
+    with pytest.raises(cli.CliError, match=f"cannot write --out {out}: Permission denied$"):
+        cli.write_records([{"n": 1}], ["n"], str(out), "csv")
 
 
 def test_partial_output_never_left_behind(tmp_path):

@@ -38,7 +38,7 @@ class TestConfig:
     def test_nonfinite_eps_rejected(self, eps):
         # each would keep no singular value and return x = 0 without error
         for call in (lambda: SolverConfig(eps=eps, sketch_size=5),
-                     lambda: solvers.tsvd_solve(np.eye(2), np.ones(2), eps),
+                     lambda: solvers._dense_solve(np.eye(2), np.ones(2), eps),
                      lambda: solvers.tqr_solve(np.eye(2), np.ones(2), eps)):
             with pytest.raises(ValueError, match="eps must be positive and finite"):
                 call()
@@ -84,12 +84,13 @@ class TestDirectLsq:
 
 class TestTsvd:
     def test_identity_all_retained(self):
-        rep = solvers.tsvd_solve(np.eye(2), np.array([1.0, 1.0]), eps=0.5)
+        rep = solvers.tsvd_solve(np.eye(2), np.array([1.0, 1.0]), SolverConfig(0.5, 1))
         assert np.allclose(rep.x, [1.0, 1.0])
         assert rep.rank_used == 2
 
     def test_small_direction_truncated(self):
-        rep = solvers.tsvd_solve(np.diag([1.0, 1e-12]), np.array([1.0, 1.0]), eps=1e-6)
+        rep = solvers.tsvd_solve(np.diag([1.0, 1e-12]), np.array([1.0, 1.0]),
+                                 SolverConfig(1e-6, 1))
         assert np.allclose(rep.x, [1.0, 0.0])
         assert rep.rank_used == 1
 
@@ -98,15 +99,106 @@ class TestTsvd:
         a = spectrum_matrix(20, 10, sigma, seed=3)
         b = np.asarray(random_complex(20, 1, seed=4)).ravel()
         eps = 1e-2
-        rep = solvers.tsvd_solve(a, b, eps)
+        rep = solvers.tsvd_solve(a, b, SolverConfig(eps, 2))
         assert rep.rank_used == int(np.sum(sigma >= eps))
         v = mc.pseudoinverse(a) @ b
         bound = np.linalg.norm(b - a @ v) + eps * np.linalg.norm(v)
         assert rep.residual_norm <= bound + 1e-12
 
     def test_tie_retained(self):
-        rep = solvers.tsvd_solve(np.diag([1.0, 0.5]), np.array([1.0, 1.0]), eps=0.5)
+        rep = solvers.tsvd_solve(np.diag([1.0, 0.5]), np.array([1.0, 1.0]), SolverConfig(0.5, 1))
         assert rep.rank_used == 2
+
+
+class TestCertifiedTsvd:
+    """The dense tsvd factors the R x N core of a certified low-rank factor
+    Q C, ||A - Q C||_F < eps, starting at R = sketch_size and doubling; a
+    round that would take R past N/2 is left to the full SVD."""
+
+    EPS = 1e-8
+
+    @staticmethod
+    def matrix(rank, dtype, seed, m=120, n=80):
+        """U diag(sigma) V* of eps-rank `rank`: a graded spectrum, then a
+        sub-eps tail."""
+        sigma = np.concatenate([np.logspace(0, -3, rank), np.full(n - rank, 1e-14)])
+        if dtype == "complex":
+            return spectrum_matrix(m, n, sigma, seed=seed)
+        rng = np.random.default_rng(seed)
+        u = np.linalg.qr(rng.standard_normal((m, n)))[0]
+        v = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        return (u * sigma) @ v.T
+
+    @pytest.mark.parametrize("dtype", ["real", "complex"])
+    def test_first_round_matches_full_svd(self, dtype):
+        a = self.matrix(20, dtype, seed=31)
+        b = np.asarray(random_complex(120, 1, seed=32)).ravel()
+        cfg = SolverConfig(self.EPS, 24, seed=3)
+        q, c = solvers._low_rank_factor(a, cfg)
+        assert q.dtype == c.dtype == a.dtype
+        assert q.shape == (120, 24)
+        assert np.linalg.norm(q.conj().T @ q - np.eye(24)) <= 1e-13
+        assert np.linalg.norm(a - q @ c) < self.EPS
+        ref = solvers._dense_solve(a, b, self.EPS)
+        rep = solvers.tsvd_solve(a, b, cfg)
+        assert (rep.rank_used, rep.sketch_size) == (ref.rank_used, 24)
+        assert ref.rank_used == 20
+        assert np.linalg.norm(rep.x - ref.x) <= 1e-8 * np.linalg.norm(ref.x)
+
+    def test_core_is_the_only_svd(self, monkeypatch):
+        a = self.matrix(20, "real", seed=33)
+        shapes, svd = [], mc.svd
+        monkeypatch.setattr(mc, "svd", lambda m: shapes.append(m.shape) or svd(m))
+        rep = solvers.tsvd_solve(a, np.ones(120), SolverConfig(self.EPS, 24))
+        assert shapes == [(24, 80)] and rep.sketch_size == 24
+
+    def test_later_round_certifies(self):
+        # rank 25 from R = 4: rounds of 4, 8, 16 fail, R = 32 <= N/2 certifies
+        a = self.matrix(25, "complex", seed=34)
+        b = np.asarray(random_complex(120, 1, seed=35)).ravel()
+        cfg = SolverConfig(self.EPS, 4, seed=1)
+        # the last block holds sub-eps directions, which lose their
+        # orthogonality to the earlier blocks unless reorthogonalized
+        q, _ = solvers._low_rank_factor(a, cfg)
+        assert np.linalg.norm(q.conj().T @ q - np.eye(32)) <= 1e-13
+        rep = solvers.tsvd_solve(a, b, cfg)
+        ref = solvers._dense_solve(a, b, self.EPS)
+        assert (rep.rank_used, rep.sketch_size) == (25, 32)
+        assert np.linalg.norm(rep.x - ref.x) <= 1e-8 * np.linalg.norm(ref.x)
+
+    @pytest.mark.parametrize("sketch_size", [4, 41])
+    def test_rank_above_half_takes_full_svd(self, sketch_size):
+        # R = 4 runs rounds to 32 first; R = 41 > N/2 factors a at once
+        a = self.matrix(50, "complex", seed=36)
+        b = np.asarray(random_complex(120, 1, seed=37)).ravel()
+        rep = solvers.tsvd_solve(a, b, SolverConfig(self.EPS, sketch_size, seed=2))
+        ref = solvers._dense_solve(a, b, self.EPS)
+        assert (rep.rank_used, rep.sketch_size) == (50, 0)
+        assert np.array_equal(rep.x, ref.x)
+
+    def test_fixed_seed_same_bits(self):
+        a = self.matrix(25, "real", seed=38)
+        b = np.asarray(random_complex(120, 1, seed=39)).ravel()
+        cfg = SolverConfig(self.EPS, 4, seed=9)
+        x1, x2 = (solvers.tsvd_solve(a, b, cfg).x for _ in range(2))
+        assert np.array_equal(x1, x2)
+        assert not np.array_equal(x1, solvers.tsvd_solve(a, b, SolverConfig(self.EPS, 4, 10)).x)
+
+    def test_takes_no_scipy_kernel(self, monkeypatch):
+        def unusable(*args, **kwargs):
+            raise AssertionError("scipy kernel taken")
+
+        for name in ("svd", "qr"):
+            monkeypatch.setattr(scipy.linalg, name, unusable)
+        rep = solvers.tsvd_solve(self.matrix(20, "real", seed=40), np.ones(120),
+                                 SolverConfig(self.EPS, 24))
+        assert rep.sketch_size == 24
+
+    def test_nonfinite_matrix_rejected(self):
+        a = self.matrix(20, "real", seed=41)
+        a[3, 4] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            solvers.tsvd_solve(a, np.ones(120), SolverConfig(self.EPS, 24))
 
 
 class TestTqr:
@@ -152,6 +244,11 @@ class TestZeroRankExit:
 
     SOLVES = [(solvers.tsvd_solve, False), (solvers.tqr_solve, True)]
 
+    @staticmethod
+    def threshold(qr, eps):
+        # tsvd takes a config; a start R of 1 runs its certified rounds
+        return eps if qr else SolverConfig(eps, 1)
+
     @pytest.mark.parametrize("solve, qr", SOLVES)
     def test_below_eps_does_not_factor(self, solve, qr, monkeypatch):
         a = 1e-12 * random_complex(9, 5, seed=2)
@@ -163,7 +260,7 @@ class TestZeroRankExit:
 
         monkeypatch.setattr(mc, "svd", unusable)
         monkeypatch.setattr(mc, "pivoted_qr", unusable)
-        rep = solve(a, b, 1e-8)
+        rep = solve(a, b, self.threshold(qr, 1e-8))
         assert rep.rank_used == 0
         assert rep.x.dtype == x_factored.dtype == np.complex128
         assert np.array_equal(rep.x, x_factored)
@@ -177,7 +274,7 @@ class TestZeroRankExit:
         for name in ("svd", "pivoted_qr"):
             fn = getattr(mc, name)
             monkeypatch.setattr(mc, name, lambda m, fn=fn: calls.append(m) or fn(m))
-        rep = solve(a, np.ones(6), 1e-8)
+        rep = solve(a, np.ones(6), self.threshold(qr, 1e-8))
         assert len(calls) == 1
         assert rep.rank_used == 0
         assert np.array_equal(rep.x, np.zeros(4))
@@ -423,7 +520,7 @@ def test_baseline_dominance_well_conditioned():
     x_ref = solvers.direct_lsq(a, b).x
     cfg = SolverConfig(eps=1e-8, sketch_size=6, seed=5)
     candidates = [
-        solvers.tsvd_solve(a, b, eps=0.5).x,
+        solvers.tsvd_solve(a, b, SolverConfig(0.5, 2)).x,
         solvers.tqr_solve(a, b, eps=0.5).x,
         solvers.randomized_tsvd_solve(ops.from_dense(a), b, cfg).x,
         solvers.randomized_tqr_solve(ops.from_dense(a), b, cfg).x,
@@ -436,14 +533,14 @@ def test_truncation_threshold_consistency():
     sigma = np.array([1.0, 0.5, 0.2, 0.09, 0.01])
     a = spectrum_matrix(8, 5, sigma, seed=14)
     eps = 0.1
-    rep = solvers.tsvd_solve(a, np.ones(8), eps)
+    rep = solvers.tsvd_solve(a, np.ones(8), SolverConfig(eps, 1))
     assert rep.rank_used == int(np.sum(sigma >= eps))
 
 
 def test_residual_recomputed():
     a = random_complex(10, 4, seed=15)
     b = np.asarray(random_complex(10, 1, seed=16)).ravel()
-    rep = solvers.tsvd_solve(a, b, eps=1e-10)
+    rep = solvers.tsvd_solve(a, b, SolverConfig(1e-10, 2))
     assert abs(rep.residual_norm - np.linalg.norm(b - a @ rep.x)) \
         <= 1e-12 * max(1.0, rep.residual_norm)
 
