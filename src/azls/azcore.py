@@ -17,9 +17,12 @@ from .operators import (LinearOperator, az_step1_operator, compose, diagonal,
                         materialize)
 from .solvers import SolveReport, SolverConfig
 
-DENSE_STEP1_SOLVERS = ("tsvd", "tqr")
-RANDOMIZED_STEP1_SOLVERS = ("rand-tsvd", "rand-tqr")
-STEP1_SOLVERS = DENSE_STEP1_SOLVERS + RANDOMIZED_STEP1_SOLVERS
+STEP1_SOLVERS = {
+    "tsvd": lambda op, rhs, config: solvers.tsvd_solve(materialize(op), rhs, config),
+    "tqr": lambda op, rhs, config: solvers.tqr_solve(materialize(op), rhs, config),
+    "rand-tsvd": solvers.randomized_tsvd_solve,
+    "rand-tqr": solvers.randomized_tqr_solve,
+}
 
 
 @dataclass(frozen=True)
@@ -78,16 +81,9 @@ def _solve_step1(op: LinearOperator, rhs: np.ndarray, step1,
                  config: SolverConfig) -> SolveReport:
     if callable(step1):
         return step1(op, rhs)
-    if step1 == "rand-tsvd":
-        return solvers.randomized_tsvd_solve(op, rhs, config)
-    if step1 == "rand-tqr":
-        return solvers.randomized_tqr_solve(op, rhs, config)
-    if step1 not in DENSE_STEP1_SOLVERS:
-        raise ValueError(f"unknown step-1 solver {step1!r}; choose from {STEP1_SOLVERS}")
-    dense = materialize(op)
-    if step1 == "tsvd":
-        return solvers.tsvd_solve(dense, rhs, config)
-    return solvers.tqr_solve(dense, rhs, config.eps)
+    if step1 not in STEP1_SOLVERS:
+        raise ValueError(f"unknown step-1 solver {step1!r}; choose from {tuple(STEP1_SOLVERS)}")
+    return STEP1_SOLVERS[step1](op, rhs, config)
 
 
 def default_config(problem: AzProblem, seed: int = 0,

@@ -1,21 +1,16 @@
 """Least squares solvers for numerically low-rank systems.
 
-The direct solve is numpy's lstsq.  The truncated dense variants (SVD,
-pivoted QR) take matrices; randomized variants take matrix-free operators
-and a SolverConfig and work on the sketch A Omega = Q T.  Its Householder QR
-grows with the sketch, one column block per doubling, and each round
-factors only the small core T, unless a triangular inverse already
-certifies that T keeps every direction.  Every truncated solve factors
-once, truncates and back-solves through one core, and every solver
-recomputes the residual norm independently of its internal algebra.
-
-The dense tsvd takes a SolverConfig too.  In rounds of R Gaussian columns
-(from sketch_size, doubling, drawn from seed) it builds A = Q C + E with
-orthonormal Q and deflated E, and once the explicit ||E||_F < eps it factors
-only the R x N core C; a round that would take R past N/2 is left to the full
-SVD of A.  The dense tqr factors the whole matrix.  The sketch loop keeps its
-dense kernels (QR, certificate, core SVD) in scipy's BLAS/LAPACK; the dense
-path (lstsq, the certified rounds, matrixcore.svd) runs numpy's.
+The direct solve is numpy's lstsq.  Every other solver takes a SolverConfig,
+truncates at its eps by SVD or column-pivoted QR through one core, and draws
+its Gaussian blocks Omega from one round schedule, _gaussian_blocks.  The
+randomized solvers take operators and grow the Householder QR of the sketch
+A Omega = Q T by a block per round, factoring only the small core T unless a
+triangular inverse certifies that T keeps every direction.  The dense tsvd
+and tqr take matrices, build A = Q C + E with orthonormal Q and deflated E,
+and factor only the R x N core C once the explicit ||E||_F < eps, else all
+of A.  The sketch loop runs scipy's BLAS/LAPACK; the dense path (lstsq, the
+certified rounds, matrixcore.svd) runs numpy's, which has no pivoted QR.
+Every solver recomputes the residual norm apart from its internal algebra.
 """
 
 from __future__ import annotations
@@ -37,10 +32,10 @@ class SolverConfig:
     """Truncation threshold and sketching parameters.
 
     eps is a finite, absolute singular-value / diagonal threshold.  sketch_size is
-    R = r + p for a target rank r and oversampling p, an integer >= 1; seed is
-    an integer >= 0.  The randomized solvers double R (reusing the random
-    stream) while the sketch keeps every one of its directions, capped at N;
-    the dense tsvd doubles it until its certificate holds, up to N/2.
+    the first R = r + p, for a target rank r and oversampling p, an integer
+    >= 1; seed, an integer >= 0, seeds the one Gaussian stream.  R doubles
+    while a randomized sketch keeps all its directions, up to N, and until
+    the dense tsvd and tqr certify, up to N/2.
     """
 
     eps: float
@@ -112,39 +107,49 @@ def _truncated_solve(a: np.ndarray, b: np.ndarray, eps: float,
     return f.V[:, :k] @ ((f.U[:, :k].conj().T @ b) / f.sigma[:k]), k
 
 
+def _gaussian_blocks(n: int, config: SolverConfig):
+    """Yield the n-row Gaussian blocks of default_rng(config.seed), of widths
+    sketch_size, then the R so far (R doubles), the last clipped so that R
+    ends at n (HMT, SIAM Review 53 (2011), Algorithm 4.2, blocked)."""
+    rng = np.random.default_rng(config.seed)
+    r = 0
+    while r < n:
+        width = min(max(config.sketch_size, r), n - r)
+        yield rng.standard_normal((n, width))
+        r += width
+
+
 def _low_rank_factor(a: np.ndarray, config: SolverConfig):
     """(Q, C) with orthonormal Q (M x R) and the explicit ||a - Q C||_F
     below config.eps, or None once R would pass N/2.
 
-    Each round draws a Gaussian block Omega from config.seed, orthonormalizes
-    Y = E Omega for the deflated E = a - Q C, then once more against the
-    earlier blocks (E keeps its orthogonality to them only to rounding), and
-    deflates E by C_blk = Q_blk* E; R starts at config.sketch_size and
-    doubles (HMT, SIAM Review 53 (2011), Algorithm 4.2, blocked).  The
-    certificate is ||E||_F itself, not ||a||^2 - ||C||^2, which cancels
-    near eps.  numpy's BLAS/LAPACK throughout, real for a real a.
+    Each round takes the next block Omega of _gaussian_blocks,
+    orthonormalizes Y = E Omega for the deflated E = a - Q C, then once more
+    against the earlier blocks (E keeps its orthogonality to them only to
+    rounding), and deflates E by C_blk = Q_blk* E.  The certificate is
+    ||E||_F itself, not ||a||^2 - ||C||^2, which cancels near eps.  numpy's
+    BLAS/LAPACK throughout, real for a real a.
     """
     n = a.shape[1]
-    rng = np.random.default_rng(config.seed)
     e = a.copy()
     q, c = np.empty((a.shape[0], 0), dtype=a.dtype), np.empty((0, n), dtype=a.dtype)
-    width = config.sketch_size
-    while 2 * (q.shape[1] + width) <= n:
-        q_blk = np.linalg.qr(e @ rng.standard_normal((n, width)))[0]
+    for omega in _gaussian_blocks(n, config):
+        if 2 * (q.shape[1] + omega.shape[1]) > n:
+            break
+        q_blk = np.linalg.qr(e @ omega)[0]
         q_blk = np.linalg.qr(q_blk - q @ (q.conj().T @ q_blk))[0]
         c_blk = q_blk.conj().T @ e
         e -= q_blk @ c_blk
         q, c = np.hstack([q, q_blk]), np.vstack([c, c_blk])
         if np.linalg.norm(e) < config.eps:
             return q, c
-        width = q.shape[1]
     return None
 
 
 def _dense_solve(a, b, eps: float, qr: bool = False,
                  config: SolverConfig | None = None) -> SolveReport:
     """Truncated solve of the dense a by its full SVD or pivoted QR; with a
-    config, the SVD of a certified low-rank factor Q C when there is one."""
+    config, of the R x N core C of a certified Q C when there is one."""
     if not 0 < eps < np.inf:
         raise ValueError("eps must be positive and finite")
     a = np.asarray(a)
@@ -156,10 +161,10 @@ def _dense_solve(a, b, eps: float, qr: bool = False,
     if a.ndim == 2 and a.size and np.linalg.norm(a) < eps:
         x, k = np.zeros(a.shape[1], dtype=np.complex128), 0
     elif config is not None and (factor := _low_rank_factor(mc.as_matrix(a), config)):
-        # each sigma of C is within ||a - Q C||_F of a's, and x = V_k
-        # Sigma_k^-1 U_k* Q* b lies in a's row space: no back-solve
+        # each sigma of C is within ||a - Q C||_F of a's, and the SVD's
+        # x = V_k Sigma_k^-1 U_k* Q* b lies in a's row space: no back-solve
         q, c = factor
-        x, k = _truncated_solve(c, q.conj().T @ b, eps)
+        x, k = _truncated_solve(c, q.conj().T @ b, eps, qr)
         r = q.shape[1]
     else:
         x, k = _truncated_solve(a, b, eps, qr)
@@ -184,9 +189,11 @@ def tsvd_solve(a, b, config: SolverConfig) -> SolveReport:
     return _dense_solve(a, b, config.eps, config=config)
 
 
-def tqr_solve(a, b, eps: float) -> SolveReport:
-    """Truncated pivoted QR solve on the leading block with |diag(R)| >= eps."""
-    return _dense_solve(a, b, eps, qr=True)
+def tqr_solve(a, b, config: SolverConfig) -> SolveReport:
+    """Truncated pivoted QR solve of a dense matrix, keeping the leading block
+    with |diag(R)| >= config.eps, of the same core or matrix as tsvd_solve,
+    with the same sketch_size."""
+    return _dense_solve(a, b, config.eps, qr=True, config=config)
 
 
 def _as_operator(a) -> LinearOperator:
@@ -194,20 +201,13 @@ def _as_operator(a) -> LinearOperator:
 
 
 def _sketch(a: LinearOperator, config: SolverConfig):
-    """Yield (Omega, QR of A @ Omega) for R, then for doubled R, capped at N.
-
-    Each round draws the next columns of Omega from the same stream and
-    grows the Householder QR by their block; A @ Omega is never kept.
-    """
-    n = a.cols
-    rng = np.random.default_rng(config.seed)
-    omega = np.empty((n, 0))
+    """Yield (Omega, QR of A @ Omega) as each block of _gaussian_blocks,
+    up to R = N, grows the Householder QR; A @ Omega is never kept."""
+    omega = np.empty((a.cols, 0))
     factor = None
-    while omega.shape[1] < n:
-        extra = min(max(config.sketch_size, omega.shape[1]), n - omega.shape[1])
-        omega_new = rng.standard_normal((n, extra))
-        factor = mc.householder_qr(a.apply(omega_new), factor)
-        omega = np.concatenate([omega, omega_new], axis=1)
+    for block in _gaussian_blocks(a.cols, config):
+        factor = mc.householder_qr(a.apply(block), factor)
+        omega = np.concatenate([omega, block], axis=1)
         yield omega, factor
 
 

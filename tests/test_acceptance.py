@@ -95,7 +95,7 @@ def test_criterion_04_truncation_residual_bounds():
     for eps in (1e-1, 1e-3, 1e-6):
         rep = solvers._dense_solve(a, b, eps)
         ok &= bool(rep.residual_norm <= base + eps * np.linalg.norm(v) + 1e-12)
-        rep_qr = solvers.tqr_solve(a, b, eps)
+        rep_qr = solvers.tqr_solve(a, b, SolverConfig(eps, 1))
         r = rep_qr.rank_used
         ok &= r == int(np.sum(np.abs(np.diagonal(f.R)) >= eps))
         r22 = np.linalg.norm(f.R[r:, r:], 2) if r < f.R.shape[0] else 0.0

@@ -39,7 +39,7 @@ class TestConfig:
         # each would keep no singular value and return x = 0 without error
         for call in (lambda: SolverConfig(eps=eps, sketch_size=5),
                      lambda: solvers._dense_solve(np.eye(2), np.ones(2), eps),
-                     lambda: solvers.tqr_solve(np.eye(2), np.ones(2), eps)):
+                     lambda: solvers._dense_solve(np.eye(2), np.ones(2), eps, qr=True)):
             with pytest.raises(ValueError, match="eps must be positive and finite"):
                 call()
 
@@ -110,12 +110,21 @@ class TestTsvd:
         assert rep.rank_used == 2
 
 
-class TestCertifiedTsvd:
-    """The dense tsvd factors the R x N core of a certified low-rank factor
-    Q C, ||A - Q C||_F < eps, starting at R = sketch_size and doubling; a
-    round that would take R past N/2 is left to the full SVD."""
+class CertifiedDense:
+    """The dense tsvd and tqr factor the R x N core of a certified low-rank
+    factor Q C, ||A - Q C||_F < eps, starting at R = sketch_size and
+    doubling; a round that would take R past N/2 leaves the whole matrix to
+    the same factorization.  A subclass sets QR; "svd" in a test name is
+    the solver's own factorization, the SVD or the pivoted QR."""
 
     EPS = 1e-8
+    QR = False
+
+    def solve(self, a, b, cfg):
+        return (solvers.tqr_solve if self.QR else solvers.tsvd_solve)(a, b, cfg)
+
+    def reference(self, a, b):
+        return solvers._dense_solve(a, b, self.EPS, self.QR)
 
     @staticmethod
     def matrix(rank, dtype, seed, m=120, n=80):
@@ -139,18 +148,24 @@ class TestCertifiedTsvd:
         assert q.shape == (120, 24)
         assert np.linalg.norm(q.conj().T @ q - np.eye(24)) <= 1e-13
         assert np.linalg.norm(a - q @ c) < self.EPS
-        ref = solvers._dense_solve(a, b, self.EPS)
-        rep = solvers.tsvd_solve(a, b, cfg)
+        ref = self.reference(a, b)
+        rep = self.solve(a, b, cfg)
         assert (rep.rank_used, rep.sketch_size) == (ref.rank_used, 24)
         assert ref.rank_used == 20
         assert np.linalg.norm(rep.x - ref.x) <= 1e-8 * np.linalg.norm(ref.x)
 
     def test_core_is_the_only_svd(self, monkeypatch):
         a = self.matrix(20, "real", seed=33)
-        shapes, svd = [], mc.svd
-        monkeypatch.setattr(mc, "svd", lambda m: shapes.append(m.shape) or svd(m))
-        rep = solvers.tsvd_solve(a, np.ones(120), SolverConfig(self.EPS, 24))
-        assert shapes == [(24, 80)] and rep.sketch_size == 24
+        calls = []
+        for name in ("svd", "pivoted_qr"):
+            def counted(m, name=name, fn=getattr(mc, name)):
+                calls.append((name, m.shape))
+                return fn(m)
+
+            monkeypatch.setattr(mc, name, counted)
+        rep = self.solve(a, np.ones(120), SolverConfig(self.EPS, 24))
+        assert calls == [("pivoted_qr" if self.QR else "svd", (24, 80))]
+        assert rep.sketch_size == 24
 
     def test_later_round_certifies(self):
         # rank 25 from R = 4: rounds of 4, 8, 16 fail, R = 32 <= N/2 certifies
@@ -161,8 +176,8 @@ class TestCertifiedTsvd:
         # orthogonality to the earlier blocks unless reorthogonalized
         q, _ = solvers._low_rank_factor(a, cfg)
         assert np.linalg.norm(q.conj().T @ q - np.eye(32)) <= 1e-13
-        rep = solvers.tsvd_solve(a, b, cfg)
-        ref = solvers._dense_solve(a, b, self.EPS)
+        rep = self.solve(a, b, cfg)
+        ref = self.reference(a, b)
         assert (rep.rank_used, rep.sketch_size) == (25, 32)
         assert np.linalg.norm(rep.x - ref.x) <= 1e-8 * np.linalg.norm(ref.x)
 
@@ -171,8 +186,8 @@ class TestCertifiedTsvd:
         # R = 4 runs rounds to 32 first; R = 41 > N/2 factors a at once
         a = self.matrix(50, "complex", seed=36)
         b = np.asarray(random_complex(120, 1, seed=37)).ravel()
-        rep = solvers.tsvd_solve(a, b, SolverConfig(self.EPS, sketch_size, seed=2))
-        ref = solvers._dense_solve(a, b, self.EPS)
+        rep = self.solve(a, b, SolverConfig(self.EPS, sketch_size, seed=2))
+        ref = self.reference(a, b)
         assert (rep.rank_used, rep.sketch_size) == (50, 0)
         assert np.array_equal(rep.x, ref.x)
 
@@ -180,11 +195,21 @@ class TestCertifiedTsvd:
         a = self.matrix(25, "real", seed=38)
         b = np.asarray(random_complex(120, 1, seed=39)).ravel()
         cfg = SolverConfig(self.EPS, 4, seed=9)
-        x1, x2 = (solvers.tsvd_solve(a, b, cfg).x for _ in range(2))
+        x1, x2 = (self.solve(a, b, cfg).x for _ in range(2))
         assert np.array_equal(x1, x2)
-        assert not np.array_equal(x1, solvers.tsvd_solve(a, b, SolverConfig(self.EPS, 4, 10)).x)
+        assert not np.array_equal(x1, self.solve(a, b, SolverConfig(self.EPS, 4, 10)).x)
 
+    def test_nonfinite_matrix_rejected(self):
+        a = self.matrix(20, "real", seed=41)
+        a[3, 4] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            self.solve(a, np.ones(120), SolverConfig(self.EPS, 24))
+
+
+class TestCertifiedTsvd(CertifiedDense):
     def test_takes_no_scipy_kernel(self, monkeypatch):
+        # the rounds and the core SVD run numpy's kernels; the tqr core's
+        # pivoted QR is scipy's, since numpy has none
         def unusable(*args, **kwargs):
             raise AssertionError("scipy kernel taken")
 
@@ -194,21 +219,20 @@ class TestCertifiedTsvd:
                                  SolverConfig(self.EPS, 24))
         assert rep.sketch_size == 24
 
-    def test_nonfinite_matrix_rejected(self):
-        a = self.matrix(20, "real", seed=41)
-        a[3, 4] = np.nan
-        with pytest.raises(ValueError, match="non-finite"):
-            solvers.tsvd_solve(a, np.ones(120), SolverConfig(self.EPS, 24))
+
+class TestCertifiedTqr(CertifiedDense):
+    QR = True
 
 
 class TestTqr:
     def test_identity(self):
-        rep = solvers.tqr_solve(np.eye(3), np.array([1.0, 2.0, 3.0]), eps=0.5)
+        rep = solvers.tqr_solve(np.eye(3), np.array([1.0, 2.0, 3.0]), SolverConfig(0.5, 1))
         assert np.allclose(rep.x, [1.0, 2.0, 3.0])
         assert rep.rank_used == 3
 
     def test_truncated_diag(self):
-        rep = solvers.tqr_solve(np.diag([2.0, 1e-13]), np.array([2.0, 1.0]), eps=1e-6)
+        rep = solvers.tqr_solve(np.diag([2.0, 1e-13]), np.array([2.0, 1.0]),
+                                SolverConfig(1e-6, 1))
         assert np.allclose(rep.x, [1.0, 0.0])
         assert rep.rank_used == 1
 
@@ -217,7 +241,7 @@ class TestTqr:
         f = mc.pivoted_qr(a)
         eps = 1e-6
         b = np.asarray(random_complex(16, 1, seed=6)).ravel()
-        rep = solvers.tqr_solve(a, b, eps)
+        rep = solvers.tqr_solve(a, b, SolverConfig(eps, 1))
         r = rep.rank_used
         assert r == int(np.sum(np.abs(np.diagonal(f.R)) >= eps))
         r22_norm = np.linalg.norm(f.R[r:, r:], 2) if r < f.R.shape[0] else 0.0
@@ -228,14 +252,14 @@ class TestTqr:
     def test_singular_block_dropped(self):
         # a zero diagonal is below every eps, so it is never back-solved
         b = np.ones(3)
-        rep = solvers.tqr_solve(np.zeros((3, 2)), b, eps=1e-8)
+        rep = solvers.tqr_solve(np.zeros((3, 2)), b, SolverConfig(1e-8, 1))
         assert np.array_equal(rep.x, np.zeros(2))
         assert rep.rank_used == 0
         assert rep.residual_norm == np.linalg.norm(b)
 
     def test_nonpositive_eps_rejected(self):
         with pytest.raises(ValueError):
-            solvers.tqr_solve(np.eye(2), np.zeros(2), eps=0.0)
+            solvers.tqr_solve(np.eye(2), np.zeros(2), SolverConfig(0.0, 1))
 
 
 class TestZeroRankExit:
@@ -243,11 +267,6 @@ class TestZeroRankExit:
     |R_11| are both at most ||A||_F), so they return x = 0 unfactored."""
 
     SOLVES = [(solvers.tsvd_solve, False), (solvers.tqr_solve, True)]
-
-    @staticmethod
-    def threshold(qr, eps):
-        # tsvd takes a config; a start R of 1 runs its certified rounds
-        return eps if qr else SolverConfig(eps, 1)
 
     @pytest.mark.parametrize("solve, qr", SOLVES)
     def test_below_eps_does_not_factor(self, solve, qr, monkeypatch):
@@ -260,7 +279,7 @@ class TestZeroRankExit:
 
         monkeypatch.setattr(mc, "svd", unusable)
         monkeypatch.setattr(mc, "pivoted_qr", unusable)
-        rep = solve(a, b, self.threshold(qr, 1e-8))
+        rep = solve(a, b, SolverConfig(1e-8, 1))
         assert rep.rank_used == 0
         assert rep.x.dtype == x_factored.dtype == np.complex128
         assert np.array_equal(rep.x, x_factored)
@@ -274,7 +293,7 @@ class TestZeroRankExit:
         for name in ("svd", "pivoted_qr"):
             fn = getattr(mc, name)
             monkeypatch.setattr(mc, name, lambda m, fn=fn: calls.append(m) or fn(m))
-        rep = solve(a, np.ones(6), self.threshold(qr, 1e-8))
+        rep = solve(a, np.ones(6), SolverConfig(1e-8, 1))
         assert len(calls) == 1
         assert rep.rank_used == 0
         assert np.array_equal(rep.x, np.zeros(4))
@@ -381,6 +400,17 @@ class TestGrowingSketch:
         rep = solve(ops.from_dense(a), b, SolverConfig(eps=1e-8, sketch_size=3, seed=1))
         assert (rep.rank_used, rep.sketch_size) == (6, 12)
         assert rep.residual_norm <= 1e-13 * np.linalg.norm(b)
+
+    def test_one_round_schedule(self):
+        # widths s, s, 2s, 4s, ..., the last clipped so that they sum to N;
+        # the sketch's Omega after k rounds is the first k blocks
+        cfg = SolverConfig(eps=1e-8, sketch_size=3, seed=4)
+        blocks = list(solvers._gaussian_blocks(40, cfg))
+        assert [block.shape for block in blocks] == [(40, w) for w in (3, 3, 6, 12, 16)]
+        rounds = list(solvers._sketch(ops.from_dense(random_complex(60, 40, seed=17)), cfg))
+        assert len(rounds) == len(blocks)
+        for k, (omega, _) in enumerate(rounds, start=1):
+            assert np.array_equal(omega, np.hstack(blocks[:k]))
 
     @pytest.mark.parametrize("solve", [solvers.randomized_tsvd_solve,
                                        solvers.randomized_tqr_solve])
@@ -521,7 +551,7 @@ def test_baseline_dominance_well_conditioned():
     cfg = SolverConfig(eps=1e-8, sketch_size=6, seed=5)
     candidates = [
         solvers.tsvd_solve(a, b, SolverConfig(0.5, 2)).x,
-        solvers.tqr_solve(a, b, eps=0.5).x,
+        solvers.tqr_solve(a, b, SolverConfig(0.5, 1)).x,
         solvers.randomized_tsvd_solve(ops.from_dense(a), b, cfg).x,
         solvers.randomized_tqr_solve(ops.from_dense(a), b, cfg).x,
     ]
