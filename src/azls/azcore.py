@@ -26,6 +26,20 @@ STEP1_SOLVERS = {
 
 
 @dataclass(frozen=True)
+class RealForm:
+    """A frame in real coordinates: a unitary V (N x N) for which A V, Z V and
+    V* G V are real.  A, Z and gram map float64 to float64, and a complex
+    block through its real and imaginary parts; gram may be None (Z* A
+    composed), as for AzProblem.  A coefficient vector x_r of these
+    coordinates is V x_r in the problem's own."""
+
+    A: LinearOperator
+    Z: LinearOperator
+    gram: LinearOperator | None
+    V: LinearOperator
+
+
+@dataclass(frozen=True)
 class AzProblem:
     """A pair of equal-shape operators (A, Z) plus approximation metadata.
 
@@ -39,6 +53,11 @@ class AzProblem:
     Toeplitz G, the Chebyshev frame's Toeplitz-plus-Hankel G, the Legendre
     frame's dense G), and fourier01 its exact I; without gram (the sum
     frame, a problem built by the caller) G is Z* composed with A.
+
+    real_form, when present, is the same frame in real coordinates (the
+    Fourier frames' cos/sin form), and step 1 runs on it in float64: on
+    (I - A_r Z_r*) A_r with G_r, its x1 mapped back by V.  The right-hand
+    side, step 2 and the residual stay on A and Z.
     """
 
     A: LinearOperator
@@ -49,13 +68,20 @@ class AzProblem:
     evaluate: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     domain: object | None = None
     gram: LinearOperator | None = None
+    real_form: RealForm | None = None
 
     def __post_init__(self):
         if self.A.shape != self.Z.shape:
             raise ValueError(f"A and Z shapes differ: {self.A.shape} vs {self.Z.shape}")
-        if self.gram is not None and self.gram.shape != (self.A.cols, self.A.cols):
-            raise ValueError(f"gram has shape {self.gram.shape}, expected "
-                             f"{(self.A.cols, self.A.cols)}")
+        n = self.A.cols
+        if self.gram is not None and self.gram.shape != (n, n):
+            raise ValueError(f"gram has shape {self.gram.shape}, expected {(n, n)}")
+        real = self.real_form
+        if real is not None:
+            shapes = (real.A.shape, real.Z.shape, real.V.shape)
+            if shapes != (self.A.shape, self.A.shape, (n, n)) or \
+                    (real.gram is not None and real.gram.shape != (n, n)):
+                raise ValueError(f"real form does not match the {self.A.shape} problem")
 
 
 @dataclass(frozen=True)
@@ -97,21 +123,17 @@ def default_config(problem: AzProblem, seed: int = 0,
 
 
 def _rhs(b, rows: int) -> np.ndarray:
-    """b as a finite complex vector of length rows, else a ValueError."""
-    b = np.asarray(b, dtype=np.complex128)
-    if b.shape != (rows,):
-        raise ValueError(f"b has shape {b.shape}, expected ({rows},)")
-    if not np.all(np.isfinite(b)):
-        raise ValueError("b contains non-finite entries")
-    return b
+    """b as a complex vector, once solvers.check_rhs accepts it."""
+    return np.asarray(solvers.check_rhs(b, rows), dtype=np.complex128)
 
 
 def _three_step(problem: AzProblem, b, step1, config: SolverConfig | None) -> SolveReport:
-    a, z = problem.A, problem.Z
+    a, z, real = problem.A, problem.Z, problem.real_form
     b = _rhs(b, a.rows)
     if config is None:
         config = default_config(problem)
-    op1 = az_step1_operator(a, z, problem.gram)
+    op1 = az_step1_operator(*((a, z, problem.gram) if real is None
+                              else (real.A, real.Z, real.gram)))
     rhs = b - np.asarray(a.apply(z.adjoint_apply(b)), dtype=np.complex128)
     rep1 = _solve_step1(op1, rhs, step1, config)
     x1 = np.asarray(rep1.x, dtype=np.complex128)
@@ -119,6 +141,8 @@ def _three_step(problem: AzProblem, b, step1, config: SolverConfig | None) -> So
         raise ValueError(f"x1 has shape {x1.shape}, expected ({a.cols},)")
     if not np.all(np.isfinite(x1)):
         raise ValueError("step 1 returned an x1 with non-finite entries")
+    if real is not None:
+        x1 = real.V.apply(x1)
     # steps 2-3: one A-apply and one Z*-apply, then one A-apply for the residual
     r1 = b - np.asarray(a.apply(x1), dtype=np.complex128)
     x2 = np.asarray(z.adjoint_apply(r1), dtype=np.complex128)
@@ -134,6 +158,8 @@ def az_solve(problem: AzProblem, b, step1="rand-tsvd",
 
     step1 is a solver name from STEP1_SOLVERS or a callable
     (operator, rhs) -> SolveReport; a callable can also inject a fixed x1.
+    On a problem with a real form, step 1, a callable too, gets the real
+    step-1 operator, and its x1 is in the real coordinates.
     The reported residual is always ||b - A x|| recomputed from the x
     returned, never taken from step 1.
     """
@@ -161,16 +187,22 @@ def az_weighted_solve(problem: WeightedAzProblem, b, step1: str = "tsvd",
     the base scale times max d, so the default eps is 1e-10 of that.  Its
     G~ = Z~* W A = Z* pinv(W_eps) W A is the base G when no weight is dropped
     and 0 when every weight is (then Z~ = 0); only in between is it Z~*
-    composed with A~.
+    composed with A~.  A base with a real form gives the weighted pair one,
+    by the same weights and the same rule for its G.
     """
     base, d = problem.base, problem.d
     pinv = weighted_eps_pinv(d, problem.eps_w)
-    gram = None
-    if pinv.all():
-        gram = base.gram
-    elif not pinv.any():
-        gram = diagonal(np.zeros(base.A.cols))
+
+    def weighted_gram(gram):
+        if pinv.all():
+            return gram
+        return diagonal(np.zeros(base.A.cols)) if not pinv.any() else None
+
+    real = base.real_form
+    if real is not None:
+        real = RealForm(A=compose(diagonal(d), real.A), Z=compose(diagonal(pinv), real.Z),
+                        gram=weighted_gram(real.gram), V=real.V)
     weighted = AzProblem(
         A=compose(diagonal(d), base.A), Z=compose(diagonal(pinv), base.Z),
-        scale=base.scale * float(d.max()), gram=gram)
+        scale=base.scale * float(d.max()), gram=weighted_gram(base.gram), real_form=real)
     return _three_step(weighted, d * _rhs(b, base.A.rows), step1, config)

@@ -4,16 +4,22 @@ All builders return an AzProblem whose A and Z are matrix-free operators.
 Every fast operator is a pair of row kernels behind `_chunked`, which shows
 a block of k columns to them as k rows and runs them a chunk of rows at a
 time, so each kernel transforms along the last axis and sizes nothing
-itself.  The 1D Fourier A scatters N coefficients onto a length-L grid,
-takes one inverse FFT there and gathers the M points inside the domain; the
-Chebyshev A does the same with a DCT, and Z is the discrete dual restricted
-the same way.  The 2D Fourier A is separable: two GEMMs with the L x n
-matrix E = [exp(i pi n x_l)] per chunk, through scipy's BLAS, then a gather
-of the mask points.  Every extension builder also gives G = Z*A, so that
-step 1 needs no Z: the Fourier G is a Hermitian (block) Toeplitz matrix,
-one circulant kernel applied by FFT; the Chebyshev G is Toeplitz-plus-Hankel
-in Chebyshev moments, applied by a real FFT; the Legendre G is dense, like
-its A and Z.
+itself.  The Fourier frames are built in real form: with the unitary V
+that pairs the coefficients of n and -n (`_pair`, by slicing along each
+axis), A_r = A V, Z_r = Z V and G_r = V* G V are real, the frame
+{1, sqrt 2 cos pi m x, sqrt 2 sin pi m x}, and the problem's A is A_r V*.
+The 1D A_r puts the half spectrum of N coefficients on a length-L grid,
+takes one inverse real FFT there and gathers the M points inside the
+domain; the Chebyshev A does the same with a DCT, and Z is the discrete
+dual restricted the same way.  The 2D A_r is separable: two GEMMs with the
+real L x n matrix E = [1, sqrt 2 cos(pi m x_l), sqrt 2 sin(pi m x_l)] per
+chunk, through scipy's dgemm, then a gather of the mask points.  A real
+row kernel takes a complex block through its real and imaginary parts.
+Every extension builder also gives G = Z*A, so that step 1 needs no Z: the
+Fourier G is a Hermitian (block) Toeplitz matrix, one circulant kernel
+applied by FFT, and G_r runs it between V and V*; the Chebyshev G is
+Toeplitz-plus-Hankel in Chebyshev moments, applied by a real FFT; the
+Legendre G is dense, like its A and Z.
 
 Every builder sizes its grid by one rule, `_select_grid_size`: the smallest
 fast FFT length L >= 2*oversampling*N per dimension (scipy.fft.next_fast_len)
@@ -24,7 +30,8 @@ DomainSizingError.
 Grid convention for the Fourier builders: x_l = -1 + 2l/L, l = 0..L-1 (left
 endpoint included), in each dimension.  The basis functions are
 phi_n(x) = exp(i*pi*n*x), so that on the full grid the columns of A are
-orthogonal with A*A = L^dim*I and Z = A/L^dim is an exact discrete dual.
+orthogonal with A*A = L^dim*I and Z = A/L^dim is an exact discrete dual;
+the coefficients a problem takes and returns are these.
 """
 
 from __future__ import annotations
@@ -38,8 +45,9 @@ import scipy.fft
 import scipy.linalg.blas
 
 from . import transforms
-from .azcore import AzProblem, WeightedAzProblem
-from .operators import LinearOperator, compose, diagonal, from_dense, hstack, scale
+from .azcore import AzProblem, RealForm, WeightedAzProblem
+from .operators import (LinearOperator, adjoint, compose, diagonal, from_dense, hstack,
+                        scale)
 
 # grid points L^dim of the largest candidate grid the size search builds; past
 # it the domain is too small for N (the largest grid in use is L = 32805 in 1D)
@@ -222,88 +230,176 @@ def _chunked(rows: int, cols: int, apply, adjoint_apply, width: int) -> LinearOp
     return LinearOperator(rows, cols, run(apply, rows), run(adjoint_apply, cols))
 
 
-def _fourier_extension(n: int, dim: int, domain: DomainSpec, oversampling: float):
-    """A, Z and G = Z*A of the tensor Fourier extension frame in 1 or 2
-    dimensions, with L and the collocation points.
+def _real_rows(kernel):
+    """A row kernel written for real rows, applied to a complex block
+    through its real and imaginary parts."""
+    def rows(x):
+        if np.iscomplexobj(x):
+            return kernel(x.real) + 1j * kernel(x.imag)
+        return kernel(x)
+    return rows
 
-    In 1D A is the one-FFT product of `_fft_fourier`; in 2D it is the
-    separable two-GEMM product of `_separable_fourier`, with row-major
-    coefficients over (n1, n2).  Z = A / L^dim.
+
+def _pair(r: np.ndarray) -> np.ndarray:
+    """V along the last axis, of odd length 2h + 1: cos/sin coordinates to
+    exp coefficients, c_0 = a_0 and c_{+-m} = (a_m -+ i b_m) / sqrt 2, with
+    a_m in slot h + m, b_m in slot h - m and a_0 in slot h.  Each half is
+    built in place, with no temporary."""
+    h = r.shape[-1] // 2
+    lo, hi = r[..., :h], r[..., h + 1:]
+    c = np.empty(r.shape, dtype=np.complex128)
+    c[..., h] = r[..., h]
+    np.multiply(lo[..., ::-1], -1j, out=c[..., h + 1:])
+    c[..., h + 1:] += hi
+    c[..., h + 1:] *= math.sqrt(0.5)
+    np.multiply(lo, 1j, out=c[..., :h])
+    c[..., :h] += hi[..., ::-1]
+    c[..., :h] *= math.sqrt(0.5)
+    return c
+
+
+def _unpair(c: np.ndarray) -> np.ndarray:
+    """V* along the last axis: a_m = (c_m + c_-m) / sqrt 2 and
+    b_m = i (c_m - c_-m) / sqrt 2, in the slots of `_pair`."""
+    h = c.shape[-1] // 2
+    lo, hi = c[..., :h], c[..., h + 1:]
+    r = np.empty(c.shape, dtype=np.complex128)
+    r[..., h] = c[..., h]
+    np.add(hi, lo[..., ::-1], out=r[..., h + 1:])
+    r[..., h + 1:] *= math.sqrt(0.5)
+    np.subtract(hi[..., ::-1], lo, out=r[..., :h])
+    r[..., :h] *= 1j * math.sqrt(0.5)
+    return r
+
+
+def _per_axis(fn, n: int, dim: int):
+    """The row kernel of fn along each axis of row-major (n,)*dim coefficients."""
+    def rows(x):
+        y = fn(x.reshape((x.shape[0],) + (n,) * dim))
+        if dim == 2:
+            y = fn(y.swapaxes(1, 2)).swapaxes(1, 2)
+        return y.reshape(x.shape)
+    return rows
+
+
+def _by_columns(rows):
+    """A vector, or each column of a block, through a row kernel in one call:
+    the unchunked `_chunked`, for a kernel that only slices."""
+    def block(v):
+        v = np.asarray(v)
+        return rows(v.reshape(v.shape[0], -1).T).T.reshape(v.shape)
+    return block
+
+
+def _fourier_extension(n: int, dim: int, domain: DomainSpec, oversampling: float):
+    """A, Z, G = Z*A and the real form of the tensor Fourier extension frame
+    in 1 or 2 dimensions, with L and the collocation points.
+
+    The real form is the frame {1, sqrt 2 cos pi m x, sqrt 2 sin pi m x} per
+    axis: A_r = A V is `_rfft_fourier` in 1D and `_separable_fourier` in 2D,
+    with row-major coefficients over (n1, n2), and A = A_r V*.  V is `_pair`
+    along each axis, by slicing.  Z = A / L^dim and Z_r = A_r / L^dim; G and
+    G_r = V* G V come from `_fourier_gram`.
     """
-    freqs = _symmetric_frequencies(n)
+    _symmetric_frequencies(n)  # N odd and positive
     if domain.is_2d != (dim == 2):
         raise ValueError(f"fourier_extension_{dim}d needs a "
                          f"{'2D mask' if dim == 2 else '1D'} domain")
     L, full, sel = _select_grid_size(n, dim, oversampling,
                                      lambda L: _periodic_grid(L, dim), domain)
-    a = _fft_fourier(freqs, L, sel) if dim == 1 else _separable_fourier(freqs, L, sel)
-    return a, scale(1.0 / L**dim, a), _fourier_gram(n, dim, L, sel), L, full[sel]
+    pair, unpair = _per_axis(_pair, n, dim), _per_axis(_unpair, n, dim)
+    v = LinearOperator(n**dim, n**dim, _by_columns(pair), _by_columns(unpair))
+    a_r = _rfft_fourier(n, L, sel) if dim == 1 else _separable_fourier(n, L, sel)
+    a = compose(a_r, adjoint(v))
+    g, g_r = _fourier_gram(n, dim, L, sel, pair, unpair)
+    real = RealForm(A=a_r, Z=scale(1.0 / L**dim, a_r), gram=g_r, V=v)
+    return a, scale(1.0 / L**dim, a), g, real, L, full[sel]
 
 
-def _fft_fourier(freqs: np.ndarray, L: int, sel: np.ndarray) -> LinearOperator:
-    """The 1D Fourier extension A[l, j] = (-1)^n exp(2 pi i n l / L), n = freqs[j],
-    for the grid indices l in sel: scatter (-1)^n c_n at n mod L, one
-    unscaled inverse DFT of fast length L, gather the points sel.
+def _rfft_fourier(n: int, L: int, sel: np.ndarray) -> LinearOperator:
+    """The real 1D Fourier extension A_r = A V, for A[l, j] = exp(i pi n_j x_l)
+    = (-1)^n exp(2 pi i n l / L) at the grid indices l in sel: its columns
+    are 1, sqrt 2 cos(pi m x_l) and sqrt 2 sin(pi m x_l).  It puts the half
+    spectrum (-1)^m c_m, m = 0..h, of c = V x at m, takes one unscaled
+    inverse real DFT of fast length L and gathers the points sel; the
+    adjoint is one real DFT, read back through V*.
     """
-    at = np.mod(freqs, L)
-    sign = (-1.0) ** np.abs(freqs)
+    h = n // 2
+    sign = (-1.0) ** np.arange(h + 1)
+    # (-1)^m c_m = w_m (a_m - i b_m), m = 0..h
+    w = sign * np.append(1.0, np.full(h, math.sqrt(0.5)))
 
     def apply(x):
-        grid = np.zeros((x.shape[0], L), dtype=np.result_type(x, np.float64))
-        grid[:, at] = sign * x
-        return scipy.fft.ifft(grid, axis=-1, norm="forward")[:, sel]
+        spec = np.zeros((x.shape[0], L // 2 + 1), dtype=np.complex128)
+        np.multiply(x[:, h:], w, out=spec.real[:, :h + 1])
+        np.multiply(x[:, :h][:, ::-1], -w[1:], out=spec.imag[:, 1:h + 1])
+        return scipy.fft.irfft(spec, L, axis=-1, norm="forward")[:, sel]
 
     def adjoint_apply(y):
-        grid = np.zeros((y.shape[0], L), dtype=np.result_type(y, np.float64))
+        grid = np.zeros((y.shape[0], L))
         grid[:, sel] = y
-        return sign * scipy.fft.fft(grid, axis=-1)[:, at]
+        # A* y at m >= 0 is f_m, at -m its conjugate: V* gives a_0 = f_0,
+        # a_m = sqrt 2 Re f_m and b_m = -sqrt 2 Im f_m
+        f = sign * scipy.fft.rfft(grid, axis=-1)[:, :h + 1]
+        f[:, 1:] *= math.sqrt(2.0)
+        r = np.empty((y.shape[0], n))
+        r[:, h:] = f.real
+        r[:, :h] = -f[:, :0:-1].imag
+        return r
 
-    return _chunked(sel.size, freqs.size, apply, adjoint_apply, L)
+    return _chunked(sel.size, n, _real_rows(apply), _real_rows(adjoint_apply), L)
 
 
-def _separable_fourier(freqs: np.ndarray, L: int, sel: np.ndarray) -> LinearOperator:
-    """The 2D Fourier extension A[(l1, l2), (j1, j2)] = E[l1, j1] E[l2, j2],
-    E[l, j] = exp(i pi n_j x_l) (L x n), for the row-major grid points
-    l1 * L + l2 in sel, as two GEMMs per chunk of rows.
+def _separable_fourier(n: int, L: int, sel: np.ndarray) -> LinearOperator:
+    """The real 2D Fourier extension A_r[(l1, l2), (j1, j2)] = E[l1, j1] E[l2, j2]
+    with the real L x n matrix E = E_exp V: E[l, h] = 1, E[l, h + m] =
+    sqrt 2 cos(pi m x_l), E[l, h - m] = sqrt 2 sin(pi m x_l), for the
+    row-major grid points l1 * L + l2 in sel, as two GEMMs per chunk of rows.
 
     The first GEMM applies the rows of E that hold mask points along n1, the
     second applies all of E along n2, and the M mask points are gathered from
     that; the adjoint scatters them and runs the same GEMMs transposed.  Both
-    GEMMs go through scipy's BLAS, which also runs the sketch QR, on
+    GEMMs are scipy's dgemm, the BLAS that also runs the sketch QR, on
     Fortran-ordered views.  The largest intermediate of a row is
     L x (used rows).
     """
-    n = freqs.size
-    # x_l = -1 + 2l/L, so the phase pi n x_l is pi * (n (2l - L) mod 2L) / L,
-    # reduced in integers before the one exp
-    e = np.exp(1j * np.pi * (np.outer(2 * np.arange(L) - L, freqs) % (2 * L)) / L)
-    e_conj = np.asfortranarray(e.conj())
+    h = n // 2
+    # x_l = -1 + 2l/L, so the phase pi m x_l is pi * (m (2l - L) mod 2L) / L,
+    # reduced in integers before the cos and sin
+    phase = np.pi * (np.outer(2 * np.arange(L) - L, np.arange(1, h + 1)) % (2 * L)) / L
+    e = np.empty((L, n))
+    e[:, h] = 1.0
+    e[:, h + 1:] = math.sqrt(2.0) * np.cos(phase)
+    e[:, :h] = math.sqrt(2.0) * np.sin(phase[:, ::-1])
+    e_f = np.asfortranarray(e)
     l1, l2 = np.divmod(sel, L)
     used, u = np.unique(l1, return_inverse=True)
     e_used = np.asfortranarray(e[used])
-    gemm = scipy.linalg.blas.zgemm
+    gemm = scipy.linalg.blas.dgemm
 
     def apply(v):
         k = v.shape[0]
         # x[j2, col, j1] is the Fortran n x (n k) matrix C[j1, (j2, col)]
-        x = np.ascontiguousarray(v.reshape(k, n, n).transpose(2, 0, 1), dtype=np.complex128)
+        x = np.ascontiguousarray(v.reshape(k, n, n).transpose(2, 0, 1))
         t = gemm(1.0, e_used, x.reshape(n * k, n).T)  # E[used] C: (u, (j2, col))
         w = gemm(1.0, t.T.reshape(n, k * used.size).T, e.T)  # ((col, u), l2)
         return w.T.reshape(L, k, used.size)[l2, :, u].T
 
     def adjoint_apply(v):
         k = v.shape[0]
-        w = np.zeros((L, k, used.size), dtype=np.complex128)
+        w = np.zeros((L, k, used.size))
         w[l2, :, u] = v.T
-        y = gemm(1.0, w.reshape(L, k * used.size).T, e_conj)  # ((col, u), j2)
-        x = gemm(1.0, e_used, y.T.reshape(n * k, used.size).T, trans_a=2)  # (j1, (j2, col))
+        y = gemm(1.0, w.reshape(L, k * used.size).T, e_f)  # ((col, u), j2)
+        x = gemm(1.0, e_used, y.T.reshape(n * k, used.size).T, trans_a=1)  # (j1, (j2, col))
         return x.T.reshape(n, k, n).transpose(1, 2, 0).reshape(k, n * n)
 
-    return _chunked(sel.size, n * n, apply, adjoint_apply, L * used.size)
+    return _chunked(sel.size, n * n, _real_rows(apply), _real_rows(adjoint_apply),
+                    L * used.size)
 
 
-def _fourier_gram(n: int, dim: int, L: int, sel: np.ndarray) -> LinearOperator:
-    """G = Z*A = A*A / L^dim of the Fourier extension frame, applied by FFT.
+def _fourier_gram(n: int, dim: int, L: int, sel: np.ndarray, pair, unpair):
+    """G = Z*A = A*A / L^dim of the Fourier extension frame, applied by FFT,
+    and G_r = V* G V for the row kernels pair (V) and unpair (V*).
 
     G[j, k] = g(n_k - n_j) with g(d) = L^-dim sum_{l inside} exp(i pi d.x_l)
     = (-1)^(sum d) ifftn(mask)[d mod L], from one FFT of the mask indicator:
@@ -314,7 +410,9 @@ def _fourier_gram(n: int, dim: int, L: int, sel: np.ndarray) -> LinearOperator:
     the adjoint runs the same row kernel.
 
     A block is cast to complex once, before the chunks, so that fftn never
-    takes its real-input path, which rounds differently.
+    takes its real-input path, which rounds differently.  G_r is real and
+    symmetric: a real row goes through V, the FFT kernel and V*, and keeps
+    the real part.
     """
     mask = np.zeros(L**dim)
     mask[sel] = 1.0
@@ -342,17 +440,20 @@ def _fourier_gram(n: int, dim: int, L: int, sel: np.ndarray) -> LinearOperator:
     def apply(v):
         return op.apply(np.asarray(v, dtype=np.complex128))
 
-    return LinearOperator(op.rows, op.cols, apply, apply)
+    real = _real_rows(lambda x: unpair(convolve(pair(x))).real)
+    return (LinearOperator(op.rows, op.cols, apply, apply),
+            _chunked(n**dim, n**dim, real, real, kernel.size))
 
 
 def fourier_extension_1d(n: int, domain: DomainSpec, oversampling: float = 2.0) -> AzProblem:
     """Fourier extension frame on a 1D domain inside [-1, 1].
 
     A maps N coefficients to samples of sum_n c_n exp(i*pi*n*x) at the grid
-    points inside the domain, applied by one inverse FFT of the fast length L
-    from `_select_grid_size` (see `_fft_fourier`).  Z = A / L.
+    points inside the domain, for the fast length L from `_select_grid_size`:
+    A = A_r V*, with A_r one inverse real FFT (see `_rfft_fourier`) and V*
+    the map to cos/sin coordinates, the problem's real form.  Z = A / L.
     """
-    a, z, g, L, grid = _fourier_extension(n, 1, domain, oversampling)
+    a, z, g, real, L, grid = _fourier_extension(n, 1, domain, oversampling)
     half = (n - 1) // 2
     # frequency q*blk + r - half: exp(i pi (q*blk + r - half) t)
     # = exp(i pi q*blk t) exp(i pi (r - half) t), so each point needs
@@ -380,7 +481,7 @@ def fourier_extension_1d(n: int, domain: DomainSpec, oversampling: float = 2.0) 
 
     return AzProblem(A=a, Z=z, label=f"fourier1d(N={n}, L={L})",
                      scale=math.sqrt(L), grid=grid, evaluate=evaluate,
-                     domain=domain, gram=g)
+                     domain=domain, gram=g, real_form=real)
 
 
 def fourier_extension_2d(n_per_dim: int, mask: DomainSpec,
@@ -388,9 +489,11 @@ def fourier_extension_2d(n_per_dim: int, mask: DomainSpec,
     """Tensor Fourier extension frame on a masked subset of [-1, 1]^2.
 
     Coefficients are row-major over (n1, n2); Z = A / L^2, with L per axis
-    from `_select_grid_size`.
+    from `_select_grid_size`.  A = A_r V*, with A_r the real separable
+    product of `_separable_fourier` and V* the map to cos/sin coordinates
+    along each axis, the problem's real form.
     """
-    a, z, g, L, grid = _fourier_extension(n_per_dim, 2, mask, oversampling)
+    a, z, g, real, L, grid = _fourier_extension(n_per_dim, 2, mask, oversampling)
     freqs = _symmetric_frequencies(n_per_dim)
 
     def evaluate(coeffs, pts):
@@ -402,7 +505,7 @@ def fourier_extension_2d(n_per_dim: int, mask: DomainSpec,
 
     return AzProblem(A=a, Z=z, label=f"fourier2d(N={n_per_dim}^2, L={L})",
                      scale=float(L), grid=grid, evaluate=evaluate, domain=mask,
-                     gram=g)
+                     gram=g, real_form=real)
 
 
 def gram_fourier(n: int, domain: DomainSpec) -> np.ndarray:
@@ -489,9 +592,8 @@ def _cheb_gram(moments: np.ndarray, h2: np.ndarray) -> LinearOperator:
     t_hat, h_hat = scipy.fft.rfft(toeplitz), scipy.fft.rfft(hankel)
     scaling = 0.5 / h2
 
+    @_real_rows
     def t_plus_h(x):
-        if np.iscomplexobj(x):
-            return t_plus_h(x.real) + 1j * t_plus_h(x.imag)
         f = scipy.fft.rfft(x, P, axis=-1)
         g = f.conj()
         g *= h_hat

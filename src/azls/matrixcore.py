@@ -4,7 +4,8 @@ column blocks, epsilon rank and the pseudoinverse.
 All factorization-scale objects are plain numpy arrays.  A matrix keeps the
 promotion of its dtype and float64: real input is factored by real LAPACK
 (integers become float64), complex input by complex LAPACK.  The growing
-Householder QR is the exception and is always complex128.  Factorizations
+Householder QR follows the dtype of its first block: a real sketch is
+factored by dgeqrf/dormqr, a complex one by zgeqrf/zunmqr.  Factorizations
 are returned as small dataclasses so the blocks keep their names.
 
 numpy and scipy each bundle their own OpenBLAS.  `svd` runs numpy's LAPACK,
@@ -73,9 +74,12 @@ class HouseholderQr:
         return np.triu(self.packed[:self.tau.size])
 
     def adjoint_q(self, b) -> np.ndarray:
-        """Q* b for a vector or a block b with M rows (K rows out)."""
-        b = np.asarray(b, dtype=np.complex128)
-        c = np.array(b.reshape(b.shape[0], -1), order="F")
+        """Q* b for a vector or a block b with M rows (K rows out); a real
+        factor applies to the real and imaginary parts of a complex b."""
+        b = np.asarray(b)
+        if self.packed.dtype.kind == "f" and b.dtype.kind == "c":
+            return self.adjoint_q(b.real) + 1j * self.adjoint_q(b.imag)
+        c = np.array(b.reshape(b.shape[0], -1), dtype=self.packed.dtype, order="F")
         k = self.tau.size
         _unmqr_adjoint(self.packed[:, :k], self.tau, c)
         return c[:k].reshape((k,) + b.shape[1:])
@@ -89,19 +93,23 @@ def _lapack_call(fn, *args, **kwargs):
 
 
 def _unmqr_adjoint(reflectors: np.ndarray, tau: np.ndarray, c: np.ndarray) -> None:
-    """Overwrite the Fortran-ordered complex c with Q* c, for the Q held by
-    packed reflectors (M x k) and their tau."""
+    """Overwrite the Fortran-ordered c, of the reflectors' dtype, with Q* c,
+    for the Q held by packed reflectors (M x k) and their tau (dormqr on
+    real reflectors, zunmqr on complex ones)."""
     if tau.size == 0:
         return
-    unmqr = scipy.linalg.lapack.zunmqr
+    if reflectors.dtype.kind == "c":
+        unmqr, trans = scipy.linalg.lapack.zunmqr, "C"
+    else:
+        unmqr, trans = scipy.linalg.lapack.dormqr, "T"
     # A single column is cheaper unblocked (the least workspace selects it):
     # the blocked code first forms a triangular factor per block of
     # reflectors and takes 6x as long for Q* b at M = 16387, K = 72.
     lwork = 1
     if c.shape[1] > 1:
-        _, work = _lapack_call(unmqr, "L", "C", reflectors, tau, c, -1, overwrite_c=1)
+        _, work = _lapack_call(unmqr, "L", trans, reflectors, tau, c, -1, overwrite_c=1)
         lwork = max(1, int(work[0].real))
-    _lapack_call(unmqr, "L", "C", reflectors, tau, c, lwork, overwrite_c=1)
+    _lapack_call(unmqr, "L", trans, reflectors, tau, c, lwork, overwrite_c=1)
 
 
 def householder_qr(a, base: HouseholderQr | None = None) -> HouseholderQr:
@@ -109,25 +117,31 @@ def householder_qr(a, base: HouseholderQr | None = None) -> HouseholderQr:
 
     The new columns get base's reflectors (Q0* a); only their rows below
     base's R are factored, and base's columns are not touched again.  Once R
-    has M rows (a wide matrix) new columns only add to R.  The factor is
-    complex128 (LAPACK zgeqrf/zunmqr) whatever the dtype of a.
+    has M rows (a wide matrix) new columns only add to R.  The factor has
+    the dtype of the first block, the promotion of its dtype and float64:
+    float64 through LAPACK dgeqrf/dormqr, complex128 through
+    zgeqrf/zunmqr.  A block of another dtype than base is a ValueError.
     """
     a = as_matrix(a)
     m, w = a.shape
     if base is None:
-        base = HouseholderQr(packed=np.empty((m, 0), dtype=np.complex128, order="F"),
-                             tau=np.empty(0, dtype=np.complex128))
+        base = HouseholderQr(packed=np.empty((m, 0), dtype=a.dtype, order="F"),
+                             tau=np.empty(0, dtype=a.dtype))
     if base.packed.shape[0] != m:
         raise ValueError(f"block has {m} rows, the factored matrix {base.packed.shape[0]}")
+    if a.dtype != base.packed.dtype:
+        raise ValueError(f"block is {a.dtype}, the factored matrix {base.packed.dtype}")
     k, cols = base.tau.size, base.packed.shape[1]
-    packed = np.empty((m, cols + w), dtype=np.complex128, order="F")
+    packed = np.empty((m, cols + w), dtype=a.dtype, order="F")
     packed[:, :cols] = base.packed
     packed[:, cols:] = a
     _unmqr_adjoint(base.packed[:, :k], base.tau, packed[:, cols:])
     tau = base.tau
     if k < m:
-        lwork, = _lapack_call(scipy.linalg.lapack.zgeqrf_lwork, m - k, w)
-        lower, new_tau, _ = _lapack_call(scipy.linalg.lapack.zgeqrf, packed[k:, cols:],
+        geqrf, geqrf_lwork = scipy.linalg.lapack.get_lapack_funcs(
+            ("geqrf", "geqrf_lwork"), (packed,))
+        lwork, = _lapack_call(geqrf_lwork, m - k, w)
+        lower, new_tau, _ = _lapack_call(geqrf, packed[k:, cols:],
                                          lwork=max(1, int(lwork.real)), overwrite_a=1)
         packed[k:, cols:] = lower
         tau = np.concatenate([tau, new_tau])

@@ -1,16 +1,21 @@
 """Least squares solvers for numerically low-rank systems.
 
-The direct solve is numpy's lstsq.  Every other solver takes a SolverConfig,
-truncates at its eps by SVD or column-pivoted QR through one core, and draws
-its Gaussian blocks Omega from one round schedule, _gaussian_blocks.  The
-randomized solvers take operators and grow the Householder QR of the sketch
-A Omega = Q T by a block per round, factoring only the small core T unless a
-triangular inverse certifies that T keeps every direction.  The dense tsvd
-and tqr take matrices, build A = Q C + E with orthonormal Q and deflated E,
-and factor only the R x N core C once the explicit ||E||_F < eps, else all
-of A.  The sketch loop runs scipy's BLAS/LAPACK; the dense path (lstsq, the
-certified rounds, matrixcore.svd) runs numpy's, which has no pivoted QR.
-Every solver recomputes the residual norm apart from its internal algebra.
+Every solver checks its b (check_rhs) and the shape of its matrix or
+operator before any apply.  The direct solve is numpy's lstsq.  Every other
+solver takes a SolverConfig, truncates at its eps by SVD or column-pivoted
+QR through one core, and draws its Gaussian blocks Omega from one round
+schedule, _gaussian_blocks.  The randomized solvers take operators and grow
+the Householder QR of the sketch A Omega = Q T by a block per round,
+factoring only the small core T unless a triangular inverse certifies that
+T keeps every direction.  The dense tsvd and tqr take matrices, build
+A = Q C + E with orthonormal Q and deflated E, and factor only the R x N
+core C once the explicit ||E||_F < eps, else all of A.  Each path computes in the dtype of its operator or matrix: a real
+one (a real frame, or the real form of a Fourier frame) gives a float64
+sketch, QR, certificate and core factorization, against a complex b through
+its real and imaginary parts.  The sketch loop runs scipy's BLAS/LAPACK;
+the dense path (lstsq, the certified rounds, matrixcore.svd) runs numpy's,
+which has no pivoted QR.  Every solver recomputes the residual norm apart
+from its internal algebra.
 """
 
 from __future__ import annotations
@@ -63,6 +68,19 @@ class SolveReport:
     sketch_size: int = 0
     x1: np.ndarray | None = None
     x2: np.ndarray | None = None
+
+
+def check_rhs(b, rows: int) -> np.ndarray:
+    """b as a finite vector of length rows, of the promotion of its dtype
+    and float64; anything else is a ValueError.  Every solver, and az_solve,
+    checks its b here before any apply."""
+    b = np.asarray(b)
+    b = b.astype(np.result_type(b, np.float64), copy=False)
+    if b.shape != (rows,):
+        raise ValueError(f"b has shape {b.shape}, expected ({rows},)")
+    if not np.all(np.isfinite(b)):
+        raise ValueError("b contains non-finite entries")
+    return b
 
 
 def _residual(apply_a, b, x) -> float:
@@ -152,15 +170,14 @@ def _dense_solve(a, b, eps: float, qr: bool = False,
     config, of the R x N core C of a certified Q C when there is one."""
     if not 0 < eps < np.inf:
         raise ValueError("eps must be positive and finite")
-    a = np.asarray(a)
-    b = np.asarray(b, dtype=np.complex128)
+    a = mc.as_matrix(a)
+    b = np.asarray(check_rhs(b, a.shape[0]), dtype=np.complex128)
     # sigma_1 and |R_11| are at most ||a||_F: below eps, a truncation keeps
-    # nothing, and the answer is the zero vector it would have given (a
-    # matrix that is empty, not 2-d or not finite goes on to be rejected)
+    # nothing, and the answer is the zero vector it would have given
     r = 0
-    if a.ndim == 2 and a.size and np.linalg.norm(a) < eps:
+    if np.linalg.norm(a) < eps:
         x, k = np.zeros(a.shape[1], dtype=np.complex128), 0
-    elif config is not None and (factor := _low_rank_factor(mc.as_matrix(a), config)):
+    elif config is not None and (factor := _low_rank_factor(a, config)):
         # each sigma of C is within ||a - Q C||_F of a's, and the SVD's
         # x = V_k Sigma_k^-1 U_k* Q* b lies in a's row space: no back-solve
         q, c = factor
@@ -175,8 +192,9 @@ def direct_lsq(a, b) -> SolveReport:
     """Minimum-norm least squares x = pinv(A) b by numpy's lstsq, which
     keeps the singular values sigma > max(M, N) * eps_mach * sigma_1; its
     rank is that count.  A matrix that is empty, not 2-d or not finite is
-    a ValueError."""
+    a ValueError, as is a b that check_rhs rejects."""
     a = mc.as_matrix(a)
+    b = check_rhs(b, a.shape[0])
     x, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
     return _report(lambda v: a @ v, b, np.asarray(x, dtype=np.complex128), int(rank))
 
@@ -197,7 +215,12 @@ def tqr_solve(a, b, config: SolverConfig) -> SolveReport:
 
 
 def _as_operator(a) -> LinearOperator:
-    return a if isinstance(a, LinearOperator) else from_dense(a)
+    """a, or the operator of the matrix a; one with no rows or no columns is
+    a ValueError."""
+    a = a if isinstance(a, LinearOperator) else from_dense(a)
+    if not (a.rows and a.cols):
+        raise ValueError(f"expected a nonempty operator, got shape {a.shape}")
+    return a
 
 
 def _sketch(a: LinearOperator, config: SolverConfig):
@@ -218,7 +241,8 @@ def _keeps_every_direction(t: np.ndarray, eps: float) -> bool:
     sigma_min(t) >= 1 / ||t^-1||_F; False means only "not certified"."""
     if t.shape[0] != t.shape[1]:
         return False
-    inv, info = scipy.linalg.lapack.ztrtri(t)
+    trtri, = scipy.linalg.lapack.get_lapack_funcs(("trtri",), (t,))
+    inv, info = trtri(t)
     # ||t^-1||_F elementwise: np.linalg.norm would run numpy's BLAS between
     # scipy's QR calls (see _core_svd)
     return info == 0 and 2.0 * eps * np.sqrt(np.sum(inv.real**2 + inv.imag**2)) <= 1.0
@@ -235,7 +259,7 @@ def _randomized_solve(a, b, config: SolverConfig, qr: bool) -> SolveReport:
     the round that makes x always does.
     """
     a = _as_operator(a)
-    b = np.asarray(b, dtype=np.complex128)
+    b = np.asarray(check_rhs(b, a.rows), dtype=np.complex128)
     for omega, factor in _sketch(a, config):
         if omega.shape[1] < a.cols and _keeps_every_direction(factor.R, config.eps):
             continue

@@ -1,7 +1,7 @@
 """Helpers shared by the test files: random test matrices, dense problems,
-operator call counters, factorization recomposition, and the two checks of
-the theory that only tests run (the low-rank splitting certificate and the
-Gaussian pseudoinverse Monte Carlo).
+an off-centre 2D domain, operator call counters, factorization
+recomposition, and the two checks of the theory that only tests run (the
+low-rank splitting certificate and the Gaussian pseudoinverse Monte Carlo).
 
 Test files import it as `from helpers import ...`; pytest puts this
 directory on sys.path because it has no __init__.py.
@@ -14,6 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from azls import AzProblem, matrixcore as mc, operators as ops
+from azls.frames import DomainSpec
+
+
+# a disk that is not centred on the 2D grid, so that the Fourier G is complex
+OFF_CENTRE = DomainSpec.from_mask(lambda x, y: (x - 0.25)**2 + (y + 0.15)**2 <= 0.45**2)
 
 
 def random_complex(m, n, seed):

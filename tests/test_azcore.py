@@ -11,11 +11,12 @@ import pytest
 
 from azls import (AzProblem, SolveReport, WeightedAzProblem, az_solve,
                   az_weighted_solve, default_config)
-from azls import frames, matrixcore as mc, operators as ops, solvers
+from azls import azcore, frames, matrixcore as mc, operators as ops, solvers
 from azls.azcore import STEP1_SOLVERS, weighted_eps_pinv
 from azls.frames import DomainSpec, sample_function
 from azls.solvers import SolverConfig
-from helpers import counted, dense_problem, random_complex, splitting_certificate
+from helpers import (OFF_CENTRE, counted, dense_problem, random_complex,
+                     splitting_certificate)
 
 
 def injected_step1(x1):
@@ -317,11 +318,14 @@ class TestFourierGram:
     @pytest.mark.parametrize("step1", ["rand-tsvd", "rand-tqr", "tsvd"])
     @pytest.mark.parametrize("name", sorted(PROBLEMS))
     def test_agrees_with_generic_form(self, name, step1):
+        # step 1 runs on the real form, so its G_r is dropped there too
         p = self.PROBLEMS[name]()
         b = self.rhs(p)
         cfg = default_config(p, seed=5)
         rep = az_solve(p, b, step1=step1, config=cfg)
-        ref = az_solve(dataclasses.replace(p, gram=None), b, step1=step1, config=cfg)
+        generic = dataclasses.replace(p, gram=None, real_form=dataclasses.replace(
+            p.real_form, gram=None))
+        ref = az_solve(generic, b, step1=step1, config=cfg)
         assert rep.rank_used == ref.rank_used
         assert rep.sketch_size == ref.sketch_size
         # a residual at the rounding floor (1e-12 ||b|| in 1D) moves by 1e-5 of
@@ -336,13 +340,17 @@ class TestFourierGram:
                                              ("1d-1025", "rand-tqr"),
                                              ("2d-disk-9", "rand-tsvd")])
     def test_z_adjoint_applied_twice(self, name, step1):
-        # once for the right-hand side, once in step 2; never in step 1
+        # once for the right-hand side, once in step 2; never in step 1, where
+        # the real form's Z is not applied either
         p = self.PROBLEMS[name]()
         z, counter = counted(p.Z)
-        az_solve(dataclasses.replace(p, Z=z), self.rhs(p), step1=step1,
+        z_r, real_counter = counted(p.real_form.Z)
+        real = dataclasses.replace(p.real_form, Z=z_r)
+        az_solve(dataclasses.replace(p, Z=z, real_form=real), self.rhs(p), step1=step1,
                  config=default_config(p, seed=5))
         assert counter.adjoint_applies == 2
         assert counter.applies == 0
+        assert real_counter.applies == real_counter.adjoint_applies == 0
 
     def test_weighted_and_sum_frames_do_not_use_it(self):
         base = self.PROBLEMS["1d-65"]()
@@ -429,6 +437,73 @@ class TestFourierGram:
         p = self.PROBLEMS["1d-65"]()
         with pytest.raises(ValueError, match="gram has shape"):
             dataclasses.replace(p, gram=ops.from_dense(np.eye(3)))
+
+
+class TestRealForm:
+    """The Fourier frames run step 1 on their real form, in float64."""
+
+    PROBLEMS = {
+        "1d-asymmetric-129": lambda: frames.fourier_extension_1d(
+            129, DomainSpec.interval(-0.3, 0.6)),
+        "2d-off-centre-9": lambda: frames.fourier_extension_2d(9, OFF_CENTRE),
+    }
+
+    @pytest.mark.parametrize("name", sorted(PROBLEMS))
+    def test_basis_change_leaves_the_truncated_svd_alone(self, name):
+        # the truncated SVD does not depend on a unitary change of basis, so
+        # the dense tsvd keeps the rank and the step-1 residual of the complex
+        # form; x1 is fixed only to about eps_mach sigma_1 / eps, as in
+        # TestFourierGram (the 1D x1 moves 2e-7 here, the 2D one 1e-9)
+        p = self.PROBLEMS[name]()
+        b = TestFourierGram.rhs(p)
+        cfg = default_config(p, seed=5)
+        rep = az_solve(p, b, step1="tsvd", config=cfg)
+        ref = az_solve(dataclasses.replace(p, real_form=None), b, step1="tsvd", config=cfg)
+        assert rep.rank_used == ref.rank_used
+        assert abs(rep.residual_norm - ref.residual_norm) \
+            <= 1e-6 * max(ref.residual_norm, 1e-9 * np.linalg.norm(b))
+        tol = 10 * np.finfo(np.float64).eps * p.scale / cfg.eps
+        assert np.linalg.norm(rep.x1 - ref.x1) <= tol * np.linalg.norm(ref.x1)
+
+    @pytest.mark.parametrize("eps_w", [None, 0.0, 0.6, "above-max"])
+    @pytest.mark.parametrize("step1", STEP1_SOLVERS)
+    @pytest.mark.parametrize("name", sorted(PROBLEMS))
+    def test_step1_runs_real(self, name, step1, eps_w, monkeypatch):
+        # every step-1 matrix, sketch block and core factorization is float64,
+        # on the problem and on its weighted problems (no weight, some or all
+        # weights dropped: each rule for G~), and the residual is the
+        # complex form's
+        p = self.PROBLEMS[name]()
+        b = TestFourierGram.rhs(p)
+        cfg = default_config(p, seed=5)
+
+        def solve(base):
+            if eps_w is None:
+                return az_solve(base, b, step1=step1, config=cfg)
+            d = 0.5 + np.abs(np.asarray(base.grid)).reshape(base.A.rows, -1).sum(axis=1)
+            cut = 2.0 * d.max() if eps_w == "above-max" else eps_w
+            return az_weighted_solve(frames.weighted_lsq(base, d, cut), b, step1=step1,
+                                     config=cfg)
+
+        ref = solve(dataclasses.replace(p, real_form=None))
+        dtypes = []
+
+        def record(module, fn_name, of_result=False):
+            fn = getattr(module, fn_name)
+
+            def recorded(a, *args):
+                out = fn(a, *args)
+                dtypes.append(np.asarray(out if of_result else a).dtype)
+                return out
+            monkeypatch.setattr(module, fn_name, recorded)
+
+        record(azcore, "materialize", of_result=True)
+        for module, fn_name in ((mc, "householder_qr"), (mc, "svd"), (mc, "pivoted_qr"),
+                                (solvers, "_core_svd")):
+            record(module, fn_name)
+        rep = solve(p)
+        assert dtypes and all(dtype == np.float64 for dtype in dtypes)
+        assert rep.residual_norm <= 10 * max(ref.residual_norm, 1e-9 * np.linalg.norm(b))
 
 
 def complexified(op):

@@ -10,6 +10,7 @@ import scipy.fft
 from azls import az_solve, default_config, frames, matrixcore as mc
 from azls import operators as ops, transforms
 from azls.frames import DomainSpec, eval_error, sample_function
+from helpers import OFF_CENTRE
 
 
 def duality_defect(problem):
@@ -255,6 +256,46 @@ def test_gram_is_z_adjoint_a(name):
     assert np.linalg.norm(p.gram.apply(v) - ref) <= 1e-13 * np.linalg.norm(ref)
     assert np.linalg.norm(p.gram.apply(v[:, 1]) - ref[:, 1]) \
         <= 1e-13 * np.linalg.norm(ref[:, 1])
+
+
+REAL_FORM_BUILDERS = {
+    "1d-half": lambda: frames.fourier_extension_1d(65, DomainSpec.interval(-0.5, 0.5)),
+    # asymmetric about 0: G is complex, G_r = V* G V still real
+    "1d-asymmetric": lambda: frames.fourier_extension_1d(65, DomainSpec.interval(-0.3, 0.6)),
+    "1d-union": lambda: frames.fourier_extension_1d(
+        65, DomainSpec.union([[-0.9, -0.8], [0.5, 0.55]])),
+    **{f"2d-{mask}": (lambda mask=mask: frames.fourier_extension_2d(9, frames.named_mask(mask)))
+       for mask in ("disk", "punctured-disk", "square")},
+    "2d-off-centre": lambda: frames.fourier_extension_2d(9, OFF_CENTRE),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REAL_FORM_BUILDERS))
+def test_real_form_is_the_frame_in_cos_sin_coordinates(name):
+    # V is unitary, and A_r = A V, Z_r = Z V and G_r = V* G V: real operators
+    # that keep float64 float64, take a complex block through its real and
+    # imaginary parts and pass the dot test
+    p = REAL_FORM_BUILDERS[name]()
+    real, n = p.real_form, p.A.cols
+    v = ops.materialize(real.V)
+    assert np.linalg.norm(v.conj().T @ v - np.eye(n)) <= 1e-13 * np.sqrt(n)
+    a, z, g = (ops.materialize(op) for op in (p.A, p.Z, p.gram))
+    if name in ("1d-asymmetric", "2d-off-centre"):
+        assert np.max(np.abs(g.imag)) >= 1e-2
+    rng = np.random.default_rng(4)
+    for op, ref in ((real.A, a @ v), (real.Z, z @ v), (real.gram, v.conj().T @ g @ v)):
+        dense = ops.materialize(op)
+        assert dense.dtype == np.float64
+        assert np.linalg.norm(dense - ref) <= 1e-13 * np.linalg.norm(ref)
+        u, w = rng.standard_normal((op.cols, 3)), rng.standard_normal((op.rows, 3))
+        au, aw = op.apply(u), op.adjoint_apply(w)
+        assert au.dtype == aw.dtype == np.float64
+        assert abs(np.vdot(w, au) - np.vdot(aw, u)) \
+            <= 1e-13 * np.linalg.norm(au) * np.linalg.norm(w)
+        uc = u + 1j * rng.standard_normal(u.shape)
+        for got, want in ((op.apply(uc), dense @ uc), (op.apply(uc[:, 0]), dense @ uc[:, 0]),
+                          (op.adjoint_apply(w + 1j * w), dense.T @ (w + 1j * w))):
+            assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
 
 FOURIER1D_DOMAINS = {

@@ -117,17 +117,20 @@ def test_factorizations_recompose(m, n, seed):
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(1, 40), st.lists(st.integers(1, 30), min_size=1, max_size=5),
-       st.integers(0, 10_000))
-def test_grown_householder_qr_recomposes(m, widths, seed):
+       st.integers(0, 10_000), st.sampled_from([np.float64, np.complex128]))
+def test_grown_householder_qr_recomposes(m, widths, seed, dtype):
     # blocks appended one by one, tall and wide alike, still factor the
-    # whole matrix: Q has orthonormal columns and Q R gives it back
+    # whole matrix: Q has orthonormal columns and Q R gives it back; a real
+    # matrix keeps a real factor, which applies Q* to a complex b too
     a = random_complex(m, sum(widths), seed)
+    a = a.real.copy() if dtype is np.float64 else a
     f, start = None, 0
     for w in widths:
         f = mc.householder_qr(a[:, start:start + w], f)
         start += w
     k = min(m, a.shape[1])
     q = f.adjoint_q(np.eye(m)).conj().T
+    assert f.packed.dtype == f.tau.dtype == q.dtype == dtype
     assert q.shape == (m, k) and f.R.shape == (k, a.shape[1])
     tol = 1e-12 * max(1.0, np.linalg.norm(a, "fro"))
     assert np.linalg.norm(a - q @ f.R, "fro") <= tol
@@ -143,6 +146,30 @@ class TestHouseholderQr:
         with pytest.raises(ValueError):
             mc.householder_qr(random_complex(4, 2, seed=2), f)
 
+    @pytest.mark.parametrize("first, second", [(np.float64, np.complex128),
+                                               (np.complex128, np.float64)])
+    def test_mixed_dtype_rejected(self, first, second):
+        # a real block would be cast into a complex factor, and a complex one
+        # would lose its imaginary part in a real factor
+        a = random_complex(6, 4, seed=5)
+        first_block, block = (a[:, cols] if dtype is np.complex128 else a[:, cols].real
+                              for dtype, cols in ((first, slice(2)), (second, slice(2, 4))))
+        f = mc.householder_qr(first_block)
+        with pytest.raises(ValueError, match="block is"):
+            mc.householder_qr(block, f)
+
+    def test_real_factor_applies_to_a_complex_b(self):
+        a = random_complex(7, 4, seed=6).real
+        f = mc.householder_qr(a)
+        q, r = np.linalg.qr(a)
+        b = random_complex(7, 3, seed=7)
+        got = f.adjoint_q(b)
+        assert got.dtype == np.complex128
+        # Householder and numpy's Q agree up to the sign of each column
+        signs = np.sign(np.diagonal(f.R)) * np.sign(np.diagonal(r))
+        assert np.linalg.norm(got - signs[:, None] * (q.T @ b)) <= 1e-13 * np.linalg.norm(b)
+        assert np.linalg.norm(f.adjoint_q(b[:, 0]) - got[:, 0]) <= 1e-13 * np.linalg.norm(b)
+
     def test_nonfinite_block_rejected(self):
         f = mc.householder_qr(random_complex(5, 2, seed=3))
         block = random_complex(5, 2, seed=4)
@@ -154,14 +181,14 @@ class TestHouseholderQr:
 @pytest.mark.parametrize("dtype, kind", [(np.int64, np.float64), (np.float64, np.float64),
                                          (np.complex128, np.complex128)])
 def test_kernels_keep_the_promoted_dtype(dtype, kind):
-    # real data is factored by real LAPACK; only the growing QR is complex
+    # real data is factored by real LAPACK, the growing QR too
     a = np.array([[4, 1, 2], [1, 3, 0], [2, 0, 5], [1, 1, 1]], dtype=dtype)
     f, q = mc.svd(a), mc.pivoted_qr(a)
     assert f.U.dtype == f.V.dtype == q.Q.dtype == q.R.dtype == kind
     assert np.linalg.norm(reconstruct(f) - a) <= 1e-13 * np.linalg.norm(a)
     assert np.linalg.norm(reconstruct(q) - a) <= 1e-13 * np.linalg.norm(a)
     assert mc.pseudoinverse(a).dtype == kind
-    assert mc.householder_qr(a).packed.dtype == np.complex128
+    assert mc.householder_qr(a).packed.dtype == kind
 
 
 @settings(max_examples=50, deadline=None)

@@ -1,6 +1,8 @@
 """Solver tests: dense baselines, truncated SVD/QR with their residual
 bounds, randomized sketch solvers, determinism, and the Gaussian Monte Carlo."""
 
+import re
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -346,6 +348,51 @@ class TestRandomizedTqr:
         rep = solvers.randomized_tqr_solve(
             ops.from_dense(np.eye(8)), b, SolverConfig(eps=1e-8, sketch_size=8, seed=3))
         assert np.max(np.abs(rep.x - b)) <= 1e-10
+
+
+def _unusable(v):
+    raise AssertionError("applied")
+
+
+def _unapplied(a):
+    """An operator of a's shape that fails when applied."""
+    return ops.LinearOperator(a.shape[0], a.shape[1], _unusable, _unusable)
+
+
+CONTRACT_CFG = SolverConfig(eps=1e-8, sketch_size=4)
+# every public solver, on a matrix (dense) or an operator that must not be
+# applied before its input is checked (randomized)
+PUBLIC_SOLVERS = {
+    "tsvd": lambda a, b: solvers.tsvd_solve(a, b, CONTRACT_CFG),
+    "tqr": lambda a, b: solvers.tqr_solve(a, b, CONTRACT_CFG),
+    "direct": solvers.direct_lsq,
+    "rand-tsvd": lambda a, b: solvers.randomized_tsvd_solve(_unapplied(a), b, CONTRACT_CFG),
+    "rand-tqr": lambda a, b: solvers.randomized_tqr_solve(_unapplied(a), b, CONTRACT_CFG),
+}
+
+
+class TestInputContract:
+    """Every public solver rejects a bad b, and a matrix or operator with no
+    columns, with one ValueError before any apply."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", PUBLIC_SOLVERS)
+    def test_nonfinite_b(self, name, bad):
+        b = np.ones(10, dtype=complex)
+        b[3] = bad
+        with pytest.raises(ValueError, match="b contains non-finite"):
+            PUBLIC_SOLVERS[name](random_complex(10, 6, seed=1), b)
+
+    @pytest.mark.parametrize("shape", [(9,), (11,), (10, 1)])
+    @pytest.mark.parametrize("name", PUBLIC_SOLVERS)
+    def test_wrong_length_b(self, name, shape):
+        with pytest.raises(ValueError, match=re.escape(f"b has shape {shape}, expected (10,)")):
+            PUBLIC_SOLVERS[name](random_complex(10, 6, seed=1), np.ones(shape))
+
+    @pytest.mark.parametrize("name", PUBLIC_SOLVERS)
+    def test_no_columns(self, name):
+        with pytest.raises(ValueError, match="expected a nonempty"):
+            PUBLIC_SOLVERS[name](np.zeros((10, 0)), np.ones(10))
 
 
 def explicit_sketch_solve(a, b, cfg, qr):
