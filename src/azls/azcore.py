@@ -29,9 +29,9 @@ STEP1_SOLVERS = {
 class RealForm:
     """A frame in real coordinates: a unitary V (N x N) for which A V, Z V and
     V* G V are real.  A, Z and gram map float64 to float64, and a complex
-    block through its real and imaginary parts; gram may be None (Z* A
-    composed), as for AzProblem.  A coefficient vector x_r of these
-    coordinates is V x_r in the problem's own."""
+    block through its real and imaginary parts; gram is V* G V, or None (Z* A
+    composed).  A coefficient vector x_r of these coordinates is V x_r in
+    the problem's own."""
 
     A: LinearOperator
     Z: LinearOperator
@@ -48,16 +48,12 @@ class AzProblem:
     grid holds the collocation points (shape (M,) in 1D, (M, 2) in 2D) and
     evaluate, when present, evaluates the approximant built from a
     coefficient vector at arbitrary points of the domain.  Step 1 applies
-    (I - A Z*) A as A (I - G) with G = Z*A (N by N).  Every extension
-    builder gives gram, its own form of G (the Fourier frames' Hermitian
-    Toeplitz G, the Chebyshev frame's Toeplitz-plus-Hankel G, the Legendre
-    frame's dense G), and fourier01 its exact I; without gram (the sum
-    frame, a problem built by the caller) G is Z* composed with A.
-
-    real_form, when present, is the same frame in real coordinates (the
-    Fourier frames' cos/sin form), and step 1 runs on it in float64: on
-    (I - A_r Z_r*) A_r with G_r, its x1 mapped back by V.  The right-hand
-    side, step 2 and the residual stay on A and Z.
+    (I - A Z*) A as A (I - G), G = Z*A (N by N), on step1_form: the real
+    form when there is one (the Fourier frames' cos/sin form, in float64,
+    its x1 mapped back by V), else A and Z; the right-hand side, step 2 and
+    the residual stay on A and Z.  G is that form's gram (the Fourier G_r,
+    the Chebyshev Toeplitz-plus-Hankel G, the dense Legendre G, fourier01's
+    exact I), else Z* composed with A (the sum frame, a caller's problem).
     """
 
     A: LinearOperator
@@ -78,10 +74,22 @@ class AzProblem:
             raise ValueError(f"gram has shape {self.gram.shape}, expected {(n, n)}")
         real = self.real_form
         if real is not None:
+            if self.gram is not None:
+                raise ValueError("gram and real_form both given: step 1 takes G from real_form")
             shapes = (real.A.shape, real.Z.shape, real.V.shape)
             if shapes != (self.A.shape, self.A.shape, (n, n)) or \
                     (real.gram is not None and real.gram.shape != (n, n)):
                 raise ValueError(f"real form does not match the {self.A.shape} problem")
+
+    @property
+    def step1_form(self) -> RealForm | AzProblem:
+        """Where step 1 runs: the real form when there is one, else this problem."""
+        return self.real_form or self
+
+    def step1_operator(self) -> LinearOperator:
+        """(I - A Z*) A on step1_form, the operator that step 1 factors."""
+        f = self.step1_form
+        return az_step1_operator(f.A, f.Z, f.gram)
 
 
 @dataclass(frozen=True)
@@ -132,10 +140,8 @@ def _three_step(problem: AzProblem, b, step1, config: SolverConfig | None) -> So
     b = _rhs(b, a.rows)
     if config is None:
         config = default_config(problem)
-    op1 = az_step1_operator(*((a, z, problem.gram) if real is None
-                              else (real.A, real.Z, real.gram)))
     rhs = b - np.asarray(a.apply(z.adjoint_apply(b)), dtype=np.complex128)
-    rep1 = _solve_step1(op1, rhs, step1, config)
+    rep1 = _solve_step1(problem.step1_operator(), rhs, step1, config)
     x1 = np.asarray(rep1.x, dtype=np.complex128)
     if x1.shape != (a.cols,):
         raise ValueError(f"x1 has shape {x1.shape}, expected ({a.cols},)")
@@ -187,22 +193,20 @@ def az_weighted_solve(problem: WeightedAzProblem, b, step1: str = "tsvd",
     the base scale times max d, so the default eps is 1e-10 of that.  Its
     G~ = Z~* W A = Z* pinv(W_eps) W A is the base G when no weight is dropped
     and 0 when every weight is (then Z~ = 0); only in between is it Z~*
-    composed with A~.  A base with a real form gives the weighted pair one,
-    by the same weights and the same rule for its G.
+    composed with A~.  The rule weights the base's step1_form: a base with
+    a real form gives the weighted pair one, and only then no gram.
     """
     base, d = problem.base, problem.d
     pinv = weighted_eps_pinv(d, problem.eps_w)
 
-    def weighted_gram(gram):
-        if pinv.all():
-            return gram
-        return diagonal(np.zeros(base.A.cols)) if not pinv.any() else None
-
+    gram = base.step1_form.gram
+    if not pinv.all():
+        gram = diagonal(np.zeros(base.A.cols)) if not pinv.any() else None
     real = base.real_form
     if real is not None:
-        real = RealForm(A=compose(diagonal(d), real.A), Z=compose(diagonal(pinv), real.Z),
-                        gram=weighted_gram(real.gram), V=real.V)
+        real, gram = RealForm(A=compose(diagonal(d), real.A), Z=compose(diagonal(pinv), real.Z),
+                              gram=gram, V=real.V), None
     weighted = AzProblem(
         A=compose(diagonal(d), base.A), Z=compose(diagonal(pinv), base.Z),
-        scale=base.scale * float(d.max()), gram=weighted_gram(base.gram), real_form=real)
+        scale=base.scale * float(d.max()), gram=gram, real_form=real)
     return _three_step(weighted, d * _rhs(b, base.A.rows), step1, config)

@@ -25,7 +25,6 @@ import numpy as np
 from . import azcore, frames, matrixcore as mc, operators as ops, solvers
 from .azcore import az_solve, az_weighted_solve, default_config
 from .frames import DomainSpec
-from .operators import az_step1_operator
 
 # The selector flags each --problem reads; giving it any other is an error.
 SELECTORS = {"fourier1d": ("domain", "oversampling"),
@@ -158,8 +157,9 @@ def _materialize(*operators) -> list[np.ndarray]:
 
 def cmd_singvals(args) -> None:
     p = _spectra_problem(args)
-    # the plunge matrix (I - A Z*) A is the matrix that step 1 factors
-    a, z, plunge = _materialize(p.A, p.Z, az_step1_operator(p.A, p.Z, p.gram))
+    # A, Z and the plunge (I - A Z*) A in step 1's coordinates: V unitary keeps the sigmas
+    f = p.step1_form
+    a, z, plunge = _materialize(f.A, f.Z, p.step1_operator())
     sig_a = mc.svd(a).sigma
     sig_z = mc.svd(z.conj().T).sigma
     sig_d = mc.svd(plunge).sigma
@@ -205,8 +205,7 @@ def cmd_rankgrowth(args) -> None:
     records = []
     for n in _n_list(args):
         problem = build_problem(args, n)
-        [plunge] = _materialize(
-            az_step1_operator(problem.A, problem.Z, problem.gram))
+        [plunge] = _materialize(problem.step1_operator())
         eps = default_config(problem, eps=args.eps).eps
         report = mc.eps_rank(plunge, eps)
         records.append({"n": n, "eps": eps, "eps_rank": report.r})

@@ -15,11 +15,11 @@ dual restricted the same way.  The 2D A_r is separable: two GEMMs with the
 real L x n matrix E = [1, sqrt 2 cos(pi m x_l), sqrt 2 sin(pi m x_l)] per
 chunk, through scipy's dgemm, then a gather of the mask points.  A real
 row kernel takes a complex block through its real and imaginary parts.
-Every extension builder also gives G = Z*A, so that step 1 needs no Z: the
-Fourier G is a Hermitian (block) Toeplitz matrix, one circulant kernel
-applied by FFT, and G_r runs it between V and V*; the Chebyshev G is
-Toeplitz-plus-Hankel in Chebyshev moments, applied by a real FFT; the
-Legendre G is dense, like its A and Z.
+Every extension builder also gives the G = Z*A that its step 1 uses, so
+that step 1 needs no Z: the Fourier real form's G_r = V* G V runs the
+circulant FFT kernel of the Hermitian (block) Toeplitz G between V and V*;
+the Chebyshev G is Toeplitz-plus-Hankel in Chebyshev moments, applied by a
+real FFT; the Legendre G is dense, like its A and Z.
 
 Every builder sizes its grid by one rule, `_select_grid_size`: the smallest
 fast FFT length L >= 2*oversampling*N per dimension (scipy.fft.next_fast_len)
@@ -292,14 +292,14 @@ def _by_columns(rows):
 
 
 def _fourier_extension(n: int, dim: int, domain: DomainSpec, oversampling: float):
-    """A, Z, G = Z*A and the real form of the tensor Fourier extension frame
-    in 1 or 2 dimensions, with L and the collocation points.
+    """A, Z and the real form of the tensor Fourier extension frame in 1 or 2
+    dimensions, with L and the collocation points.
 
     The real form is the frame {1, sqrt 2 cos pi m x, sqrt 2 sin pi m x} per
     axis: A_r = A V is `_rfft_fourier` in 1D and `_separable_fourier` in 2D,
     with row-major coefficients over (n1, n2), and A = A_r V*.  V is `_pair`
-    along each axis, by slicing.  Z = A / L^dim and Z_r = A_r / L^dim; G and
-    G_r = V* G V come from `_fourier_gram`.
+    along each axis, by slicing.  Z = A / L^dim and Z_r = A_r / L^dim;
+    G_r = V* Z*A V comes from `_fourier_gram`.
     """
     _symmetric_frequencies(n)  # N odd and positive
     if domain.is_2d != (dim == 2):
@@ -311,9 +311,9 @@ def _fourier_extension(n: int, dim: int, domain: DomainSpec, oversampling: float
     v = LinearOperator(n**dim, n**dim, _by_columns(pair), _by_columns(unpair))
     a_r = _rfft_fourier(n, L, sel) if dim == 1 else _separable_fourier(n, L, sel)
     a = compose(a_r, adjoint(v))
-    g, g_r = _fourier_gram(n, dim, L, sel, pair, unpair)
+    g_r = _fourier_gram(n, dim, L, sel, pair, unpair)
     real = RealForm(A=a_r, Z=scale(1.0 / L**dim, a_r), gram=g_r, V=v)
-    return a, scale(1.0 / L**dim, a), g, real, L, full[sel]
+    return a, scale(1.0 / L**dim, a), real, L, full[sel]
 
 
 def _rfft_fourier(n: int, L: int, sel: np.ndarray) -> LinearOperator:
@@ -398,21 +398,18 @@ def _separable_fourier(n: int, L: int, sel: np.ndarray) -> LinearOperator:
 
 
 def _fourier_gram(n: int, dim: int, L: int, sel: np.ndarray, pair, unpair):
-    """G = Z*A = A*A / L^dim of the Fourier extension frame, applied by FFT,
-    and G_r = V* G V for the row kernels pair (V) and unpair (V*).
+    """G_r = V* G V of the Fourier extension frame, for G = Z*A = A*A / L^dim
+    applied by FFT between the row kernels pair (V) and unpair (V*).
 
     G[j, k] = g(n_k - n_j) with g(d) = L^-dim sum_{l inside} exp(i pi d.x_l)
     = (-1)^(sum d) ifftn(mask)[d mod L], from one FFT of the mask indicator:
     Toeplitz in 1D, block Toeplitz with Toeplitz blocks in 2D over row-major
     indices (the discrete prolate matrix).  G v is the convolution of v with
     h(e) = g(-e), applied through a circulant embedding of fast length
-    P >= 2N - 1 per axis by one precomputed kernel FFT.  G is Hermitian, so
-    the adjoint runs the same row kernel.
-
-    A block is cast to complex once, before the chunks, so that fftn never
-    takes its real-input path, which rounds differently.  G_r is real and
-    symmetric: a real row goes through V, the FFT kernel and V*, and keeps
-    the real part.
+    P >= 2N - 1 per axis by one precomputed kernel FFT.  G_r is real and
+    symmetric, so the adjoint runs the same row kernel: a real row goes
+    through V, the FFT kernel (on a complex row) and V*, and keeps the real
+    part.
     """
     mask = np.zeros(L**dim)
     mask[sel] = 1.0
@@ -435,14 +432,8 @@ def _fourier_gram(n: int, dim: int, L: int, sel: np.ndarray, pair, unpair):
         w = scipy.fft.ifftn(f, axes=axes, overwrite_x=True)
         return w[(slice(None),) + (slice(0, n),) * dim].reshape(k, n**dim)
 
-    op = _chunked(n**dim, n**dim, convolve, convolve, kernel.size)
-
-    def apply(v):
-        return op.apply(np.asarray(v, dtype=np.complex128))
-
     real = _real_rows(lambda x: unpair(convolve(pair(x))).real)
-    return (LinearOperator(op.rows, op.cols, apply, apply),
-            _chunked(n**dim, n**dim, real, real, kernel.size))
+    return _chunked(n**dim, n**dim, real, real, kernel.size)
 
 
 def fourier_extension_1d(n: int, domain: DomainSpec, oversampling: float = 2.0) -> AzProblem:
@@ -453,7 +444,7 @@ def fourier_extension_1d(n: int, domain: DomainSpec, oversampling: float = 2.0) 
     A = A_r V*, with A_r one inverse real FFT (see `_rfft_fourier`) and V*
     the map to cos/sin coordinates, the problem's real form.  Z = A / L.
     """
-    a, z, g, real, L, grid = _fourier_extension(n, 1, domain, oversampling)
+    a, z, real, L, grid = _fourier_extension(n, 1, domain, oversampling)
     half = (n - 1) // 2
     # frequency q*blk + r - half: exp(i pi (q*blk + r - half) t)
     # = exp(i pi q*blk t) exp(i pi (r - half) t), so each point needs
@@ -481,7 +472,7 @@ def fourier_extension_1d(n: int, domain: DomainSpec, oversampling: float = 2.0) 
 
     return AzProblem(A=a, Z=z, label=f"fourier1d(N={n}, L={L})",
                      scale=math.sqrt(L), grid=grid, evaluate=evaluate,
-                     domain=domain, gram=g, real_form=real)
+                     domain=domain, real_form=real)
 
 
 def fourier_extension_2d(n_per_dim: int, mask: DomainSpec,
@@ -493,7 +484,7 @@ def fourier_extension_2d(n_per_dim: int, mask: DomainSpec,
     product of `_separable_fourier` and V* the map to cos/sin coordinates
     along each axis, the problem's real form.
     """
-    a, z, g, real, L, grid = _fourier_extension(n_per_dim, 2, mask, oversampling)
+    a, z, real, L, grid = _fourier_extension(n_per_dim, 2, mask, oversampling)
     freqs = _symmetric_frequencies(n_per_dim)
 
     def evaluate(coeffs, pts):
@@ -505,7 +496,7 @@ def fourier_extension_2d(n_per_dim: int, mask: DomainSpec,
 
     return AzProblem(A=a, Z=z, label=f"fourier2d(N={n_per_dim}^2, L={L})",
                      scale=float(L), grid=grid, evaluate=evaluate, domain=mask,
-                     gram=g, real_form=real)
+                     real_form=real)
 
 
 def gram_fourier(n: int, domain: DomainSpec) -> np.ndarray:

@@ -9,10 +9,11 @@ the Householder QR of the sketch A Omega = Q T by a block per round,
 factoring only the small core T unless a triangular inverse certifies that
 T keeps every direction.  The dense tsvd and tqr take matrices, build
 A = Q C + E with orthonormal Q and deflated E, and factor only the R x N
-core C once the explicit ||E||_F < eps, else all of A.  Each path computes in the dtype of its operator or matrix: a real
-one (a real frame, or the real form of a Fourier frame) gives a float64
-sketch, QR, certificate and core factorization, against a complex b through
-its real and imaginary parts.  The sketch loop runs scipy's BLAS/LAPACK;
+core C once the explicit ||E||_F < eps, else all of A.  Each path computes
+in the dtype of its operator or matrix: a real one (a real frame, or the
+real form of a Fourier frame) gives a float64 sketch, QR, certificate and
+core factorization, against a complex b through its real and imaginary
+parts.  The sketch loop runs scipy's BLAS/LAPACK;
 the dense path (lstsq, the certified rounds, matrixcore.svd) runs numpy's,
 which has no pivoted QR.  Every solver recomputes the residual norm apart
 from its internal algebra.

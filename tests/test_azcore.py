@@ -323,8 +323,7 @@ class TestFourierGram:
         b = self.rhs(p)
         cfg = default_config(p, seed=5)
         rep = az_solve(p, b, step1=step1, config=cfg)
-        generic = dataclasses.replace(p, gram=None, real_form=dataclasses.replace(
-            p.real_form, gram=None))
+        generic = dataclasses.replace(p, real_form=dataclasses.replace(p.real_form, gram=None))
         ref = az_solve(generic, b, step1=step1, config=cfg)
         assert rep.rank_used == ref.rank_used
         assert rep.sketch_size == ref.sketch_size
@@ -359,8 +358,8 @@ class TestFourierGram:
             raise AssertionError("G applied")
 
         n = base.A.cols
-        poisoned = dataclasses.replace(
-            base, gram=ops.LinearOperator(n, n, unusable, unusable))
+        poisoned = dataclasses.replace(base, real_form=dataclasses.replace(
+            base.real_form, gram=ops.LinearOperator(n, n, unusable, unusable)))
         d = 0.5 + np.abs(np.asarray(base.grid))
         rep = az_weighted_solve(frames.weighted_lsq(poisoned, d, 0.6), self.rhs(base),
                                 step1="rand-tsvd", config=default_config(base, seed=5))
@@ -434,9 +433,17 @@ class TestFourierGram:
         assert counter.applies == 0
 
     def test_gram_shape_checked(self):
-        p = self.PROBLEMS["1d-65"]()
+        p = frames.chebyshev_extension(65, DomainSpec.interval(-0.5, 0.5))
         with pytest.raises(ValueError, match="gram has shape"):
             dataclasses.replace(p, gram=ops.from_dense(np.eye(3)))
+
+    def test_gram_next_to_a_real_form_rejected(self):
+        # step 1 takes G from the real form, so a gram beside it would go unused
+        p = self.PROBLEMS["1d-65"]()
+        n = p.A.cols
+        with pytest.raises(ValueError, match="gram and real_form both given"):
+            dataclasses.replace(p, gram=ops.from_dense(np.eye(n)))
+        assert p.gram is None
 
 
 class TestRealForm:

@@ -60,6 +60,36 @@ class TestSingvals:
         ref = np.linalg.svd(dense_plunge(PROBLEMS[problem, None](n)), compute_uv=False)
         assert np.max(np.abs(sigma - ref)) <= 1e-12 * ref[0]
 
+    @pytest.mark.parametrize("problem, mask, n", [("fourier1d", None, 65),
+                                                  ("fourier2d", "disk", 9)])
+    def test_fourier_spectra_are_the_complex_ones(self, tmp_path, monkeypatch,
+                                                  problem, mask, n):
+        # singvals and rankgrowth run on the real form: a float64 A, Z and
+        # plunge whose singular values and eps rank are those of the complex
+        # A, Z* and (I - A Z*) A with Z* composed
+        p = PROBLEMS[problem, mask](n)
+        a, z, plunge = (operators.materialize(op)
+                        for op in (p.A, p.Z, operators.az_step1_operator(p.A, p.Z)))
+        ref = [np.linalg.svd(m, compute_uv=False) for m in (a, z.conj().T, plunge)]
+        rank = matrixcore.eps_rank(plunge, 1e-10 * p.scale).r
+        svd, dtypes = matrixcore.svd, []
+
+        def recorded(m, *args, **kwargs):
+            dtypes.append(np.asarray(m).dtype)
+            return svd(m, *args, **kwargs)
+
+        monkeypatch.setattr(matrixcore, "svd", recorded)
+        flags = ["--problem", problem, "--n", str(n)] + ([] if mask is None else ["--mask", mask])
+        sv, rg = tmp_path / "sv.csv", tmp_path / "rg.csv"
+        assert main(["singvals", *flags, "--out", str(sv)]) == 0
+        rows = read_csv(sv)[1:]
+        for column, want in enumerate(ref, start=1):
+            got = np.array([float(r[column]) for r in rows])
+            assert np.max(np.abs(got - want)) <= 1e-13 * want[0]
+        assert main(["rankgrowth", *flags, "--out", str(rg)]) == 0
+        assert int(read_csv(rg)[1][2]) == rank
+        assert dtypes == [np.float64] * 4
+
     def test_gram_selector(self, tmp_path):
         out = tmp_path / "g.csv"
         code = main(["singvals", "--problem", "gram", "--n", "51",

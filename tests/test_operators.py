@@ -1,6 +1,8 @@
 """Operator combinator tests: materialization agrees with dense algebra,
 adjoints are consistent, and the step-1 operator has the expected structure."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -156,16 +158,18 @@ FOURIER_PROBLEMS = [
                          ids=["1d-65", "1d-union-1025", "2d-punctured-9", "2d-disk-25"])
 class TestGramStep1Operator:
     def test_dot_tests_without_z(self, build):
+        # step 1 runs on the real form, whose Z it never applies
         p = build()
-        dot_test(p.gram, seed=20)
-        z, counter = counted(p.Z)
-        dot_test(ops.az_step1_operator(p.A, z, p.gram), seed=30)
+        dot_test(p.real_form.gram, seed=20)
+        z, counter = counted(p.real_form.Z)
+        dot_test(dataclasses.replace(p, real_form=dataclasses.replace(p.real_form, Z=z))
+                 .step1_operator(), seed=30)
         assert counter.applies == counter.adjoint_applies == 0
 
     def test_matches_generic_form(self, build):
         p = build()
-        fast = ops.az_step1_operator(p.A, p.Z, p.gram)
-        generic = ops.az_step1_operator(p.A, p.Z)
+        fast = p.step1_operator()
+        generic = ops.az_step1_operator(p.real_form.A, p.real_form.Z)
         v = random_complex(p.A.cols, 3, seed=40)
         w = random_complex(p.A.rows, 3, seed=41)
         # both are accurate to eps_mach ||A|| ||v||, and scale ~ ||A||
@@ -247,7 +251,7 @@ FOURIER1D_PROBLEMS = {
 def test_chirp_fourier_adjoint_and_columns(name):
     p = FOURIER1D_PROBLEMS[name]()
     dot_test(p.A, seed=70)
-    dot_test(ops.az_step1_operator(p.A, p.Z, p.gram), seed=80)
+    dot_test(p.step1_operator(), seed=80)
     # at N = 1025 a chunk of A holds 63 columns (half, L = 4116) and 9 (union,
     # L = 27440): 100 span several
     for apply, block in ((p.A.apply, random_complex(p.A.cols, 100, seed=90)),

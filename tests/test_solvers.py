@@ -507,7 +507,7 @@ class TestValuesOnlyRounds:
     def test_matches_full_svd_every_round(self, name):
         p = self.PROBLEMS[name]()
         b = self.rhs(p)
-        op = ops.az_step1_operator(p.A, p.Z, p.gram)
+        op = p.step1_operator()
         rhs = b - p.A.apply(p.Z.adjoint_apply(b))
         cfg = default_config(p, seed=5)
         for omega, factor in solvers._sketch(op, cfg):
