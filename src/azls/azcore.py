@@ -13,8 +13,8 @@ from typing import Callable
 import numpy as np
 
 from . import solvers
-from .operators import (LinearOperator, az_step1_operator, compose, diagonal,
-                        materialize)
+from .operators import (LinearOperator, _promote, az_step1_operator, compose,
+                        diagonal, materialize)
 from .solvers import SolveReport, SolverConfig
 
 STEP1_SOLVERS = {
@@ -130,19 +130,14 @@ def default_config(problem: AzProblem, seed: int = 0,
     return SolverConfig(eps=eps, sketch_size=sketch_size, seed=seed)
 
 
-def _rhs(b, rows: int) -> np.ndarray:
-    """b as a complex vector, once solvers.check_rhs accepts it."""
-    return np.asarray(solvers.check_rhs(b, rows), dtype=np.complex128)
-
-
 def _three_step(problem: AzProblem, b, step1, config: SolverConfig | None) -> SolveReport:
     a, z, real = problem.A, problem.Z, problem.real_form
-    b = _rhs(b, a.rows)
+    b = solvers.check_rhs(b, a.rows)
     if config is None:
         config = default_config(problem)
-    rhs = b - np.asarray(a.apply(z.adjoint_apply(b)), dtype=np.complex128)
+    rhs = b - a.apply(z.adjoint_apply(b))
     rep1 = _solve_step1(problem.step1_operator(), rhs, step1, config)
-    x1 = np.asarray(rep1.x, dtype=np.complex128)
+    x1 = _promote(rep1.x)
     if x1.shape != (a.cols,):
         raise ValueError(f"x1 has shape {x1.shape}, expected ({a.cols},)")
     if not np.all(np.isfinite(x1)):
@@ -150,8 +145,7 @@ def _three_step(problem: AzProblem, b, step1, config: SolverConfig | None) -> So
     if real is not None:
         x1 = real.V.apply(x1)
     # steps 2-3: one A-apply and one Z*-apply, then one A-apply for the residual
-    r1 = b - np.asarray(a.apply(x1), dtype=np.complex128)
-    x2 = np.asarray(z.adjoint_apply(r1), dtype=np.complex128)
+    x2 = z.adjoint_apply(b - a.apply(x1))
     x = x1 + x2
     res = float(np.linalg.norm(b - a.apply(x)))
     return SolveReport(x=x, residual_norm=res, rank_used=rep1.rank_used,
@@ -167,7 +161,8 @@ def az_solve(problem: AzProblem, b, step1="rand-tsvd",
     On a problem with a real form, step 1, a callable too, gets the real
     step-1 operator, and its x1 is in the real coordinates.
     The reported residual is always ||b - A x|| recomputed from the x
-    returned, never taken from step 1.
+    returned, never taken from step 1.  Nothing casts b: x1 (an injected one
+    too), x2 and x are of the promotion of b's, the operators' and float64.
     """
     return _three_step(problem, b, step1, config)
 
@@ -209,4 +204,4 @@ def az_weighted_solve(problem: WeightedAzProblem, b, step1: str = "tsvd",
     weighted = AzProblem(
         A=compose(diagonal(d), base.A), Z=compose(diagonal(pinv), base.Z),
         scale=base.scale * float(d.max()), gram=gram, real_form=real)
-    return _three_step(weighted, d * _rhs(b, base.A.rows), step1, config)
+    return _three_step(weighted, d * solvers.check_rhs(b, base.A.rows), step1, config)

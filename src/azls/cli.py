@@ -131,7 +131,7 @@ def _check_out(out: str) -> None:
 
 
 def checksum(x: np.ndarray) -> str:
-    """Short deterministic digest of a solution vector."""
+    """Short digest of x cast to complex128: a float64 x and its complex twin share it."""
     data = np.ascontiguousarray(np.asarray(x, dtype=np.complex128))
     return hashlib.sha256(data.tobytes()).hexdigest()[:16]
 
@@ -160,9 +160,7 @@ def cmd_singvals(args) -> None:
     # A, Z and the plunge (I - A Z*) A in step 1's coordinates: V unitary keeps the sigmas
     f = p.step1_form
     a, z, plunge = _materialize(f.A, f.Z, p.step1_operator())
-    sig_a = mc.svd(a).sigma
-    sig_z = mc.svd(z.conj().T).sigma
-    sig_d = mc.svd(plunge).sigma
+    sig_a, sig_z, sig_d = (mc.singular_values(m) for m in (a, z.conj().T, plunge))
     records = [{"index": i, "sigma_a": float(sig_a[i]),
                 "sigma_zstar": float(sig_z[i]),
                 "sigma_plunge": float(sig_d[i])}

@@ -143,8 +143,8 @@ def _call_on_grid(f, grid: np.ndarray) -> np.ndarray:
 
 
 def sample_function(f, grid) -> np.ndarray:
-    """Pointwise samples of f on a collocation grid, as a complex vector."""
-    return _call_on_grid(f, np.asarray(grid)).astype(np.complex128)
+    """Pointwise samples of f on a collocation grid, in their own dtype."""
+    return _call_on_grid(f, np.asarray(grid))
 
 
 def _symmetric_frequencies(n: int) -> np.ndarray:
@@ -779,7 +779,7 @@ def eval_error(problem: AzProblem, x, f) -> dict:
     """Max and RMS error of the approximant against f on a refined grid."""
     pts = refined_grid(problem)
     approx = np.asarray(problem.evaluate(np.asarray(x), pts))
-    exact = _call_on_grid(f, pts).astype(np.complex128)
+    exact = _call_on_grid(f, pts)
     err = np.abs(approx - exact)
     return {"max_err": float(err.max()),
             "l2_err": float(np.sqrt(np.mean(err**2)))}

@@ -1,5 +1,5 @@
-"""Dense matrix kernels: SVD, pivoted QR, a Householder QR that grows by
-column blocks, epsilon rank and the pseudoinverse.
+"""Dense matrix kernels: SVD and singular values, pivoted QR, a Householder
+QR that grows by column blocks, epsilon rank and the pseudoinverse.
 
 All factorization-scale objects are plain numpy arrays.  A matrix keeps the
 promotion of its dtype and float64: real input is factored by real LAPACK
@@ -158,14 +158,23 @@ class EpsRankReport:
     tail_norm: float
 
 
-def svd(a) -> SvdFactorization:
-    """Full (thin) SVD of a dense matrix."""
+def _np_svd(a, **kwargs):
     a = as_matrix(a)
     try:
-        u, s, vh = np.linalg.svd(a, full_matrices=False)
+        return np.linalg.svd(a, **kwargs)
     except np.linalg.LinAlgError as exc:
         raise FactorizationError(f"SVD failed to converge for {a.shape} matrix") from exc
+
+
+def svd(a) -> SvdFactorization:
+    """Full (thin) SVD of a dense matrix."""
+    u, s, vh = _np_svd(a, full_matrices=False)
     return SvdFactorization(U=u, sigma=s, V=vh.conj().T)
+
+
+def singular_values(a) -> np.ndarray:
+    """The singular values of a dense matrix, nonincreasing, from an SVD without U and V."""
+    return _np_svd(a, compute_uv=False)
 
 
 def pivoted_qr(a) -> PivotedQrFactorization:
@@ -179,7 +188,7 @@ def eps_rank(a, eps: float) -> EpsRankReport:
     """Smallest r such that sqrt(sum of squared singular values beyond r) <= eps."""
     if not 0 < eps < np.inf:
         raise ValueError("eps must be positive and finite")
-    sigma = svd(a).sigma
+    sigma = singular_values(a)
     # tail[r] = sqrt(sum_{k >= r} sigma_k^2); find least r with tail[r] <= eps
     tails = np.sqrt(np.cumsum(sigma[::-1] ** 2)[::-1])
     tails = np.append(tails, 0.0)

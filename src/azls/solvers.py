@@ -12,9 +12,9 @@ A = Q C + E with orthonormal Q and deflated E, and factor only the R x N
 core C once the explicit ||E||_F < eps, else all of A.  Each path computes
 in the dtype of its operator or matrix: a real one (a real frame, or the
 real form of a Fourier frame) gives a float64 sketch, QR, certificate and
-core factorization, against a complex b through its real and imaginary
-parts.  The sketch loop runs scipy's BLAS/LAPACK;
-the dense path (lstsq, the certified rounds, matrixcore.svd) runs numpy's,
+core factorization, and no solver casts b: x is of the promotion of b's
+dtype, that one and float64.  The sketch loop runs scipy's BLAS/LAPACK; the
+dense path (lstsq, the certified rounds, matrixcore.svd) runs numpy's,
 which has no pivoted QR.  Every solver recomputes the residual norm apart
 from its internal algebra.
 """
@@ -63,6 +63,9 @@ class SolverConfig:
 
 @dataclass
 class SolveReport:
+    """x, and an AZ solve's x1 and x2, take the promotion of the dtypes of b,
+    the operators and float64; residual_norm is ||b - A x|| of that x."""
+
     x: np.ndarray
     residual_norm: float
     rank_used: int
@@ -118,7 +121,7 @@ def _truncated_solve(a: np.ndarray, b: np.ndarray, eps: float,
     if qr:
         f = mc.pivoted_qr(a)
         k = int(np.count_nonzero(np.abs(np.diagonal(f.R)) >= eps))
-        y = np.zeros(a.shape[1], dtype=np.complex128)
+        y = np.zeros(a.shape[1], dtype=np.result_type(a, b))
         y[f.perm[:k]] = scipy.linalg.solve_triangular(f.R[:k, :k], f.Q[:, :k].conj().T @ b)
         return y, k
     f = (svd or mc.svd)(a)
@@ -172,12 +175,12 @@ def _dense_solve(a, b, eps: float, qr: bool = False,
     if not 0 < eps < np.inf:
         raise ValueError("eps must be positive and finite")
     a = mc.as_matrix(a)
-    b = np.asarray(check_rhs(b, a.shape[0]), dtype=np.complex128)
+    b = check_rhs(b, a.shape[0])
     # sigma_1 and |R_11| are at most ||a||_F: below eps, a truncation keeps
     # nothing, and the answer is the zero vector it would have given
     r = 0
     if np.linalg.norm(a) < eps:
-        x, k = np.zeros(a.shape[1], dtype=np.complex128), 0
+        x, k = np.zeros(a.shape[1], dtype=np.result_type(a, b)), 0
     elif config is not None and (factor := _low_rank_factor(a, config)):
         # each sigma of C is within ||a - Q C||_F of a's, and the SVD's
         # x = V_k Sigma_k^-1 U_k* Q* b lies in a's row space: no back-solve
@@ -197,7 +200,7 @@ def direct_lsq(a, b) -> SolveReport:
     a = mc.as_matrix(a)
     b = check_rhs(b, a.shape[0])
     x, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
-    return _report(lambda v: a @ v, b, np.asarray(x, dtype=np.complex128), int(rank))
+    return _report(lambda v: a @ v, b, x, int(rank))
 
 
 def tsvd_solve(a, b, config: SolverConfig) -> SolveReport:
@@ -260,7 +263,7 @@ def _randomized_solve(a, b, config: SolverConfig, qr: bool) -> SolveReport:
     the round that makes x always does.
     """
     a = _as_operator(a)
-    b = np.asarray(check_rhs(b, a.rows), dtype=np.complex128)
+    b = check_rhs(b, a.rows)
     for omega, factor in _sketch(a, config):
         if omega.shape[1] < a.cols and _keeps_every_direction(factor.R, config.eps):
             continue

@@ -17,7 +17,9 @@ from azls import AzProblem, matrixcore as mc, operators as ops
 from azls.frames import DomainSpec
 
 
-# a disk that is not centred on the 2D grid, so that the Fourier G is complex
+# a disk that is not centred on the 2D grid: with no mirror symmetry about
+# either axis, its real-form G_r couples the cos and sin coordinates, which a
+# centred mask leaves apart
 OFF_CENTRE = DomainSpec.from_mask(lambda x, y: (x - 0.25)**2 + (y + 0.15)**2 <= 0.45**2)
 
 

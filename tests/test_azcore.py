@@ -24,6 +24,28 @@ def injected_step1(x1):
     return lambda op, rhs: SolveReport(x=x1, residual_norm=0.0, rank_used=0)
 
 
+def record_step1_dtypes(monkeypatch) -> list:
+    """The dtypes that the step-1 kernels see from now on, in call order:
+    each materialized step-1 matrix, and the matrix that each sketch QR,
+    SVD, pivoted QR and sketch-core SVD factors."""
+    dtypes = []
+
+    def record(module, fn_name, of_result=False):
+        fn = getattr(module, fn_name)
+
+        def recorded(a, *args):
+            out = fn(a, *args)
+            dtypes.append(np.asarray(out if of_result else a).dtype)
+            return out
+        monkeypatch.setattr(module, fn_name, recorded)
+
+    record(azcore, "materialize", of_result=True)
+    for module, fn_name in ((mc, "householder_qr"), (mc, "svd"), (mc, "pivoted_qr"),
+                            (solvers, "_core_svd")):
+        record(module, fn_name)
+    return dtypes
+
+
 class TestAzSolve:
     def test_exact_dual_solves_in_step_two(self):
         a = np.vstack([np.diag([1.0, 2.0]), np.zeros((1, 2))])
@@ -493,21 +515,7 @@ class TestRealForm:
                                      config=cfg)
 
         ref = solve(dataclasses.replace(p, real_form=None))
-        dtypes = []
-
-        def record(module, fn_name, of_result=False):
-            fn = getattr(module, fn_name)
-
-            def recorded(a, *args):
-                out = fn(a, *args)
-                dtypes.append(np.asarray(out if of_result else a).dtype)
-                return out
-            monkeypatch.setattr(module, fn_name, recorded)
-
-        record(azcore, "materialize", of_result=True)
-        for module, fn_name in ((mc, "householder_qr"), (mc, "svd"), (mc, "pivoted_qr"),
-                                (solvers, "_core_svd")):
-            record(module, fn_name)
+        dtypes = record_step1_dtypes(monkeypatch)
         rep = solve(p)
         assert dtypes and all(dtype == np.float64 for dtype in dtypes)
         assert rep.residual_norm <= 10 * max(ref.residual_norm, 1e-9 * np.linalg.norm(b))
@@ -552,22 +560,34 @@ def real_frame(name):
                                   "chebyshev-extremae-64", "chebyshev-extremae-513",
                                   "legendre-201", "legendre-401", "sumframe-32",
                                   "weighted-chebyshev-129"])
-def test_real_frames_agree_with_complex_arithmetic(name, step1):
+def test_real_frames_agree_with_complex_arithmetic(name, step1, monkeypatch):
     real, oracle = real_frame(name)
     p = real.base if isinstance(real, WeightedAzProblem) else real
     x = np.asarray(p.grid)
+
+    def solve(q, b):
+        if isinstance(q, WeightedAzProblem):
+            return az_weighted_solve(q, b, step1=step1)
+        return az_solve(q, b, step1=step1, config=default_config(p, seed=5))
+
     b = np.exp(x) + 1j * np.cos(5 * x)
-    if isinstance(real, WeightedAzProblem):
-        rep, ref = (az_weighted_solve(q, b, step1=step1) for q in (real, oracle))
-    else:
-        cfg = default_config(p, seed=5)
-        rep, ref = (az_solve(q, b, step1=step1, config=cfg) for q in (real, oracle))
+    rep, ref = solve(real, b), solve(oracle, b)
     assert rep.rank_used == ref.rank_used
     assert abs(rep.residual_norm - ref.residual_norm) \
         <= 1e-6 * max(ref.residual_norm, 1e-9 * np.linalg.norm(b))
     # x is fixed only to about eps_mach sigma_1 / eps, with sigma_1 ~ scale and
     # the default eps = 1e-10 scale
     tol = 10 * np.finfo(np.float64).eps / 1e-10
+    assert np.linalg.norm(rep.x - ref.x) <= tol * np.linalg.norm(ref.x)
+    # a real b is solved in float64 from b to x, with the rank and the x of
+    # the same b as a complex vector
+    b = np.exp(x)
+    ref = solve(real, b.astype(complex))
+    dtypes = record_step1_dtypes(monkeypatch)
+    rep = solve(real, b)
+    assert dtypes and all(dtype == np.float64 for dtype in dtypes)
+    assert rep.x.dtype == rep.x1.dtype == rep.x2.dtype == np.float64
+    assert rep.rank_used == ref.rank_used
     assert np.linalg.norm(rep.x - ref.x) <= tol * np.linalg.norm(ref.x)
 
 

@@ -66,19 +66,24 @@ class TestSingvals:
                                                   problem, mask, n):
         # singvals and rankgrowth run on the real form: a float64 A, Z and
         # plunge whose singular values and eps rank are those of the complex
-        # A, Z* and (I - A Z*) A with Z* composed
+        # A, Z* and (I - A Z*) A with Z* composed, each read from an SVD that
+        # forms no singular vectors
         p = PROBLEMS[problem, mask](n)
         a, z, plunge = (operators.materialize(op)
                         for op in (p.A, p.Z, operators.az_step1_operator(p.A, p.Z)))
         ref = [np.linalg.svd(m, compute_uv=False) for m in (a, z.conj().T, plunge)]
         rank = matrixcore.eps_rank(plunge, 1e-10 * p.scale).r
-        svd, dtypes = matrixcore.svd, []
+        singular_values, dtypes = matrixcore.singular_values, []
 
-        def recorded(m, *args, **kwargs):
+        def recorded(m):
             dtypes.append(np.asarray(m).dtype)
-            return svd(m, *args, **kwargs)
+            return singular_values(m)
 
-        monkeypatch.setattr(matrixcore, "svd", recorded)
+        def unused(m):
+            raise AssertionError("singular vectors formed")
+
+        monkeypatch.setattr(matrixcore, "singular_values", recorded)
+        monkeypatch.setattr(matrixcore, "svd", unused)
         flags = ["--problem", problem, "--n", str(n)] + ([] if mask is None else ["--mask", mask])
         sv, rg = tmp_path / "sv.csv", tmp_path / "rg.csv"
         assert main(["singvals", *flags, "--out", str(sv)]) == 0
@@ -288,7 +293,7 @@ def test_list_flag_diagnostic(tmp_path, capsys, argv, message):
 def test_factorization_error_is_one_line(tmp_path, monkeypatch, capsys):
     def fail(a):
         raise matrixcore.FactorizationError("SVD failed to converge")
-    monkeypatch.setattr(matrixcore, "svd", fail)
+    monkeypatch.setattr(matrixcore, "singular_values", fail)
     code = main(["singvals", "--problem", "legendre", "--n", "10",
                  "--out", str(tmp_path / "sv.csv")])
     assert code == 1

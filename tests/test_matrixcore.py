@@ -38,16 +38,26 @@ class TestSvd:
     def test_nonfinite_rejected(self):
         a = random_complex(4, 4, seed=22)
         a[1, 2] = np.nan
-        with pytest.raises(ValueError, match="non-finite"):
-            mc.svd(a)
+        for kernel in (mc.svd, mc.singular_values):
+            with pytest.raises(ValueError, match="non-finite"):
+                kernel(a)
 
     def test_no_convergence_raises(self, monkeypatch):
         def fail(*args, **kwargs):
             raise np.linalg.LinAlgError("SVD did not converge")
 
         monkeypatch.setattr(np.linalg, "svd", fail)
-        with pytest.raises(mc.FactorizationError):
-            mc.svd(np.eye(3))
+        for kernel in (mc.svd, mc.singular_values):
+            with pytest.raises(mc.FactorizationError):
+                kernel(np.eye(3))
+
+    @pytest.mark.parametrize("real", [True, False])
+    def test_singular_values_are_the_svds(self, real):
+        a = random_complex(9, 6, seed=8)
+        a = a.real if real else a
+        sigma = mc.singular_values(a)
+        assert sigma.dtype == np.float64
+        assert np.max(np.abs(sigma - mc.svd(a).sigma)) <= 1e-14 * sigma[0]
 
 
 class TestPivotedQr:

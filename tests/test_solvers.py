@@ -286,6 +286,8 @@ class TestZeroRankExit:
         assert rep.x.dtype == x_factored.dtype == np.complex128
         assert np.array_equal(rep.x, x_factored)
         assert rep.residual_norm == np.linalg.norm(b)
+        # a real matrix and a real b give a real zero
+        assert solve(a.real, b.real, SolverConfig(1e-8, 1)).x.dtype == np.float64
 
     @pytest.mark.parametrize("solve, qr", SOLVES)
     def test_at_eps_factors(self, solve, qr, monkeypatch):
@@ -393,6 +395,26 @@ class TestInputContract:
     def test_no_columns(self, name):
         with pytest.raises(ValueError, match="expected a nonempty"):
             PUBLIC_SOLVERS[name](np.zeros((10, 0)), np.ones(10))
+
+
+# every public solver, on a matrix (dense) or its operator (randomized)
+APPLIED_SOLVERS = {
+    **PUBLIC_SOLVERS,
+    "rand-tsvd": lambda a, b: solvers.randomized_tsvd_solve(ops.from_dense(a), b, CONTRACT_CFG),
+    "rand-tqr": lambda a, b: solvers.randomized_tqr_solve(ops.from_dense(a), b, CONTRACT_CFG),
+}
+
+
+@pytest.mark.parametrize("name", APPLIED_SOLVERS)
+def test_x_has_the_promoted_dtype(name):
+    # no solver casts b: a real matrix with a real b gives a float64 x, and a
+    # complex matrix or a complex b a complex128 one
+    a = random_complex(12, 8, seed=4)
+    b = np.asarray(random_complex(12, 1, seed=5)).ravel()
+    solve = APPLIED_SOLVERS[name]
+    assert solve(a.real, b.real).x.dtype == np.float64
+    for a_in, b_in in ((a, b), (a.real, b), (a, b.real)):
+        assert solve(a_in, b_in).x.dtype == np.complex128
 
 
 def explicit_sketch_solve(a, b, cfg, qr):
