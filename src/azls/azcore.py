@@ -51,9 +51,9 @@ class AzProblem:
     (I - A Z*) A as A (I - G), G = Z*A (N by N), on step1_form: the real
     form when there is one (the Fourier frames' cos/sin form, in float64,
     its x1 mapped back by V), else A and Z; the right-hand side, step 2 and
-    the residual stay on A and Z.  G is that form's gram (the Fourier G_r,
-    the Chebyshev Toeplitz-plus-Hankel G, the dense Legendre G, fourier01's
-    exact I), else Z* composed with A (the sum frame, a caller's problem).
+    the residual stay on A and Z.  G is that form's gram (the 1D Fourier
+    G_r, the Chebyshev and Legendre G, fourier01's exact I), else Z* composed
+    with A (the 2D Fourier real form, the sum frame, a caller's problem).
     """
 
     A: LinearOperator

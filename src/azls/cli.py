@@ -117,6 +117,8 @@ def write_records(records: list[dict], fieldnames: list[str], out: str,
             fh.write(payload)
         os.replace(tmp, out)
     except OSError as exc:
+        if os.path.exists(tmp):
+            os.remove(tmp)
         raise CliError(f"cannot write --out {out}: {exc.strerror}") from exc
 
 

@@ -6,7 +6,7 @@ a block of k columns to them as k rows and runs them a chunk of rows at a
 time, so each kernel transforms along the last axis and sizes nothing
 itself.  The Fourier frames are built in real form: with the unitary V
 that pairs the coefficients of n and -n (`_pair`, by slicing along each
-axis), A_r = A V, Z_r = Z V and G_r = V* G V are real, the frame
+axis), A_r = A V and Z_r = Z V are real, the frame
 {1, sqrt 2 cos pi m x, sqrt 2 sin pi m x}, and the problem's A is A_r V*.
 The 1D A_r puts the half spectrum of N coefficients on a length-L grid,
 takes one inverse real FFT there and gathers the M points inside the
@@ -15,11 +15,11 @@ dual restricted the same way.  The 2D A_r is separable: two GEMMs with the
 real L x n matrix E = [1, sqrt 2 cos(pi m x_l), sqrt 2 sin(pi m x_l)] per
 chunk, through scipy's dgemm, then a gather of the mask points.  A real
 row kernel takes a complex block through its real and imaginary parts.
-Every extension builder also gives the G = Z*A that its step 1 uses, so
+Every 1D extension builder also gives the G = Z*A that its step 1 uses, so
 that step 1 needs no Z: the Fourier real form's G_r = V* G V runs the
-circulant FFT kernel of the Hermitian (block) Toeplitz G between V and V*;
-the Chebyshev G is Toeplitz-plus-Hankel in Chebyshev moments, applied by a
-real FFT; the Legendre G is dense, like its A and Z.
+circulant FFT kernel of the Hermitian Toeplitz G between V and V*; the
+Chebyshev G is Toeplitz-plus-Hankel in Chebyshev moments, applied by a real
+FFT; the Legendre G is dense.  The 2D Fourier step 1 composes Z_r* with A_r.
 
 Every builder sizes its grid by one rule, `_select_grid_size`: the smallest
 fast FFT length L >= 2*oversampling*N per dimension (scipy.fft.next_fast_len)
@@ -299,7 +299,7 @@ def _fourier_extension(n: int, dim: int, domain: DomainSpec, oversampling: float
     axis: A_r = A V is `_rfft_fourier` in 1D and `_separable_fourier` in 2D,
     with row-major coefficients over (n1, n2), and A = A_r V*.  V is `_pair`
     along each axis, by slicing.  Z = A / L^dim and Z_r = A_r / L^dim;
-    G_r = V* Z*A V comes from `_fourier_gram`.
+    G_r = V* Z*A V comes from `_fourier_gram` in 1D and is None in 2D.
     """
     _symmetric_frequencies(n)  # N odd and positive
     if domain.is_2d != (dim == 2):
@@ -307,11 +307,12 @@ def _fourier_extension(n: int, dim: int, domain: DomainSpec, oversampling: float
                          f"{'2D mask' if dim == 2 else '1D'} domain")
     L, full, sel = _select_grid_size(n, dim, oversampling,
                                      lambda L: _periodic_grid(L, dim), domain)
-    pair, unpair = _per_axis(_pair, n, dim), _per_axis(_unpair, n, dim)
-    v = LinearOperator(n**dim, n**dim, _by_columns(pair), _by_columns(unpair))
+    v = LinearOperator(n**dim, n**dim, _by_columns(_per_axis(_pair, n, dim)),
+                       _by_columns(_per_axis(_unpair, n, dim)))
     a_r = _rfft_fourier(n, L, sel) if dim == 1 else _separable_fourier(n, L, sel)
     a = compose(a_r, adjoint(v))
-    g_r = _fourier_gram(n, dim, L, sel, pair, unpair)
+    # 2D: Z_r* composed with A_r outruns its FFT Gram (0.08 vs 0.09 s, n = 25 disk)
+    g_r = _fourier_gram(n, L, sel) if dim == 1 else None
     real = RealForm(A=a_r, Z=scale(1.0 / L**dim, a_r), gram=g_r, V=v)
     return a, scale(1.0 / L**dim, a), real, L, full[sel]
 
@@ -397,43 +398,35 @@ def _separable_fourier(n: int, L: int, sel: np.ndarray) -> LinearOperator:
                     L * used.size)
 
 
-def _fourier_gram(n: int, dim: int, L: int, sel: np.ndarray, pair, unpair):
-    """G_r = V* G V of the Fourier extension frame, for G = Z*A = A*A / L^dim
-    applied by FFT between the row kernels pair (V) and unpair (V*).
+def _fourier_gram(n: int, L: int, sel: np.ndarray) -> LinearOperator:
+    """G_r = V* G V of the 1D Fourier extension frame, for G = Z*A = A*A / L
+    applied by FFT between `_pair` (V) and `_unpair` (V*).
 
-    G[j, k] = g(n_k - n_j) with g(d) = L^-dim sum_{l inside} exp(i pi d.x_l)
-    = (-1)^(sum d) ifftn(mask)[d mod L], from one FFT of the mask indicator:
-    Toeplitz in 1D, block Toeplitz with Toeplitz blocks in 2D over row-major
-    indices (the discrete prolate matrix).  G v is the convolution of v with
-    h(e) = g(-e), applied through a circulant embedding of fast length
-    P >= 2N - 1 per axis by one precomputed kernel FFT.  G_r is real and
-    symmetric, so the adjoint runs the same row kernel: a real row goes
-    through V, the FFT kernel (on a complex row) and V*, and keeps the real
-    part.
+    G[j, k] = g(n_k - n_j) with g(d) = L^-1 sum_{l inside} exp(i pi d x_l)
+    = (-1)^d ifft(mask)[d mod L], from one FFT of the mask indicator: a
+    Hermitian Toeplitz matrix (the discrete prolate matrix).  G v is the
+    convolution of v with h(e) = g(-e), applied through a circulant
+    embedding of fast length P >= 2N - 1 by one precomputed kernel FFT.  G_r
+    is real and symmetric, so the adjoint runs the same row kernel: a real
+    row goes through V, the FFT kernel (on a complex row) and V*, and keeps
+    the real part.
     """
-    mask = np.zeros(L**dim)
+    mask = np.zeros(L)
     mask[sel] = 1.0
-    g = np.fft.ifftn(mask.reshape((L,) * dim))
+    g = np.fft.ifft(mask)
     d = np.arange(1 - n, n)
-    sign = (-1.0) ** np.abs(d)
     P = scipy.fft.next_fast_len(2 * n - 1)
-    kernel = np.zeros((P,) * dim, dtype=np.complex128)
-    h = g[np.ix_(*[np.mod(-d, L)] * dim)]
-    for axis in range(dim):
-        h *= sign.reshape((-1,) + (1,) * (dim - 1 - axis))
-    kernel[np.ix_(*[np.mod(d, P)] * dim)] = h
-    kernel_hat = scipy.fft.fftn(kernel)
-    axes = tuple(range(1, dim + 1))
+    kernel = np.zeros(P, dtype=np.complex128)
+    kernel[np.mod(d, P)] = g[np.mod(-d, L)] * (-1.0) ** np.abs(d)
+    kernel_hat = scipy.fft.fft(kernel)
 
     def convolve(x):
-        k = x.shape[0]
-        f = scipy.fft.fftn(x.reshape((k,) + (n,) * dim), s=(P,) * dim, axes=axes)
+        f = scipy.fft.fft(x, P, axis=-1)
         f *= kernel_hat
-        w = scipy.fft.ifftn(f, axes=axes, overwrite_x=True)
-        return w[(slice(None),) + (slice(0, n),) * dim].reshape(k, n**dim)
+        return scipy.fft.ifft(f, axis=-1, overwrite_x=True)[:, :n]
 
-    real = _real_rows(lambda x: unpair(convolve(pair(x))).real)
-    return _chunked(n**dim, n**dim, real, real, kernel.size)
+    real = _real_rows(lambda x: _unpair(convolve(_pair(x))).real)
+    return _chunked(n, n, real, real, P)
 
 
 def fourier_extension_1d(n: int, domain: DomainSpec, oversampling: float = 2.0) -> AzProblem:
@@ -482,7 +475,7 @@ def fourier_extension_2d(n_per_dim: int, mask: DomainSpec,
     Coefficients are row-major over (n1, n2); Z = A / L^2, with L per axis
     from `_select_grid_size`.  A = A_r V*, with A_r the real separable
     product of `_separable_fourier` and V* the map to cos/sin coordinates
-    along each axis, the problem's real form.
+    along each axis, the problem's real form, whose step 1 composes Z_r*.
     """
     a, z, real, L, grid = _fourier_extension(n_per_dim, 2, mask, oversampling)
     freqs = _symmetric_frequencies(n_per_dim)

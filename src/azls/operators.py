@@ -131,10 +131,10 @@ def az_step1_operator(a: LinearOperator, z: LinearOperator,
     """(I - A Z*) A, the system matrix of the first AZ step, as A (I - G).
 
     G = Z*A is gram when given, the problem's own form of it that leaves Z
-    untouched (see AzProblem.step1_operator); otherwise (the sum frame, a
-    weighted problem that drops some weights, a problem built by the caller)
-    G = compose(adjoint(z), a).  A column costs one A-apply and one G-apply,
-    and the adjoint is (I - G*) A*.
+    untouched (see AzProblem.step1_operator); otherwise (the 2D Fourier real
+    form, the sum frame, a weighted problem that drops some weights, a
+    problem built by the caller) G = compose(adjoint(z), a).  A column
+    costs one A-apply and one G-apply, and the adjoint is (I - G*) A*.
     """
     _check_same_shape(a, z)
     if gram is None:

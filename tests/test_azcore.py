@@ -8,6 +8,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from azls import (AzProblem, SolveReport, WeightedAzProblem, az_solve,
                   az_weighted_solve, default_config)
@@ -361,8 +362,9 @@ class TestFourierGram:
                                              ("1d-1025", "rand-tqr"),
                                              ("2d-disk-9", "rand-tsvd")])
     def test_z_adjoint_applied_twice(self, name, step1):
-        # once for the right-hand side, once in step 2; never in step 1, where
-        # the real form's Z is not applied either
+        # once for the right-hand side, once in step 2; never in step 1.  The
+        # 1D step 1 applies G_r and not the real form's Z; the 2D one has no
+        # G_r and composes Z_r* with A_r: one Z_r* per sketch apply
         p = self.PROBLEMS[name]()
         z, counter = counted(p.Z)
         z_r, real_counter = counted(p.real_form.Z)
@@ -371,7 +373,8 @@ class TestFourierGram:
                  config=default_config(p, seed=5))
         assert counter.adjoint_applies == 2
         assert counter.applies == 0
-        assert real_counter.applies == real_counter.adjoint_applies == 0
+        assert real_counter.applies == 0
+        assert (real_counter.adjoint_applies > 0) == (p.real_form.gram is None)
 
     def test_weighted_and_sum_frames_do_not_use_it(self):
         base = self.PROBLEMS["1d-65"]()
@@ -601,3 +604,74 @@ def test_small_sketch_grows_to_the_rank(step1):
     rep = az_solve(p, b, step1=step1, config=cfg)
     assert rep.sketch_size > 5
     assert rep.residual_norm <= 1e-10 * np.linalg.norm(b)
+
+
+# Properties of the contract on random dense (A, Z) pairs with a planted
+# low-rank plunge: sizes M <= 60, real or complex, a bounded example count.
+PAIRS = st.tuples(st.integers(2, 30), st.integers(0, 30), st.integers(1, 4),
+                  st.booleans(), st.integers(0, 10_000))
+
+
+def planted_pair(pair):
+    """(A, Z, b, r) for Z = W, a random M x N W with orthonormal columns
+    (so Z* = W^+), and A = W + L + E, L of rank r and E of norm 1e-10:
+    (I - A Z*) A = -A W* (L + E) is rank r plus noise far below eps = 1e-8."""
+    n, extra, r, complex_, seed = pair
+    m, r = n + extra, min(r, n)
+    rng = np.random.default_rng(seed)
+
+    def draw(*shape):
+        x = rng.standard_normal(shape)
+        return x + 1j * rng.standard_normal(shape) if complex_ else x
+
+    w, _ = np.linalg.qr(draw(m, n))
+    e = draw(m, n)
+    a = w + draw(m, r) @ draw(r, n) / n + 1e-10 * e / np.linalg.norm(e)
+    return a, w, draw(m), r
+
+
+def residual_identity_gap(a, z, b, rep):
+    """||(b - A x) - (I - A Z*)(b - A x1)|| over the rounding scale of its terms."""
+    r1 = b - a @ rep.x1
+    gap = np.linalg.norm((b - a @ rep.x) - (r1 - a @ (z.conj().T @ r1)))
+    norm_a = np.linalg.norm(a, 2)
+    return gap / (np.linalg.norm(b) + norm_a * np.linalg.norm(rep.x1)) / (1 + norm_a)
+
+
+@settings(max_examples=25, deadline=None)
+@given(PAIRS, st.sampled_from(sorted(STEP1_SOLVERS)))
+def test_residual_identity_property(pair, step1):
+    a, z, b, r = planted_pair(pair)
+    cfg = SolverConfig(eps=1e-8, sketch_size=min(a.shape[1], r + 4), seed=pair[-1])
+    rep = az_solve(dense_problem(a, z), b, step1=step1, config=cfg)
+    assert rep.rank_used == r
+    assert residual_identity_gap(a, z, b, rep) <= 1e-13
+
+
+@settings(max_examples=25, deadline=None)
+@given(PAIRS, st.sampled_from(sorted(STEP1_SOLVERS)))
+def test_fixed_seed_repeats_x_bitwise(pair, step1):
+    a, z, b, r = planted_pair(pair)
+    cfg = SolverConfig(eps=1e-8, sketch_size=min(a.shape[1], r + 4), seed=pair[-1])
+    first = az_solve(dense_problem(a, z), b, step1=step1, config=cfg)
+    again = az_solve(dense_problem(a, z), b.copy(), step1=step1, config=cfg)
+    assert np.array_equal(first.x, again.x)
+    assert first.rank_used == again.rank_used
+
+
+@settings(max_examples=25, deadline=None)
+@given(PAIRS, st.integers(0, 10_000))
+def test_injected_x1_property(pair, seed):
+    # any x1 gives the residual identity, and the bounds
+    # ||b - A x|| <= ||I - A Z*|| tau and ||x|| <= ||x1|| + ||Z*|| tau for
+    # tau = ||b - A x1||
+    a, z, b, _ = planted_pair(pair)
+    x1 = np.random.default_rng(seed).standard_normal(a.shape[1])
+    rep = az_solve(dense_problem(a, z), b, step1=injected_step1(x1))
+    assert np.array_equal(rep.x1, x1)
+    assert residual_identity_gap(a, z, b, rep) <= 1e-13
+    tau = np.linalg.norm(b - a @ x1)
+    slack = 1e-12 * (np.linalg.norm(b) + np.linalg.norm(a, 2) * np.linalg.norm(x1))
+    assert rep.residual_norm <= np.linalg.norm(np.eye(a.shape[0]) - a @ z.conj().T, 2) * tau \
+        + slack
+    assert np.linalg.norm(rep.x) <= np.linalg.norm(x1) + np.linalg.norm(z, 2) * tau + slack

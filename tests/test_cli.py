@@ -335,6 +335,22 @@ def test_failed_write_names_out(tmp_path, monkeypatch):
         cli.write_records([{"n": 1}], ["n"], str(out), "csv")
 
 
+def test_failed_rename_removes_the_temporary_file(tmp_path, monkeypatch):
+    # the rename fails after the temporary file is written (a full disk, say):
+    # the error names --out, the old output stays and no .tmp is left
+    out = tmp_path / "x.csv"
+    out.write_text("old\n")
+
+    def full(*args):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli.os, "replace", full)
+    with pytest.raises(cli.CliError, match=f"cannot write --out {out}: No space left"):
+        cli.write_records([{"n": 1}], ["n"], str(out), "csv")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["x.csv"]
+    assert out.read_text() == "old\n"
+
+
 def test_partial_output_never_left_behind(tmp_path):
     out = tmp_path / "never.csv"
     main(["singvals", "--problem", "fourier1d", "--n", "30", "--out", str(out)])

@@ -248,11 +248,18 @@ GRAM_BUILDERS = {
 
 @pytest.mark.parametrize("name", sorted(GRAM_BUILDERS))
 def test_gram_is_z_adjoint_a(name):
-    # the G that step 1 uses (G_r for the Fourier frames, which carry no other)
-    # is Z*A in the same coordinates
+    # the G that step 1 uses (G_r for the 1D Fourier frames, which carry no
+    # other) is Z*A in the same coordinates; the 2D Fourier real form carries
+    # none, and its step 1, Z_r* composed with A_r, is (I - A Z*) A V
     p = GRAM_BUILDERS[name]()
     assert (p.gram is None) == (p.real_form is not None)
     f = p.step1_form
+    if name.startswith("2d-"):
+        assert f.gram is None
+        step1 = ops.materialize(p.step1_operator())
+        ref = ops.materialize(ops.az_step1_operator(p.A, p.Z)) @ ops.materialize(f.V)
+        assert np.linalg.norm(step1 - ref) <= 1e-13 * np.linalg.norm(ref)
+        return
     assert f.gram.shape == (p.A.cols, p.A.cols)
     rng = np.random.default_rng(3)
     v = rng.standard_normal((p.A.cols, 4)) + 1j * rng.standard_normal((p.A.cols, 4))
@@ -276,9 +283,9 @@ REAL_FORM_BUILDERS = {
 
 @pytest.mark.parametrize("name", sorted(REAL_FORM_BUILDERS))
 def test_real_form_is_the_frame_in_cos_sin_coordinates(name):
-    # V is unitary, and A_r = A V, Z_r = Z V and G_r = V* G V: real operators
-    # that keep float64 float64, take a complex block through its real and
-    # imaginary parts and pass the dot test
+    # V is unitary, and A_r = A V, Z_r = Z V and (in 1D; the 2D form has none)
+    # G_r = V* G V: real operators that keep float64 float64, take a complex
+    # block through its real and imaginary parts and pass the dot test
     p = REAL_FORM_BUILDERS[name]()
     real, n = p.real_form, p.A.cols
     v = ops.materialize(real.V)
@@ -287,8 +294,12 @@ def test_real_form_is_the_frame_in_cos_sin_coordinates(name):
     g = z.conj().T @ a
     if name in ("1d-asymmetric", "2d-off-centre"):
         assert np.max(np.abs(g.imag)) >= 1e-2
+    assert (real.gram is None) == name.startswith("2d-")
+    checks = [(real.A, a @ v), (real.Z, z @ v)]
+    if real.gram is not None:
+        checks.append((real.gram, v.conj().T @ g @ v))
     rng = np.random.default_rng(4)
-    for op, ref in ((real.A, a @ v), (real.Z, z @ v), (real.gram, v.conj().T @ g @ v)):
+    for op, ref in checks:
         dense = ops.materialize(op)
         assert dense.dtype == np.float64
         assert np.linalg.norm(dense - ref) <= 1e-13 * np.linalg.norm(ref)
