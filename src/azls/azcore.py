@@ -2,7 +2,8 @@
 
 Step 1 solves (I - A Z*) A x1 = (I - A Z*) b with a pluggable low-rank
 solver; step 2 corrects with x2 = Z* (b - A x1); the answer is x1 + x2,
-reported with the residual ||b - A x|| of that answer.
+reported with the residual ||b - A x|| of that answer.  A problem with a
+real form runs all three steps on it and maps x to the caller's basis.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ from typing import Callable
 import numpy as np
 
 from . import solvers
-from .operators import (LinearOperator, _promote, az_step1_operator, compose,
-                        diagonal, materialize)
+from .operators import (LinearOperator, _promote, adjoint, compose, diagonal,
+                        materialize)
 from .solvers import SolveReport, SolverConfig
 
 STEP1_SOLVERS = {
@@ -26,20 +27,6 @@ STEP1_SOLVERS = {
 
 
 @dataclass(frozen=True)
-class RealForm:
-    """A frame in real coordinates: a unitary V (N x N) for which A V, Z V and
-    V* G V are real.  A, Z and gram map float64 to float64, and a complex
-    block through its real and imaginary parts; gram is V* G V, or None (Z* A
-    composed).  A coefficient vector x_r of these coordinates is V x_r in
-    the problem's own."""
-
-    A: LinearOperator
-    Z: LinearOperator
-    gram: LinearOperator | None
-    V: LinearOperator
-
-
-@dataclass(frozen=True)
 class AzProblem:
     """A pair of equal-shape operators (A, Z) plus approximation metadata.
 
@@ -48,12 +35,14 @@ class AzProblem:
     grid holds the collocation points (shape (M,) in 1D, (M, 2) in 2D) and
     evaluate, when present, evaluates the approximant built from a
     coefficient vector at arbitrary points of the domain.  Step 1 applies
-    (I - A Z*) A as A (I - G), G = Z*A (N by N), on step1_form: the real
-    form when there is one (the Fourier frames' cos/sin form, in float64,
-    its x1 mapped back by V), else A and Z; the right-hand side, step 2 and
-    the residual stay on A and Z.  G is that form's gram (the 1D Fourier
-    G_r, the Chebyshev and Legendre G, fourier01's exact I), else Z* composed
-    with A (the 2D Fourier real form, the sum frame, a caller's problem).
+    (I - A Z*) A as A (I - G), G = Z*A (N by N): gram when given (the 1D
+    Fourier G_r, the Chebyshev and Legendre G, fourier01's exact I), else Z*
+    composed with A (the 2D Fourier real form, the sum frame, a caller's
+    problem).  coefficients maps this problem's x to the caller's basis
+    (None: the identity).  real_form, when given, is the problem that all
+    three steps run on (the Fourier frames' cos/sin form, real and in
+    float64, its coefficients the unitary V); A and Z are then only the
+    caller's view of it.
     """
 
     A: LinearOperator
@@ -64,32 +53,41 @@ class AzProblem:
     evaluate: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
     domain: object | None = None
     gram: LinearOperator | None = None
-    real_form: RealForm | None = None
+    coefficients: LinearOperator | None = None
+    real_form: AzProblem | None = None
 
     def __post_init__(self):
         if self.A.shape != self.Z.shape:
             raise ValueError(f"A and Z shapes differ: {self.A.shape} vs {self.Z.shape}")
         n = self.A.cols
-        if self.gram is not None and self.gram.shape != (n, n):
-            raise ValueError(f"gram has shape {self.gram.shape}, expected {(n, n)}")
+        for name in ("gram", "coefficients"):
+            op = getattr(self, name)
+            if op is not None and op.shape != (n, n):
+                raise ValueError(f"{name} has shape {op.shape}, expected {(n, n)}")
         real = self.real_form
         if real is not None:
             if self.gram is not None:
-                raise ValueError("gram and real_form both given: step 1 takes G from real_form")
-            shapes = (real.A.shape, real.Z.shape, real.V.shape)
-            if shapes != (self.A.shape, self.A.shape, (n, n)) or \
-                    (real.gram is not None and real.gram.shape != (n, n)):
+                raise ValueError("gram and real_form both given: the solve takes G from real_form")
+            if real.A.shape != self.A.shape or real.real_form is not None:
                 raise ValueError(f"real form does not match the {self.A.shape} problem")
 
-    @property
-    def step1_form(self) -> RealForm | AzProblem:
-        """Where step 1 runs: the real form when there is one, else this problem."""
-        return self.real_form or self
-
     def step1_operator(self) -> LinearOperator:
-        """(I - A Z*) A on step1_form, the operator that step 1 factors."""
-        f = self.step1_form
-        return az_step1_operator(f.A, f.Z, f.gram)
+        """(I - A Z*) A = A (I - G), which step 1 factors, on the real form when
+        there is one: one A- and one G-apply a column; the adjoint (I - G*) A*."""
+        p = self.real_form or self
+        a, gram = p.A, p.gram
+        if gram is None:
+            gram = compose(adjoint(p.Z), a)
+
+        def apply(v):
+            v = _promote(v)
+            return a.apply(v - gram.apply(v))
+
+        def adjoint_apply(w):
+            u = _promote(a.adjoint_apply(w))
+            return u - gram.adjoint_apply(u)
+
+        return LinearOperator(a.rows, a.cols, apply, adjoint_apply)
 
 
 @dataclass(frozen=True)
@@ -131,24 +129,24 @@ def default_config(problem: AzProblem, seed: int = 0,
 
 
 def _three_step(problem: AzProblem, b, step1, config: SolverConfig | None) -> SolveReport:
-    a, z, real = problem.A, problem.Z, problem.real_form
+    p = problem.real_form or problem
+    a, z = p.A, p.Z
     b = solvers.check_rhs(b, a.rows)
     if config is None:
         config = default_config(problem)
     rhs = b - a.apply(z.adjoint_apply(b))
-    rep1 = _solve_step1(problem.step1_operator(), rhs, step1, config)
+    rep1 = _solve_step1(p.step1_operator(), rhs, step1, config)
     x1 = _promote(rep1.x)
     if x1.shape != (a.cols,):
         raise ValueError(f"x1 has shape {x1.shape}, expected ({a.cols},)")
     if not np.all(np.isfinite(x1)):
         raise ValueError("step 1 returned an x1 with non-finite entries")
-    if real is not None:
-        x1 = real.V.apply(x1)
     # steps 2-3: one A-apply and one Z*-apply, then one A-apply for the residual
     x2 = z.adjoint_apply(b - a.apply(x1))
-    x = x1 + x2
-    res = float(np.linalg.norm(b - a.apply(x)))
-    return SolveReport(x=x, residual_norm=res, rank_used=rep1.rank_used,
+    res = float(np.linalg.norm(b - a.apply(x1 + x2)))
+    if p.coefficients is not None:
+        x1, x2 = p.coefficients.apply(x1), p.coefficients.apply(x2)
+    return SolveReport(x=x1 + x2, residual_norm=res, rank_used=rep1.rank_used,
                        sketch_size=rep1.sketch_size, x1=x1, x2=x2)
 
 
@@ -158,11 +156,13 @@ def az_solve(problem: AzProblem, b, step1="rand-tsvd",
 
     step1 is a solver name from STEP1_SOLVERS or a callable
     (operator, rhs) -> SolveReport; a callable can also inject a fixed x1.
-    On a problem with a real form, step 1, a callable too, gets the real
-    step-1 operator, and its x1 is in the real coordinates.
-    The reported residual is always ||b - A x|| recomputed from the x
-    returned, never taken from step 1.  Nothing casts b: x1 (an injected one
-    too), x2 and x are of the promotion of b's, the operators' and float64.
+    On a problem with a real form, all three steps run on it: step 1, a
+    callable too, gets its step-1 operator, an x1 is in its coordinates, and
+    the report's x1 and x2 are mapped to the caller's basis by its
+    coefficients.  The reported residual is always ||b - A x|| recomputed
+    from the x of the steps, never taken from step 1.  Nothing casts b: x1
+    (an injected one too), x2 and x are of the promotion of b's, the
+    operators' and float64, and then of the coefficient map's.
     """
     return _three_step(problem, b, step1, config)
 
@@ -184,24 +184,20 @@ def az_weighted_solve(problem: WeightedAzProblem, b, step1: str = "tsvd",
                       config: SolverConfig | None = None) -> SolveReport:
     """AZ for the weighted system W A x = W b with Z~ = pinv(W_eps) Z.
 
-    The weighted pair is an AzProblem of its own, solved on d b; its scale is
-    the base scale times max d, so the default eps is 1e-10 of that.  Its
-    G~ = Z~* W A = Z* pinv(W_eps) W A is the base G when no weight is dropped
-    and 0 when every weight is (then Z~ = 0); only in between is it Z~*
-    composed with A~.  The rule weights the base's step1_form: a base with
-    a real form gives the weighted pair one, and only then no gram.
+    The weighted pair is an AzProblem of its own, solved on d b: the base's
+    real form when it has one, else the base, weighted, with the same
+    coefficients.  Its scale is the base scale times max d, so the default
+    eps is 1e-10 of that.  Its G~ = Z~* W A = Z* pinv(W_eps) W A is the
+    unweighted pair's G when no weight is dropped and 0 when every weight is
+    (then Z~ = 0); only in between is it Z~* composed with A~.
     """
     base, d = problem.base, problem.d
+    p = base.real_form or base
     pinv = weighted_eps_pinv(d, problem.eps_w)
-
-    gram = base.step1_form.gram
+    gram = p.gram
     if not pinv.all():
-        gram = diagonal(np.zeros(base.A.cols)) if not pinv.any() else None
-    real = base.real_form
-    if real is not None:
-        real, gram = RealForm(A=compose(diagonal(d), real.A), Z=compose(diagonal(pinv), real.Z),
-                              gram=gram, V=real.V), None
+        gram = diagonal(np.zeros(p.A.cols)) if not pinv.any() else None
     weighted = AzProblem(
-        A=compose(diagonal(d), base.A), Z=compose(diagonal(pinv), base.Z),
-        scale=base.scale * float(d.max()), gram=gram, real_form=real)
-    return _three_step(weighted, d * solvers.check_rhs(b, base.A.rows), step1, config)
+        A=compose(diagonal(d), p.A), Z=compose(diagonal(pinv), p.Z),
+        scale=base.scale * float(d.max()), gram=gram, coefficients=p.coefficients)
+    return _three_step(weighted, d * solvers.check_rhs(b, p.A.rows), step1, config)

@@ -160,7 +160,7 @@ def _materialize(*operators) -> list[np.ndarray]:
 def cmd_singvals(args) -> None:
     p = _spectra_problem(args)
     # A, Z and the plunge (I - A Z*) A in step 1's coordinates: V unitary keeps the sigmas
-    f = p.step1_form
+    f = p.real_form or p
     a, z, plunge = _materialize(f.A, f.Z, p.step1_operator())
     sig_a, sig_z, sig_d = (mc.singular_values(m) for m in (a, z.conj().T, plunge))
     records = [{"index": i, "sigma_a": float(sig_a[i]),

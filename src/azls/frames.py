@@ -7,7 +7,9 @@ time, so each kernel transforms along the last axis and sizes nothing
 itself.  The Fourier frames are built in real form: with the unitary V
 that pairs the coefficients of n and -n (`_pair`, by slicing along each
 axis), A_r = A V and Z_r = Z V are real, the frame
-{1, sqrt 2 cos pi m x, sqrt 2 sin pi m x}, and the problem's A is A_r V*.
+{1, sqrt 2 cos pi m x, sqrt 2 sin pi m x}.  (A_r, Z_r) is the problem's
+real_form, an AzProblem whose coefficients are V: the solver runs all three
+steps on it, and the problem's own A = A_r V* and Z are the caller's view.
 The 1D A_r puts the half spectrum of N coefficients on a length-L grid,
 takes one inverse real FFT there and gathers the M points inside the
 domain; the Chebyshev A does the same with a DCT, and Z is the discrete
@@ -45,7 +47,7 @@ import scipy.fft
 import scipy.linalg.blas
 
 from . import transforms
-from .azcore import AzProblem, RealForm, WeightedAzProblem
+from .azcore import AzProblem, WeightedAzProblem
 from .operators import (LinearOperator, adjoint, compose, diagonal, from_dense, hstack,
                         scale)
 
@@ -295,11 +297,13 @@ def _fourier_extension(n: int, dim: int, domain: DomainSpec, oversampling: float
     """A, Z and the real form of the tensor Fourier extension frame in 1 or 2
     dimensions, with L and the collocation points.
 
-    The real form is the frame {1, sqrt 2 cos pi m x, sqrt 2 sin pi m x} per
-    axis: A_r = A V is `_rfft_fourier` in 1D and `_separable_fourier` in 2D,
-    with row-major coefficients over (n1, n2), and A = A_r V*.  V is `_pair`
-    along each axis, by slicing.  Z = A / L^dim and Z_r = A_r / L^dim;
-    G_r = V* Z*A V comes from `_fourier_gram` in 1D and is None in 2D.
+    The real form is the AzProblem of the frame {1, sqrt 2 cos pi m x,
+    sqrt 2 sin pi m x} per axis: A_r = A V is `_rfft_fourier` in 1D and
+    `_separable_fourier` in 2D, with row-major coefficients over (n1, n2),
+    and A = A_r V*.  Its coefficients are V, `_pair` along each axis, by
+    slicing.  Z = A / L^dim and Z_r = A_r / L^dim; G_r = V* Z*A V comes from
+    `_fourier_gram` in 1D and is None in 2D.  The scale, sqrt(L^dim), is the
+    problem's too, so that solving either gives the same x.
     """
     _symmetric_frequencies(n)  # N odd and positive
     if domain.is_2d != (dim == 2):
@@ -313,7 +317,8 @@ def _fourier_extension(n: int, dim: int, domain: DomainSpec, oversampling: float
     a = compose(a_r, adjoint(v))
     # 2D: Z_r* composed with A_r outruns its FFT Gram (0.08 vs 0.09 s, n = 25 disk)
     g_r = _fourier_gram(n, L, sel) if dim == 1 else None
-    real = RealForm(A=a_r, Z=scale(1.0 / L**dim, a_r), gram=g_r, V=v)
+    real = AzProblem(A=a_r, Z=scale(1.0 / L**dim, a_r), gram=g_r,
+                     scale=math.sqrt(L**dim), coefficients=v)
     return a, scale(1.0 / L**dim, a), real, L, full[sel]
 
 
@@ -464,7 +469,7 @@ def fourier_extension_1d(n: int, domain: DomainSpec, oversampling: float = 2.0) 
         return out
 
     return AzProblem(A=a, Z=z, label=f"fourier1d(N={n}, L={L})",
-                     scale=math.sqrt(L), grid=grid, evaluate=evaluate,
+                     scale=real.scale, grid=grid, evaluate=evaluate,
                      domain=domain, real_form=real)
 
 
@@ -488,7 +493,7 @@ def fourier_extension_2d(n_per_dim: int, mask: DomainSpec,
         return np.einsum("pi,ij,pj->p", ex, c, ey)
 
     return AzProblem(A=a, Z=z, label=f"fourier2d(N={n_per_dim}^2, L={L})",
-                     scale=float(L), grid=grid, evaluate=evaluate, domain=mask,
+                     scale=real.scale, grid=grid, evaluate=evaluate, domain=mask,
                      real_form=real)
 
 

@@ -3,9 +3,10 @@
 An operator maps C^N -> C^M and always carries its adjoint.  Apply callables
 accept a vector of shape (N,) or a block of column vectors of shape (N, k);
 every combinator preserves that convention and applies a block in one
-call.  Operators are immutable and safe to share.  The combinators scale,
-weight, stack and chain operators; the fast frame operators themselves are
-FFT, DCT and GEMM row kernels in frames.
+call.  Operators are immutable and safe to share.  This module holds only
+that algebra: the combinators scale, weight, stack and chain operators.
+The AZ step-1 operator is AzProblem.step1_operator in azcore, and the fast
+frame operators themselves are FFT, DCT and GEMM row kernels in frames.
 
 Dtypes follow numpy promotion: a combinator returns the promotion of its
 input, its own data and float64, so real data on real input stays float64
@@ -38,11 +39,6 @@ class LinearOperator:
     @property
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
-
-
-def _check_same_shape(a: LinearOperator, z: LinearOperator) -> None:
-    if a.shape != z.shape:
-        raise ShapeMismatchError(f"operators have shapes {a.shape} and {z.shape}")
 
 
 def _promote(v) -> np.ndarray:
@@ -124,31 +120,3 @@ def hstack(a1: LinearOperator, a2: LinearOperator) -> LinearOperator:
         return np.concatenate([a1.adjoint_apply(v), a2.adjoint_apply(v)], axis=0)
 
     return LinearOperator(a1.rows, n1 + a2.cols, apply, adjoint_apply)
-
-
-def az_step1_operator(a: LinearOperator, z: LinearOperator,
-                      gram: LinearOperator | None = None) -> LinearOperator:
-    """(I - A Z*) A, the system matrix of the first AZ step, as A (I - G).
-
-    G = Z*A is gram when given, the problem's own form of it that leaves Z
-    untouched (see AzProblem.step1_operator); otherwise (the 2D Fourier real
-    form, the sum frame, a weighted problem that drops some weights, a
-    problem built by the caller) G = compose(adjoint(z), a).  A column
-    costs one A-apply and one G-apply, and the adjoint is (I - G*) A*.
-    """
-    _check_same_shape(a, z)
-    if gram is None:
-        gram = compose(adjoint(z), a)
-    elif gram.shape != (a.cols, a.cols):
-        raise ShapeMismatchError(f"gram has shape {gram.shape}, expected "
-                                 f"{(a.cols, a.cols)}")
-
-    def apply(v):
-        v = _promote(v)
-        return a.apply(v - gram.apply(v))
-
-    def adjoint_apply(w):
-        u = _promote(a.adjoint_apply(w))
-        return u - gram.adjoint_apply(u)
-
-    return LinearOperator(a.rows, a.cols, apply, adjoint_apply)

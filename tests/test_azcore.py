@@ -25,10 +25,13 @@ def injected_step1(x1):
     return lambda op, rhs: SolveReport(x=x1, residual_norm=0.0, rank_used=0)
 
 
-def record_step1_dtypes(monkeypatch) -> list:
+def record_step1_dtypes(monkeypatch, problem=None):
     """The dtypes that the step-1 kernels see from now on, in call order:
     each materialized step-1 matrix, and the matrix that each sketch QR,
-    SVD, pivoted QR and sketch-core SVD factors."""
+    SVD, pivoted QR and sketch-core SVD factors.  Given a problem with a real
+    form, also the input and output of every apply and adjoint apply of its
+    A_r, Z_r and G_r, inside step 1 and out, made on the problem returned
+    next to the list."""
     dtypes = []
 
     def record(module, fn_name, of_result=False):
@@ -44,7 +47,24 @@ def record_step1_dtypes(monkeypatch) -> list:
     for module, fn_name in ((mc, "householder_qr"), (mc, "svd"), (mc, "pivoted_qr"),
                             (solvers, "_core_svd")):
         record(module, fn_name)
-    return dtypes
+    if problem is None:
+        return dtypes
+
+    def run(fn):
+        def recorded(v):
+            out = fn(v)
+            dtypes.extend((np.asarray(v).dtype, np.asarray(out).dtype))
+            return out
+        return recorded
+
+    def recorded_op(op):
+        if op is None:
+            return None
+        return ops.LinearOperator(op.rows, op.cols, run(op.apply), run(op.adjoint_apply))
+
+    real = problem.real_form
+    return dtypes, dataclasses.replace(problem, real_form=dataclasses.replace(
+        real, A=recorded_op(real.A), Z=recorded_op(real.Z), gram=recorded_op(real.gram)))
 
 
 class TestAzSolve:
@@ -362,19 +382,31 @@ class TestFourierGram:
                                              ("1d-1025", "rand-tqr"),
                                              ("2d-disk-9", "rand-tsvd")])
     def test_z_adjoint_applied_twice(self, name, step1):
-        # once for the right-hand side, once in step 2; never in step 1.  The
-        # 1D step 1 applies G_r and not the real form's Z; the 2D one has no
-        # G_r and composes Z_r* with A_r: one Z_r* per sketch apply
+        # all three steps run on the real form, so the complex Z is never
+        # applied.  Z_r* is applied once for the right-hand side and once in
+        # step 2; the 1D step 1 applies G_r and not Z_r, the 2D one has no G_r
+        # and composes Z_r* with A_r: one Z_r* per step-1 apply and one Z_r
+        # per step-1 adjoint apply
         p = self.PROBLEMS[name]()
         z, counter = counted(p.Z)
         z_r, real_counter = counted(p.real_form.Z)
-        real = dataclasses.replace(p.real_form, Z=z_r)
-        az_solve(dataclasses.replace(p, Z=z, real_form=real), self.rhs(p), step1=step1,
-                 config=default_config(p, seed=5))
-        assert counter.adjoint_applies == 2
-        assert counter.applies == 0
-        assert real_counter.applies == 0
-        assert (real_counter.adjoint_applies > 0) == (p.real_form.gram is None)
+        q = dataclasses.replace(p, Z=z, real_form=dataclasses.replace(p.real_form, Z=z_r))
+        cfg = default_config(p, seed=5)
+        step1_counters = []
+
+        def counted_step1(op, rhs):
+            op, step1_counter = counted(op)
+            step1_counters.append(step1_counter)
+            return STEP1_SOLVERS[step1](op, rhs, cfg)
+
+        az_solve(q, self.rhs(p), step1=counted_step1)
+        assert counter.applies == counter.adjoint_applies == 0
+        (step1_counter,) = step1_counters
+        assert step1_counter.applies > 0
+        composed = p.real_form.gram is None
+        assert composed == (p.grid.ndim == 2)
+        assert real_counter.adjoint_applies == 2 + composed * step1_counter.applies
+        assert real_counter.applies == composed * step1_counter.adjoint_applies
 
     def test_weighted_and_sum_frames_do_not_use_it(self):
         base = self.PROBLEMS["1d-65"]()
@@ -463,16 +495,33 @@ class TestFourierGram:
             dataclasses.replace(p, gram=ops.from_dense(np.eye(3)))
 
     def test_gram_next_to_a_real_form_rejected(self):
-        # step 1 takes G from the real form, so a gram beside it would go unused
+        # the solve takes G from the real form, so a gram beside it would go unused
         p = self.PROBLEMS["1d-65"]()
         n = p.A.cols
         with pytest.raises(ValueError, match="gram and real_form both given"):
             dataclasses.replace(p, gram=ops.from_dense(np.eye(n)))
         assert p.gram is None
 
+    def test_real_form_must_match(self):
+        # a real form of another shape, or with a real form of its own, would
+        # be solved in coordinates that its coefficients do not map from
+        p = self.PROBLEMS["1d-65"]()
+        for real in (self.PROBLEMS["2d-disk-9"]().real_form, p):
+            with pytest.raises(ValueError, match="real form does not match"):
+                dataclasses.replace(p, real_form=real)
+
+    def test_coefficients_shape_checked(self):
+        p = self.PROBLEMS["1d-65"]()
+        n = p.A.cols
+        with pytest.raises(ValueError, match="coefficients has shape"):
+            dataclasses.replace(p.real_form, coefficients=ops.from_dense(np.eye(n + 2)))
+        with pytest.raises(ValueError, match="coefficients has shape"):
+            dataclasses.replace(p, coefficients=ops.from_dense(np.eye(n, n - 1)))
+
 
 class TestRealForm:
-    """The Fourier frames run step 1 on their real form, in float64."""
+    """The Fourier frames run all three steps on their real form, in float64
+    for a real b."""
 
     PROBLEMS = {
         "1d-asymmetric-129": lambda: frames.fourier_extension_1d(
@@ -497,14 +546,29 @@ class TestRealForm:
         tol = 10 * np.finfo(np.float64).eps * p.scale / cfg.eps
         assert np.linalg.norm(rep.x1 - ref.x1) <= tol * np.linalg.norm(ref.x1)
 
+    @pytest.mark.parametrize("step1", STEP1_SOLVERS)
+    @pytest.mark.parametrize("name", sorted(PROBLEMS))
+    def test_real_form_solves_alone(self, name, step1):
+        # the problem and its real form share the scale, so the default
+        # config and every step of the solve are the same: x is bitwise
+        p = self.PROBLEMS[name]()
+        b = TestFourierGram.rhs(p)
+        for rhs in (b, b + 1j * np.cos(3 * b)):
+            rep, ref = az_solve(p, rhs, step1=step1), az_solve(p.real_form, rhs, step1=step1)
+            for field in ("x", "x1", "x2"):
+                assert np.array_equal(getattr(rep, field), getattr(ref, field)), field
+            assert rep.residual_norm == ref.residual_norm
+            assert (rep.rank_used, rep.sketch_size) == (ref.rank_used, ref.sketch_size)
+
     @pytest.mark.parametrize("eps_w", [None, 0.0, 0.6, "above-max"])
     @pytest.mark.parametrize("step1", STEP1_SOLVERS)
     @pytest.mark.parametrize("name", sorted(PROBLEMS))
     def test_step1_runs_real(self, name, step1, eps_w, monkeypatch):
-        # every step-1 matrix, sketch block and core factorization is float64,
+        # a real b: every step-1 matrix, sketch block and core factorization,
+        # and every A_r, Z_r and G_r apply in and out of step 1, is float64,
         # on the problem and on its weighted problems (no weight, some or all
-        # weights dropped: each rule for G~), and the residual is the
-        # complex form's
+        # weights dropped: each rule for G~); x is complex, the coefficients
+        # of the exp basis, and the residual is the complex form's
         p = self.PROBLEMS[name]()
         b = TestFourierGram.rhs(p)
         cfg = default_config(p, seed=5)
@@ -518,9 +582,10 @@ class TestRealForm:
                                      config=cfg)
 
         ref = solve(dataclasses.replace(p, real_form=None))
-        dtypes = record_step1_dtypes(monkeypatch)
-        rep = solve(p)
+        dtypes, recorded = record_step1_dtypes(monkeypatch, p)
+        rep = solve(recorded)
         assert dtypes and all(dtype == np.float64 for dtype in dtypes)
+        assert rep.x.dtype == rep.x1.dtype == rep.x2.dtype == np.complex128
         assert rep.residual_norm <= 10 * max(ref.residual_norm, 1e-9 * np.linalg.norm(b))
 
 
@@ -639,11 +704,21 @@ def residual_identity_gap(a, z, b, rep):
 
 
 @settings(max_examples=25, deadline=None)
-@given(PAIRS, st.sampled_from(sorted(STEP1_SOLVERS)))
-def test_residual_identity_property(pair, step1):
+@given(PAIRS, st.sampled_from(sorted(STEP1_SOLVERS)), st.booleans())
+def test_residual_identity_property(pair, step1, coefficients):
+    # with coefficients, the planted pair is the real form of the caller's
+    # pair (A V*, Z V*) for a random orthogonal V, and the identity holds in
+    # the caller's coordinates
     a, z, b, r = planted_pair(pair)
     cfg = SolverConfig(eps=1e-8, sketch_size=min(a.shape[1], r + 4), seed=pair[-1])
-    rep = az_solve(dense_problem(a, z), b, step1=step1, config=cfg)
+    problem = dense_problem(a, z)
+    if coefficients:
+        n = a.shape[1]
+        v, _ = np.linalg.qr(np.random.default_rng(pair[-1] + 1).standard_normal((n, n)))
+        a, z = a @ v.T, z @ v.T
+        problem = dataclasses.replace(dense_problem(a, z), real_form=dataclasses.replace(
+            problem, coefficients=ops.from_dense(v)))
+    rep = az_solve(problem, b, step1=step1, config=cfg)
     assert rep.rank_used == r
     assert residual_identity_gap(a, z, b, rep) <= 1e-13
 

@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from azls import cli, frames, matrixcore, operators
+from azls import AzProblem, cli, frames, matrixcore, operators
 from azls.cli import build_parser, main
 from azls.frames import DomainSpec
 
@@ -70,7 +70,7 @@ class TestSingvals:
         # forms no singular vectors
         p = PROBLEMS[problem, mask](n)
         a, z, plunge = (operators.materialize(op)
-                        for op in (p.A, p.Z, operators.az_step1_operator(p.A, p.Z)))
+                        for op in (p.A, p.Z, AzProblem(A=p.A, Z=p.Z).step1_operator()))
         ref = [np.linalg.svd(m, compute_uv=False) for m in (a, z.conj().T, plunge)]
         rank = matrixcore.eps_rank(plunge, 1e-10 * p.scale).r
         singular_values, dtypes = matrixcore.singular_values, []

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.fft
 
-from azls import az_solve, default_config, frames, matrixcore as mc
+from azls import AzProblem, az_solve, default_config, frames, matrixcore as mc
 from azls import operators as ops, transforms
 from azls.frames import DomainSpec, eval_error, sample_function
 from helpers import OFF_CENTRE
@@ -253,11 +253,12 @@ def test_gram_is_z_adjoint_a(name):
     # none, and its step 1, Z_r* composed with A_r, is (I - A Z*) A V
     p = GRAM_BUILDERS[name]()
     assert (p.gram is None) == (p.real_form is not None)
-    f = p.step1_form
+    f = p.real_form or p
     if name.startswith("2d-"):
         assert f.gram is None
         step1 = ops.materialize(p.step1_operator())
-        ref = ops.materialize(ops.az_step1_operator(p.A, p.Z)) @ ops.materialize(f.V)
+        ref = ops.materialize(AzProblem(A=p.A, Z=p.Z).step1_operator()) \
+            @ ops.materialize(f.coefficients)
         assert np.linalg.norm(step1 - ref) <= 1e-13 * np.linalg.norm(ref)
         return
     assert f.gram.shape == (p.A.cols, p.A.cols)
@@ -288,7 +289,7 @@ def test_real_form_is_the_frame_in_cos_sin_coordinates(name):
     # block through its real and imaginary parts and pass the dot test
     p = REAL_FORM_BUILDERS[name]()
     real, n = p.real_form, p.A.cols
-    v = ops.materialize(real.V)
+    v = ops.materialize(real.coefficients)
     assert np.linalg.norm(v.conj().T @ v - np.eye(n)) <= 1e-13 * np.sqrt(n)
     a, z = ops.materialize(p.A), ops.materialize(p.Z)
     g = z.conj().T @ a
@@ -458,9 +459,9 @@ class TestChebyshev:
     def test_step1_materializes_real(self, kind):
         p = frames.chebyshev_extension(65, DomainSpec.interval(-0.5, 0.5), kind=kind)
         assert ops.materialize(p.gram).dtype == np.float64
-        step1 = ops.materialize(ops.az_step1_operator(p.A, p.Z, p.gram))
+        step1 = ops.materialize(AzProblem(A=p.A, Z=p.Z, gram=p.gram).step1_operator())
         assert step1.dtype == np.float64
-        ref = ops.materialize(ops.az_step1_operator(p.A, p.Z))
+        ref = ops.materialize(AzProblem(A=p.A, Z=p.Z).step1_operator())
         assert np.linalg.norm(step1 - ref) <= 1e-14 * np.linalg.norm(ops.materialize(p.A))
 
 
@@ -480,8 +481,8 @@ class TestLegendre:
     def test_step1_with_gram_is_bitwise_the_composed_one(self, dom):
         # G = Z^T A is the same GEMM that Z* composed with A runs on eye(N)
         p = frames.legendre_extension(401, dom)
-        step1 = ops.materialize(ops.az_step1_operator(p.A, p.Z, p.gram))
-        assert np.array_equal(step1, ops.materialize(ops.az_step1_operator(p.A, p.Z)))
+        step1 = ops.materialize(AzProblem(A=p.A, Z=p.Z, gram=p.gram).step1_operator())
+        assert np.array_equal(step1, ops.materialize(AzProblem(A=p.A, Z=p.Z).step1_operator()))
 
     def test_plunge_is_isolated(self):
         p = frames.legendre_extension(40, DomainSpec.interval(-0.5, 0.5), 2.0)

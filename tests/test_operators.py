@@ -1,5 +1,6 @@
 """Operator combinator tests: materialization agrees with dense algebra,
-adjoints are consistent, and the step-1 operator has the expected structure."""
+adjoints are consistent, and AzProblem.step1_operator has the expected
+structure."""
 
 import dataclasses
 
@@ -7,9 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from azls import frames, matrixcore as mc, operators as ops
+from azls import AzProblem, frames, matrixcore as mc, operators as ops
 from azls.frames import DomainSpec
-from helpers import counted, random_complex
+from helpers import counted, dense_problem, random_complex
 
 
 def dft_operator(L):
@@ -99,19 +100,19 @@ class TestAzStep1Operator:
     def test_zero_z_gives_a(self):
         a = random_complex(5, 3, seed=1)
         z = np.zeros((5, 3))
-        op = ops.az_step1_operator(ops.from_dense(a), ops.from_dense(z))
+        op = dense_problem(a, z).step1_operator()
         assert np.max(np.abs(ops.materialize(op) - a)) <= 1e-12
 
     def test_pinv_adjoint_z_gives_zero(self):
         a = np.diag([2.0, 3.0])
         z = mc.pseudoinverse(a).conj().T
-        op = ops.az_step1_operator(ops.from_dense(a), ops.from_dense(z))
+        op = dense_problem(a, z).step1_operator()
         assert np.max(np.abs(ops.materialize(op))) <= 1e-12
 
     def test_matches_dense_algebra(self):
         a = random_complex(7, 4, seed=6)
         z = random_complex(7, 4, seed=7)
-        op = ops.az_step1_operator(ops.from_dense(a), ops.from_dense(z))
+        op = dense_problem(a, z).step1_operator()
         dense = a - a @ z.conj().T @ a
         assert np.max(np.abs(ops.materialize(op) - dense)) <= 1e-11
 
@@ -119,7 +120,7 @@ class TestAzStep1Operator:
         # without a fast gram, G = Z*A is composed from the two operators
         a = random_complex(40, 17, seed=8)
         z = random_complex(40, 17, seed=9) / 40
-        op = ops.az_step1_operator(ops.from_dense(a), ops.from_dense(z))
+        op = dense_problem(a, z).step1_operator()
         oracle = a - a @ z.conj().T @ a
         for apply, mat, v in ((op.apply, oracle, random_complex(17, 5, seed=10)),
                               (op.adjoint_apply, oracle.conj().T,
@@ -132,7 +133,7 @@ class TestAzStep1Operator:
         # measured oracle: the N=31 half-interval extension has a plunge
         # of epsilon rank 24 at the 1e-10 absolute threshold
         p = frames.fourier_extension_1d(31, DomainSpec.interval(-0.5, 0.5), 2.0)
-        op = ops.az_step1_operator(p.A, p.Z)
+        op = AzProblem(A=p.A, Z=p.Z).step1_operator()
         r = mc.eps_rank(ops.materialize(op), 1e-10).r
         assert 20 <= r <= 28
 
@@ -140,7 +141,7 @@ class TestAzStep1Operator:
         for seed in range(20):
             a = random_complex(10, 6, seed=100 + seed)
             z = 0.1 * random_complex(10, 6, seed=200 + seed)
-            op = ops.az_step1_operator(ops.from_dense(a), ops.from_dense(z))
+            op = dense_problem(a, z).step1_operator()
             dense = a - a @ z.conj().T @ a
             eps = 0.3
             assert mc.eps_rank(ops.materialize(op), eps).r == mc.eps_rank(dense, eps).r
@@ -177,7 +178,7 @@ class TestGramStep1Operator:
     def test_matches_generic_form(self, build):
         p = build()
         fast = p.step1_operator()
-        generic = ops.az_step1_operator(p.real_form.A, p.real_form.Z)
+        generic = AzProblem(A=p.real_form.A, Z=p.real_form.Z).step1_operator()
         v = random_complex(p.A.cols, 3, seed=40)
         w = random_complex(p.A.rows, 3, seed=41)
         # both are accurate to eps_mach ||A|| ||v||, and scale ~ ||A||
@@ -203,8 +204,8 @@ def _combinators(d):
         ("diagonal", ops.diagonal(d)),
         ("compose", ops.compose(ops.diagonal(d), ops.from_dense(mat))),
         ("hstack", ops.hstack(ops.from_dense(mat), ops.from_dense(mat))),
-        ("az_step1_operator", ops.az_step1_operator(ops.from_dense(mat),
-                                                    ops.from_dense(0.1 * mat))),
+        ("step1_operator", AzProblem(A=ops.from_dense(mat),
+                                     Z=ops.from_dense(0.1 * mat)).step1_operator()),
     ]
 
 
@@ -241,7 +242,8 @@ class TestDtypePromotion:
             "fourier2d", "fourier01"])
     def test_step1_operator_materializes_real_for_real_frames(self, build, dtype):
         p = build()
-        assert ops.materialize(ops.az_step1_operator(p.A, p.Z, p.gram)).dtype == dtype
+        step1 = AzProblem(A=p.A, Z=p.Z, gram=p.gram).step1_operator()
+        assert ops.materialize(step1).dtype == dtype
 
 
 FOURIER1D_PROBLEMS = {
@@ -266,12 +268,6 @@ def test_chirp_fourier_adjoint_and_columns(name):
                          (p.A.adjoint_apply, random_complex(p.A.rows, 100, seed=91))):
         stacked = np.stack([apply(c) for c in block.T], axis=1)
         assert np.linalg.norm(apply(block) - stacked) <= 1e-14 * np.linalg.norm(stacked)
-
-
-def test_gram_shape_checked():
-    a = ops.from_dense(random_complex(5, 3, seed=60))
-    with pytest.raises(ops.ShapeMismatchError):
-        ops.az_step1_operator(a, a, ops.from_dense(np.eye(5)))
 
 
 def test_counted_wrapper():
