@@ -229,7 +229,7 @@ def _solve(problem, b, args, seed: int):
     if args.solver == "direct":
         if args.eps is not None:
             raise CliError("--eps does not apply to --solver direct")
-        a = ops.materialize(problem.A)
+        [a] = _materialize(problem.A)
         t0 = time.perf_counter()
         return solvers.direct_lsq(a, b), time.perf_counter() - t0
     config = default_config(problem, seed=seed, eps=args.eps)
@@ -282,7 +282,7 @@ def cmd_weighted(args) -> None:
     problem = frames.fourier_lsq_equispaced(n, 2 * n + 1)
     _, b = _sample(problem, "jump")
     d = (np.asarray(problem.grid) - 0.5) ** 2
-    a_dense = ops.materialize(problem.A)
+    [a_dense] = _materialize(problem.A)
     x_unweighted = problem.Z.adjoint_apply(b)
     x_oracle = solvers.direct_lsq(d[:, None] * a_dense, d * b).x
     records = []

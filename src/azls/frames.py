@@ -10,6 +10,9 @@ axis), A_r = A V and Z_r = Z V are real, the frame
 {1, sqrt 2 cos pi m x, sqrt 2 sin pi m x}.  (A_r, Z_r) is the problem's
 real_form, an AzProblem whose coefficients are V: the solver runs all three
 steps on it, and the problem's own A = A_r V* and Z are the caller's view.
+fourier_lsq_equispaced is the 1D A_r on the whole periodic grid, with
+coefficients D V, D = diag((-1)^k), and the exact G_r = I; every 1D Fourier
+approximant is evaluated by one blocked series sum, `_fourier_series`.
 The 1D A_r puts the half spectrum of N coefficients on a length-L grid,
 takes one inverse real FFT there and gathers the M points inside the
 domain; the Chebyshev A does the same with a DCT, and Z is the discrete
@@ -434,6 +437,34 @@ def _fourier_gram(n: int, L: int, sel: np.ndarray) -> LinearOperator:
     return _chunked(n, n, real, real, P)
 
 
+def _fourier_series(coeffs, t) -> np.ndarray:
+    """sum_n c_n exp(i pi n t) at the points t for the N coefficients c of the
+    frequencies -(N-1)/2 .. (N-1)/2, a vector or each column of a block.
+
+    With h = (N-1)/2, frequency q*blk + r - h gives exp(i pi (q*blk + r - h) t)
+    = exp(i pi q*blk t) exp(i pi (r - h) t), so each point needs blk + nq
+    (about 2 sqrt(N)) exponentials, not N; the points run in chunks of
+    _EVAL_BLOCK_ENTRIES // (nq k) rows.
+    """
+    t_all = np.asarray(t, dtype=np.float64).ravel()
+    n, tail = len(coeffs), np.shape(coeffs)[1:]
+    blk = math.isqrt(n - 1) + 1
+    nq = -(-n // blk)
+    c = np.zeros((nq * blk,) + tail, dtype=np.complex128)
+    c[:n] = coeffs
+    # (blk, nq * k): column (q, j) holds c[q*blk + r, j] over r
+    c = c.reshape((nq, blk, -1)).transpose(1, 0, 2).reshape(blk, -1)
+    rows = max(1, _EVAL_BLOCK_ENTRIES // c.shape[1])
+    out = np.empty((t_all.size,) + tail, dtype=np.complex128)
+    for i in range(0, t_all.size, rows):
+        t = t_all[i:i + rows]
+        inner = np.exp(1j * np.pi * np.outer(t, np.arange(blk) - n // 2)) @ c
+        outer = np.exp(1j * np.pi * blk * np.outer(t, np.arange(nq)))
+        inner = inner.reshape(t.size, nq, -1) * outer[:, :, None]
+        out[i:i + rows] = inner.sum(axis=1).reshape((t.size,) + tail)
+    return out
+
+
 def fourier_extension_1d(n: int, domain: DomainSpec, oversampling: float = 2.0) -> AzProblem:
     """Fourier extension frame on a 1D domain inside [-1, 1].
 
@@ -443,33 +474,8 @@ def fourier_extension_1d(n: int, domain: DomainSpec, oversampling: float = 2.0) 
     the map to cos/sin coordinates, the problem's real form.  Z = A / L.
     """
     a, z, real, L, grid = _fourier_extension(n, 1, domain, oversampling)
-    half = (n - 1) // 2
-    # frequency q*blk + r - half: exp(i pi (q*blk + r - half) t)
-    # = exp(i pi q*blk t) exp(i pi (r - half) t), so each point needs
-    # blk + nq (about 2 sqrt(N)) exponentials, not N
-    blk = math.isqrt(n - 1) + 1
-    nq = -(-n // blk)
-
-    def evaluate(coeffs, pts):
-        pts = np.asarray(pts, dtype=np.float64).ravel()
-        coeffs = np.asarray(coeffs)
-        tail = coeffs.shape[1:]
-        c = np.zeros((nq * blk,) + tail, dtype=np.complex128)
-        c[:n] = coeffs
-        # (blk, nq * k): column (q, j) holds c[q*blk + r, j] over r
-        c = c.reshape((nq, blk, -1)).transpose(1, 0, 2).reshape(blk, -1)
-        rows = max(1, _EVAL_BLOCK_ENTRIES // c.shape[1])
-        out = np.empty((pts.size,) + tail, dtype=np.complex128)
-        for i in range(0, pts.size, rows):
-            t = pts[i:i + rows]
-            inner = np.exp(1j * np.pi * np.outer(t, np.arange(-half, blk - half))) @ c
-            outer = np.exp(1j * np.pi * blk * np.outer(t, np.arange(nq)))
-            inner = inner.reshape(t.size, nq, -1) * outer[:, :, None]
-            out[i:i + rows] = inner.sum(axis=1).reshape((t.size,) + tail)
-        return out
-
     return AzProblem(A=a, Z=z, label=f"fourier1d(N={n}, L={L})",
-                     scale=real.scale, grid=grid, evaluate=evaluate,
+                     scale=real.scale, grid=grid, evaluate=_fourier_series,
                      domain=domain, real_form=real)
 
 
@@ -728,24 +734,33 @@ def weighted_lsq(base: AzProblem, d, eps_w: float) -> WeightedAzProblem:
 
 
 def fourier_lsq_equispaced(n: int, m: int) -> AzProblem:
-    """Periodic Fourier least squares on [0, 1): N terms, M >= N equispaced
-    samples x_j = j/M.  Discrete orthogonality gives the exact dual Z = A/M
-    and G = Z*A = I exactly: N <= M frequencies stay distinct mod M.
+    """Periodic Fourier least squares on [0, 1): N terms exp(2 pi i k x), M >= N
+    equispaced samples x_j = j/M.
+
+    With t = 2x - 1, exp(2 pi i k x_j) = (-1)^k exp(i pi k t_j), and
+    t_j = -1 + 2j/M is the whole periodic grid of length M: A = A_r C*, with
+    A_r the real 1D Fourier extension `_rfft_fourier` on every grid point and
+    C = D V, D = diag((-1)^k), the coefficients of the problem's real form.
+    Discrete orthogonality gives the exact dual Z = A/M, and the real form's
+    G_r = Z_r* A_r = I exactly: N <= M frequencies stay distinct mod M.  The
+    approximant is the 1D series `_fourier_series` of D c at 2x - 1.
     """
     freqs = _symmetric_frequencies(n)
     if m < n:
         raise ValueError("need at least as many samples as terms")
-    grid = np.arange(m) / m
-    a_mat = np.exp(2j * np.pi * np.outer(grid, freqs))
+    sign = diagonal((-1.0) ** np.abs(freqs))
+    c = compose(sign, LinearOperator(n, n, _by_columns(_pair), _by_columns(_unpair)))
+    a_r = _rfft_fourier(n, m, np.arange(m))
+    real = AzProblem(A=a_r, Z=scale(1.0 / m, a_r), gram=diagonal(np.ones(n)),
+                     scale=math.sqrt(m), coefficients=c)
+    a = compose(a_r, adjoint(c))
 
     def evaluate(coeffs, pts):
-        pts = np.asarray(pts, dtype=np.float64)
-        return np.exp(2j * np.pi * np.outer(pts, freqs)) @ np.asarray(coeffs)
+        return _fourier_series(sign.apply(coeffs), 2.0 * np.asarray(pts, dtype=np.float64) - 1.0)
 
-    a = from_dense(a_mat)
     return AzProblem(A=a, Z=scale(1.0 / m, a), label=f"fourier01(N={n}, M={m})",
-                     scale=math.sqrt(m), grid=grid, evaluate=evaluate,
-                     gram=diagonal(np.ones(n)))
+                     scale=real.scale, grid=np.arange(m) / m, evaluate=evaluate,
+                     real_form=real)
 
 
 def refined_grid(problem: AzProblem) -> np.ndarray:

@@ -251,16 +251,18 @@ class TestWeighted:
     @pytest.mark.parametrize("step1", ["tsvd", "rand-tsvd"])
     @pytest.mark.parametrize("eps_w", [0.0, 1e-2, 1.0])
     def test_is_an_az_problem(self, eps_w, step1):
-        # the weighted solve is az_solve on (W A, pinv(W_eps) Z) with d b, at
-        # scale base.scale * max d
+        # the weighted solve is az_solve on (W A_r, pinv(W_eps) Z_r) of the
+        # base's real form with d b, at scale base.scale * max d, mapped back
+        # by the real form's coefficients
         p = frames.fourier_lsq_equispaced(61, 123)
         b = sample_function(lambda x: np.sin(2 * np.pi * x) + np.mod(x + 0.5, 1.0), p.grid)
         d = (np.asarray(p.grid) - 0.5) ** 2
         rep = az_weighted_solve(frames.weighted_lsq(p, d, eps_w), b, step1=step1)
+        real = p.real_form
         explicit = AzProblem(
-            A=ops.compose(ops.diagonal(d), p.A),
-            Z=ops.compose(ops.diagonal(weighted_eps_pinv(d, eps_w)), p.Z),
-            scale=p.scale * float(d.max()))
+            A=ops.compose(ops.diagonal(d), real.A),
+            Z=ops.compose(ops.diagonal(weighted_eps_pinv(d, eps_w)), real.Z),
+            scale=p.scale * float(d.max()), coefficients=real.coefficients)
         ref = az_solve(explicit, d * b, step1=step1)
         assert rep.rank_used == ref.rank_used
         assert np.linalg.norm(rep.x - ref.x) <= 1e-13 * np.linalg.norm(ref.x)
@@ -471,14 +473,19 @@ class TestFourierGram:
     @pytest.mark.parametrize("step1", ["tsvd", "rand-tsvd"])
     @pytest.mark.parametrize("eps_w", [0.0, "above-max"])
     def test_weighted_step1_never_applies_z(self, eps_w, step1):
-        # no weight dropped (G~ = G = I) or every weight dropped (G~ = 0): Z~*
-        # is applied for the right-hand side and in step 2 only
+        # no weight dropped (G~ = G_r = I) or every weight dropped (G~ = 0):
+        # the solve runs on the real form, whose Z_r* is applied for the
+        # right-hand side and in step 2 only, and never applies the complex Z
         wp, b = self.weighted_lsq_problem(eps_w)
-        z, counter = counted(wp.base.Z)
-        wrapped = dataclasses.replace(wp, base=dataclasses.replace(wp.base, Z=z))
+        base = wp.base
+        z, counter = counted(base.Z)
+        z_r, real_counter = counted(base.real_form.Z)
+        wrapped = dataclasses.replace(wp, base=dataclasses.replace(
+            base, Z=z, real_form=dataclasses.replace(base.real_form, Z=z_r)))
         az_weighted_solve(wrapped, b, step1=step1)
-        assert counter.adjoint_applies == 2
-        assert counter.applies == 0
+        assert real_counter.adjoint_applies == 2
+        assert real_counter.applies == 0
+        assert counter.applies == counter.adjoint_applies == 0
 
     @pytest.mark.parametrize("kind", ["roots", "extremae"])
     def test_chebyshev_step1_never_applies_z(self, kind):
@@ -527,6 +534,8 @@ class TestRealForm:
         "1d-asymmetric-129": lambda: frames.fourier_extension_1d(
             129, DomainSpec.interval(-0.3, 0.6)),
         "2d-off-centre-9": lambda: frames.fourier_extension_2d(9, OFF_CENTRE),
+        # fourier01: G_r = I, so the unweighted step 1 is exactly 0
+        "fourier01-61": lambda: frames.fourier_lsq_equispaced(61, 123),
     }
 
     @pytest.mark.parametrize("name", sorted(PROBLEMS))

@@ -290,6 +290,25 @@ def test_list_flag_diagnostic(tmp_path, capsys, argv, message):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["singvals", "--problem", "fourier1d", "--n", "65"],
+    ["rankgrowth", "--problem", "chebyshev", "--n", "65"],
+    ["approx", "--problem", "fourier1d", "--n", "65", "--solver", "direct"],
+    ["timing", "--problem", "weighted", "--n", "65", "--solver", "direct"],
+    ["weighted", "--n", "65", "--eps-w-list", "0"],
+])
+def test_over_the_cap_is_one_line_with_the_hint(tmp_path, monkeypatch, capsys, argv):
+    # every command that materializes an operator past the cap says how to get under it
+    monkeypatch.setattr(operators, "MATERIALIZE_CAP", 64)
+    out = tmp_path / "cap.csv"
+    assert main([*argv, "--out", str(out)]) == 1
+    [err] = capsys.readouterr().err.splitlines()
+    assert err.startswith("error: refusing to materialize")
+    assert err.endswith("(cap 64 columns); reduce N so the operators fit under the "
+                        "materialization cap")
+    assert not out.exists()
+
+
 def test_factorization_error_is_one_line(tmp_path, monkeypatch, capsys):
     def fail(a):
         raise matrixcore.FactorizationError("SVD failed to converge")

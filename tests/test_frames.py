@@ -2,6 +2,7 @@
 spectrum structure, sum frames, weighted wrappers, and error evaluation."""
 
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -279,14 +280,18 @@ REAL_FORM_BUILDERS = {
     **{f"2d-{mask}": (lambda mask=mask: frames.fourier_extension_2d(9, frames.named_mask(mask)))
        for mask in ("disk", "punctured-disk", "square")},
     "2d-off-centre": lambda: frames.fourier_extension_2d(9, OFF_CENTRE),
+    # the 1D extension on the whole periodic grid, its coefficients C = D V
+    "fourier01-61": lambda: frames.fourier_lsq_equispaced(61, 123),
+    "fourier01-square-61": lambda: frames.fourier_lsq_equispaced(61, 61),
 }
 
 
 @pytest.mark.parametrize("name", sorted(REAL_FORM_BUILDERS))
 def test_real_form_is_the_frame_in_cos_sin_coordinates(name):
-    # V is unitary, and A_r = A V, Z_r = Z V and (in 1D; the 2D form has none)
-    # G_r = V* G V: real operators that keep float64 float64, take a complex
-    # block through its real and imaginary parts and pass the dot test
+    # the coefficients V (D V for fourier01, D = diag((-1)^k)) are unitary,
+    # and A_r = A V, Z_r = Z V and (in 1D; the 2D form has none) G_r = V* G V:
+    # real operators that keep float64 float64, take a complex block through
+    # its real and imaginary parts and pass the dot test
     p = REAL_FORM_BUILDERS[name]()
     real, n = p.real_form, p.A.cols
     v = ops.materialize(real.coefficients)
@@ -611,6 +616,68 @@ class TestWeightedWrappers:
         d = np.array([0.1, 0.1, 2.0, 2.0])
         out = weighted_eps_pinv(d, 1.0)
         assert np.allclose(out, [0.0, 0.0, 0.5, 0.5])
+
+
+class TestFourierLsq:
+    """fourier01 is the 1D Fourier extension on the whole periodic grid of
+    length M: A = A_r C* with C = D V, and its approximant is the 1D series
+    of D c at 2x - 1."""
+
+    @pytest.mark.parametrize("n, m", [(1, 1), (9, 19), (61, 61), (61, 122), (61, 123),
+                                      (301, 603)])
+    def test_operators_are_the_fft_kernel(self, n, m):
+        # A against exp(2 pi i k j / M), its phase reduced mod M in integers
+        p = frames.fourier_lsq_equispaced(n, m)
+        exact = np.exp(2j * np.pi * (np.outer(np.arange(m), np.arange(n) - n // 2) % m) / m)
+        for op, ref in ((p.A, exact), (p.Z, exact / m)):
+            assert np.linalg.norm(ops.materialize(op) - ref) <= 1e-12 * np.linalg.norm(ref)
+        real = p.real_form
+        a_r = ops.materialize(real.A)
+        assert a_r.dtype == np.float64
+        assert np.array_equal(a_r, ops.materialize(frames._rfft_fourier(n, m, np.arange(m))))
+        assert p.gram is None
+        assert np.array_equal(ops.materialize(real.gram), np.eye(n))
+        assert np.array_equal(p.grid, np.arange(m) / m)
+        assert p.scale == real.scale == np.sqrt(m)
+
+    def test_evaluate_is_the_exp_sum(self, monkeypatch):
+        p = frames.fourier_lsq_equispaced(61, 123)
+        rng = np.random.default_rng(8)
+        x = rng.standard_normal((61, 3)) + 1j * rng.standard_normal((61, 3))
+        pts = rng.uniform(0.0, 1.0, 257)
+        direct = np.exp(2j * np.pi * np.outer(pts, np.arange(-30, 31))) @ x
+        series, calls = frames._fourier_series, []
+        assert frames.fourier_extension_1d(5, DomainSpec.interval(-0.5, 0.5)).evaluate \
+            is series
+
+        def counted_series(coeffs, t):
+            calls.append(t)
+            return series(coeffs, t)
+
+        monkeypatch.setattr(frames, "_fourier_series", counted_series)
+        for got, want in ((p.evaluate(x, pts), direct), (p.evaluate(x[:, 1], pts), direct[:, 1])):
+            assert got.shape == want.shape
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+        assert len(calls) == 2
+
+    def test_builds_and_evaluates_no_dense_matrix(self):
+        # the M x N exp matrix of N = 1025 terms is 64 MiB, and a (4M) x N one
+        # on eval_error's refined grid 321 MiB
+        f = lambda x: np.sin(2 * np.pi * x)
+        tracemalloc.start()
+        try:
+            p = frames.fourier_lsq_equispaced(1025, 2051)
+            build = tracemalloc.get_traced_memory()[1]
+            x = p.Z.adjoint_apply(sample_function(f, p.grid))
+            tracemalloc.reset_peak()
+            held = tracemalloc.get_traced_memory()[0]
+            err = eval_error(p, x, f)
+            evaluate = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert build <= 1 << 20
+        assert evaluate <= 32 << 20
+        assert err["max_err"] <= 1e-10
 
 
 class TestSamplingAndErrors:
