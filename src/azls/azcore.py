@@ -36,14 +36,14 @@ class AzProblem:
     evaluate, when present, evaluates the approximant built from a
     coefficient vector at arbitrary points of the domain.  Step 1 applies
     (I - A Z*) A as A (I - G), G = Z*A (N by N): gram when given (the 1D
-    Fourier G_r, fourier01's exact G_r = I, the Chebyshev and Legendre G),
-    else Z* composed with A (the 2D Fourier real form, the sum frame, a
-    caller's problem).  coefficients maps this problem's x to the caller's
-    basis (None: the identity).  real_form, when given, is the problem that
-    all three steps run on (every Fourier frame's cos/sin form, fourier01's
-    too: real and in float64, its coefficients the unitary V, or D V with
-    D = diag((-1)^k) for fourier01); A and Z are then only the caller's
-    view of it.
+    and 2D Fourier G_r, fourier01's exact G_r = I, the Chebyshev and
+    Legendre G), else Z* composed with A (the sum frame, a weighted problem
+    that drops some weights, a caller's problem).  coefficients maps this
+    problem's x to the caller's basis (None: the identity).  real_form, when
+    given, is the problem that all three steps run on (every Fourier
+    frame's cos/sin form, fourier01's too: real and in float64, its
+    coefficients the unitary V, or D V with D = diag((-1)^k) for
+    fourier01); A and Z are then only the caller's view of it.
     """
 
     A: LinearOperator

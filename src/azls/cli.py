@@ -148,20 +148,11 @@ def _spectra_problem(args) -> azcore.AzProblem:
                             Z=ops.from_dense(mc.pseudoinverse(g).conj().T))
 
 
-def _materialize(*operators) -> list[np.ndarray]:
-    """Dense matrices of the operators; a CliError when they exceed the cap."""
-    try:
-        return [ops.materialize(op) for op in operators]
-    except ValueError as exc:
-        raise CliError(f"{exc}; reduce N so the operators fit under the "
-                       f"materialization cap") from exc
-
-
 def cmd_singvals(args) -> None:
     p = _spectra_problem(args)
     # A, Z and the plunge (I - A Z*) A in step 1's coordinates: V unitary keeps the sigmas
     f = p.real_form or p
-    a, z, plunge = _materialize(f.A, f.Z, p.step1_operator())
+    a, z, plunge = map(ops.materialize, (f.A, f.Z, p.step1_operator()))
     sig_a, sig_z, sig_d = (mc.singular_values(m) for m in (a, z.conj().T, plunge))
     records = [{"index": i, "sigma_a": float(sig_a[i]),
                 "sigma_zstar": float(sig_z[i]),
@@ -205,7 +196,7 @@ def cmd_rankgrowth(args) -> None:
     records = []
     for n in _n_list(args):
         problem = build_problem(args, n)
-        [plunge] = _materialize(problem.step1_operator())
+        plunge = ops.materialize(problem.step1_operator())
         eps = default_config(problem, eps=args.eps).eps
         report = mc.eps_rank(plunge, eps)
         records.append({"n": n, "eps": eps, "eps_rank": report.r})
@@ -229,7 +220,7 @@ def _solve(problem, b, args, seed: int):
     if args.solver == "direct":
         if args.eps is not None:
             raise CliError("--eps does not apply to --solver direct")
-        [a] = _materialize(problem.A)
+        a = ops.materialize(problem.A)
         t0 = time.perf_counter()
         return solvers.direct_lsq(a, b), time.perf_counter() - t0
     config = default_config(problem, seed=seed, eps=args.eps)
@@ -282,7 +273,7 @@ def cmd_weighted(args) -> None:
     problem = frames.fourier_lsq_equispaced(n, 2 * n + 1)
     _, b = _sample(problem, "jump")
     d = (np.asarray(problem.grid) - 0.5) ** 2
-    [a_dense] = _materialize(problem.A)
+    a_dense = ops.materialize(problem.A)
     x_unweighted = problem.Z.adjoint_apply(b)
     x_oracle = solvers.direct_lsq(d[:, None] * a_dense, d * b).x
     records = []

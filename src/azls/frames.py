@@ -18,13 +18,20 @@ takes one inverse real FFT there and gathers the M points inside the
 domain; the Chebyshev A does the same with a DCT, and Z is the discrete
 dual restricted the same way.  The 2D A_r is separable: two GEMMs with the
 real L x n matrix E = [1, sqrt 2 cos(pi m x_l), sqrt 2 sin(pi m x_l)] per
-chunk, through scipy's dgemm, then a gather of the mask points.  A real
-row kernel takes a complex block through its real and imaginary parts.
-Every 1D extension builder also gives the G = Z*A that its step 1 uses, so
-that step 1 needs no Z: the Fourier real form's G_r = V* G V runs the
-circulant FFT kernel of the Hermitian Toeplitz G between V and V*; the
-Chebyshev G is Toeplitz-plus-Hankel in Chebyshev moments, applied by a real
-FFT; the Legendre G is dense.  The 2D Fourier step 1 composes Z_r* with A_r.
+chunk, through scipy's dgemm, then a gather of the mask points.  Every
+row kernel is written for real rows; `_chunked` takes a complex block
+through its real and imaginary parts.
+
+Every extension builder also gives the G = Z*A that its step 1 uses, so
+that step 1 needs no Z.  The FFT frames build it by one rule: the product
+of two frame functions has only 2N - 1 frequencies per axis (Chebyshev:
+degree <= 2N - 2), so G = F_P* diag(K) F_P exactly, with F_P the frame's
+own row kernels on the whole grid of fast length P >= 2N - 1 per axis and
+K a real weight taken once from the mask; G x is one row kernel,
+F_P* (K F_P x).  That is G_r of the 1D and 2D Fourier real forms
+(`_fourier_gram`) and the Chebyshev G, on the roots of T_P, scaled by
+1 / h^2 (`_cheb_gram`).  fourier01's G_r = I is exact, and the Legendre G
+is dense.
 
 Every builder sizes its grid by one rule, `_select_grid_size`: the smallest
 fast FFT length L >= 2*oversampling*N per dimension (scipy.fft.next_fast_len)
@@ -207,18 +214,19 @@ def _periodic_grid(L: int, dim: int) -> np.ndarray:
 
 
 def _chunked(rows: int, cols: int, apply, adjoint_apply, width: int) -> LinearOperator:
-    """The rows x cols operator of two row kernels: apply maps a (k, cols)
-    block of rows to (k, rows), adjoint_apply (k, rows) to (k, cols), each
-    along the last axis.
+    """The rows x cols operator of two real row kernels: apply maps a
+    (k, cols) block of real rows to (k, rows) in float64, adjoint_apply
+    (k, rows) to (k, cols), each along the last axis.
 
     A vector of shape (n,) or a block of shape (n, k) is transposed once
     into a (k, n) view, the kernel runs on chunks of _CHUNK_ENTRIES // width
     rows of it (width: the entries of the kernel's largest intermediate per
-    row), and each result goes into contiguous rows of a (k, m) array,
-    whose transpose is returned.  The result has the kernel's dtype, which
-    a call on zero rows gives, so that it is allocated before the first
-    chunk runs; allocating it after the first chunk raised the peak
-    resident set of a fourier_extension_2d(25) solve by 7 MiB.
+    row), a complex chunk through its real and imaginary parts, and each
+    result goes into contiguous rows of a (k, m) array, whose transpose is
+    returned.  That array, float64 or complex128 as the block is, is
+    allocated before the first chunk runs; allocating it after the first
+    chunk raised the peak resident set of a fourier_extension_2d(25) solve
+    by 7 MiB.
     """
     chunk = max(1, _CHUNK_ENTRIES // width)
 
@@ -226,23 +234,14 @@ def _chunked(rows: int, cols: int, apply, adjoint_apply, width: int) -> LinearOp
         def block(v):
             v = np.asarray(v)
             x = v.reshape(v.shape[0], -1).T
-            out = np.empty((x.shape[0], m), dtype=fn(x[:0]).dtype)
+            out = np.empty((x.shape[0], m), dtype=np.result_type(x, np.float64))
+            rows = (lambda xc: fn(xc.real) + 1j * fn(xc.imag)) if np.iscomplexobj(x) else fn
             for c in range(0, x.shape[0], chunk):
-                out[c:c + chunk] = fn(x[c:c + chunk])
+                out[c:c + chunk] = rows(x[c:c + chunk])
             return out.T.reshape((m,) + v.shape[1:])
         return block
 
     return LinearOperator(rows, cols, run(apply, rows), run(adjoint_apply, cols))
-
-
-def _real_rows(kernel):
-    """A row kernel written for real rows, applied to a complex block
-    through its real and imaginary parts."""
-    def rows(x):
-        if np.iscomplexobj(x):
-            return kernel(x.real) + 1j * kernel(x.imag)
-        return kernel(x)
-    return rows
 
 
 def _pair(r: np.ndarray) -> np.ndarray:
@@ -301,12 +300,13 @@ def _fourier_extension(n: int, dim: int, domain: DomainSpec, oversampling: float
     dimensions, with L and the collocation points.
 
     The real form is the AzProblem of the frame {1, sqrt 2 cos pi m x,
-    sqrt 2 sin pi m x} per axis: A_r = A V is `_rfft_fourier` in 1D and
-    `_separable_fourier` in 2D, with row-major coefficients over (n1, n2),
-    and A = A_r V*.  Its coefficients are V, `_pair` along each axis, by
-    slicing.  Z = A / L^dim and Z_r = A_r / L^dim; G_r = V* Z*A V comes from
-    `_fourier_gram` in 1D and is None in 2D.  The scale, sqrt(L^dim), is the
-    problem's too, so that solving either gives the same x.
+    sqrt 2 sin pi m x} per axis: A_r = A V runs the row kernels of
+    `_fourier_rows`, with row-major coefficients over (n1, n2), and
+    A = A_r V*.  Its coefficients are V, `_pair` along each axis, by
+    slicing.  Z = A / L^dim, Z_r = A_r / L^dim, and G_r = V* Z*A V is
+    `_fourier_gram`, the same kernel on a short exact grid.  The scale,
+    sqrt(L^dim), is the problem's too, so that solving either gives the
+    same x.
     """
     _symmetric_frequencies(n)  # N odd and positive
     if domain.is_2d != (dim == 2):
@@ -316,22 +316,29 @@ def _fourier_extension(n: int, dim: int, domain: DomainSpec, oversampling: float
                                      lambda L: _periodic_grid(L, dim), domain)
     v = LinearOperator(n**dim, n**dim, _by_columns(_per_axis(_pair, n, dim)),
                        _by_columns(_per_axis(_unpair, n, dim)))
-    a_r = _rfft_fourier(n, L, sel) if dim == 1 else _separable_fourier(n, L, sel)
+    a_r = _chunked(sel.size, n**dim, *_fourier_rows(n, dim, L, sel))
     a = compose(a_r, adjoint(v))
-    # 2D: Z_r* composed with A_r outruns its FFT Gram (0.08 vs 0.09 s, n = 25 disk)
-    g_r = _fourier_gram(n, L, sel) if dim == 1 else None
-    real = AzProblem(A=a_r, Z=scale(1.0 / L**dim, a_r), gram=g_r,
+    real = AzProblem(A=a_r, Z=scale(1.0 / L**dim, a_r), gram=_fourier_gram(n, dim, L, sel),
                      scale=math.sqrt(L**dim), coefficients=v)
     return a, scale(1.0 / L**dim, a), real, L, full[sel]
 
 
-def _rfft_fourier(n: int, L: int, sel: np.ndarray) -> LinearOperator:
-    """The real 1D Fourier extension A_r = A V, for A[l, j] = exp(i pi n_j x_l)
-    = (-1)^n exp(2 pi i n l / L) at the grid indices l in sel: its columns
-    are 1, sqrt 2 cos(pi m x_l) and sqrt 2 sin(pi m x_l).  It puts the half
+def _fourier_rows(n: int, dim: int, L: int, sel: np.ndarray):
+    """The row kernels (apply, adjoint_apply, width) of the real Fourier
+    extension A_r = A V at the points sel of the length-L grid:
+    `_rfft_rows` in 1D, `_separable_rows` in 2D."""
+    return (_rfft_rows if dim == 1 else _separable_rows)(n, L, sel)
+
+
+def _rfft_rows(n: int, L: int, sel: np.ndarray):
+    """The row kernels of the real 1D Fourier extension A_r = A V, for
+    A[l, j] = exp(i pi n_j x_l) = (-1)^n exp(2 pi i n l / L) at the grid
+    indices l in sel, any numpy index into the L points: its columns are 1,
+    sqrt 2 cos(pi m x_l) and sqrt 2 sin(pi m x_l).  apply puts the half
     spectrum (-1)^m c_m, m = 0..h, of c = V x at m, takes one unscaled
-    inverse real DFT of fast length L and gathers the points sel; the
-    adjoint is one real DFT, read back through V*.
+    inverse real DFT of length L and gathers the points sel; the adjoint is
+    one real DFT, read back through V*.  The largest intermediate of a row
+    is L entries.
     """
     h = n // 2
     sign = (-1.0) ** np.arange(h + 1)
@@ -356,21 +363,23 @@ def _rfft_fourier(n: int, L: int, sel: np.ndarray) -> LinearOperator:
         r[:, :h] = -f[:, :0:-1].imag
         return r
 
-    return _chunked(sel.size, n, _real_rows(apply), _real_rows(adjoint_apply), L)
+    return apply, adjoint_apply, L
 
 
-def _separable_fourier(n: int, L: int, sel: np.ndarray) -> LinearOperator:
-    """The real 2D Fourier extension A_r[(l1, l2), (j1, j2)] = E[l1, j1] E[l2, j2]
-    with the real L x n matrix E = E_exp V: E[l, h] = 1, E[l, h + m] =
-    sqrt 2 cos(pi m x_l), E[l, h - m] = sqrt 2 sin(pi m x_l), for the
-    row-major grid points l1 * L + l2 in sel, as two GEMMs per chunk of rows.
+def _separable_rows(n: int, L: int, sel: np.ndarray):
+    """The row kernels of the real 2D Fourier extension
+    A_r[(l1, l2), (j1, j2)] = E[l1, j1] E[l2, j2] with the real L x n matrix
+    E = E_exp V: E[l, h] = 1, E[l, h + m] = sqrt 2 cos(pi m x_l),
+    E[l, h - m] = sqrt 2 sin(pi m x_l), for the row-major grid points
+    l1 * L + l2 in sel, any numpy index into the L^2 points, as two GEMMs
+    per chunk of rows.
 
-    The first GEMM applies the rows of E that hold mask points along n1, the
-    second applies all of E along n2, and the M mask points are gathered from
-    that; the adjoint scatters them and runs the same GEMMs transposed.  Both
-    GEMMs are scipy's dgemm, the BLAS that also runs the sketch QR, on
-    Fortran-ordered views.  The largest intermediate of a row is
-    L x (used rows).
+    The first GEMM applies the rows of E that hold points of sel along n1,
+    the second applies all of E along n2, and the points of sel are
+    gathered from that; the adjoint scatters them and runs the same GEMMs
+    transposed.  Both GEMMs are scipy's dgemm, the BLAS that also runs the
+    sketch QR, on Fortran-ordered views.  The largest intermediate of a row
+    is L x (used rows).
     """
     h = n // 2
     # x_l = -1 + 2l/L, so the phase pi m x_l is pi * (m (2l - L) mod 2L) / L,
@@ -381,7 +390,7 @@ def _separable_fourier(n: int, L: int, sel: np.ndarray) -> LinearOperator:
     e[:, h + 1:] = math.sqrt(2.0) * np.cos(phase)
     e[:, :h] = math.sqrt(2.0) * np.sin(phase[:, ::-1])
     e_f = np.asfortranarray(e)
-    l1, l2 = np.divmod(sel, L)
+    l1, l2 = np.divmod(np.arange(L * L)[sel], L)
     used, u = np.unique(l1, return_inverse=True)
     e_used = np.asfortranarray(e[used])
     gemm = scipy.linalg.blas.dgemm
@@ -402,39 +411,38 @@ def _separable_fourier(n: int, L: int, sel: np.ndarray) -> LinearOperator:
         x = gemm(1.0, e_used, y.T.reshape(n * k, used.size).T, trans_a=1)  # (j1, (j2, col))
         return x.T.reshape(n, k, n).transpose(1, 2, 0).reshape(k, n * n)
 
-    return _chunked(sel.size, n * n, _real_rows(apply), _real_rows(adjoint_apply),
-                    L * used.size)
+    return apply, adjoint_apply, L * used.size
 
 
-def _fourier_gram(n: int, L: int, sel: np.ndarray) -> LinearOperator:
-    """G_r = V* G V of the 1D Fourier extension frame, for G = Z*A = A*A / L
-    applied by FFT between `_pair` (V) and `_unpair` (V*).
+def _fourier_gram(n: int, dim: int, L: int, sel: np.ndarray) -> LinearOperator:
+    """G_r = V* Z*A V of the Fourier extension frame in 1 or 2 dimensions:
+    G_r = F_P^T diag(K) F_P, with F_P the frame's own row kernels
+    (`_fourier_rows`) on the whole grid of fast length
+    P = next_fast_len(2N - 1) per axis and a real weight K.
 
-    G[j, k] = g(n_k - n_j) with g(d) = L^-1 sum_{l inside} exp(i pi d x_l)
-    = (-1)^d ifft(mask)[d mod L], from one FFT of the mask indicator: a
-    Hermitian Toeplitz matrix (the discrete prolate matrix).  G v is the
-    convolution of v with h(e) = g(-e), applied through a circulant
-    embedding of fast length P >= 2N - 1 by one precomputed kernel FFT.  G_r
-    is real and symmetric, so the adjoint runs the same row kernel: a real
-    row goes through V, the FFT kernel (on a complex row) and V*, and keeps
-    the real part.
+    Z*A = A*A / L^dim has the entries g(n_k - n_j) with
+    g(d) = L^-dim sum_{l inside} exp(i pi d . x_l), and the (-1)^d of
+    x_l = -1 + 2l/L leaves z(d) = ifftn(mask)[d mod L] to match on the P
+    grid, for |d| <= N - 1 per axis.  These differences stay apart mod
+    P >= 2N - 1, so K = fftn(z) / P^dim, real since the mask is, gives G_r
+    exactly.  G_r is real and symmetric: x -> F_P^T (K F_P x) is one row
+    kernel, for the apply and the adjoint.
     """
-    mask = np.zeros(L)
+    P = scipy.fft.next_fast_len(2 * n - 1, real=True)
+    mask = np.zeros(L**dim)
     mask[sel] = 1.0
-    g = np.fft.ifft(mask)
     d = np.arange(1 - n, n)
-    P = scipy.fft.next_fast_len(2 * n - 1)
-    kernel = np.zeros(P, dtype=np.complex128)
-    kernel[np.mod(d, P)] = g[np.mod(-d, L)] * (-1.0) ** np.abs(d)
-    kernel_hat = scipy.fft.fft(kernel)
+    z = np.zeros((P,) * dim, dtype=np.complex128)
+    z[np.ix_(*[d % P] * dim)] = scipy.fft.ifftn(mask.reshape((L,) * dim))[np.ix_(*[d % L] * dim)]
+    weight = scipy.fft.fftn(z).real.ravel() / P**dim
+    apply, adjoint_apply, width = _fourier_rows(n, dim, P, slice(None))
 
-    def convolve(x):
-        f = scipy.fft.fft(x, P, axis=-1)
-        f *= kernel_hat
-        return scipy.fft.ifft(f, axis=-1, overwrite_x=True)[:, :n]
+    def rows(x):
+        y = apply(x)
+        y *= weight
+        return adjoint_apply(y)
 
-    real = _real_rows(lambda x: _unpair(convolve(_pair(x))).real)
-    return _chunked(n, n, real, real, P)
+    return _chunked(n**dim, n**dim, rows, rows, width)
 
 
 def _fourier_series(coeffs, t) -> np.ndarray:
@@ -470,7 +478,7 @@ def fourier_extension_1d(n: int, domain: DomainSpec, oversampling: float = 2.0) 
 
     A maps N coefficients to samples of sum_n c_n exp(i*pi*n*x) at the grid
     points inside the domain, for the fast length L from `_select_grid_size`:
-    A = A_r V*, with A_r one inverse real FFT (see `_rfft_fourier`) and V*
+    A = A_r V*, with A_r one inverse real FFT (see `_rfft_rows`) and V*
     the map to cos/sin coordinates, the problem's real form.  Z = A / L.
     """
     a, z, real, L, grid = _fourier_extension(n, 1, domain, oversampling)
@@ -485,8 +493,8 @@ def fourier_extension_2d(n_per_dim: int, mask: DomainSpec,
 
     Coefficients are row-major over (n1, n2); Z = A / L^2, with L per axis
     from `_select_grid_size`.  A = A_r V*, with A_r the real separable
-    product of `_separable_fourier` and V* the map to cos/sin coordinates
-    along each axis, the problem's real form, whose step 1 composes Z_r*.
+    product of `_separable_rows` and V* the map to cos/sin coordinates
+    along each axis, the problem's real form, whose step 1 applies G_r.
     """
     a, z, real, L, grid = _fourier_extension(n_per_dim, 2, mask, oversampling)
     freqs = _symmetric_frequencies(n_per_dim)
@@ -546,9 +554,9 @@ def _cheb_series_at_nodes(c: np.ndarray, kind: str) -> np.ndarray:
     overwritten."""
     if kind == "roots":
         c[..., 1:] *= 0.5
-        return scipy.fft.dct(c, type=3, axis=-1)[..., ::-1]
+        return scipy.fft.dct(c, type=3, axis=-1, overwrite_x=True)[..., ::-1]
     c[..., 1:-1] *= 0.5
-    return scipy.fft.dct(c, type=1, axis=-1)[..., ::-1]
+    return scipy.fft.dct(c, type=1, axis=-1, overwrite_x=True)[..., ::-1]
 
 
 def _cheb_nodes_to_modes(u: np.ndarray, kind: str) -> np.ndarray:
@@ -556,48 +564,62 @@ def _cheb_nodes_to_modes(u: np.ndarray, kind: str) -> np.ndarray:
     increasing node order."""
     nat = u[..., ::-1]  # natural DCT ordering runs over decreasing x
     if kind == "roots":
-        return scipy.fft.dct(nat, type=2, axis=-1) * 0.5
+        y = scipy.fft.dct(nat, type=2, axis=-1)
+        y *= 0.5
+        return y
     # DCT-I double-counts interior terms relative to the plain sum
     y = scipy.fft.dct(nat, type=1, axis=-1)
     sign = (-1.0) ** np.arange(u.shape[-1])
     return 0.5 * (y + nat[..., :1] + sign * nat[..., -1:])
 
 
+def _cheb_rows(n: int, L: int, sel: np.ndarray, kind: str):
+    """The row kernels (apply, adjoint_apply, width) of the Chebyshev
+    extension A[m, k] = T_k(x_m), k < N, at the nodes sel of the L-node
+    grid: apply is one DCT of the zero-padded series (`_cheb_series_at_nodes`),
+    the adjoint one F^T pass (`_cheb_nodes_to_modes`)."""
+    def apply(x):
+        c = np.zeros((x.shape[0], L))
+        c[:, :n] = x
+        return _cheb_series_at_nodes(c, kind)[:, sel]
+
+    def adjoint_apply(y):
+        u = np.zeros((y.shape[0], L))
+        u[:, sel] = y
+        return _cheb_nodes_to_modes(u, kind)[:, :n]
+
+    return apply, adjoint_apply, L
+
+
 def _cheb_gram(moments: np.ndarray, h2: np.ndarray) -> LinearOperator:
     """G = Z*A of the Chebyshev frame from the moments mu_0 .. mu_{2N-2} of
     the weighted mask and the squared norms h_0^2 .. h_{N-1}^2, with no
-    N x N matrix.
+    N x N matrix: G = diag(1/h^2) F_P^T diag(K) F_P, F_P the frame's own row
+    kernels (`_cheb_rows`) on the P roots y_l of T_P, P = next_fast_len(2N - 1).
 
     T_j T_k = (T_{j+k} + T_{|j-k|}) / 2 gives
-    G[j, k] = (mu_{j+k} + mu_{|j-k|}) / (2 h_j^2): the rows of a symmetric
-    Toeplitz-plus-Hankel matrix T + H scaled by 1 / (2 h_j^2).  With V the
-    real FFT of a real v over a length P >= 2N - 1, (T + H) v is the inverse
-    real FFT of T^ V + H^ conj(V) (a convolution with mu_|d| plus a
-    correlation with mu_p), so real input stays real; a complex v goes
-    through as its real and imaginary parts.  G is real but not symmetric:
-    G* u = (T + H)(u / h^2) / 2.
+    G[j, k] = (mu_{j+k} + mu_{|j-k|}) / (2 h_j^2), so K needs
+    sum_l K_l T_p(y_l) = mu_p for p <= 2N - 2.  The discrete orthogonality
+    of the roots, sum_l (pi/P) T_p T_q = hat h_p^2 delta_pq for p, q < P,
+    makes K = (pi/P) sum_p (mu_p / hat h_p^2) T_p(y_l) exact: one DCT of the
+    moments.  Whichever nodes the frame has, G runs on roots.  G is real but
+    not symmetric: G* u = F_P^T diag(K) F_P (u / h^2).
     """
     n = h2.size
     P = scipy.fft.next_fast_len(2 * n - 1, real=True)
-    d = np.arange(1 - n, n)
-    toeplitz = np.zeros(P)
-    toeplitz[d % P] = moments[np.abs(d)]
-    hankel = np.zeros(P)
-    hankel[:2 * n - 1] = moments
-    t_hat, h_hat = scipy.fft.rfft(toeplitz), scipy.fft.rfft(hankel)
-    scaling = 0.5 / h2
+    w, h2_p = _cheb_weights(P, "roots")
+    c = np.zeros(P)
+    c[:2 * n - 1] = w[:2 * n - 1] * moments / h2_p[:2 * n - 1]
+    weight = _cheb_series_at_nodes(c, "roots")
+    scaling = 1.0 / h2
+    apply, adjoint_apply, width = _cheb_rows(n, P, slice(None), "roots")
 
-    @_real_rows
-    def t_plus_h(x):
-        f = scipy.fft.rfft(x, P, axis=-1)
-        g = f.conj()
-        g *= h_hat
-        f *= t_hat
-        f += g
-        return scipy.fft.irfft(f, P, axis=-1, overwrite_x=True)[:, :n]
+    def rows(x):
+        y = apply(x)
+        y *= weight
+        return adjoint_apply(y)
 
-    return _chunked(n, n, lambda x: scaling * t_plus_h(x),
-                    lambda x: t_plus_h(scaling * x), P)
+    return _chunked(n, n, lambda x: scaling * rows(x), lambda x: rows(scaling * x), width)
 
 
 def chebyshev_extension(n: int, domain: DomainSpec, oversampling: float = 2.0,
@@ -606,13 +628,13 @@ def chebyshev_extension(n: int, domain: DomainSpec, oversampling: float = 2.0,
     nodes that fall inside the domain, for the fast L from
     `_select_grid_size`: the L roots of T_L, or the L + 1 extremae of T_L,
     so that their DCT-I, an FFT of length 2L, is fast too.  A applies by one
-    DCT of the grid's length per column.
+    DCT of the grid's length per column (`_cheb_rows`).
 
     Z is the matching subblock of the discrete dual W F D, so that on the
-    full grid Z* A = I.  G = Z*A is a row-scaled Toeplitz-plus-Hankel matrix
-    of the moments mu_p = sum_{m inside} w_m T_p(x_m), p = 0..2N-2, taken by
-    one F^T pass over the weighted mask and applied by a real FFT of length
-    P >= 2N - 1 (see `_cheb_gram`), so step 1 needs no Z.
+    full grid Z* A = I.  G = Z*A comes from the moments
+    mu_p = sum_{m inside} w_m T_p(x_m), p = 0..2N-2, taken by one F^T pass
+    over the weighted mask, and runs the same kernels on the P >= 2N - 1
+    roots of T_P (see `_cheb_gram`), so step 1 needs no Z.
     """
     if domain.is_2d:
         raise ValueError("chebyshev_extension needs a 1D domain")
@@ -624,18 +646,7 @@ def chebyshev_extension(n: int, domain: DomainSpec, oversampling: float = 2.0,
         n, 1, oversampling, lambda L: transforms.chebyshev_nodes(L + extra, kind), domain)
     L = nodes.size
     w, h2 = _cheb_weights(L, kind)
-
-    def apply(x):
-        c = np.zeros((x.shape[0], L), dtype=np.result_type(x, np.float64))
-        c[:, :n] = x
-        return _cheb_series_at_nodes(c, kind)[:, sel]
-
-    def adjoint_apply(y):
-        u = np.zeros((y.shape[0], L), dtype=np.result_type(y, np.float64))
-        u[:, sel] = y
-        return _cheb_nodes_to_modes(u, kind)[:, :n]
-
-    a = _chunked(sel.size, n, apply, adjoint_apply, L)
+    a = _chunked(sel.size, n, *_cheb_rows(n, L, sel, kind))
     z = compose(diagonal(w[sel]), a, diagonal(1.0 / h2[:n]))
     masked = np.zeros(L)
     masked[sel] = w[sel]
@@ -739,7 +750,7 @@ def fourier_lsq_equispaced(n: int, m: int) -> AzProblem:
 
     With t = 2x - 1, exp(2 pi i k x_j) = (-1)^k exp(i pi k t_j), and
     t_j = -1 + 2j/M is the whole periodic grid of length M: A = A_r C*, with
-    A_r the real 1D Fourier extension `_rfft_fourier` on every grid point and
+    A_r the real 1D Fourier extension `_rfft_rows` on every grid point and
     C = D V, D = diag((-1)^k), the coefficients of the problem's real form.
     Discrete orthogonality gives the exact dual Z = A/M, and the real form's
     G_r = Z_r* A_r = I exactly: N <= M frequencies stay distinct mod M.  The
@@ -750,7 +761,7 @@ def fourier_lsq_equispaced(n: int, m: int) -> AzProblem:
         raise ValueError("need at least as many samples as terms")
     sign = diagonal((-1.0) ** np.abs(freqs))
     c = compose(sign, LinearOperator(n, n, _by_columns(_pair), _by_columns(_unpair)))
-    a_r = _rfft_fourier(n, m, np.arange(m))
+    a_r = _chunked(m, n, *_rfft_rows(n, m, slice(None)))
     real = AzProblem(A=a_r, Z=scale(1.0 / m, a_r), gram=diagonal(np.ones(n)),
                      scale=math.sqrt(m), coefficients=c)
     a = compose(a_r, adjoint(c))

@@ -55,10 +55,12 @@ def from_dense(mat) -> LinearOperator:
 
 
 def materialize(op: LinearOperator) -> np.ndarray:
-    """Dense matrix of an operator, built by applying it to basis vectors."""
+    """Dense matrix of an operator, built by applying it to basis vectors;
+    past MATERIALIZE_CAP columns, a ValueError that says how to get under it."""
     if op.cols > MATERIALIZE_CAP:
         raise ValueError(f"refusing to materialize {op.shape} operator "
-                         f"(cap {MATERIALIZE_CAP} columns)")
+                         f"(cap {MATERIALIZE_CAP} columns); reduce N so the operators "
+                         f"fit under the materialization cap")
     return _promote(op.apply(np.eye(op.cols)))
 
 

@@ -296,6 +296,9 @@ def test_list_flag_diagnostic(tmp_path, capsys, argv, message):
     ["approx", "--problem", "fourier1d", "--n", "65", "--solver", "direct"],
     ["timing", "--problem", "weighted", "--n", "65", "--solver", "direct"],
     ["weighted", "--n", "65", "--eps-w-list", "0"],
+    # the dense step-1 solvers materialize the step-1 operator inside the solve
+    ["approx", "--problem", "fourier1d", "--n", "65", "--solver", "az-tsvd"],
+    ["approx", "--problem", "chebyshev", "--n", "65", "--solver", "az-tqr"],
 ])
 def test_over_the_cap_is_one_line_with_the_hint(tmp_path, monkeypatch, capsys, argv):
     # every command that materializes an operator past the cap says how to get under it

@@ -244,31 +244,51 @@ GRAM_BUILDERS = {
         65, DomainSpec.union([[-0.9, -0.5], [0.2, 0.6]])),
     "fourier01-61": lambda: frames.fourier_lsq_equispaced(61, 123),
     "fourier01-square-61": lambda: frames.fourier_lsq_equispaced(61, 61),
+    # the short grid at its smallest: P = 1 and 5 for the Fourier frames
+    # (N = 1 and 3 per axis), P = 1 and 3 for Chebyshev (N = 1 and 2)
+    **{f"1d-half-{n}": (lambda n=n: frames.fourier_extension_1d(n, DomainSpec.interval(-0.5, 0.5)))
+       for n in (1, 3)},
+    **{f"2d-disk-{n}": (lambda n=n: frames.fourier_extension_2d(n, frames.named_mask("disk")))
+       for n in (1, 3)},
+    **{f"cheb-{kind}-half-{n}": (lambda kind=kind, n=n: frames.chebyshev_extension(
+        n, DomainSpec.interval(-0.5, 0.5), kind=kind))
+       for kind in ("roots", "extremae") for n in (1, 2)},
 }
 
 
 @pytest.mark.parametrize("name", sorted(GRAM_BUILDERS))
 def test_gram_is_z_adjoint_a(name):
-    # the G that step 1 uses (G_r for the 1D Fourier frames, which carry no
-    # other) is Z*A in the same coordinates; the 2D Fourier real form carries
-    # none, and its step 1, Z_r* composed with A_r, is (I - A Z*) A V
+    # the G that step 1 uses (G_r for the Fourier frames, in 1D and in 2D,
+    # which carry no other) is Z*A in the same coordinates: as a matrix, and
+    # applied to a block and to a vector
     p = GRAM_BUILDERS[name]()
     assert (p.gram is None) == (p.real_form is not None)
     f = p.real_form or p
-    if name.startswith("2d-"):
-        assert f.gram is None
-        step1 = ops.materialize(p.step1_operator())
-        ref = ops.materialize(AzProblem(A=p.A, Z=p.Z).step1_operator()) \
-            @ ops.materialize(f.coefficients)
-        assert np.linalg.norm(step1 - ref) <= 1e-13 * np.linalg.norm(ref)
-        return
     assert f.gram.shape == (p.A.cols, p.A.cols)
+    dense = ops.materialize(ops.compose(ops.adjoint(f.Z), f.A))
+    assert np.linalg.norm(ops.materialize(f.gram) - dense) <= 1e-13 * np.linalg.norm(dense)
     rng = np.random.default_rng(3)
     v = rng.standard_normal((p.A.cols, 4)) + 1j * rng.standard_normal((p.A.cols, 4))
     ref = f.Z.adjoint_apply(f.A.apply(v))
     assert np.linalg.norm(f.gram.apply(v) - ref) <= 1e-13 * np.linalg.norm(ref)
     assert np.linalg.norm(f.gram.apply(v[:, 1]) - ref[:, 1]) \
         <= 1e-13 * np.linalg.norm(ref[:, 1])
+
+
+def test_gram_apply_runs_one_row_kernel():
+    # G_r x = F_P^T (K F_P x) runs a chunk of rows at a time: on 72 columns at
+    # N = 8193 it peaks at 11.3 MiB, where adjoint(F_P), diagonal(K) and F_P
+    # composed hold whole P x 72 blocks and peak at 18.6 MiB
+    gram = frames.fourier_extension_1d(8193, DomainSpec.interval(-0.5, 0.5)).real_form.gram
+    x = np.random.default_rng(6).standard_normal((8193, 72))
+    gram.apply(x[:, :1])
+    tracemalloc.start()
+    try:
+        gram.apply(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 14 << 20
 
 
 REAL_FORM_BUILDERS = {
@@ -289,7 +309,7 @@ REAL_FORM_BUILDERS = {
 @pytest.mark.parametrize("name", sorted(REAL_FORM_BUILDERS))
 def test_real_form_is_the_frame_in_cos_sin_coordinates(name):
     # the coefficients V (D V for fourier01, D = diag((-1)^k)) are unitary,
-    # and A_r = A V, Z_r = Z V and (in 1D; the 2D form has none) G_r = V* G V:
+    # and A_r = A V, Z_r = Z V and G_r = V* G V, in 1D and in 2D:
     # real operators that keep float64 float64, take a complex block through
     # its real and imaginary parts and pass the dot test
     p = REAL_FORM_BUILDERS[name]()
@@ -300,10 +320,7 @@ def test_real_form_is_the_frame_in_cos_sin_coordinates(name):
     g = z.conj().T @ a
     if name in ("1d-asymmetric", "2d-off-centre"):
         assert np.max(np.abs(g.imag)) >= 1e-2
-    assert (real.gram is None) == name.startswith("2d-")
-    checks = [(real.A, a @ v), (real.Z, z @ v)]
-    if real.gram is not None:
-        checks.append((real.gram, v.conj().T @ g @ v))
+    checks = [(real.A, a @ v), (real.Z, z @ v), (real.gram, v.conj().T @ g @ v)]
     rng = np.random.default_rng(4)
     for op, ref in checks:
         dense = ops.materialize(op)
@@ -448,7 +465,8 @@ class TestChebyshev:
     @pytest.mark.parametrize("kind", ["roots", "extremae"])
     @pytest.mark.parametrize("n", [65, 513])
     def test_gram_dot_test(self, kind, n):
-        # G is real and not symmetric; its adjoint is (T + H)(D^-1 u) / 2
+        # G = D F^T diag(K) F, D = diag(1 / h^2), is real and not symmetric; its
+        # adjoint is F^T diag(K) F D
         p = frames.chebyshev_extension(n, DomainSpec.interval(-0.9, 0.9), kind=kind)
         rng = np.random.default_rng(5)
         v = rng.standard_normal((n, 3)) + 1j * rng.standard_normal((n, 3))
@@ -634,7 +652,8 @@ class TestFourierLsq:
         real = p.real_form
         a_r = ops.materialize(real.A)
         assert a_r.dtype == np.float64
-        assert np.array_equal(a_r, ops.materialize(frames._rfft_fourier(n, m, np.arange(m))))
+        assert np.array_equal(a_r, ops.materialize(
+            frames._chunked(m, n, *frames._rfft_rows(n, m, np.arange(m)))))
         assert p.gram is None
         assert np.array_equal(ops.materialize(real.gram), np.eye(n))
         assert np.array_equal(p.grid, np.arange(m) / m)
@@ -741,24 +760,26 @@ def test_fast_apply_matches_dense(build, monkeypatch):
     p = build()
     assert all(200 // w <= 3 for w in widths)
     rng = np.random.default_rng(1)
-    for name in ("A", "Z", "gram"):
-        op = getattr(p, name)
-        if op is None:
-            continue
-        dense = ops.materialize(getattr(ref, name))
-        for k in ((), (7,)):
-            u = rng.standard_normal((op.cols,) + k) + 1j * rng.standard_normal((op.cols,) + k)
-            v = rng.standard_normal((op.rows,) + k) + 1j * rng.standard_normal((op.rows,) + k)
-            ref_u, ref_v = dense @ u, dense.conj().T @ v
-            for order in "CF":
-                got = op.apply(np.asarray(u, order=order))
-                got_adj = op.adjoint_apply(np.asarray(v, order=order))
-                assert got.shape == ref_u.shape and got_adj.shape == ref_v.shape
-                assert np.linalg.norm(got - ref_u) <= 1e-11 * max(1.0, np.linalg.norm(ref_u))
-                assert np.linalg.norm(got_adj - ref_v) <= 1e-11 * max(1.0, np.linalg.norm(ref_v))
-            # dot test: <v, op u> = <op* v, u>
-            assert abs(np.vdot(v, got) - np.vdot(got_adj, u)) \
-                <= 1e-13 * np.linalg.norm(dense) * np.linalg.norm(u) * np.linalg.norm(v)
+    # the problem's own operators, and its real form's, G_r among them
+    for q, q_ref in ((p, ref), (p.real_form, ref.real_form)):
+        for name in ("A", "Z", "gram"):
+            op = getattr(q, name, None)
+            if op is None:
+                continue
+            dense = ops.materialize(getattr(q_ref, name))
+            for k in ((), (7,)):
+                u = rng.standard_normal((op.cols,) + k) + 1j * rng.standard_normal((op.cols,) + k)
+                v = rng.standard_normal((op.rows,) + k) + 1j * rng.standard_normal((op.rows,) + k)
+                ref_u, ref_v = dense @ u, dense.conj().T @ v
+                for order in "CF":
+                    got = op.apply(np.asarray(u, order=order))
+                    got_adj = op.adjoint_apply(np.asarray(v, order=order))
+                    assert got.shape == ref_u.shape and got_adj.shape == ref_v.shape
+                    for x, want in ((got, ref_u), (got_adj, ref_v)):
+                        assert np.linalg.norm(x - want) <= 1e-11 * max(1.0, np.linalg.norm(want))
+                # dot test: <v, op u> = <op* v, u>
+                assert abs(np.vdot(v, got) - np.vdot(got_adj, u)) \
+                    <= 1e-13 * np.linalg.norm(dense) * np.linalg.norm(u) * np.linalg.norm(v)
 
 
 def test_restriction_monotonicity():
