@@ -144,7 +144,7 @@ def _three_step(problem: AzProblem, b, step1, config: SolverConfig | None) -> So
         raise ValueError("step 1 returned an x1 with non-finite entries")
     # steps 2-3: one A-apply and one Z*-apply, then one A-apply for the residual
     x2 = z.adjoint_apply(b - a.apply(x1))
-    res = float(np.linalg.norm(b - a.apply(x1 + x2)))
+    res = solvers._norm(b - a.apply(x1 + x2))
     if p.coefficients is not None:
         x1, x2 = p.coefficients.apply(x1), p.coefficients.apply(x2)
     return SolveReport(x=x1 + x2, residual_norm=res, rank_used=rep1.rank_used,

@@ -2,21 +2,25 @@
 
 Every solver checks its b (check_rhs) and the shape of its matrix or
 operator before any apply.  The direct solve is numpy's lstsq.  Every other
-solver takes a SolverConfig, truncates at its eps by SVD or column-pivoted
-QR through one core, and draws its Gaussian blocks Omega from one round
-schedule, _gaussian_blocks.  The randomized solvers take operators and grow
-the Householder QR of the sketch A Omega = Q T by a block per round,
-factoring only the small core T unless a triangular inverse certifies that
-T keeps every direction.  The dense tsvd and tqr take matrices, build
-A = Q C + E with orthonormal Q and deflated E, and factor only the R x N
-core C once the explicit ||E||_F < eps, else all of A.  Each path computes
-in the dtype of its operator or matrix: a real one (a real frame, or the
-real form of a Fourier frame) gives a float64 sketch, QR, certificate and
-core factorization, and no solver casts b: x is of the promotion of b's
-dtype, that one and float64.  The sketch loop runs scipy's BLAS/LAPACK; the
-dense path (lstsq, the certified rounds, matrixcore.svd) runs numpy's,
-which has no pivoted QR.  Every solver recomputes the residual norm apart
-from its internal algebra.
+solver takes a SolverConfig, draws its Gaussian blocks Omega from one round
+schedule, _gaussian_blocks, and ends the same way: one truncation, by SVD
+or column-pivoted QR at its eps, of a small core against Q* b.  The
+randomized solvers take operators and grow the Householder QR of the sketch
+A Omega = Q T by a block per round, factoring only the small core T unless
+a triangular inverse certifies that T keeps every direction.  The dense
+tsvd and tqr take matrices, build A = Q C + E with orthonormal Q and
+deflated E, and factor only the R x N core C once the explicit
+||E||_F < eps; once R would pass N/2 they finish at Omega = I, on the
+triangular factor of the Householder QR of A (R = N).  No solver factors
+the whole tall matrix.  Each path computes in the dtype of its operator or
+matrix: a real one (a real frame, or the real form of a Fourier frame)
+gives a float64 sketch, QR, certificate and core factorization, and no
+solver casts b: x is of the promotion of b's dtype, that one and float64.
+The sketch loop runs scipy's BLAS/LAPACK, and its matrix-vector products
+and norms run in numpy's own loops (einsum, sums of squares), with no BLAS;
+the dense path (lstsq, the certified rounds, the Omega = I QR,
+matrixcore.svd) runs numpy's BLAS/LAPACK, which has no pivoted QR.  Every
+solver recomputes the residual norm apart from its internal algebra.
 """
 
 from __future__ import annotations
@@ -41,7 +45,7 @@ class SolverConfig:
     the first R = r + p, for a target rank r and oversampling p, an integer
     >= 1; seed, an integer >= 0, seeds the one Gaussian stream.  R doubles
     while a randomized sketch keeps all its directions, up to N, and until
-    the dense tsvd and tqr certify, up to N/2.
+    the dense tsvd and tqr certify, up to N/2; past N/2 they take Omega = I.
     """
 
     eps: float
@@ -64,7 +68,9 @@ class SolverConfig:
 @dataclass
 class SolveReport:
     """x, and an AZ solve's x1 and x2, take the promotion of the dtypes of b,
-    the operators and float64; residual_norm is ||b - A x|| of that x."""
+    the operators and float64; residual_norm is ||b - A x|| of that x.
+    sketch_size is the R of the factor that x came from: N at Omega = I, as
+    for a saturated sketch, and 0 for lstsq and the dense zero exit."""
 
     x: np.ndarray
     residual_norm: float
@@ -87,13 +93,15 @@ def check_rhs(b, rows: int) -> np.ndarray:
     return b
 
 
-def _residual(apply_a, b, x) -> float:
-    return float(np.linalg.norm(b - apply_a(x)))
+def _norm(v: np.ndarray) -> float:
+    """||v||_2, Frobenius for a block, as a sum of squares in numpy's own
+    loops: np.linalg.norm would run numpy's BLAS (see _core_svd)."""
+    return float(np.sqrt(np.sum(v.real**2 + v.imag**2)))
 
 
 def _report(apply_a, b, x, rank, sketch=0) -> SolveReport:
-    return SolveReport(x=x, residual_norm=_residual(apply_a, b, x),
-                       rank_used=rank, sketch_size=sketch)
+    return SolveReport(x=x, residual_norm=_norm(b - apply_a(x)), rank_used=rank,
+                       sketch_size=sketch)
 
 
 def _core_svd(t: np.ndarray) -> mc.SvdFactorization:
@@ -116,17 +124,18 @@ def _truncated_solve(a: np.ndarray, b: np.ndarray, eps: float,
 
     The SVD (by svd, matrixcore.svd when None) keeps the singular values
     >= eps; with qr the column-pivoted QR keeps the leading block whose
-    |diag R| >= eps.  y is in the column coordinates of a.
+    |diag R| >= eps.  y is in the column coordinates of a.  a is a small
+    core (the sketch's T, the certified C or the Omega = I R_B), so its
+    matrix-vector products run in einsum's own loops, off numpy's BLAS.
     """
-    if qr:
-        f = mc.pivoted_qr(a)
-        k = int(np.count_nonzero(np.abs(np.diagonal(f.R)) >= eps))
-        y = np.zeros(a.shape[1], dtype=np.result_type(a, b))
-        y[f.perm[:k]] = scipy.linalg.solve_triangular(f.R[:k, :k], f.Q[:, :k].conj().T @ b)
-        return y, k
-    f = (svd or mc.svd)(a)
-    k = int(np.count_nonzero(f.sigma >= eps))
-    return f.V[:, :k] @ ((f.U[:, :k].conj().T @ b) / f.sigma[:k]), k
+    f = mc.pivoted_qr(a) if qr else (svd or mc.svd)(a)
+    k = int(np.count_nonzero((np.abs(np.diagonal(f.R)) if qr else f.sigma) >= eps))
+    c = np.einsum("ik,i->k", (f.Q if qr else f.U)[:, :k].conj(), b)
+    if not qr:
+        return np.einsum("jk,k->j", f.V[:, :k], c / f.sigma[:k]), k
+    y = np.zeros(a.shape[1], dtype=np.result_type(a, b))
+    y[f.perm[:k]] = scipy.linalg.solve_triangular(f.R[:k, :k], c)
+    return y, k
 
 
 def _gaussian_blocks(n: int, config: SolverConfig):
@@ -168,27 +177,33 @@ def _low_rank_factor(a: np.ndarray, config: SolverConfig):
     return None
 
 
-def _dense_solve(a, b, eps: float, qr: bool = False,
-                 config: SolverConfig | None = None) -> SolveReport:
-    """Truncated solve of the dense a by its full SVD or pivoted QR; with a
-    config, of the R x N core C of a certified Q C when there is one."""
-    if not 0 < eps < np.inf:
-        raise ValueError("eps must be positive and finite")
+def _dense_solve(a, b, config: SolverConfig, qr: bool = False) -> SolveReport:
+    """Truncated solve of the dense a on the core of a = Q core (+ E), against
+    Q* b: the R x N core C of a certified Q C, or once the rounds give up,
+    the triangular R_B of the Householder QR of a, the sketch at Omega = I
+    (R = N).  One numpy QR of [a | b] in mode "r" gives R_B, min(M, N) rows,
+    and Q* b without forming Q; a real a takes a complex b as its real and
+    imaginary parts, so that QR stays real."""
     a = mc.as_matrix(a)
     b = check_rhs(b, a.shape[0])
+    n = a.shape[1]
     # sigma_1 and |R_11| are at most ||a||_F: below eps, a truncation keeps
     # nothing, and the answer is the zero vector it would have given
-    r = 0
-    if np.linalg.norm(a) < eps:
-        x, k = np.zeros(a.shape[1], dtype=np.result_type(a, b)), 0
-    elif config is not None and (factor := _low_rank_factor(a, config)):
+    if np.linalg.norm(a) < config.eps:
+        return _report(lambda v: a @ v, b, np.zeros(n, dtype=np.result_type(a, b)), 0)
+    if factor := _low_rank_factor(a, config):
         # each sigma of C is within ||a - Q C||_F of a's, and the SVD's
         # x = V_k Sigma_k^-1 U_k* Q* b lies in a's row space: no back-solve
-        q, c = factor
-        x, k = _truncated_solve(c, q.conj().T @ b, eps, qr)
-        r = q.shape[1]
+        q, core = factor
+        qb, r = q.conj().T @ b, q.shape[1]
     else:
-        x, k = _truncated_solve(a, b, eps, qr)
+        # R_B has a's singular values and column norms: the same x to
+        # rounding as a's own SVD, and the same pivots as its pivoted QR
+        split = a.dtype.kind == "f" and b.dtype.kind == "c"
+        rb = np.linalg.qr(np.column_stack([a, b.real, b.imag] if split else [a, b]),
+                          mode="r")[:min(a.shape)]
+        core, qb, r = rb[:, :n], rb[:, n] + 1j * rb[:, n + 1] if split else rb[:, n], n
+    x, k = _truncated_solve(core, qb, config.eps, qr)
     return _report(lambda v: a @ v, b, x, k, r)
 
 
@@ -206,16 +221,18 @@ def direct_lsq(a, b) -> SolveReport:
 def tsvd_solve(a, b, config: SolverConfig) -> SolveReport:
     """Truncated SVD solve of a dense matrix: invert only singular values
     >= config.eps.  It factors the R x N core of a certified low-rank factor
-    (R from config.sketch_size, doubling; Omega from config.seed), or the
-    whole matrix once R would pass N/2; sketch_size reports that R, or 0."""
-    return _dense_solve(a, b, config.eps, config=config)
+    (R from config.sketch_size, doubling; Omega from config.seed), or once R
+    would pass N/2 the triangular factor of the whole matrix (Omega = I,
+    R = N); sketch_size reports that R, and 0 only for a matrix with
+    ||a||_F < eps, which it does not factor."""
+    return _dense_solve(a, b, config)
 
 
 def tqr_solve(a, b, config: SolverConfig) -> SolveReport:
     """Truncated pivoted QR solve of a dense matrix, keeping the leading block
-    with |diag(R)| >= config.eps, of the same core or matrix as tsvd_solve,
-    with the same sketch_size."""
-    return _dense_solve(a, b, config.eps, qr=True, config=config)
+    with |diag(R)| >= config.eps, of the same core as tsvd_solve (the
+    certified C or the Omega = I factor), with the same sketch_size."""
+    return _dense_solve(a, b, config, qr=True)
 
 
 def _as_operator(a) -> LinearOperator:
@@ -247,9 +264,7 @@ def _keeps_every_direction(t: np.ndarray, eps: float) -> bool:
         return False
     trtri, = scipy.linalg.lapack.get_lapack_funcs(("trtri",), (t,))
     inv, info = trtri(t)
-    # ||t^-1||_F elementwise: np.linalg.norm would run numpy's BLAS between
-    # scipy's QR calls (see _core_svd)
-    return info == 0 and 2.0 * eps * np.sqrt(np.sum(inv.real**2 + inv.imag**2)) <= 1.0
+    return info == 0 and 2.0 * eps * _norm(inv) <= 1.0
 
 
 def _randomized_solve(a, b, config: SolverConfig, qr: bool) -> SolveReport:
@@ -270,7 +285,7 @@ def _randomized_solve(a, b, config: SolverConfig, qr: bool) -> SolveReport:
         y, k = _truncated_solve(factor.R, factor.adjoint_q(b), config.eps, qr, _core_svd)
         if k < omega.shape[1] or omega.shape[1] >= a.cols:
             break
-    return _report(a.apply, b, omega @ y, k, sketch=omega.shape[1])
+    return _report(a.apply, b, np.einsum("ij,j->i", omega, y), k, sketch=omega.shape[1])
 
 
 def randomized_tsvd_solve(a, b, config: SolverConfig) -> SolveReport:

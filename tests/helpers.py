@@ -1,7 +1,9 @@
 """Helpers shared by the test files: random test matrices, dense problems,
 an off-centre 2D domain, operator call counters, factorization
-recomposition, and the two checks of the theory that only tests run (the
-low-rank splitting certificate and the Gaussian pseudoinverse Monte Carlo).
+recomposition, the whole-matrix truncated solve that the dense step-1 paths
+are checked against, and the two checks of the theory that only tests run
+(the low-rank splitting certificate and the Gaussian pseudoinverse Monte
+Carlo).
 
 Test files import it as `from helpers import ...`; pytest puts this
 directory on sys.path because it has no __init__.py.
@@ -13,8 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from azls import AzProblem, matrixcore as mc, operators as ops
+from azls import AzProblem, matrixcore as mc, operators as ops, solvers
 from azls.frames import DomainSpec
+from azls.solvers import SolveReport
 
 
 # a disk that is not centred on the 2D grid: with no mirror symmetry about
@@ -38,6 +41,16 @@ def spectrum_matrix(m, n, sigma, seed):
 
 def dense_problem(a, z, scale=1.0):
     return AzProblem(A=ops.from_dense(a), Z=ops.from_dense(z), scale=scale)
+
+
+def dense_oracle(a, b, eps, qr=False) -> SolveReport:
+    """The truncated solve of the whole matrix a: its full SVD (or pivoted
+    QR) truncated at eps by the solvers' own rule.  No solver factors the
+    whole step-1 matrix; this is the reference for the ones that factor a
+    core of it."""
+    a, b = np.asarray(a), np.asarray(b)
+    x, k = solvers._truncated_solve(a, b, eps, qr)
+    return SolveReport(x=x, residual_norm=float(np.linalg.norm(b - a @ x)), rank_used=k)
 
 
 def reconstruct(f) -> np.ndarray:

@@ -13,7 +13,7 @@ from azls import frames, matrixcore as mc, operators as ops, solvers
 from azls.cli import main as cli_main
 from azls.frames import DomainSpec, eval_error, sample_function
 from azls.solvers import SolverConfig
-from helpers import (dense_problem, mc_gaussian_props, random_complex,
+from helpers import (dense_oracle, dense_problem, mc_gaussian_props, random_complex,
                      spectrum_matrix, splitting_certificate)
 
 
@@ -93,7 +93,7 @@ def test_criterion_04_truncation_residual_bounds():
     f = mc.pivoted_qr(a)
     ok = True
     for eps in (1e-1, 1e-3, 1e-6):
-        rep = solvers._dense_solve(a, b, eps)
+        rep = dense_oracle(a, b, eps)
         ok &= bool(rep.residual_norm <= base + eps * np.linalg.norm(v) + 1e-12)
         rep_qr = solvers.tqr_solve(a, b, SolverConfig(eps, 1))
         r = rep_qr.rank_used
@@ -230,7 +230,7 @@ def test_criterion_10_approximation_accuracy():
         cfg = default_config(p, seed=10 + i, eps=eps_rel * p.scale)
         rep = az_solve(p, b, step1="rand-tsvd", config=cfg)
         err = eval_error(p, rep.x, f)["max_err"]
-        oracle = solvers._dense_solve(ops.materialize(p.A), b, cfg.eps)
+        oracle = dense_oracle(ops.materialize(p.A), b, cfg.eps)
         floor = max(oracle.residual_norm, 1e-14 * np.linalg.norm(b))
         ok &= bool(err <= tol)
         ok &= bool(rep.residual_norm <= 10.0 * floor)

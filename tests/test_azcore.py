@@ -16,7 +16,7 @@ from azls import azcore, frames, matrixcore as mc, operators as ops, solvers
 from azls.azcore import STEP1_SOLVERS, weighted_eps_pinv
 from azls.frames import DomainSpec, sample_function
 from azls.solvers import SolverConfig
-from helpers import (OFF_CENTRE, counted, dense_problem, random_complex,
+from helpers import (OFF_CENTRE, counted, dense_oracle, dense_problem, random_complex,
                      splitting_certificate)
 
 
@@ -83,7 +83,7 @@ class TestAzSolve:
         b = np.asarray(random_complex(8, 1, seed=1)).ravel()
         cfg = SolverConfig(eps=1e-8, sketch_size=5)
         rep = az_solve(dense_problem(a, z), b, step1="tsvd", config=cfg)
-        ref = solvers._dense_solve(a, b, cfg.eps)
+        ref = dense_oracle(a, b, cfg.eps)
         assert np.allclose(rep.x, ref.x, atol=1e-12)
 
     def test_fourier_extension_matches_dense_oracle(self):
@@ -92,7 +92,7 @@ class TestAzSolve:
         cfg = default_config(p, seed=2)
         rep = az_solve(p, b, step1="rand-tsvd", config=cfg)
         assert rep.residual_norm / np.max(np.abs(b)) <= 1e-8
-        oracle = solvers._dense_solve(ops.materialize(p.A), b, cfg.eps)
+        oracle = dense_oracle(ops.materialize(p.A), b, cfg.eps)
         assert abs(rep.residual_norm - oracle.residual_norm) <= 1e-8
 
     def test_b_length_checked(self):

@@ -10,7 +10,7 @@ import scipy.linalg
 from azls import az_solve, default_config, frames, matrixcore as mc, operators as ops, solvers
 from azls.frames import DomainSpec, sample_function
 from azls.solvers import SolverConfig
-from helpers import mc_gaussian_props, random_complex, spectrum_matrix
+from helpers import dense_oracle, mc_gaussian_props, random_complex, spectrum_matrix
 
 
 class TestConfig:
@@ -38,12 +38,9 @@ class TestConfig:
 
     @pytest.mark.parametrize("eps", [float("nan"), float("inf")])
     def test_nonfinite_eps_rejected(self, eps):
-        # each would keep no singular value and return x = 0 without error
-        for call in (lambda: SolverConfig(eps=eps, sketch_size=5),
-                     lambda: solvers._dense_solve(np.eye(2), np.ones(2), eps),
-                     lambda: solvers._dense_solve(np.eye(2), np.ones(2), eps, qr=True)):
-            with pytest.raises(ValueError, match="eps must be positive and finite"):
-                call()
+        # it would keep no singular value and return x = 0 without error
+        with pytest.raises(ValueError, match="eps must be positive and finite"):
+            SolverConfig(eps=eps, sketch_size=5)
 
 
 class TestDirectLsq:
@@ -115,9 +112,10 @@ class TestTsvd:
 class CertifiedDense:
     """The dense tsvd and tqr factor the R x N core of a certified low-rank
     factor Q C, ||A - Q C||_F < eps, starting at R = sketch_size and
-    doubling; a round that would take R past N/2 leaves the whole matrix to
-    the same factorization.  A subclass sets QR; "svd" in a test name is
-    the solver's own factorization, the SVD or the pivoted QR."""
+    doubling; a round that would take R past N/2 leaves the same
+    factorization to the triangular factor R_B of A = Q R_B (Omega = I).
+    A subclass sets QR; "svd" in a test name is the solver's own
+    factorization, the SVD or the pivoted QR."""
 
     EPS = 1e-8
     QR = False
@@ -126,7 +124,7 @@ class CertifiedDense:
         return (solvers.tqr_solve if self.QR else solvers.tsvd_solve)(a, b, cfg)
 
     def reference(self, a, b):
-        return solvers._dense_solve(a, b, self.EPS, self.QR)
+        return dense_oracle(a, b, self.EPS, self.QR)
 
     @staticmethod
     def matrix(rank, dtype, seed, m=120, n=80):
@@ -184,14 +182,40 @@ class CertifiedDense:
         assert np.linalg.norm(rep.x - ref.x) <= 1e-8 * np.linalg.norm(ref.x)
 
     @pytest.mark.parametrize("sketch_size", [4, 41])
-    def test_rank_above_half_takes_full_svd(self, sketch_size):
-        # R = 4 runs rounds to 32 first; R = 41 > N/2 factors a at once
+    def test_rank_above_half_finishes_at_omega_identity(self, sketch_size):
+        # R = 4 runs rounds to 32 first; R = 41 > N/2 goes to Omega = I at once
         a = self.matrix(50, "complex", seed=36)
         b = np.asarray(random_complex(120, 1, seed=37)).ravel()
         rep = self.solve(a, b, SolverConfig(self.EPS, sketch_size, seed=2))
         ref = self.reference(a, b)
-        assert (rep.rank_used, rep.sketch_size) == (50, 0)
-        assert np.array_equal(rep.x, ref.x)
+        assert (rep.rank_used, rep.sketch_size) == (50, 80)
+        assert np.linalg.norm(rep.x - ref.x) <= 1e-8 * np.linalg.norm(ref.x)
+
+    @pytest.mark.parametrize("shape", [(120, 80), (80, 80), (50, 80)])
+    @pytest.mark.parametrize("a_dtype, b_dtype", [("real", "real"), ("real", "complex"),
+                                                  ("complex", "real"),
+                                                  ("complex", "complex")])
+    def test_omega_identity_matches_oracle(self, shape, a_dtype, b_dtype, monkeypatch):
+        # a tall, square or wide B of eps-rank 45 > N/2 leaves the rounds
+        # for the core of the QR of B; x has the promoted dtype
+        m, n = shape
+        a = self.matrix(45, a_dtype, seed=42, m=max(m, n), n=n)[:m]
+        b = np.asarray(random_complex(m, 1, seed=43)).ravel()
+        b = b if b_dtype == "complex" else b.real
+        factored = []
+        for name in ("svd", "pivoted_qr"):
+            def counted(core, name=name, fn=getattr(mc, name)):
+                factored.append(core.shape)
+                return fn(core)
+
+            monkeypatch.setattr(mc, name, counted)
+        rep = self.solve(a, b, SolverConfig(self.EPS, 4, seed=2))
+        assert rep.sketch_size == n
+        assert factored == [(min(m, n), n)]
+        ref = self.reference(a, b)
+        assert rep.rank_used == ref.rank_used
+        assert rep.x.dtype == ref.x.dtype == np.result_type(a, b)
+        assert np.linalg.norm(rep.x - ref.x) <= 1e-8 * np.linalg.norm(ref.x)
 
     def test_fixed_seed_same_bits(self):
         a = self.matrix(25, "real", seed=38)
@@ -210,16 +234,18 @@ class CertifiedDense:
 
 class TestCertifiedTsvd(CertifiedDense):
     def test_takes_no_scipy_kernel(self, monkeypatch):
-        # the rounds and the core SVD run numpy's kernels; the tqr core's
-        # pivoted QR is scipy's, since numpy has none
+        # the rounds, the Omega = I QR and the core SVD run numpy's kernels;
+        # the tqr core's pivoted QR is scipy's, since numpy has none
         def unusable(*args, **kwargs):
             raise AssertionError("scipy kernel taken")
 
         for name in ("svd", "qr"):
             monkeypatch.setattr(scipy.linalg, name, unusable)
-        rep = solvers.tsvd_solve(self.matrix(20, "real", seed=40), np.ones(120),
-                                 SolverConfig(self.EPS, 24))
-        assert rep.sketch_size == 24
+        # rank 20 certifies at R = 24; rank 50 > N/2 finishes at Omega = I
+        for rank, sketch_size in ((20, 24), (50, 80)):
+            rep = solvers.tsvd_solve(self.matrix(rank, "real", seed=40), np.ones(120),
+                                     SolverConfig(self.EPS, 24))
+            assert (rep.rank_used, rep.sketch_size) == (rank, sketch_size)
 
 
 class TestCertifiedTqr(CertifiedDense):
@@ -539,7 +565,8 @@ class TestValuesOnlyRounds:
                 break
         rep = solvers.randomized_tsvd_solve(op, rhs, cfg)
         assert (rep.rank_used, rep.sketch_size) == (k, omega.shape[1])
-        assert np.array_equal(rep.x, omega @ y)
+        # x = Omega y in einsum's own loops, as the solver forms it
+        assert np.array_equal(rep.x, np.einsum("ij,j->i", omega, y))
 
     def test_tqr_rounds_take_no_values(self, monkeypatch):
         def unusable(a):
@@ -575,8 +602,9 @@ class TestValuesOnlyRounds:
 
 class TestSketchLibrary:
     """numpy and scipy each bundle an OpenBLAS; the sketch loop keeps its
-    dense kernels (QR, certificate, core SVD) in scipy's, so that neither
-    library waits on the other's idle worker threads."""
+    dense kernels (QR, certificate, core SVD) in scipy's, and its norms and
+    matrix-vector products off BLAS, so that neither library waits on the
+    other's idle worker threads."""
 
     def test_rand_tsvd_takes_no_numpy_svd(self, monkeypatch):
         p = frames.fourier_extension_2d(9, frames.named_mask("disk"))
@@ -591,6 +619,22 @@ class TestSketchLibrary:
         rep = az_solve(p, b, step1="rand-tsvd", config=cfg)
         assert rep.sketch_size == p.A.cols
         assert np.array_equal(rep.x, ref.x)
+
+    @pytest.mark.parametrize("step1", ["rand-tsvd", "rand-tqr"])
+    def test_solve_takes_no_numpy_norm(self, step1, monkeypatch):
+        # the residual norms of the solver and of az_solve are sums of squares
+        p = frames.fourier_extension_2d(9, frames.named_mask("disk"))
+        b = sample_function(lambda x, y: np.exp(x + y), p.grid)
+        cfg = default_config(p, seed=5)
+        ref = az_solve(p, b, step1=step1, config=cfg)
+
+        def unusable(*args, **kwargs):
+            raise AssertionError("numpy norm taken")
+
+        monkeypatch.setattr(np.linalg, "norm", unusable)
+        rep = az_solve(p, b, step1=step1, config=cfg)
+        assert np.array_equal(rep.x, ref.x)
+        assert rep.residual_norm == ref.residual_norm
 
     def test_certificate_takes_no_numpy_norm(self, monkeypatch):
         t = mc.householder_qr(spectrum_matrix(12, 12, np.logspace(0, -4, 12), seed=7)).R
