@@ -390,7 +390,10 @@ def _separable_rows(n: int, L: int, sel: np.ndarray):
     e[:, h + 1:] = math.sqrt(2.0) * np.cos(phase)
     e[:, :h] = math.sqrt(2.0) * np.sin(phase[:, ::-1])
     e_f = np.asfortranarray(e)
-    l1, l2 = np.divmod(np.arange(L * L)[sel], L)
+    points = np.arange(L * L)[sel]
+    # on the whole grid (the Gram's) the gather and scatter are a reshape
+    whole = np.array_equal(points, np.arange(L * L))
+    l1, l2 = np.divmod(points, L)
     used, u = np.unique(l1, return_inverse=True)
     e_used = np.asfortranarray(e[used])
     gemm = scipy.linalg.blas.dgemm
@@ -401,12 +404,16 @@ def _separable_rows(n: int, L: int, sel: np.ndarray):
         x = np.ascontiguousarray(v.reshape(k, n, n).transpose(2, 0, 1))
         t = gemm(1.0, e_used, x.reshape(n * k, n).T)  # E[used] C: (u, (j2, col))
         w = gemm(1.0, t.T.reshape(n, k * used.size).T, e.T)  # ((col, u), l2)
-        return w.T.reshape(L, k, used.size)[l2, :, u].T
+        w = w.T.reshape(L, k, used.size)
+        return (w.transpose(2, 0, 1).reshape(L * L, k) if whole else w[l2, :, u]).T
 
     def adjoint_apply(v):
         k = v.shape[0]
-        w = np.zeros((L, k, used.size))
-        w[l2, :, u] = v.T
+        if whole:
+            w = np.ascontiguousarray(v.T.reshape(L, L, k).transpose(1, 2, 0))
+        else:
+            w = np.zeros((L, k, used.size))
+            w[l2, :, u] = v.T
         y = gemm(1.0, w.reshape(L, k * used.size).T, e_f)  # ((col, u), j2)
         x = gemm(1.0, e_used, y.T.reshape(n * k, used.size).T, trans_a=1)  # (j1, (j2, col))
         return x.T.reshape(n, k, n).transpose(1, 2, 0).reshape(k, n * n)

@@ -7,7 +7,12 @@ schedule, _gaussian_blocks, and ends the same way: one truncation, by SVD
 or column-pivoted QR at its eps, of a small core against Q* b.  The
 randomized solvers take operators and grow the Householder QR of the sketch
 A Omega = Q T by a block per round, factoring only the small core T unless
-a triangular inverse certifies that T keeps every direction.  The dense
+a triangular inverse certifies that T keeps every direction.  A sketch
+that would saturate leaves for Omega = I after its first round, up to
+MATERIALIZE_CAP columns: when that round keeps every direction and a line
+through the log singular values of its core projects the rank to N or
+past it, or when it is already R = N, the solver takes the Householder QR
+of the materialized A and truncates its triangular core, x = y.  The dense
 tsvd and tqr take matrices, build A = Q C + E with orthonormal Q and
 deflated E, and factor only the R x N core C once the explicit
 ||E||_F < eps; once R would pass N/2 they finish at Omega = I, on the
@@ -16,11 +21,12 @@ the whole tall matrix.  Each path computes in the dtype of its operator or
 matrix: a real one (a real frame, or the real form of a Fourier frame)
 gives a float64 sketch, QR, certificate and core factorization, and no
 solver casts b: x is of the promotion of b's dtype, that one and float64.
-The sketch loop runs scipy's BLAS/LAPACK, and its matrix-vector products
-and norms run in numpy's own loops (einsum, sums of squares), with no BLAS;
-the dense path (lstsq, the certified rounds, the Omega = I QR,
-matrixcore.svd) runs numpy's BLAS/LAPACK, which has no pivoted QR.  Every
-solver recomputes the residual norm apart from its internal algebra.
+The sketch loop, its Omega = I finish included, runs scipy's BLAS/LAPACK,
+and its matrix-vector products and norms run in numpy's own loops (einsum,
+sums of squares), with no BLAS; the dense path (lstsq, the certified
+rounds, its Omega = I QR, matrixcore.svd) runs numpy's BLAS/LAPACK, which
+has no pivoted QR.  Every solver recomputes the residual norm apart from
+its internal algebra.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ import numpy as np
 import scipy.linalg
 
 from . import matrixcore as mc
-from .operators import LinearOperator, from_dense
+from .operators import MATERIALIZE_CAP, LinearOperator, from_dense, materialize
 
 DEFAULT_OVERSAMPLING = 20
 
@@ -46,6 +52,9 @@ class SolverConfig:
     >= 1; seed, an integer >= 0, seeds the one Gaussian stream.  R doubles
     while a randomized sketch keeps all its directions, up to N, and until
     the dense tsvd and tqr certify, up to N/2; past N/2 they take Omega = I.
+    Up to MATERIALIZE_CAP columns a randomized sketch takes Omega = I too:
+    at once when sketch_size >= N, and after its first round when that
+    round keeps all its directions and projects the rank to N or past it.
     """
 
     eps: float
@@ -69,8 +78,10 @@ class SolverConfig:
 class SolveReport:
     """x, and an AZ solve's x1 and x2, take the promotion of the dtypes of b,
     the operators and float64; residual_norm is ||b - A x|| of that x.
-    sketch_size is the R of the factor that x came from: N at Omega = I, as
-    for a saturated sketch, and 0 for lstsq and the dense zero exit."""
+    sketch_size is the R of the factor that x came from: N at Omega = I
+    (the dense solves past N/2, a randomized sketch routed there, or one
+    saturated over MATERIALIZE_CAP), and 0 for lstsq and the dense zero
+    exit."""
 
     x: np.ndarray
     residual_norm: float
@@ -267,6 +278,22 @@ def _keeps_every_direction(t: np.ndarray, eps: float) -> bool:
     return info == 0 and 2.0 * eps * _norm(inv) <= 1.0
 
 
+def _projected_rank(t: np.ndarray, eps: float) -> float:
+    """The index at which the singular values of the square core t would
+    reach eps: a least-squares line through log sigma_i against i over the
+    last half of the spectrum, extrapolated to log eps (HMT, SIAM Review 53
+    (2011), section 4.4).  A slope >= 0 never gets there: inf.  A fit of
+    fewer than two points projects nothing: 0.  Every sigma must be
+    positive; the caller asks only of a core that keeps all of them."""
+    log_sigma = np.log(scipy.linalg.svdvals(t, check_finite=False))
+    i = np.arange(log_sigma.size // 2, log_sigma.size)
+    if i.size < 2:
+        return 0.0
+    di = i - i.mean()
+    slope = np.sum(di * log_sigma[i]) / np.sum(di * di)
+    return i.mean() + (np.log(eps) - log_sigma[i].mean()) / slope if slope < 0 else np.inf
+
+
 def _randomized_solve(a, b, config: SolverConfig, qr: bool) -> SolveReport:
     """Truncated solve on the sketch A Omega = Q T, then x = Omega y.
 
@@ -276,15 +303,32 @@ def _randomized_solve(a, b, config: SolverConfig, qr: bool) -> SolveReport:
     round before R = N whose T is certified to keep them all grows at once,
     for the price of one triangular inverse; any other round factors T, and
     the round that makes x always does.
+
+    Up to MATERIALIZE_CAP columns, a sketch that would saturate finishes at
+    Omega = I instead: the Householder QR of the materialized A, its
+    triangular core truncated against Q* b, and x = y, the minimum-norm x
+    of the dense truncation at R = N.  It does so when the first round is
+    already R = N, and when the first round keeps every direction and
+    _projected_rank of its core reaches N; later rounds are not projected.
     """
     a = _as_operator(a)
     b = check_rhs(b, a.rows)
-    for omega, factor in _sketch(a, config):
-        if omega.shape[1] < a.cols and _keeps_every_direction(factor.R, config.eps):
-            continue
-        y, k = _truncated_solve(factor.R, factor.adjoint_q(b), config.eps, qr, _core_svd)
-        if k < omega.shape[1] or omega.shape[1] >= a.cols:
+    n, eps = a.cols, config.eps
+    identity = n <= MATERIALIZE_CAP and config.sketch_size >= n
+    for omega, factor in [] if identity else _sketch(a, config):
+        r = omega.shape[1]
+        keeps = r < n and _keeps_every_direction(factor.R, eps)
+        if not keeps:
+            y, k = _truncated_solve(factor.R, factor.adjoint_q(b), eps, qr, _core_svd)
+            keeps = k == r < n
+        identity = (keeps and r == config.sketch_size and n <= MATERIALIZE_CAP
+                    and _projected_rank(factor.R, eps) >= n)
+        if identity or not keeps:
             break
+    if identity:
+        factor = mc.householder_qr(materialize(a))
+        y, k = _truncated_solve(factor.R, factor.adjoint_q(b), eps, qr, _core_svd)
+        return _report(a.apply, b, y, k, sketch=n)
     return _report(a.apply, b, np.einsum("ij,j->i", omega, y), k, sketch=omega.shape[1])
 
 

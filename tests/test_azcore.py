@@ -740,6 +740,31 @@ def test_fixed_seed_repeats_x_bitwise(pair, step1):
     assert first.rank_used == again.rank_used
 
 
+# Pairs whose plunge takes half of N or more: a sketch of max(4, N/3) keeps
+# all of its first round and projects past N, so it finishes at Omega = I
+# (1500 random draws of this family all route).
+SATURATING_PAIRS = st.integers(12, 30).flatmap(lambda n: st.tuples(
+    st.just(n), st.integers(0, 30), st.integers((n + 1) // 2, n), st.booleans(),
+    st.integers(0, 10_000)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(SATURATING_PAIRS)
+def test_routed_x1_is_the_dense_minimum_norm_x1(pair):
+    # the randomized step 1 that routes to Omega = I returns the x1 of the
+    # dense truncated SVD of B = (I - A Z*) A, and no larger a norm
+    a, z, b, r = planted_pair(pair)
+    n = a.shape[1]
+    cfg = SolverConfig(eps=1e-8, sketch_size=max(4, n // 3), seed=pair[-1])
+    rep = az_solve(dense_problem(a, z), b, step1="rand-tsvd", config=cfg)
+    zs = z.conj().T
+    ref = dense_oracle(a - a @ (zs @ a), b - a @ (zs @ b), cfg.eps)
+    assert rep.rank_used == ref.rank_used == r
+    assert rep.sketch_size == n
+    assert np.linalg.norm(rep.x1 - ref.x) <= 1e-8 * np.linalg.norm(ref.x)
+    assert np.linalg.norm(rep.x1) <= np.linalg.norm(ref.x) * (1 + 1e-8)
+
+
 @settings(max_examples=25, deadline=None)
 @given(PAIRS, st.integers(0, 10_000))
 def test_injected_x1_property(pair, seed):

@@ -489,8 +489,11 @@ class TestGrowingSketch:
     @pytest.mark.parametrize("solve", [solvers.randomized_tsvd_solve,
                                        solvers.randomized_tqr_solve])
     def test_wide_operator(self, solve):
-        # R outgrows M = 6: the factor stops adding reflectors and keeps growing R
-        a = random_complex(6, 20, seed=19)
+        # R outgrows M = 6: the factor stops adding reflectors and keeps growing R.
+        # The graded spectrum projects its first round (R = 3) to 15, below
+        # N = 20, so the rounds run; a flat one goes to Omega = I
+        # (TestOmegaIdentityRoute::test_wide_operator_routes)
+        a = spectrum_matrix(20, 6, np.logspace(0, -2, 6), seed=19).conj().T
         b = np.asarray(random_complex(6, 1, seed=20)).ravel()
         rep = solve(ops.from_dense(a), b, SolverConfig(eps=1e-8, sketch_size=3, seed=1))
         assert (rep.rank_used, rep.sketch_size) == (6, 12)
@@ -525,10 +528,12 @@ class TestGrowingSketch:
 class TestValuesOnlyRounds:
     """A round that only grows the sketch is certified by a triangular
     inverse and factors nothing; the core is factored once, on the round
-    that makes x."""
+    that makes x.  A first round that would grow also takes its core's
+    singular values, once, for the projected rank."""
 
     PROBLEMS = {
-        # saturates: the sketch grows to R = N = 81
+        # saturates: its first round (R = 45) keeps every direction and
+        # projects past N = 81, so it finishes at Omega = I
         "2d-disk-9": lambda: frames.fourier_extension_2d(9, frames.named_mask("disk")),
         "1d-65": lambda: frames.fourier_extension_1d(65, DomainSpec.interval(-0.5, 0.5)),
     }
@@ -541,15 +546,20 @@ class TestValuesOnlyRounds:
     @pytest.mark.parametrize("name", sorted(PROBLEMS))
     def test_one_full_svd_per_solve(self, name, monkeypatch):
         p = self.PROBLEMS[name]()
-        svd, calls = scipy.linalg.svd, []
+        calls = {"svd": [], "svdvals": []}
+        for fn in calls:
+            def counted(a, *args, fn=fn, kernel=getattr(scipy.linalg, fn), **kwargs):
+                calls[fn].append(a.shape)
+                return kernel(a, *args, **kwargs)
 
-        def counted_svd(a, *args, **kwargs):
-            calls.append(a.shape)
-            return svd(a, *args, **kwargs)
-
-        monkeypatch.setattr(scipy.linalg, "svd", counted_svd)
-        rep = az_solve(p, self.rhs(p), step1="rand-tsvd", config=default_config(p, seed=5))
-        assert calls == [(rep.sketch_size, rep.sketch_size)]
+            monkeypatch.setattr(scipy.linalg, fn, counted)
+        cfg = default_config(p, seed=5)
+        rep = az_solve(p, self.rhs(p), step1="rand-tsvd", config=cfg)
+        assert calls["svd"] == [(rep.sketch_size, rep.sketch_size)]
+        # the 2D first round keeps all of R = 45 and projects; the 1D one
+        # keeps fewer than R and stops, with no projection
+        first = cfg.sketch_size
+        assert calls["svdvals"] == ([(first, first)] if name == "2d-disk-9" else [])
 
     @pytest.mark.parametrize("name", sorted(PROBLEMS))
     def test_matches_full_svd_every_round(self, name):
@@ -561,14 +571,26 @@ class TestValuesOnlyRounds:
         for omega, factor in solvers._sketch(op, cfg):
             y, k = solvers._truncated_solve(factor.R, factor.adjoint_q(rhs), cfg.eps,
                                             svd=solvers._core_svd)
-            if k < omega.shape[1] or omega.shape[1] >= op.cols:
+            # x = Omega y in einsum's own loops, as the solver forms it
+            x, r = np.einsum("ij,j->i", omega, y), omega.shape[1]
+            if k == r == cfg.sketch_size and solvers._projected_rank(factor.R, cfg.eps) >= op.cols:
+                # the first round routes: x = y on the QR of the materialized B
+                factor = mc.householder_qr(ops.materialize(op))
+                x, k = solvers._truncated_solve(factor.R, factor.adjoint_q(rhs), cfg.eps,
+                                                svd=solvers._core_svd)
+                r = op.cols
                 break
+            if k < r or r >= op.cols:
+                break
+        assert (r == op.cols) == (name == "2d-disk-9")
         rep = solvers.randomized_tsvd_solve(op, rhs, cfg)
-        assert (rep.rank_used, rep.sketch_size) == (k, omega.shape[1])
-        # x = Omega y in einsum's own loops, as the solver forms it
-        assert np.array_equal(rep.x, np.einsum("ij,j->i", omega, y))
+        assert (rep.rank_used, rep.sketch_size) == (k, r)
+        assert np.array_equal(rep.x, x)
 
     def test_tqr_rounds_take_no_values(self, monkeypatch):
+        # no SVD with vectors: the first round's projection takes only the
+        # singular values of its core (scipy.linalg.svdvals), and the
+        # Omega = I core is factored by the one pivoted QR
         def unusable(a):
             raise AssertionError("SVD taken")
 
@@ -598,6 +620,129 @@ class TestValuesOnlyRounds:
         if certified:
             assert np.min(mc.svd(t).sigma) >= 1e-8
             assert np.min(np.abs(np.diagonal(mc.pivoted_qr(t).R))) >= 1e-8
+
+
+class TestOmegaIdentityRoute:
+    """A sketch whose first round keeps every direction and projects its
+    rank to N or past it, or whose first round is already R = N, finishes
+    at Omega = I under MATERIALIZE_CAP: the truncated core of the QR of the
+    materialized B, x = y, the minimum-norm x of the dense truncation."""
+
+    @pytest.mark.parametrize("rho, eps", [(0.5, 1e-8), (0.7, 1e-12), (0.9, 1e-6)])
+    def test_projection_of_a_geometric_decay(self, rho, eps):
+        # sigma_i = rho^i, jittered by up to 20%, reaches eps at log eps / log rho
+        rng = np.random.default_rng(3)
+        sigma = rho ** np.arange(40) * (1 + 0.2 * rng.uniform(-1, 1, 40))
+        t = mc.householder_qr(spectrum_matrix(40, 40, np.sort(sigma)[::-1], seed=4)).R
+        crossing = np.log(eps) / np.log(rho)
+        assert abs(solvers._projected_rank(t, eps) - crossing) <= 0.25 * crossing
+
+    @pytest.mark.parametrize("tilt", [0.0, 1e-3])
+    def test_flat_spectrum_reaches_past_any_n(self, tilt):
+        # a flat tail, or one that falls 0.1% a step, reaches eps only past the cap
+        sigma = np.exp(tilt * np.arange(30))[::-1]
+        t = spectrum_matrix(30, 30, sigma, seed=5)
+        assert solvers._projected_rank(t, 1e-8) >= ops.MATERIALIZE_CAP
+
+    def test_fewer_than_two_points_project_nothing(self):
+        assert solvers._projected_rank(np.array([[2.0]]), 1e-8) == 0
+        assert solvers._projected_rank(np.diag([2.0, 1e-3]), 1e-8) == 0
+
+    @staticmethod
+    def disk_step1(n):
+        """The step-1 operator and right-hand side of the real form of the
+        2D disk of n^2 coefficients, for b = exp(x + y)."""
+        p = frames.fourier_extension_2d(n, frames.named_mask("disk"))
+        r = p.real_form
+        b = sample_function(lambda x, y: np.exp(x + y), p.grid)
+        return p, r.step1_operator(), b - r.A.apply(r.Z.adjoint_apply(b))
+
+    @staticmethod
+    def count_rounds(monkeypatch):
+        rounds, sketch = [], solvers._sketch
+
+        def counted(a, config):
+            for omega, factor in sketch(a, config):
+                rounds.append(omega.shape[1])
+                yield omega, factor
+
+        monkeypatch.setattr(solvers, "_sketch", counted)
+        return rounds
+
+    @pytest.mark.parametrize("qr", [False, True], ids=["rand-tsvd", "rand-tqr"])
+    @pytest.mark.parametrize("n", [9, 13])
+    def test_routed_solve_is_the_dense_truncation(self, n, qr, monkeypatch):
+        # at eps = 1e-6 scale the step-1 x is fixed to about 1e-9 by B; at the
+        # default 1e-10 scale a rounding-level change of B moves the dense
+        # x itself by up to 10% at n = 13
+        p, op, rhs = self.disk_step1(n)
+        cfg = default_config(p, seed=5, eps=1e-6 * p.scale)
+        rounds = self.count_rounds(monkeypatch)
+        solve = solvers.randomized_tqr_solve if qr else solvers.randomized_tsvd_solve
+        rep = solve(op, rhs, cfg)
+        assert rounds == [cfg.sketch_size]
+        assert rep.sketch_size == op.cols == n * n
+        ref = dense_oracle(ops.materialize(op), rhs, cfg.eps, qr)
+        assert rep.rank_used == ref.rank_used > cfg.sketch_size
+        # CertifiedDense's tolerance
+        assert np.linalg.norm(rep.x - ref.x) <= 1e-8 * np.linalg.norm(ref.x)
+
+    def test_unrouted_first_round_takes_no_projection(self, monkeypatch):
+        # the 1D first round keeps fewer than its R directions: it never asks
+        # for the projection, and x is Omega y of the rounds, bitwise
+        p = frames.fourier_extension_1d(65, DomainSpec.interval(-0.5, 0.5))
+        b = sample_function(np.exp, p.grid)
+        op = p.step1_operator()
+        rhs = b - p.A.apply(p.Z.adjoint_apply(b))
+        cfg = default_config(p, seed=5)
+        omega, factor = next(solvers._sketch(op, cfg))
+        y, k = solvers._truncated_solve(factor.R, factor.adjoint_q(rhs), cfg.eps,
+                                        svd=solvers._core_svd)
+        assert k < omega.shape[1] < op.cols
+
+        def unusable(*args, **kwargs):
+            raise AssertionError("singular values taken")
+
+        monkeypatch.setattr(scipy.linalg, "svdvals", unusable)
+        rep = solvers.randomized_tsvd_solve(op, rhs, cfg)
+        assert (rep.rank_used, rep.sketch_size) == (k, omega.shape[1])
+        assert np.array_equal(rep.x, np.einsum("ij,j->i", omega, y))
+
+    @pytest.mark.parametrize("solve", [solvers.randomized_tsvd_solve,
+                                       solvers.randomized_tqr_solve])
+    def test_wide_operator_routes(self, solve, monkeypatch):
+        # a flat 6 x 20 B: the first round (R = 3) projects past N = 20, and
+        # the Omega = I core of the QR of B is its 6 x 20 R
+        a = random_complex(6, 20, seed=19)
+        b = np.asarray(random_complex(6, 1, seed=20)).ravel()
+        rounds = self.count_rounds(monkeypatch)
+        rep = solve(ops.from_dense(a), b, SolverConfig(eps=1e-8, sketch_size=3, seed=1))
+        assert rounds == [3]
+        assert (rep.rank_used, rep.sketch_size) == (6, 20)
+        # the SVD gives pinv(a) b; the pivoted QR its basic solution
+        ref = dense_oracle(a, b, 1e-8, solve is solvers.randomized_tqr_solve)
+        if solve is solvers.randomized_tsvd_solve:
+            assert np.linalg.norm(ref.x - np.linalg.pinv(a) @ b) <= 1e-12 * np.linalg.norm(ref.x)
+        assert np.linalg.norm(rep.x - ref.x) <= 1e-8 * np.linalg.norm(ref.x)
+
+    @pytest.mark.parametrize("solve", [solvers.randomized_tsvd_solve,
+                                       solvers.randomized_tqr_solve])
+    def test_first_round_at_n(self, solve, monkeypatch):
+        # R = N from the start takes Omega = I with no sketch round, under
+        # the cap; over it, the one Gaussian round makes x = Omega y
+        sigma = np.concatenate([np.logspace(0, -3, 8), np.full(4, 1e-14)])
+        a = spectrum_matrix(30, 12, sigma, seed=21)
+        b = np.asarray(random_complex(30, 1, seed=22)).ravel()
+        cfg = SolverConfig(eps=1e-8, sketch_size=12, seed=2)
+        rounds = self.count_rounds(monkeypatch)
+        rep = solve(ops.from_dense(a), b, cfg)
+        assert (rounds, rep.rank_used, rep.sketch_size) == ([], 8, 12)
+        ref = dense_oracle(a, b, cfg.eps, solve is solvers.randomized_tqr_solve)
+        assert np.linalg.norm(rep.x - ref.x) <= 1e-8 * np.linalg.norm(ref.x)
+        monkeypatch.setattr(solvers, "MATERIALIZE_CAP", 11)
+        over = solve(ops.from_dense(a), b, cfg)
+        assert (rounds, over.rank_used, over.sketch_size) == ([12], 8, 12)
+        assert not np.array_equal(over.x, rep.x)
 
 
 class TestSketchLibrary:
