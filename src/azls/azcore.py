@@ -31,7 +31,13 @@ class AzProblem:
     """A pair of equal-shape operators (A, Z) plus approximation metadata.
 
     scale is a typical large singular value of A, used to turn relative
-    truncation levels into the absolute thresholds the solvers expect.
+    truncation levels into the absolute thresholds the solvers expect (the
+    default eps is 1e-10 scale); a caller's problem defaults to 1.0.  The
+    builders set it analytically, not to sigma_1: sqrt(L^dim) for the
+    Fourier frames, which is sigma_1 to 0.5% (1D N = 8193, 2D n = 25,
+    fourier01 at N = 301 weighted by (x - 1/2)^2), sqrt(L) for Legendre
+    (1.61 sigma_1 at N = 401) and sqrt(L / 2) for Chebyshev (0.87 sigma_1
+    at N = 513).
     grid holds the collocation points (shape (M,) in 1D, (M, 2) in 2D) and
     evaluate, when present, evaluates the approximant built from a
     coefficient vector at arbitrary points of the domain.  Step 1 applies

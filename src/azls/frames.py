@@ -4,12 +4,15 @@ All builders return an AzProblem whose A and Z are matrix-free operators.
 Every fast operator is a pair of row kernels behind `_chunked`, which shows
 a block of k columns to them as k rows and runs them a chunk of rows at a
 time, so each kernel transforms along the last axis and sizes nothing
-itself.  The Fourier frames are built in real form: with the unitary V
-that pairs the coefficients of n and -n (`_pair`, by slicing along each
-axis), A_r = A V and Z_r = Z V are real, the frame
-{1, sqrt 2 cos pi m x, sqrt 2 sin pi m x}.  (A_r, Z_r) is the problem's
-real_form, an AzProblem whose coefficients are V: the solver runs all three
-steps on it, and the problem's own A = A_r V* and Z are the caller's view.
+itself.  Every Fourier problem is built by one constructor,
+`_fourier_problem`, in real form: with the unitary V that pairs the
+coefficients of n and -n (`_pairing`, by slicing along each axis),
+A_r = A V and Z_r = Z V are real, the frame
+{1, sqrt 2 cos pi m x, sqrt 2 sin pi m x}.  (A_r, Z_r, G_r) is the
+problem's real_form, an AzProblem whose coefficients are the caller's map
+C: the solver runs all three steps on it, and the problem's own A = A_r C*
+and Z = A / L^dim are the caller's view.  The 1D and 2D extensions
+(`_fourier_extension`) take C = V and the G_r of the grid's mask;
 fourier_lsq_equispaced is the 1D A_r on the whole periodic grid, with
 coefficients D V, D = diag((-1)^k), and the exact G_r = I; every 1D Fourier
 approximant is evaluated by one blocked series sum, `_fourier_series`.
@@ -28,7 +31,7 @@ of two frame functions has only 2N - 1 frequencies per axis (Chebyshev:
 degree <= 2N - 2), so G = F_P* diag(K) F_P exactly, with F_P the frame's
 own row kernels on the whole grid of fast length P >= 2N - 1 per axis and
 K a real weight taken once from the mask; G x is one row kernel,
-F_P* (K F_P x).  That is G_r of the 1D and 2D Fourier real forms
+F_P* (K F_P x) (`_gram_rows`).  That is G_r of the 1D and 2D Fourier real forms
 (`_fourier_gram`) and the Chebyshev G, on the roots of T_P, scaled by
 1 / h^2 (`_cheb_gram`).  fourier01's G_r = I is exact, and the Legendre G
 is dense.
@@ -148,15 +151,13 @@ def named_mask(name: str) -> DomainSpec:
     raise ValueError(f"unknown mask {name!r}")
 
 
-def _call_on_grid(f, grid: np.ndarray) -> np.ndarray:
+def sample_function(f, grid) -> np.ndarray:
+    """Pointwise samples of f on a collocation grid, in their own dtype: f(x)
+    on points of shape (M,), f(x, y) on points of shape (M, 2)."""
+    grid = np.asarray(grid)
     if grid.ndim == 2:
         return np.asarray(f(grid[:, 0], grid[:, 1]))
     return np.asarray(f(grid))
-
-
-def sample_function(f, grid) -> np.ndarray:
-    """Pointwise samples of f on a collocation grid, in their own dtype."""
-    return _call_on_grid(f, np.asarray(grid))
 
 
 def _symmetric_frequencies(n: int) -> np.ndarray:
@@ -276,51 +277,62 @@ def _unpair(c: np.ndarray) -> np.ndarray:
     return r
 
 
-def _per_axis(fn, n: int, dim: int):
-    """The row kernel of fn along each axis of row-major (n,)*dim coefficients."""
-    def rows(x):
-        y = fn(x.reshape((x.shape[0],) + (n,) * dim))
-        if dim == 2:
-            y = fn(y.swapaxes(1, 2)).swapaxes(1, 2)
-        return y.reshape(x.shape)
-    return rows
+def _pairing(n: int, dim: int) -> LinearOperator:
+    """V on row-major (n,)*dim coefficients, a vector or each column of a
+    block: `_pair` along the last axis, then (in 2D) along the first, and V*
+    by `_unpair` the same way.  Both only slice, so a block goes through in
+    one call, unchunked."""
+    def per_axis(fn):
+        def block(v):
+            v = np.asarray(v)
+            y = fn(np.moveaxis(v.reshape((n,) * dim + (-1,)), -1, 0))
+            if dim == 2:
+                y = fn(y.swapaxes(1, 2)).swapaxes(1, 2)
+            return np.moveaxis(y, 0, -1).reshape(v.shape)
+        return block
+
+    return LinearOperator(n**dim, n**dim, per_axis(_pair), per_axis(_unpair))
 
 
-def _by_columns(rows):
-    """A vector, or each column of a block, through a row kernel in one call:
-    the unchunked `_chunked`, for a kernel that only slices."""
-    def block(v):
-        v = np.asarray(v)
-        return rows(v.reshape(v.shape[0], -1).T).T.reshape(v.shape)
-    return block
-
-
-def _fourier_extension(n: int, dim: int, domain: DomainSpec, oversampling: float):
-    """A, Z and the real form of the tensor Fourier extension frame in 1 or 2
-    dimensions, with L and the collocation points.
+def _fourier_problem(n: int, dim: int, L: int, sel, grid: np.ndarray,
+                     coefficients: LinearOperator, gram: LinearOperator, **view) -> AzProblem:
+    """The caller's view of a Fourier problem, with its real form, on the
+    collocation points grid (in the caller's coordinates): the points sel
+    of the length-L grid, any numpy index into its L^dim points.
 
     The real form is the AzProblem of the frame {1, sqrt 2 cos pi m x,
-    sqrt 2 sin pi m x} per axis: A_r = A V runs the row kernels of
-    `_fourier_rows`, with row-major coefficients over (n1, n2), and
-    A = A_r V*.  Its coefficients are V, `_pair` along each axis, by
-    slicing.  Z = A / L^dim, Z_r = A_r / L^dim, and G_r = V* Z*A V is
-    `_fourier_gram`, the same kernel on a short exact grid.  The scale,
-    sqrt(L^dim), is the problem's too, so that solving either gives the
-    same x.
+    sqrt 2 sin pi m x} per axis: A_r runs the row kernels of
+    `_fourier_rows`, with row-major coefficients over (n1, n2),
+    Z_r = A_r / L^dim, G_r is gram and its coefficients are the map C to
+    the caller's basis (V, or D V for fourier01).  The view is A = A_r C*
+    and Z = A / L^dim, with the grid and the label, evaluate and domain in
+    view.
+    Both take the scale sqrt(L^dim), so that solving either gives the same
+    x.
     """
+    a_r = _chunked(len(grid), n**dim, *_fourier_rows(n, dim, L, sel))
+    real = AzProblem(A=a_r, Z=scale(1.0 / L**dim, a_r), gram=gram,
+                     scale=math.sqrt(L**dim), coefficients=coefficients)
+    a = compose(a_r, adjoint(coefficients))
+    return AzProblem(A=a, Z=scale(1.0 / L**dim, a), scale=real.scale, grid=grid,
+                     real_form=real, **view)
+
+
+def _fourier_extension(n: int, dim: int, domain: DomainSpec, oversampling: float,
+                       evaluate) -> AzProblem:
+    """The tensor Fourier extension frame in 1 or 2 dimensions on the grid of
+    `_select_grid_size`, through `_fourier_problem`: its coefficients are
+    V, its G_r is `_fourier_gram`, the same kernel on a short exact grid."""
     _symmetric_frequencies(n)  # N odd and positive
     if domain.is_2d != (dim == 2):
         raise ValueError(f"fourier_extension_{dim}d needs a "
                          f"{'2D mask' if dim == 2 else '1D'} domain")
     L, full, sel = _select_grid_size(n, dim, oversampling,
                                      lambda L: _periodic_grid(L, dim), domain)
-    v = LinearOperator(n**dim, n**dim, _by_columns(_per_axis(_pair, n, dim)),
-                       _by_columns(_per_axis(_unpair, n, dim)))
-    a_r = _chunked(sel.size, n**dim, *_fourier_rows(n, dim, L, sel))
-    a = compose(a_r, adjoint(v))
-    real = AzProblem(A=a_r, Z=scale(1.0 / L**dim, a_r), gram=_fourier_gram(n, dim, L, sel),
-                     scale=math.sqrt(L**dim), coefficients=v)
-    return a, scale(1.0 / L**dim, a), real, L, full[sel]
+    return _fourier_problem(n, dim, L, sel, full[sel], _pairing(n, dim),
+                            _fourier_gram(n, dim, L, sel),
+                            label=f"fourier{dim}d(N={n}{'^2' if dim == 2 else ''}, L={L})",
+                            evaluate=evaluate, domain=domain)
 
 
 def _fourier_rows(n: int, dim: int, L: int, sel: np.ndarray):
@@ -442,14 +454,18 @@ def _fourier_gram(n: int, dim: int, L: int, sel: np.ndarray) -> LinearOperator:
     z = np.zeros((P,) * dim, dtype=np.complex128)
     z[np.ix_(*[d % P] * dim)] = scipy.fft.ifftn(mask.reshape((L,) * dim))[np.ix_(*[d % L] * dim)]
     weight = scipy.fft.fftn(z).real.ravel() / P**dim
-    apply, adjoint_apply, width = _fourier_rows(n, dim, P, slice(None))
+    rows, width = _gram_rows(weight, *_fourier_rows(n, dim, P, slice(None)))
+    return _chunked(n**dim, n**dim, rows, rows, width)
 
+
+def _gram_rows(weight: np.ndarray, apply, adjoint_apply, width: int):
+    """The one row kernel x -> F_P* (K F_P x) of the row kernels (apply,
+    adjoint_apply, width) of F_P and the real weight K, with its width."""
     def rows(x):
         y = apply(x)
         y *= weight
         return adjoint_apply(y)
-
-    return _chunked(n**dim, n**dim, rows, rows, width)
+    return rows, width
 
 
 def _fourier_series(coeffs, t) -> np.ndarray:
@@ -488,10 +504,7 @@ def fourier_extension_1d(n: int, domain: DomainSpec, oversampling: float = 2.0) 
     A = A_r V*, with A_r one inverse real FFT (see `_rfft_rows`) and V*
     the map to cos/sin coordinates, the problem's real form.  Z = A / L.
     """
-    a, z, real, L, grid = _fourier_extension(n, 1, domain, oversampling)
-    return AzProblem(A=a, Z=z, label=f"fourier1d(N={n}, L={L})",
-                     scale=real.scale, grid=grid, evaluate=_fourier_series,
-                     domain=domain, real_form=real)
+    return _fourier_extension(n, 1, domain, oversampling, _fourier_series)
 
 
 def fourier_extension_2d(n_per_dim: int, mask: DomainSpec,
@@ -503,7 +516,6 @@ def fourier_extension_2d(n_per_dim: int, mask: DomainSpec,
     product of `_separable_rows` and V* the map to cos/sin coordinates
     along each axis, the problem's real form, whose step 1 applies G_r.
     """
-    a, z, real, L, grid = _fourier_extension(n_per_dim, 2, mask, oversampling)
     freqs = _symmetric_frequencies(n_per_dim)
 
     def evaluate(coeffs, pts):
@@ -513,9 +525,7 @@ def fourier_extension_2d(n_per_dim: int, mask: DomainSpec,
         ey = np.exp(1j * np.pi * np.outer(pts[:, 1], freqs))
         return np.einsum("pi,ij,pj->p", ex, c, ey)
 
-    return AzProblem(A=a, Z=z, label=f"fourier2d(N={n_per_dim}^2, L={L})",
-                     scale=real.scale, grid=grid, evaluate=evaluate, domain=mask,
-                     real_form=real)
+    return _fourier_extension(n_per_dim, 2, mask, oversampling, evaluate)
 
 
 def gram_fourier(n: int, domain: DomainSpec) -> np.ndarray:
@@ -619,13 +629,7 @@ def _cheb_gram(moments: np.ndarray, h2: np.ndarray) -> LinearOperator:
     c[:2 * n - 1] = w[:2 * n - 1] * moments / h2_p[:2 * n - 1]
     weight = _cheb_series_at_nodes(c, "roots")
     scaling = 1.0 / h2
-    apply, adjoint_apply, width = _cheb_rows(n, P, slice(None), "roots")
-
-    def rows(x):
-        y = apply(x)
-        y *= weight
-        return adjoint_apply(y)
-
+    rows, width = _gram_rows(weight, *_cheb_rows(n, P, slice(None), "roots"))
     return _chunked(n, n, lambda x: scaling * rows(x), lambda x: rows(scaling * x), width)
 
 
@@ -718,8 +722,8 @@ def weighted_sum_frame(base: AzProblem, w1, w2) -> AzProblem:
     """
     if base.grid is None or base.evaluate is None:
         raise ValueError("base problem needs grid and evaluate metadata")
-    w1g = _call_on_grid(w1, base.grid)
-    w2g = _call_on_grid(w2, base.grid)
+    w1g = sample_function(w1, base.grid)
+    w2g = sample_function(w2, base.grid)
     wg = np.abs(w1g) ** 2 + np.abs(w2g) ** 2
     if np.any(wg <= 0):
         raise ValueError("dual frame does not exist: w1(x)^2 + w2(x)^2 must be "
@@ -731,9 +735,8 @@ def weighted_sum_frame(base: AzProblem, w1, w2) -> AzProblem:
 
     def evaluate(coeffs, pts):
         coeffs = np.asarray(coeffs)
-        pts_arr = np.asarray(pts)
-        v1 = _call_on_grid(w1, pts_arr) * base.evaluate(coeffs[:n], pts)
-        v2 = _call_on_grid(w2, pts_arr) * base.evaluate(coeffs[n:], pts)
+        v1 = sample_function(w1, pts) * base.evaluate(coeffs[:n], pts)
+        v2 = sample_function(w2, pts) * base.evaluate(coeffs[n:], pts)
         return v1 + v2
 
     return AzProblem(A=a, Z=z, label=f"sumframe({base.label})",
@@ -746,7 +749,7 @@ def weighted_lsq(base: AzProblem, d, eps_w: float) -> WeightedAzProblem:
     if callable(d):
         if base.grid is None:
             raise ValueError("weight callable needs grid metadata on the problem")
-        d = _call_on_grid(d, base.grid)
+        d = sample_function(d, base.grid)
     d = np.asarray(d, dtype=np.float64)
     return WeightedAzProblem(base=base, d=d, eps_w=float(eps_w))
 
@@ -756,29 +759,25 @@ def fourier_lsq_equispaced(n: int, m: int) -> AzProblem:
     equispaced samples x_j = j/M.
 
     With t = 2x - 1, exp(2 pi i k x_j) = (-1)^k exp(i pi k t_j), and
-    t_j = -1 + 2j/M is the whole periodic grid of length M: A = A_r C*, with
-    A_r the real 1D Fourier extension `_rfft_rows` on every grid point and
-    C = D V, D = diag((-1)^k), the coefficients of the problem's real form.
-    Discrete orthogonality gives the exact dual Z = A/M, and the real form's
-    G_r = Z_r* A_r = I exactly: N <= M frequencies stay distinct mod M.  The
-    approximant is the 1D series `_fourier_series` of D c at 2x - 1.
+    t_j = -1 + 2j/M is the whole periodic grid of length M: the
+    `_fourier_problem` with L = M, every grid point and the coefficients
+    C = D V, D = diag((-1)^k), so A = A_r C* with A_r the real 1D Fourier
+    extension `_rfft_rows`.  Discrete orthogonality gives the exact dual
+    Z = A/M, and the real form's G_r = Z_r* A_r = I exactly: N <= M
+    frequencies stay distinct mod M.  The approximant is the 1D series
+    `_fourier_series` of D c at 2x - 1.
     """
     freqs = _symmetric_frequencies(n)
     if m < n:
         raise ValueError("need at least as many samples as terms")
     sign = diagonal((-1.0) ** np.abs(freqs))
-    c = compose(sign, LinearOperator(n, n, _by_columns(_pair), _by_columns(_unpair)))
-    a_r = _chunked(m, n, *_rfft_rows(n, m, slice(None)))
-    real = AzProblem(A=a_r, Z=scale(1.0 / m, a_r), gram=diagonal(np.ones(n)),
-                     scale=math.sqrt(m), coefficients=c)
-    a = compose(a_r, adjoint(c))
 
     def evaluate(coeffs, pts):
         return _fourier_series(sign.apply(coeffs), 2.0 * np.asarray(pts, dtype=np.float64) - 1.0)
 
-    return AzProblem(A=a, Z=scale(1.0 / m, a), label=f"fourier01(N={n}, M={m})",
-                     scale=real.scale, grid=np.arange(m) / m, evaluate=evaluate,
-                     real_form=real)
+    return _fourier_problem(n, 1, m, slice(None), np.arange(m) / m,
+                            compose(sign, _pairing(n, 1)), diagonal(np.ones(n)),
+                            label=f"fourier01(N={n}, M={m})", evaluate=evaluate)
 
 
 def refined_grid(problem: AzProblem) -> np.ndarray:
@@ -810,7 +809,7 @@ def eval_error(problem: AzProblem, x, f) -> dict:
     """Max and RMS error of the approximant against f on a refined grid."""
     pts = refined_grid(problem)
     approx = np.asarray(problem.evaluate(np.asarray(x), pts))
-    exact = _call_on_grid(f, pts)
+    exact = sample_function(f, pts)
     err = np.abs(approx - exact)
     return {"max_err": float(err.max()),
             "l2_err": float(np.sqrt(np.mean(err**2)))}

@@ -282,11 +282,15 @@ def _projected_rank(t: np.ndarray, eps: float) -> float:
     """The index at which the singular values of the square core t would
     reach eps: a least-squares line through log sigma_i against i over the
     last half of the spectrum, extrapolated to log eps (HMT, SIAM Review 53
-    (2011), section 4.4).  A slope >= 0 never gets there: inf.  A fit of
-    fewer than two points projects nothing: 0.  Every sigma must be
-    positive; the caller asks only of a core that keeps all of them."""
+    (2011), section 4.4).  A core of 4 to 7 is fitted over its last four
+    values: a line through only the last two of a core of 4 follows the
+    drop of the sketch's last sigma and can project a saturating rank
+    short of N.  A slope >= 0 never gets there: inf.  A fit of fewer than
+    two points projects nothing: 0.  Every sigma must be positive; the
+    caller asks only of a core that keeps all of them."""
     log_sigma = np.log(scipy.linalg.svdvals(t, check_finite=False))
-    i = np.arange(log_sigma.size // 2, log_sigma.size)
+    n = log_sigma.size
+    i = np.arange(n // 2 if n < 4 else min(n // 2, n - 4), n)
     if i.size < 2:
         return 0.0
     di = i - i.mean()

@@ -8,7 +8,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from azls import (AzProblem, SolveReport, WeightedAzProblem, az_solve,
                   az_weighted_solve, default_config)
@@ -742,7 +742,8 @@ def test_fixed_seed_repeats_x_bitwise(pair, step1):
 
 # Pairs whose plunge takes half of N or more: a sketch of max(4, N/3) keeps
 # all of its first round and projects past N, so it finishes at Omega = I
-# (1500 random draws of this family all route).
+# (3000 random draws of this family all route).  The examples are first
+# rounds of R = 4 whose core's last two sigmas alone project short of N.
 SATURATING_PAIRS = st.integers(12, 30).flatmap(lambda n: st.tuples(
     st.just(n), st.integers(0, 30), st.integers((n + 1) // 2, n), st.booleans(),
     st.integers(0, 10_000)))
@@ -750,6 +751,10 @@ SATURATING_PAIRS = st.integers(12, 30).flatmap(lambda n: st.tuples(
 
 @settings(max_examples=25, deadline=None)
 @given(SATURATING_PAIRS)
+@example((13, 10, 7, False, 5228))
+@example((13, 22, 7, False, 4621))
+@example((12, 6, 6, False, 4820))
+@example((13, 11, 7, False, 9035))
 def test_routed_x1_is_the_dense_minimum_norm_x1(pair):
     # the randomized step 1 that routes to Omega = I returns the x1 of the
     # dense truncated SVD of B = (I - A Z*) A, and no larger a norm

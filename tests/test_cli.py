@@ -95,6 +95,19 @@ class TestSingvals:
         assert int(read_csv(rg)[1][2]) == rank
         assert dtypes == [np.float64] * 4
 
+    def test_weighted_is_the_orthogonal_real_form(self, tmp_path):
+        # fourier01 on all M = 2N + 1 grid points: A_r* A_r = M I, so every
+        # sigma of A is sqrt M and of Z* 1/sqrt M, and its exact G_r = I
+        # makes the plunge A_r (I - G_r) exactly zero
+        out = tmp_path / "sv.csv"
+        n, m = 15, 31
+        assert main(["singvals", "--problem", "weighted", "--n", str(n), "--out", str(out)]) == 0
+        sigma = np.array([[float(v) for v in r[1:]] for r in read_csv(out)[1:]])
+        assert sigma.shape == (n, 3)
+        assert np.max(np.abs(sigma[:, 0] / np.sqrt(m) - 1)) <= 1e-13
+        assert np.max(np.abs(sigma[:, 1] * np.sqrt(m) - 1)) <= 1e-13
+        assert np.all(sigma[:, 2] == 0)
+
     def test_gram_selector(self, tmp_path):
         out = tmp_path / "g.csv"
         code = main(["singvals", "--problem", "gram", "--n", "51",

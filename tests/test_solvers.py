@@ -644,6 +644,24 @@ class TestOmegaIdentityRoute:
         t = spectrum_matrix(30, 30, sigma, seed=5)
         assert solvers._projected_rank(t, 1e-8) >= ops.MATERIALIZE_CAP
 
+    @pytest.mark.parametrize("width, first", [(4, 0), (6, 2), (7, 3), (9, 4)])
+    def test_fit_takes_the_last_half_and_at_least_four(self, width, first):
+        # the line runs through sigma_first .. sigma_{R-1}: the last half of
+        # the core, and at least its last four.  The last two of the core of
+        # 4 (a first round of a 13-column planted pair) alone project 10.5,
+        # short of N = 13
+        log_sigma = np.append([2.11, 1.38, 1.04], -1.26 - 0.7 * np.arange(width - 3))
+
+        def crossing(i):
+            slope, intercept = np.polyfit(i, log_sigma[i], 1)
+            return (np.log(1e-8) - intercept) / slope
+
+        want = crossing(np.arange(first, width))
+        assert abs(solvers._projected_rank(np.diag(np.exp(log_sigma)), 1e-8) - want) \
+            <= 1e-9 * want
+        if width == 4:
+            assert want >= 13 > crossing(np.arange(2, 4))
+
     def test_fewer_than_two_points_project_nothing(self):
         assert solvers._projected_rank(np.array([[2.0]]), 1e-8) == 0
         assert solvers._projected_rank(np.diag([2.0, 1e-3]), 1e-8) == 0
