@@ -174,37 +174,24 @@ def az_solve(problem: AzProblem, b, step1="rand-tsvd",
     return _three_step(problem, b, step1, config)
 
 
-def weighted_eps_pinv(d: np.ndarray, eps_w: float) -> np.ndarray:
-    """Entrywise pseudoinverse of the thresholded weight diagonal.
-
-    Entries with d_i < eps_w are dropped (zero); the boundary d_i == eps_w
-    is retained.
-    """
-    d = np.asarray(d, dtype=np.float64)
-    out = np.zeros_like(d)
-    keep = d >= eps_w
-    out[keep] = 1.0 / d[keep]
-    return out
-
-
 def az_weighted_solve(problem: WeightedAzProblem, b, step1: str = "tsvd",
                       config: SolverConfig | None = None) -> SolveReport:
     """AZ for the weighted system W A x = W b with Z~ = pinv(W_eps) Z.
 
-    The weighted pair is an AzProblem of its own, solved on d b: the base's
-    real form when it has one, else the base, weighted, with the same
-    coefficients.  Its scale is the base scale times max d, so the default
-    eps is 1e-10 of that.  Its G~ = Z~* W A = Z* pinv(W_eps) W A is the
-    unweighted pair's G when no weight is dropped and 0 when every weight is
-    (then Z~ = 0); only in between is it Z~* composed with A~.
+    W_eps keeps the weights d_i >= eps_w (one equal to eps_w too) and drops
+    the rest, so Z~ = diag(where(keep, 1/d, 0)) Z.  The weighted pair is an
+    AzProblem of its own, solved on d b: the base's real form when it has
+    one, else the base, weighted, with the same coefficients.  Its scale is
+    the base scale times max d, so the default eps is 1e-10 of that.  Its
+    G~ = Z~* W A = Z* pinv(W_eps) W A is the unweighted pair's G when every
+    weight is kept and 0 when none is (then Z~ = 0); only in between is it
+    Z~* composed with A~.
     """
     base, d = problem.base, problem.d
     p = base.real_form or base
-    pinv = weighted_eps_pinv(d, problem.eps_w)
-    gram = p.gram
-    if not pinv.all():
-        gram = diagonal(np.zeros(p.A.cols)) if not pinv.any() else None
+    keep = d >= problem.eps_w
+    gram = p.gram if keep.all() else (None if keep.any() else diagonal(np.zeros(p.A.cols)))
     weighted = AzProblem(
-        A=compose(diagonal(d), p.A), Z=compose(diagonal(pinv), p.Z),
+        A=compose(diagonal(d), p.A), Z=compose(diagonal(np.where(keep, 1.0 / d, 0.0)), p.Z),
         scale=base.scale * float(d.max()), gram=gram, coefficients=p.coefficients)
     return _three_step(weighted, d * solvers.check_rhs(b, p.A.rows), step1, config)

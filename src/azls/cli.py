@@ -198,8 +198,7 @@ def cmd_rankgrowth(args) -> None:
         problem = build_problem(args, n)
         plunge = ops.materialize(problem.step1_operator())
         eps = default_config(problem, eps=args.eps).eps
-        report = mc.eps_rank(plunge, eps)
-        records.append({"n": n, "eps": eps, "eps_rank": report.r})
+        records.append({"n": n, "eps": eps, "eps_rank": mc.eps_rank(plunge, eps)})
     write_records(records, ["n", "eps", "eps_rank"], args.out, args.format)
 
 
@@ -215,8 +214,6 @@ def _solve(problem, b, args, seed: int):
     """One solve with --solver and --eps, returning (report, seconds); the
     seconds of the direct solve leave out materializing A, and --eps does
     not apply to it."""
-    if args.solver not in APPROX_SOLVERS:
-        raise CliError(f"--solver must be one of {APPROX_SOLVERS}")
     if args.solver == "direct":
         if args.eps is not None:
             raise CliError("--eps does not apply to --solver direct")
@@ -302,7 +299,7 @@ FLAGS = {
     "--n-list": dict(help="comma-separated N sweep"),
     "--eps": dict(type=float,
                   help="absolute truncation threshold (default 1e-10*scale)"),
-    "--solver": dict(default="az-rand-svd"),
+    "--solver": dict(choices=APPROX_SOLVERS, default="az-rand-svd"),
     "--seed": dict(type=int, default=0),
     "--function": dict(choices=tuple(FUNCTIONS), default="exp"),
     "--eps-w-list": dict(help="comma-separated weight thresholds"),

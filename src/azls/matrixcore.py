@@ -148,16 +148,6 @@ def householder_qr(a, base: HouseholderQr | None = None) -> HouseholderQr:
     return HouseholderQr(packed=packed, tau=tau)
 
 
-@dataclass(frozen=True)
-class EpsRankReport:
-    """Singular spectrum with the smallest r whose tail has Frobenius norm <= eps."""
-
-    sigma: np.ndarray
-    eps: float
-    r: int
-    tail_norm: float
-
-
 def _np_svd(a, **kwargs):
     a = as_matrix(a)
     try:
@@ -184,16 +174,14 @@ def pivoted_qr(a) -> PivotedQrFactorization:
     return PivotedQrFactorization(Q=q, R=r, perm=perm)
 
 
-def eps_rank(a, eps: float) -> EpsRankReport:
+def eps_rank(a, eps: float) -> int:
     """Smallest r such that sqrt(sum of squared singular values beyond r) <= eps."""
     if not 0 < eps < np.inf:
         raise ValueError("eps must be positive and finite")
     sigma = singular_values(a)
     # tail[r] = sqrt(sum_{k >= r} sigma_k^2); find least r with tail[r] <= eps
-    tails = np.sqrt(np.cumsum(sigma[::-1] ** 2)[::-1])
-    tails = np.append(tails, 0.0)
-    r = int(np.argmax(tails <= eps))
-    return EpsRankReport(sigma=sigma, eps=float(eps), r=r, tail_norm=float(tails[r]))
+    tails = np.append(np.sqrt(np.cumsum(sigma[::-1] ** 2)[::-1]), 0.0)
+    return int(np.argmax(tails <= eps))
 
 
 def pseudoinverse(a) -> np.ndarray:

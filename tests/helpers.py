@@ -92,12 +92,12 @@ class SplittingReport:
     A: np.ndarray
     Z: np.ndarray
     e_bound: float
-    eps_rank_report: mc.EpsRankReport
+    eps_rank: int
     rank_cap: int
 
     @property
     def holds(self) -> bool:
-        return self.eps_rank_report.r <= self.rank_cap
+        return self.eps_rank <= self.rank_cap
 
 
 def splitting_certificate(w, l1, e1, l2, e2, rank_cap: int) -> SplittingReport:
@@ -117,8 +117,8 @@ def splitting_certificate(w, l1, e1, l2, e2, rank_cap: int) -> SplittingReport:
     bound = eps * (1.0 + np.linalg.norm(np.eye(m) - a @ zstar, 2) + norm_a**2) + eps**2 * norm_a
     diff = a - a @ zstar @ a
     # a zero E-bound (exact splitting) degenerates to a plain rank cutoff
-    report = mc.eps_rank(diff, bound if bound > 0 else 1e-12 * max(1.0, norm_a))
-    return SplittingReport(A=a, Z=z, e_bound=float(bound), eps_rank_report=report,
+    rank = mc.eps_rank(diff, bound if bound > 0 else 1e-12 * max(1.0, norm_a))
+    return SplittingReport(A=a, Z=z, e_bound=float(bound), eps_rank=rank,
                            rank_cap=rank_cap)
 
 

@@ -13,7 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 from azls import (AzProblem, SolveReport, WeightedAzProblem, az_solve,
                   az_weighted_solve, default_config)
 from azls import azcore, frames, matrixcore as mc, operators as ops, solvers
-from azls.azcore import STEP1_SOLVERS, weighted_eps_pinv
+from azls.azcore import STEP1_SOLVERS
 from azls.frames import DomainSpec, sample_function
 from azls.solvers import SolverConfig
 from helpers import (OFF_CENTRE, counted, dense_oracle, dense_problem, random_complex,
@@ -223,8 +223,13 @@ class TestNonFinite:
 
 class TestWeighted:
     def test_eps_pinv_boundary_retained(self):
-        out = weighted_eps_pinv(np.array([1.0, 2.0, 4.0]), eps_w=2.0)
-        assert np.allclose(out, [0.0, 0.5, 0.25])
+        # with x1 = 0 and Z = I, x = x2 = Z~* (d b) = keep * b: a weight equal
+        # to eps_w is kept, one below it dropped
+        for eps_w, kept in ((2.0, [0.0, 1.0, 1.0]), (np.nextafter(2.0, 3.0), [0.0, 0.0, 1.0])):
+            wp = WeightedAzProblem(base=dense_problem(np.eye(3), np.eye(3)),
+                                   d=np.array([1.0, 2.0, 4.0]), eps_w=eps_w)
+            rep = az_weighted_solve(wp, np.ones(3), step1=injected_step1(np.zeros(3)))
+            assert np.array_equal(rep.x, kept)
 
     @pytest.mark.parametrize("shape", [(), (1,), (31, 1), (30,)])
     def test_b_shape_checked_before_weighting(self, shape):
@@ -261,7 +266,7 @@ class TestWeighted:
         real = p.real_form
         explicit = AzProblem(
             A=ops.compose(ops.diagonal(d), real.A),
-            Z=ops.compose(ops.diagonal(weighted_eps_pinv(d, eps_w)), real.Z),
+            Z=ops.compose(ops.diagonal(np.where(d >= eps_w, 1.0 / d, 0.0)), real.Z),
             scale=p.scale * float(d.max()), coefficients=real.coefficients)
         ref = az_solve(explicit, d * b, step1=step1)
         assert rep.rank_used == ref.rank_used
@@ -303,7 +308,7 @@ class TestSplitting:
         zeros_a = np.zeros((10, 6))
         zeros_z = np.zeros((6, 10))
         rep = splitting_certificate(w, zeros_a, zeros_a, zeros_z, zeros_z, rank_cap=0)
-        assert rep.eps_rank_report.r == 0
+        assert rep.eps_rank == 0
         assert rep.holds
 
     def test_seeded_rank_cap(self):
@@ -455,7 +460,7 @@ class TestFourierGram:
         wp, b = self.weighted_lsq_problem(eps_w)
         base, d = wp.base, wp.d
         generic = AzProblem(A=ops.compose(ops.diagonal(d), base.A),
-                            Z=ops.compose(ops.diagonal(weighted_eps_pinv(d, wp.eps_w)),
+                            Z=ops.compose(ops.diagonal(np.where(d >= wp.eps_w, 1.0 / d, 0.0)),
                                           base.Z),
                             scale=base.scale * float(d.max()))
         cfg = default_config(generic, seed=5)

@@ -33,6 +33,21 @@ def dense_plunge(problem):
     return a - a @ z.conj().T @ a
 
 
+def assert_solver_rejected_before_any_build(tmp_path, monkeypatch, capsys, argv):
+    """A --solver outside APPROX_SOLVERS is argparse's bad choice, exit code
+    2, and fails before a problem is built."""
+    def build(*_):
+        raise AssertionError("a problem was built")
+
+    monkeypatch.setattr(cli, "build_problem", build)
+    out = tmp_path / "solver.csv"
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--problem", "fourier1d", "--solver", "magic", "--out", str(out)])
+    assert exc.value.code == 2
+    assert "invalid choice: 'magic'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestSingvals:
     def test_columns_and_rows(self, tmp_path):
         out = tmp_path / "sv.csv"
@@ -72,7 +87,7 @@ class TestSingvals:
         a, z, plunge = (operators.materialize(op)
                         for op in (p.A, p.Z, AzProblem(A=p.A, Z=p.Z).step1_operator()))
         ref = [np.linalg.svd(m, compute_uv=False) for m in (a, z.conj().T, plunge)]
-        rank = matrixcore.eps_rank(plunge, 1e-10 * p.scale).r
+        rank = matrixcore.eps_rank(plunge, 1e-10 * p.scale)
         singular_values, dtypes = matrixcore.singular_values, []
 
         def recorded(m):
@@ -137,7 +152,7 @@ class TestRankgrowth:
         assert main(["rankgrowth", "--problem", problem, *flags,
                      "--n-list", ",".join(map(str, ns)), "--out", str(out)]) == 0
         ranks = [int(r[2]) for r in read_csv(out)[1:]]
-        ref = [matrixcore.eps_rank(dense_plunge(p), 1e-10 * p.scale).r
+        ref = [matrixcore.eps_rank(dense_plunge(p), 1e-10 * p.scale)
                for p in map(PROBLEMS[problem, mask], ns)]
         assert ranks == ref
 
@@ -193,15 +208,16 @@ class TestTiming:
         assert main(["timing", *args[:-2], "--out", str(default)]) == 0
         assert read_csv(default)[1][3] != read_csv(timing)[1][3]
 
-    def test_unknown_solver(self, tmp_path, capsys):
-        out = tmp_path / "x.csv"
-        assert main(["timing", "--n", "33", "--solver", "magic",
-                     "--out", str(out)]) == 1
-        assert "error:" in capsys.readouterr().err
-        assert not out.exists()
+    def test_unknown_solver(self, tmp_path, monkeypatch, capsys):
+        assert_solver_rejected_before_any_build(
+            tmp_path, monkeypatch, capsys, ["timing", "--n-list", "9,17"])
 
 
 class TestApprox:
+    def test_unknown_solver(self, tmp_path, monkeypatch, capsys):
+        assert_solver_rejected_before_any_build(
+            tmp_path, monkeypatch, capsys, ["approx", "--n", "9"])
+
     def test_exp_report(self, tmp_path):
         out = tmp_path / "ap.csv"
         code = main(["approx", "--problem", "fourier1d", "--n", "101",

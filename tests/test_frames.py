@@ -1,6 +1,7 @@
 """Problem-builder tests: domain handling, basis entries, discrete dualities,
 spectrum structure, sum frames, weighted wrappers, and error evaluation."""
 
+import math
 import re
 import tracemalloc
 
@@ -8,7 +9,8 @@ import numpy as np
 import pytest
 import scipy.fft
 
-from azls import AzProblem, az_solve, default_config, frames, matrixcore as mc
+from azls import (AzProblem, SolveReport, az_solve, az_weighted_solve, default_config, frames,
+                  matrixcore as mc)
 from azls import operators as ops, transforms
 from azls.frames import DomainSpec, eval_error, sample_function
 from helpers import OFF_CENTRE
@@ -337,6 +339,44 @@ def test_real_form_is_the_frame_in_cos_sin_coordinates(name):
             assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
 
 
+def by_slots(x, axis, adjoint):
+    """V (or V*) along one axis, slot by slot, with a_0 in slot h, a_m in
+    slot h + m and b_m in slot h - m: c_h = a_0 and
+    c_{h+-m} = (a_m -+ i b_m) / sqrt 2; back, a_m = (c_{h+m} + c_{h-m}) / sqrt 2
+    and b_m = i (c_{h+m} - c_{h-m}) / sqrt 2.  1/sqrt 2 is taken as
+    sqrt(1/2), as the program does."""
+    x = np.moveaxis(np.asarray(x, dtype=np.complex128), axis, 0)
+    h, half = x.shape[0] // 2, math.sqrt(0.5)
+    y = x.copy()
+    for m in range(1, h + 1):
+        up, down = x[h + m], x[h - m]
+        if adjoint:
+            y[h + m], y[h - m] = (up + down) * half, 1j * (up - down) * half
+        else:
+            y[h + m], y[h - m] = (up - 1j * down) * half, (up + 1j * down) * half
+    return np.moveaxis(y, 0, axis)
+
+
+@pytest.mark.parametrize("n, dim", [(1, 1), (3, 1), (9, 1), (65, 1), (1, 2), (3, 2), (7, 2)])
+@pytest.mark.parametrize("cols", [None, 3])
+@pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+def test_pairing_is_its_slot_definition(n, dim, cols, dtype):
+    # V and V* exactly, along the last axis and then (in 2D) the first, on a
+    # vector and a block, real and complex
+    pairing = frames._pairing(n, dim)
+    rng = np.random.default_rng(n + dim)
+    shape = (n**dim,) if cols is None else (n**dim, cols)
+    x = rng.standard_normal(shape)
+    if dtype is np.complex128:
+        x = x + 1j * rng.standard_normal(shape)
+    for got, adjoint in ((pairing.apply(x), False), (pairing.adjoint_apply(x), True)):
+        want = x.reshape((n,) * dim + (-1,))
+        for axis in range(dim - 1, -1, -1):
+            want = by_slots(want, axis, adjoint)
+        assert got.shape == x.shape
+        assert np.array_equal(got, want.reshape(x.shape))
+
+
 FOURIER1D_DOMAINS = {
     "half": DomainSpec.interval(-0.5, 0.5),
     "narrow": DomainSpec.interval(-0.1, 0.1),
@@ -450,7 +490,7 @@ class TestChebyshev:
             p = frames.chebyshev_extension(n, DomainSpec.interval(-0.5, 0.5), 2.0)
             a = ops.materialize(p.A)
             z = ops.materialize(p.Z)
-            r = mc.eps_rank(a - a @ z.conj().T @ a, 1e-10 * p.scale).r
+            r = mc.eps_rank(a - a @ z.conj().T @ a, 1e-10 * p.scale)
             if prev is not None:
                 assert r - prev <= 10
             prev = r
@@ -511,7 +551,7 @@ class TestLegendre:
         p = frames.legendre_extension(40, DomainSpec.interval(-0.5, 0.5), 2.0)
         a = ops.materialize(p.A)
         z = ops.materialize(p.Z)
-        r = mc.eps_rank(a - a @ z.conj().T @ a, 1e-8 * p.scale).r
+        r = mc.eps_rank(a - a @ z.conj().T @ a, 1e-8 * p.scale)
         assert r <= 20
 
     @pytest.mark.parametrize("dom", [DomainSpec.interval(-0.5, 0.5),
@@ -630,10 +670,14 @@ class TestWeightedWrappers:
         assert np.allclose(wp.d, 1.0 + np.asarray(base.grid))
 
     def test_eps_w_between_levels_zeroes_small_rows(self):
-        from azls.azcore import weighted_eps_pinv
-        d = np.array([0.1, 0.1, 2.0, 2.0])
-        out = weighted_eps_pinv(d, 1.0)
-        assert np.allclose(out, [0.0, 0.0, 0.5, 0.5])
+        # Z~ = diag(where(d >= eps_w, 1/d, 0)) Z: with x1 = 0 and Z = I the
+        # solve returns x = x2 = Z~* (d b), which drops the rows under eps_w
+        base = AzProblem(A=ops.from_dense(np.eye(4)), Z=ops.from_dense(np.eye(4)))
+        wp = frames.weighted_lsq(base, np.array([0.1, 0.1, 2.0, 2.0]), 1.0)
+        b = np.array([3.0, 5.0, 7.0, 11.0])
+        x1 = SolveReport(x=np.zeros(4), residual_norm=0.0, rank_used=0)
+        rep = az_weighted_solve(wp, b, step1=lambda op, rhs: x1)
+        assert np.array_equal(rep.x, [0.0, 0.0, 7.0, 11.0])
 
 
 class TestFourierLsq:
@@ -790,7 +834,7 @@ def test_restriction_monotonicity():
         p = frames.fourier_extension_1d(n, DomainSpec.interval(-0.5, hi), 2.0)
         a = ops.materialize(p.A)
         z = ops.materialize(p.Z)
-        ranks.append(mc.eps_rank(a - a @ z.conj().T @ a, 1e-10 * p.scale).r)
+        ranks.append(mc.eps_rank(a - a @ z.conj().T @ a, 1e-10 * p.scale))
     assert ranks[1] >= ranks[0] - 2
     assert ranks[2] >= ranks[1] - 2
 
