@@ -10,8 +10,9 @@ coefficients of n and -n (`_pairing`, one signed flip of each axis),
 A_r = A V and Z_r = Z V are real, the frame
 {1, sqrt 2 cos pi m x, sqrt 2 sin pi m x}.  (A_r, Z_r, G_r) is the
 problem's real_form, an AzProblem whose coefficients are the caller's map
-C: the solver runs all three steps on it, and the problem's own A = A_r C*
-and Z = A / L^dim are the caller's view.  The 1D and 2D extensions
+C (in 2D it holds A_r compressed, below): the solver runs all three steps
+on it, and the problem's own A = A_r C* and Z = A / L^dim are the caller's
+view.  The 1D and 2D extensions
 (`_fourier_extension`) take C = V and the G_r of the grid's mask;
 fourier_lsq_equispaced is the 1D A_r on the whole periodic grid, with
 coefficients D V, D = diag((-1)^k), and the exact G_r = I; every 1D Fourier
@@ -19,11 +20,14 @@ approximant is evaluated by one blocked series sum, `_fourier_series`.
 The 1D A_r puts the half spectrum of N coefficients on a length-L grid,
 takes one inverse real FFT there and gathers the M points inside the
 domain; the Chebyshev A does the same with a DCT, and Z is the discrete
-dual restricted the same way.  The 2D A_r is separable: two GEMMs with the
-real L x n matrix E = [1, sqrt 2 cos(pi m x_l), sqrt 2 sin(pi m x_l)] per
-chunk, through scipy's dgemm, then a gather of the mask points.  Every
-row kernel is written for real rows; `_chunked` takes a complex block
-through its real and imaginary parts.
+dual restricted the same way.  The 2D A_r is separable, with the real
+L x n matrix E = [1, sqrt 2 cos(pi m x_l), sqrt 2 sin(pi m x_l)] along each
+axis, and is compressed exactly per grid row (`_row_compression`): the
+points of grid row l1 are E[l1, :] (x) E[S, :] = Q_S (E[l1, :] (x) R_S),
+so A_r = Q A_c, with Q = blockdiag(Q_S) the real form's rows and A_c, of
+K = sum min(|S|, n) rows, its A; both are GEMMs through scipy's dgemm.
+Every row kernel is written for real rows; `_chunked` takes a complex
+block through its real and imaginary parts.
 
 Every extension builder also gives the G = Z*A that its step 1 uses, so
 that step 1 needs no Z.  The FFT frames build it by one rule: the product
@@ -57,6 +61,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 import scipy.fft
+import scipy.linalg
 import scipy.linalg.blas
 
 from . import transforms
@@ -291,22 +296,26 @@ def _fourier_problem(n: int, dim: int, L: int, sel, grid: np.ndarray,
                      coefficients: LinearOperator, gram: LinearOperator, **view) -> AzProblem:
     """The caller's view of a Fourier problem, with its real form, on the
     collocation points grid (in the caller's coordinates): the points sel
-    of the length-L grid, any numpy index into its L^dim points.
+    of the length-L grid, any numpy index into its L^dim points in 1D, the
+    increasing indices of the points inside the mask in 2D.
 
     The real form is the AzProblem of the frame {1, sqrt 2 cos pi m x,
-    sqrt 2 sin pi m x} per axis: A_r runs the row kernels of
-    `_fourier_rows`, with row-major coefficients over (n1, n2),
-    Z_r = A_r / L^dim, G_r is gram and its coefficients are the map C to
-    the caller's basis (V, or D V for fourier01).  The view is A = A_r C*
-    and Z = A / L^dim, with the grid and the label, evaluate and domain in
-    view.
-    Both take the scale sqrt(L^dim), so that solving either gives the same
-    x.
+    sqrt 2 sin pi m x} per axis, with row-major coefficients over (n1, n2):
+    its A is A_r = A V itself in 1D (`_rfft_rows`), and in 2D the compressed
+    A_c of A_r = Q A_c (`_row_compression`), with rows = Q.  Its Z is
+    A / L^dim, G_r is gram and its coefficients are the map C to the
+    caller's basis (V, or D V for fourier01).  The view is A = A_r C* and
+    Z = A / L^dim, with the grid and the label, evaluate and domain in
+    view.  Both take the scale sqrt(L^dim), so that solving either gives
+    the same x.
     """
-    a_r = _chunked(len(grid), n**dim, *_fourier_rows(n, dim, L, sel))
+    if dim == 1:
+        a_r, rows = _chunked(len(grid), n, *_rfft_rows(n, L, sel)), None
+    else:
+        a_r, rows = _row_compression(n, L, sel)
     real = AzProblem(A=a_r, Z=scale(1.0 / L**dim, a_r), gram=gram,
-                     scale=math.sqrt(L**dim), coefficients=coefficients)
-    a = compose(a_r, adjoint(coefficients))
+                     scale=math.sqrt(L**dim), coefficients=coefficients, rows=rows)
+    a = compose(real.on_samples(a_r), adjoint(coefficients))
     return AzProblem(A=a, Z=scale(1.0 / L**dim, a), scale=real.scale, grid=grid,
                      real_form=real, **view)
 
@@ -326,13 +335,6 @@ def _fourier_extension(n: int, dim: int, domain: DomainSpec, oversampling: float
                             _fourier_gram(n, dim, L, sel),
                             label=f"fourier{dim}d(N={n}{'^2' if dim == 2 else ''}, L={L})",
                             evaluate=evaluate, domain=domain)
-
-
-def _fourier_rows(n: int, dim: int, L: int, sel: np.ndarray):
-    """The row kernels (apply, adjoint_apply, width) of the real Fourier
-    extension A_r = A V at the points sel of the length-L grid:
-    `_rfft_rows` in 1D, `_separable_rows` in 2D."""
-    return (_rfft_rows if dim == 1 else _separable_rows)(n, L, sel)
 
 
 def _rfft_rows(n: int, L: int, sel: np.ndarray):
@@ -371,21 +373,10 @@ def _rfft_rows(n: int, L: int, sel: np.ndarray):
     return apply, adjoint_apply, L
 
 
-def _separable_rows(n: int, L: int, sel: np.ndarray):
-    """The row kernels of the real 2D Fourier extension
-    A_r[(l1, l2), (j1, j2)] = E[l1, j1] E[l2, j2] with the real L x n matrix
-    E = E_exp V: E[l, h] = 1, E[l, h + m] = sqrt 2 cos(pi m x_l),
-    E[l, h - m] = sqrt 2 sin(pi m x_l), for the row-major grid points
-    l1 * L + l2 in sel, any numpy index into the L^2 points, as two GEMMs
-    per chunk of rows.
-
-    The first GEMM applies the rows of E that hold points of sel along n1,
-    the second applies all of E along n2, and the points of sel are
-    gathered from that; the adjoint scatters them and runs the same GEMMs
-    transposed.  Both GEMMs are scipy's dgemm, the BLAS that also runs the
-    sketch QR, on Fortran-ordered views.  The largest intermediate of a row
-    is L x (used rows).
-    """
+def _trig_matrix(n: int, L: int) -> np.ndarray:
+    """The real L x n matrix E = E_exp V of one axis of the length-L grid:
+    E[l, h] = 1, E[l, h + m] = sqrt 2 cos(pi m x_l) and
+    E[l, h - m] = sqrt 2 sin(pi m x_l), h = n // 2."""
     h = n // 2
     # x_l = -1 + 2l/L, so the phase pi m x_l is pi * (m (2l - L) mod 2L) / L,
     # reduced in integers before the cos and sin
@@ -394,42 +385,118 @@ def _separable_rows(n: int, L: int, sel: np.ndarray):
     e[:, h] = 1.0
     e[:, h + 1:] = math.sqrt(2.0) * np.cos(phase)
     e[:, :h] = math.sqrt(2.0) * np.sin(phase[:, ::-1])
+    return e
+
+
+def _separable_rows(n: int, L: int):
+    """The row kernels of the real 2D Fourier frame on the whole L x L grid,
+    A_r[(l1, l2), (j1, j2)] = E[l1, j1] E[l2, j2] (`_trig_matrix`) at the
+    row-major points l1 * L + l2, as two GEMMs per chunk of rows: E along
+    n1, then E along n2; the adjoint runs them transposed.  Both are scipy's
+    dgemm, the BLAS that also runs the sketch QR, on Fortran-ordered views.
+    The largest intermediate of a row is L^2.
+    """
+    e = _trig_matrix(n, L)
     e_f = np.asfortranarray(e)
-    points = np.arange(L * L)[sel]
-    # on the whole grid (the Gram's) the gather and scatter are a reshape
-    whole = np.array_equal(points, np.arange(L * L))
-    l1, l2 = np.divmod(points, L)
-    used, u = np.unique(l1, return_inverse=True)
-    e_used = np.asfortranarray(e[used])
     gemm = scipy.linalg.blas.dgemm
 
     def apply(v):
         k = v.shape[0]
         # x[j2, col, j1] is the Fortran n x (n k) matrix C[j1, (j2, col)]
         x = np.ascontiguousarray(v.reshape(k, n, n).transpose(2, 0, 1))
-        t = gemm(1.0, e_used, x.reshape(n * k, n).T)  # E[used] C: (u, (j2, col))
-        w = gemm(1.0, t.T.reshape(n, k * used.size).T, e.T)  # ((col, u), l2)
-        w = w.T.reshape(L, k, used.size)
-        return (w.transpose(2, 0, 1).reshape(L * L, k) if whole else w[l2, :, u]).T
+        t = gemm(1.0, e_f, x.reshape(n * k, n).T)  # E C: (l1, (j2, col))
+        w = gemm(1.0, t.T.reshape(n, k * L).T, e.T)  # ((col, l1), l2)
+        return w.T.reshape(L, k, L).transpose(2, 0, 1).reshape(L * L, k).T
 
     def adjoint_apply(v):
         k = v.shape[0]
-        if whole:
-            w = np.ascontiguousarray(v.T.reshape(L, L, k).transpose(1, 2, 0))
-        else:
-            w = np.zeros((L, k, used.size))
-            w[l2, :, u] = v.T
-        y = gemm(1.0, w.reshape(L, k * used.size).T, e_f)  # ((col, u), j2)
-        x = gemm(1.0, e_used, y.T.reshape(n * k, used.size).T, trans_a=1)  # (j1, (j2, col))
+        w = np.ascontiguousarray(v.T.reshape(L, L, k).transpose(1, 2, 0))
+        y = gemm(1.0, w.reshape(L, k * L).T, e_f)  # ((col, l1), j2)
+        x = gemm(1.0, e_f, y.T.reshape(n * k, L).T, trans_a=1)  # (j1, (j2, col))
         return x.T.reshape(n, k, n).transpose(1, 2, 0).reshape(k, n * n)
 
-    return apply, adjoint_apply, L * used.size
+    return apply, adjoint_apply, L * L
+
+
+def _row_compression(n: int, L: int, sel: np.ndarray):
+    """The real 2D Fourier extension A_r at the points sel of the L x L grid
+    (increasing row-major indices l1 * L + l2) as A_r = Q A_c: the pair of
+    operators (A_c, Q), A_c of shape K x n^2 and Q of shape M x K with
+    orthonormal columns, K = sum over the grid rows of min(|S|, n).
+
+    The points of grid row l1, at the columns S of that row, are the rows
+    E[l1, :] (x) E[S, :] of A_r (`_trig_matrix`).  With the thin QR
+    E[S, :] = Q_S R_S (scipy's LAPACK) they are Q_S (E[l1, :] (x) R_S), so
+    Q = blockdiag(Q_S) and A_c stacks E[l1, :] (x) R_S over the grid rows.
+    A_c applies one GEMM with E[used] along n1 and then one GEMM per grid
+    row with its min(|S|, n) x n R_S along n2, and Q one GEMM per grid row
+    with its Q_S; the adjoints run the same GEMMs transposed.  All are
+    scipy's dgemm, the BLAS that also runs the sketch QR, on
+    Fortran-ordered views.  The largest intermediate of a row is
+    n * (used rows) for A_c and M for Q.
+    """
+    l1, l2 = np.divmod(np.arange(L * L)[sel], L)
+    used, first = np.unique(l1, return_index=True)
+    e = _trig_matrix(n, L)
+    e_used = e[used].T  # Fortran n x (used rows)
+    # each grid row's run of points among the M, and its block of the K rows
+    runs = list(zip(first, np.append(first[1:], l1.size)))
+    # grid rows with the same columns (mirror rows of a symmetric mask)
+    # share one QR
+    factors = {}
+    for lo, hi in runs:
+        key = l2[lo:hi].tobytes()
+        if key not in factors:
+            q, r = scipy.linalg.qr(e[l2[lo:hi]], mode="economic")
+            factors[key] = np.asfortranarray(q), np.ascontiguousarray(r)
+    qs, rs = zip(*(factors[l2[lo:hi].tobytes()] for lo, hi in runs))
+    ends = np.cumsum([0] + [r.shape[0] for r in rs])
+    blocks = list(zip(ends, ends[1:]))
+    m, k_rows, u = l1.size, int(ends[-1]), used.size
+    gemm = scipy.linalg.blas.dgemm
+
+    def apply(v):
+        k = v.shape[0]
+        # x[j1, j2, col]: its transpose is the Fortran (n k) x n matrix C^T
+        x = np.ascontiguousarray(v.reshape(k, n, n).transpose(1, 2, 0))
+        t = gemm(1.0, x.reshape(n, n * k).T, e_used)  # ((j2, col), l1): E[used] C
+        out = np.empty((k, k_rows))
+        for g, (lo, hi) in enumerate(blocks):
+            out[:, lo:hi] = gemm(1.0, t[:, g].reshape(n, k).T, rs[g].T)  # (col, i)
+        return out
+
+    def adjoint_apply(w):
+        k = w.shape[0]
+        wt = np.ascontiguousarray(w.T)
+        t = np.empty((u, k, n))
+        for g, (lo, hi) in enumerate(blocks):
+            t[g] = gemm(1.0, rs[g].T, wt[lo:hi].T, trans_b=1).T  # (col, j2): R_S^T y
+        x = gemm(1.0, t.reshape(u, k * n).T, e_used, trans_b=1)  # ((col, j2), j1)
+        return x.T.reshape(n, k, n).transpose(1, 0, 2).reshape(k, n * n)
+
+    def rows_apply(y):
+        yt = np.ascontiguousarray(y.T)
+        out = np.empty((y.shape[0], m))
+        for (lo, hi), (b0, b1), q in zip(runs, blocks, qs):
+            out[:, lo:hi] = gemm(1.0, yt[b0:b1].T, q, trans_b=1)
+        return out
+
+    def rows_adjoint(w):
+        wt = np.ascontiguousarray(w.T)
+        out = np.empty((w.shape[0], k_rows))
+        for (lo, hi), (b0, b1), q in zip(runs, blocks, qs):
+            out[:, b0:b1] = gemm(1.0, wt[lo:hi].T, q)
+        return out
+
+    # K <= n * (used rows), so t is the widest intermediate of A_c
+    return (_chunked(k_rows, n * n, apply, adjoint_apply, n * u),
+            _chunked(m, k_rows, rows_apply, rows_adjoint, m))
 
 
 def _fourier_gram(n: int, dim: int, L: int, sel: np.ndarray) -> LinearOperator:
     """G_r = V* Z*A V of the Fourier extension frame in 1 or 2 dimensions:
     G_r = F_P^T diag(K) F_P, with F_P the frame's own row kernels
-    (`_fourier_rows`) on the whole grid of fast length
+    (`_rfft_rows`, `_separable_rows`) on the whole grid of fast length
     P = next_fast_len(2N - 1) per axis and a real weight K.
 
     Z*A = A*A / L^dim has the entries g(n_k - n_j) with
@@ -447,7 +514,8 @@ def _fourier_gram(n: int, dim: int, L: int, sel: np.ndarray) -> LinearOperator:
     z = np.zeros((P,) * dim, dtype=np.complex128)
     z[np.ix_(*[d % P] * dim)] = scipy.fft.ifftn(mask.reshape((L,) * dim))[np.ix_(*[d % L] * dim)]
     weight = scipy.fft.fftn(z).real.ravel() / P**dim
-    rows, width = _gram_rows(weight, *_fourier_rows(n, dim, P, slice(None)))
+    kernels = _rfft_rows(n, P, slice(None)) if dim == 1 else _separable_rows(n, P)
+    rows, width = _gram_rows(weight, *kernels)
     return _chunked(n**dim, n**dim, rows, rows, width)
 
 
@@ -505,9 +573,12 @@ def fourier_extension_2d(n_per_dim: int, mask: DomainSpec,
     """Tensor Fourier extension frame on a masked subset of [-1, 1]^2.
 
     Coefficients are row-major over (n1, n2); Z = A / L^2, with L per axis
-    from `_select_grid_size`.  A = A_r V*, with A_r the real separable
-    product of `_separable_rows` and V* the map to cos/sin coordinates
-    along each axis, the problem's real form, whose step 1 applies G_r.
+    from `_select_grid_size`.  A = A_r V*, with V* the map to cos/sin
+    coordinates along each axis and A_r the real separable product, held
+    exactly compressed per grid row as A_r = Q A_c (`_row_compression`):
+    the real form is A_c, Z_c = A_c / L^2 and G_r, with rows Q, so its
+    steps run on K = sum over the grid rows of min(points, n) rows (1961
+    for the 5025 points of the n = 25 disk) and its step 1 applies G_r.
     """
     freqs = _symmetric_frequencies(n_per_dim)
 

@@ -43,6 +43,15 @@ def dense_problem(a, z, scale=1.0):
     return AzProblem(A=ops.from_dense(a), Z=ops.from_dense(z), scale=scale)
 
 
+def step1_rhs(problem: AzProblem, b) -> np.ndarray:
+    """(I - A Z*) b on the rows of problem.step1_operator(): on the real form
+    when there is one, after its rows map (rows* b) when it has one, as
+    az_solve forms it."""
+    p = problem.real_form or problem
+    b = b if p.rows is None else p.rows.adjoint_apply(b)
+    return b - p.A.apply(p.Z.adjoint_apply(b))
+
+
 def dense_oracle(a, b, eps, qr=False) -> SolveReport:
     """The truncated solve of the whole matrix a: its full SVD (or pivoted
     QR) truncated at eps by the solvers' own rule.  No solver factors the

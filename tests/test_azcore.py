@@ -519,6 +519,18 @@ class TestFourierGram:
             with pytest.raises(ValueError, match="real form does not match"):
                 dataclasses.replace(p, real_form=real)
 
+    def test_rows_checked(self):
+        # rows maps the problem's rows to the caller's samples, and the solve
+        # takes it from the real form, as it takes G
+        p = frames.fourier_extension_2d(3, frames.named_mask("disk"))
+        real = p.real_form
+        with pytest.raises(ValueError, match="rows has shape"):
+            dataclasses.replace(real, rows=ops.from_dense(np.eye(real.A.rows + 1)))
+        with pytest.raises(ValueError, match="rows and real_form both given"):
+            dataclasses.replace(p, rows=ops.from_dense(np.eye(p.A.rows)))
+        with pytest.raises(ValueError, match="real form does not match"):
+            dataclasses.replace(p, real_form=dataclasses.replace(real, rows=None))
+
     def test_coefficients_shape_checked(self):
         p = self.PROBLEMS["1d-65"]()
         n = p.A.cols
@@ -598,6 +610,53 @@ class TestRealForm:
         assert dtypes and all(dtype == np.float64 for dtype in dtypes)
         assert rep.x.dtype == rep.x1.dtype == rep.x2.dtype == np.complex128
         assert rep.residual_norm <= 10 * max(ref.residual_norm, 1e-9 * np.linalg.norm(b))
+
+
+class TestCompressedRows:
+    """The 2D real form solves on A_c, with A_r = rows A_c: on rows* b, with
+    the residual on the caller's samples."""
+
+    @staticmethod
+    def disk():
+        return frames.fourier_extension_2d(9, frames.named_mask("disk"))
+
+    @pytest.mark.parametrize("step1", ["tsvd", "rand-tsvd"])
+    def test_residual_counts_b_outside_the_range(self, step1):
+        # b = A x0 + w, w orthogonal to the columns of rows and so to
+        # range(A): rows* b drops w, and the reported residual keeps it
+        p = self.disk()
+        real, rows = p.real_form, p.real_form.rows
+        rng = np.random.default_rng(11)
+        x0 = rng.standard_normal(p.A.cols) + 1j * rng.standard_normal(p.A.cols)
+        g = rng.standard_normal(p.A.rows) + 1j * rng.standard_normal(p.A.rows)
+        w = g - rows.apply(rows.adjoint_apply(g))
+        b = p.A.apply(x0) + w
+        rep = az_solve(p, b, step1=step1, config=default_config(p, seed=5))
+        want = np.linalg.norm(b - p.A.apply(rep.x))
+        assert abs(rep.residual_norm - want) <= 1e-12 * want
+        compressed = np.linalg.norm(
+            rows.adjoint_apply(b) - real.A.apply(real.coefficients.adjoint_apply(rep.x)))
+        assert compressed <= 1e-6 * want
+
+    @pytest.mark.parametrize("eps_w", [0.0, "above-max"])
+    def test_weighted_base_is_the_materialized_weighted_system(self, eps_w):
+        # the weighted pair of the 2D disk, W A and pinv(W_eps) Z on the
+        # caller's samples, against the three steps on its dense matrices
+        # with the truncated SVD as step 1
+        p = self.disk()
+        d = sample_function(lambda x, y: 0.5 + x**2, p.grid)
+        cut = 2.0 * d.max() if eps_w == "above-max" else eps_w
+        rep = az_weighted_solve(frames.weighted_lsq(p, d, cut),
+                                sample_function(lambda x, y: np.exp(x + y), p.grid))
+        a = d[:, None] * ops.materialize(p.A)
+        z = np.where(d >= cut, 1.0 / d, 0.0)[:, None] * ops.materialize(p.Z)
+        b = d * sample_function(lambda x, y: np.exp(x + y), p.grid)
+        cfg = default_config(dense_problem(a, z, scale=p.scale * float(d.max())))
+        zb, za = z.conj().T @ b, z.conj().T @ a
+        step1 = solvers.tsvd_solve(a - a @ za, b - a @ zb, cfg)
+        x = step1.x + z.conj().T @ (b - a @ step1.x)
+        assert rep.rank_used == step1.rank_used
+        assert np.linalg.norm(rep.x - x) <= 1e-8 * np.linalg.norm(x)
 
 
 def complexified(op):

@@ -187,7 +187,8 @@ class TestFourier2d:
         ex, ey = (np.exp(1j * np.pi * np.outer(p.grid[:, axis], freqs)) for axis in (0, 1))
         dense = (ex[:, :, None] * ey[:, None, :]).reshape(p.A.rows, n * n)
         L = round(2.0 / np.min(np.diff(np.unique(p.grid))))
-        chunk = max(1, frames._CHUNK_ENTRIES // (L * np.unique(p.grid[:, 0]).size))
+        # the chunk of the compressed A_c, whose widest intermediate is n per grid row
+        chunk = max(1, frames._CHUNK_ENTRIES // (n * np.unique(p.grid[:, 0]).size))
         rng = np.random.default_rng(n)
         for k in ((), (1,), (chunk - 1,), (chunk + 3,)):
             u = rng.standard_normal((n * n,) + k) + 1j * rng.standard_normal((n * n,) + k)
@@ -197,6 +198,59 @@ class TestFourier2d:
                                  (op.adjoint_apply(v), mat.conj().T @ v)):
                     assert got.shape == ref.shape
                     assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)
+
+    @staticmethod
+    def trig(n, x):
+        """E at the points x from its definition: 1 in slot h = n // 2,
+        sqrt 2 cos(pi m x) in slot h + m and sqrt 2 sin(pi m x) in slot h - m."""
+        h, m = n // 2, np.arange(1, n // 2 + 1)
+        e = np.empty((x.size, n))
+        e[:, h] = 1.0
+        e[:, h + m] = math.sqrt(2.0) * np.cos(np.pi * np.outer(x, m))
+        e[:, h - m] = math.sqrt(2.0) * np.sin(np.pi * np.outer(x, m))
+        return e
+
+    @pytest.mark.parametrize("mask", ["disk", "punctured-disk", "square"])
+    @pytest.mark.parametrize("n", [1, 3, 9, 25])
+    def test_row_compression_is_the_real_frame(self, n, mask):
+        # the real form is A_r = rows A_c, for
+        # A_r[(l1, l2), (j1, j2)] = E[l1, j1] E[l2, j2] at the mask's points,
+        # with rows orthonormal and K = sum over the grid rows of
+        # min(points, n); the disks from n = 9 have grid rows of fewer than n
+        # points, and the punctured disk's middle rows hold two runs of points
+        p = frames.fourier_extension_2d(n, frames.named_mask(mask))
+        grid, real = np.asarray(p.grid), p.real_form
+        rows, a_c = real.rows, real.A
+        a_r = (self.trig(n, grid[:, 0])[:, :, None]
+               * self.trig(n, grid[:, 1])[:, None, :]).reshape(len(grid), n * n)
+        L = round(p.scale)
+        l1, l2 = (np.rint((grid[:, axis] + 1.0) * L / 2.0).astype(int) for axis in (0, 1))
+        counts = np.unique(l1, return_counts=True)[1]
+        assert rows.shape == (len(grid), np.minimum(counts, n).sum())
+        assert a_c.shape == (rows.cols, n * n)
+        assert np.any(counts < n) == (mask != "square" and n >= 9)
+        assert np.any((np.diff(l1) == 0) & (np.diff(l2) > 1)) == (mask == "punctured-disk")
+        q = ops.materialize(rows)
+        assert np.linalg.norm(q.T @ q - np.eye(rows.cols)) <= 1e-13 * np.sqrt(rows.cols)
+        dense = ops.materialize(ops.compose(rows, a_c))
+        assert np.linalg.norm(dense - a_r) <= 1e-13 * np.linalg.norm(a_r)
+        rng = np.random.default_rng(n)
+        for k in ((), (5,)):
+            for dtype in (np.float64, np.complex128):
+                def draw(m):
+                    u = rng.standard_normal((m,) + k)
+                    return u + 1j * rng.standard_normal((m,) + k) if dtype is np.complex128 else u
+                u, w = draw(n * n), draw(len(grid))
+                for got, want in ((rows.apply(a_c.apply(u)), a_r @ u),
+                                  (a_c.adjoint_apply(rows.adjoint_apply(w)), a_r.T @ w)):
+                    assert got.dtype == dtype and got.shape == want.shape
+                    assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+                # dot tests: <op v, y> = <v, op* y>
+                for op in (a_c, rows):
+                    v, y = draw(op.cols), draw(op.rows)
+                    ov = op.apply(v)
+                    assert abs(np.vdot(y, ov) - np.vdot(op.adjoint_apply(y), v)) \
+                        <= 1e-13 * np.linalg.norm(ov) * np.linalg.norm(y)
 
     @pytest.mark.parametrize("n", [3, 5, 7])
     def test_small_mask_grows_grid(self, n):
@@ -311,9 +365,10 @@ REAL_FORM_BUILDERS = {
 @pytest.mark.parametrize("name", sorted(REAL_FORM_BUILDERS))
 def test_real_form_is_the_frame_in_cos_sin_coordinates(name):
     # the coefficients V (D V for fourier01, D = diag((-1)^k)) are unitary,
-    # and A_r = A V, Z_r = Z V and G_r = V* G V, in 1D and in 2D:
-    # real operators that keep float64 float64, take a complex block through
-    # its real and imaginary parts and pass the dot test
+    # and A_r = A V, Z_r = Z V and G_r = V* G V, in 1D and in 2D (A_r and
+    # Z_r on the caller's samples: the 2D real form's rows composed with its
+    # compressed A and Z): real operators that keep float64 float64, take a
+    # complex block through its real and imaginary parts and pass the dot test
     p = REAL_FORM_BUILDERS[name]()
     real, n = p.real_form, p.A.cols
     v = ops.materialize(real.coefficients)
@@ -322,7 +377,8 @@ def test_real_form_is_the_frame_in_cos_sin_coordinates(name):
     g = z.conj().T @ a
     if name in ("1d-asymmetric", "2d-off-centre"):
         assert np.max(np.abs(g.imag)) >= 1e-2
-    checks = [(real.A, a @ v), (real.Z, z @ v), (real.gram, v.conj().T @ g @ v)]
+    checks = [(real.on_samples(real.A), a @ v), (real.on_samples(real.Z), z @ v),
+              (real.gram, v.conj().T @ g @ v)]
     rng = np.random.default_rng(4)
     for op, ref in checks:
         dense = ops.materialize(op)
@@ -804,9 +860,9 @@ def test_fast_apply_matches_dense(build, monkeypatch):
     p = build()
     assert all(200 // w <= 3 for w in widths)
     rng = np.random.default_rng(1)
-    # the problem's own operators, and its real form's, G_r among them
+    # the problem's own operators, and its real form's, G_r and the 2D rows among them
     for q, q_ref in ((p, ref), (p.real_form, ref.real_form)):
-        for name in ("A", "Z", "gram"):
+        for name in ("A", "Z", "gram", "rows"):
             op = getattr(q, name, None)
             if op is None:
                 continue

@@ -10,7 +10,8 @@ import scipy.linalg
 from azls import az_solve, default_config, frames, matrixcore as mc, operators as ops, solvers
 from azls.frames import DomainSpec, sample_function
 from azls.solvers import SolverConfig
-from helpers import dense_oracle, mc_gaussian_props, random_complex, spectrum_matrix
+from helpers import (dense_oracle, mc_gaussian_props, random_complex, spectrum_matrix,
+                     step1_rhs)
 
 
 class TestConfig:
@@ -566,7 +567,7 @@ class TestValuesOnlyRounds:
         p = self.PROBLEMS[name]()
         b = self.rhs(p)
         op = p.step1_operator()
-        rhs = b - p.A.apply(p.Z.adjoint_apply(b))
+        rhs = step1_rhs(p, b)
         cfg = default_config(p, seed=5)
         for omega, factor in solvers._sketch(op, cfg):
             y, k = solvers._truncated_solve(factor.R, factor.adjoint_q(rhs), cfg.eps,
@@ -671,9 +672,8 @@ class TestOmegaIdentityRoute:
         """The step-1 operator and right-hand side of the real form of the
         2D disk of n^2 coefficients, for b = exp(x + y)."""
         p = frames.fourier_extension_2d(n, frames.named_mask("disk"))
-        r = p.real_form
         b = sample_function(lambda x, y: np.exp(x + y), p.grid)
-        return p, r.step1_operator(), b - r.A.apply(r.Z.adjoint_apply(b))
+        return p, p.step1_operator(), step1_rhs(p, b)
 
     @staticmethod
     def count_rounds(monkeypatch):
@@ -700,10 +700,24 @@ class TestOmegaIdentityRoute:
         rep = solve(op, rhs, cfg)
         assert rounds == [cfg.sketch_size]
         assert rep.sketch_size == op.cols == n * n
-        ref = dense_oracle(ops.materialize(op), rhs, cfg.eps, qr)
+        b = ops.materialize(op)
+        ref = dense_oracle(b, rhs, cfg.eps, qr)
         assert rep.rank_used == ref.rank_used > cfg.sketch_size
+        want = ref.x
+        if qr:
+            # the disk is symmetric under x <-> y, so columns (j1, j2) and
+            # (j2, j1) of B have equal norms, and rounding decides which of
+            # such a pair the pivoted QR keeps at the cut: the routed x
+            # keeps the dense truncation's columns up to those swaps, and
+            # is the least-squares solution on the columns it keeps
+            kept = np.flatnonzero(rep.x)
+            pairs = [sorted(np.minimum(c, c % n * n + c // n))
+                     for c in (kept, np.flatnonzero(ref.x))]
+            assert kept.size == rep.rank_used and pairs[0] == pairs[1]
+            want = np.zeros(n * n)
+            want[kept] = np.linalg.lstsq(b[:, kept], rhs, rcond=None)[0]
         # CertifiedDense's tolerance
-        assert np.linalg.norm(rep.x - ref.x) <= 1e-8 * np.linalg.norm(ref.x)
+        assert np.linalg.norm(rep.x - want) <= 1e-8 * np.linalg.norm(want)
 
     def test_unrouted_first_round_takes_no_projection(self, monkeypatch):
         # the 1D first round keeps fewer than its R directions: it never asks
