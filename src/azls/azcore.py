@@ -120,7 +120,8 @@ class AzProblem:
 
 @dataclass(frozen=True)
 class WeightedAzProblem:
-    """A base problem together with positive row weights and the W_eps cut."""
+    """A base problem together with positive weights, one per sample of the
+    base (its sample_rows), and the W_eps cut."""
 
     base: AzProblem
     d: np.ndarray
@@ -128,8 +129,8 @@ class WeightedAzProblem:
 
     def __post_init__(self):
         d = np.asarray(self.d, dtype=np.float64)
-        if d.shape != (self.base.A.rows,):
-            raise ValueError("weight vector length must equal the row count")
+        if d.shape != (self.base.sample_rows,):
+            raise ValueError("weight vector length must equal the sample count")
         if not np.all((d > 0) & np.isfinite(d)):
             raise ValueError("all weights must be finite and strictly positive")
         if not self.eps_w >= 0:

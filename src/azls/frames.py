@@ -441,8 +441,8 @@ def _row_compression(n: int, L: int, sel: np.ndarray):
     e_used = e[used].T  # Fortran n x (used rows)
     # each grid row's run of points among the M, and its block of the K rows
     runs = list(zip(first, np.append(first[1:], l1.size)))
-    # grid rows with the same columns (mirror rows of a symmetric mask)
-    # share one QR
+    # grid rows with the same columns share one QR and its stored Q_S, R_S
+    # (81 grid rows, 25 distinct S on the n = 25 disk)
     factors = {}
     for lo, hi in runs:
         key = l2[lo:hi].tobytes()

@@ -658,6 +658,21 @@ class TestCompressedRows:
         assert rep.rank_used == step1.rank_used
         assert np.linalg.norm(rep.x - x) <= 1e-8 * np.linalg.norm(x)
 
+    def test_weighted_real_form_takes_one_weight_per_sample(self):
+        # the real form as the base has K rows and M samples: d has M
+        # entries, and weighting it is weighting the view
+        p = self.disk()
+        real = p.real_form
+        assert real.A.rows < real.sample_rows == p.A.rows
+        d = sample_function(lambda x, y: 0.5 + x**2, p.grid)
+        b = sample_function(lambda x, y: np.exp(x + y), p.grid)
+        got = az_weighted_solve(frames.weighted_lsq(real, d, 0.6), b)
+        want = az_weighted_solve(frames.weighted_lsq(p, d, 0.6), b)
+        assert got.rank_used == want.rank_used
+        np.testing.assert_array_equal(got.x, want.x)
+        with pytest.raises(ValueError, match="sample count"):
+            frames.weighted_lsq(real, np.ones(real.A.rows), 0.0)
+
 
 def complexified(op):
     """op with its input and output promoted to complex128, so that every

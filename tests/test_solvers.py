@@ -703,21 +703,24 @@ class TestOmegaIdentityRoute:
         b = ops.materialize(op)
         ref = dense_oracle(b, rhs, cfg.eps, qr)
         assert rep.rank_used == ref.rank_used > cfg.sketch_size
-        want = ref.x
-        if qr:
-            # the disk is symmetric under x <-> y, so columns (j1, j2) and
-            # (j2, j1) of B have equal norms, and rounding decides which of
-            # such a pair the pivoted QR keeps at the cut: the routed x
-            # keeps the dense truncation's columns up to those swaps, and
-            # is the least-squares solution on the columns it keeps
-            kept = np.flatnonzero(rep.x)
-            pairs = [sorted(np.minimum(c, c % n * n + c // n))
-                     for c in (kept, np.flatnonzero(ref.x))]
-            assert kept.size == rep.rank_used and pairs[0] == pairs[1]
-            want = np.zeros(n * n)
-            want[kept] = np.linalg.lstsq(b[:, kept], rhs, rcond=None)[0]
-        # CertifiedDense's tolerance
-        assert np.linalg.norm(rep.x - want) <= 1e-8 * np.linalg.norm(want)
+        if not qr:
+            # CertifiedDense's tolerance
+            assert np.linalg.norm(rep.x - ref.x) <= 1e-8 * np.linalg.norm(ref.x)
+            return
+        # the disk is symmetric under x <-> y, so columns (j1, j2) and
+        # (j2, j1) of B have equal norms, and rounding decides which of such
+        # a pair the pivoted QR keeps at the cut: the pivoted QR of B and of
+        # its R pick differently with the BLAS thread count alone (n = 13).
+        # x is the truncation of the R the route factors, to the same 1e-8;
+        # its columns are the dense truncation's up to those swaps, and its
+        # residual is the dense truncation's
+        f = mc.householder_qr(b)
+        own = dense_oracle(f.R, f.adjoint_q(rhs), cfg.eps, qr)
+        assert np.linalg.norm(rep.x - own.x) <= 1e-8 * np.linalg.norm(own.x)
+        kept = [sorted(np.minimum(c, c % n * n + c // n))
+                for c in (np.flatnonzero(rep.x), np.flatnonzero(ref.x))]
+        assert len(kept[0]) == rep.rank_used and kept[0] == kept[1]
+        assert abs(rep.residual_norm - ref.residual_norm) <= 1e-10 * ref.residual_norm
 
     def test_unrouted_first_round_takes_no_projection(self, monkeypatch):
         # the 1D first round keeps fewer than its R directions: it never asks
