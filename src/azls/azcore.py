@@ -56,7 +56,9 @@ class AzProblem:
     given, is the problem that all three steps run on (every Fourier
     frame's cos/sin form, fourier01's too: real and in float64, its
     coefficients the unitary V, or D V with D = diag((-1)^k) for
-    fourier01); A and Z are then only the caller's view of it.
+    fourier01); A and Z are then only the caller's view of it, and a gram,
+    coefficients or rows beside it is a ValueError: the solve takes them
+    from the real form.
     """
 
     A: LinearOperator
@@ -83,7 +85,7 @@ class AzProblem:
             raise ValueError(f"rows has shape {self.rows.shape}, expected (M, {self.A.rows})")
         real = self.real_form
         if real is not None:
-            for name in ("gram", "rows"):
+            for name in ("gram", "coefficients", "rows"):
                 if getattr(self, name) is not None:
                     raise ValueError(f"{name} and real_form both given: "
                                      f"the solve takes {name} from real_form")

@@ -256,7 +256,7 @@ def cmd_approx(args) -> None:
     record = {"n": args.n, "function": args.function, "solver": args.solver,
               "max_err": err["max_err"], "l2_err": err["l2_err"],
               "residual": rep.residual_norm, "rank_used": rep.rank_used,
-              "checksum": checksum(rep.x)}
+              "checksum": checksum(rep.x), "sketch_size": rep.sketch_size}
     write_records([record], list(record.keys()), args.out, args.format)
 
 

@@ -25,7 +25,9 @@ L x n matrix E = [1, sqrt 2 cos(pi m x_l), sqrt 2 sin(pi m x_l)] along each
 axis, and is compressed exactly per grid row (`_row_compression`): the
 points of grid row l1 are E[l1, :] (x) E[S, :] = Q_S (E[l1, :] (x) R_S),
 so A_r = Q A_c, with Q = blockdiag(Q_S) the real form's rows and A_c, of
-K = sum min(|S|, n) rows, its A; both are GEMMs through scipy's dgemm.
+K = sum min(|S|, n) rows, its A.  Every 2D operator with rows of the form
+E[l1, :] (x) (a right factor per grid row) runs one kernel, `_separable`:
+one GEMM along n1, then one per grid row along n2, through scipy's dgemm.
 Every row kernel is written for real rows; `_chunked` takes a complex
 block through its real and imaginary parts.
 
@@ -35,10 +37,12 @@ of two frame functions has only 2N - 1 frequencies per axis (Chebyshev:
 degree <= 2N - 2), so G = F_P* diag(K) F_P exactly, with F_P the frame's
 own row kernels on the whole grid of fast length P >= 2N - 1 per axis and
 K a real weight taken once from the mask; G x is one row kernel,
-F_P* (K F_P x) (`_gram_rows`).  That is G_r of the 1D and 2D Fourier real forms
-(`_fourier_gram`) and the Chebyshev G, on the roots of T_P, scaled by
-1 / h^2 (`_cheb_gram`).  fourier01's G_r = I is exact, and the Legendre G
-is dense.
+F_P* (K F_P x) (`_gram_rows`).  That is G_r of the 1D and 2D Fourier real
+forms (`_fourier_gram`: F_P is the inverse real FFT of length P in 1D, and
+in 2D the kernel of A_c with E_P for every grid row, since no point of the
+whole P grid is missing) and the Chebyshev G, on the roots of T_P, scaled
+by 1 / h^2 (`_cheb_gram`).  fourier01's G_r = I is exact, and the Legendre
+G is dense.
 
 Every builder sizes its grid by one rule, `_select_grid_size`: the smallest
 fast FFT length L >= 2*oversampling*N per dimension (scipy.fft.next_fast_len)
@@ -388,34 +392,40 @@ def _trig_matrix(n: int, L: int) -> np.ndarray:
     return e
 
 
-def _separable_rows(n: int, L: int):
-    """The row kernels of the real 2D Fourier frame on the whole L x L grid,
-    A_r[(l1, l2), (j1, j2)] = E[l1, j1] E[l2, j2] (`_trig_matrix`) at the
-    row-major points l1 * L + l2, as two GEMMs per chunk of rows: E along
-    n1, then E along n2; the adjoint runs them transposed.  Both are scipy's
-    dgemm, the BLAS that also runs the sketch QR, on Fortran-ordered views.
-    The largest intermediate of a row is L^2.
+def _separable(e_left: np.ndarray, rights):
+    """The row kernels of the real 2D operator whose rows are
+    e_left[g, :] (x) rights[g], stacked over the grid rows g: e_left is
+    u x n and rights[g] m_g x n, both C-ordered, on row-major (n1, n2)
+    coefficients.  apply runs one GEMM with e_left along n1, then one per
+    grid row with rights[g] along n2; the adjoint runs them transposed.
+    All are scipy's dgemm, the BLAS of the sketch QR, on Fortran-ordered
+    views.  The largest intermediate of a row is max(n u, sum m_g).
     """
-    e = _trig_matrix(n, L)
-    e_f = np.asfortranarray(e)
+    u, n = e_left.shape
+    e_t = e_left.T  # Fortran n x u
+    ends = np.cumsum([0] + [r.shape[0] for r in rights])
     gemm = scipy.linalg.blas.dgemm
 
     def apply(v):
         k = v.shape[0]
-        # x[j2, col, j1] is the Fortran n x (n k) matrix C[j1, (j2, col)]
-        x = np.ascontiguousarray(v.reshape(k, n, n).transpose(2, 0, 1))
-        t = gemm(1.0, e_f, x.reshape(n * k, n).T)  # E C: (l1, (j2, col))
-        w = gemm(1.0, t.T.reshape(n, k * L).T, e.T)  # ((col, l1), l2)
-        return w.T.reshape(L, k, L).transpose(2, 0, 1).reshape(L * L, k).T
+        # x[j1, j2, col]: its transpose is the Fortran (n k) x n matrix C^T
+        x = np.ascontiguousarray(v.reshape(k, n, n).transpose(1, 2, 0))
+        t = gemm(1.0, x.reshape(n, n * k).T, e_t)  # ((j2, col), g): e_left C
+        out = np.empty((k, ends[-1]))
+        for g, (lo, hi) in enumerate(zip(ends, ends[1:])):
+            out[:, lo:hi] = gemm(1.0, t[:, g].reshape(n, k).T, rights[g].T)  # (col, i)
+        return out
 
-    def adjoint_apply(v):
-        k = v.shape[0]
-        w = np.ascontiguousarray(v.T.reshape(L, L, k).transpose(1, 2, 0))
-        y = gemm(1.0, w.reshape(L, k * L).T, e_f)  # ((col, l1), j2)
-        x = gemm(1.0, e_f, y.T.reshape(n * k, L).T, trans_a=1)  # (j1, (j2, col))
-        return x.T.reshape(n, k, n).transpose(1, 2, 0).reshape(k, n * n)
+    def adjoint_apply(w):
+        k = w.shape[0]
+        wt = np.ascontiguousarray(w.T)
+        t = np.empty((u, k, n))
+        for g, (lo, hi) in enumerate(zip(ends, ends[1:])):
+            t[g] = gemm(1.0, rights[g].T, wt[lo:hi].T, trans_b=1).T  # (col, j2)
+        x = gemm(1.0, t.reshape(u, k * n).T, e_t, trans_b=1)  # ((col, j2), j1)
+        return x.T.reshape(n, k, n).transpose(1, 0, 2).reshape(k, n * n)
 
-    return apply, adjoint_apply, L * L
+    return apply, adjoint_apply, max(n * u, int(ends[-1]))
 
 
 def _row_compression(n: int, L: int, sel: np.ndarray):
@@ -427,19 +437,16 @@ def _row_compression(n: int, L: int, sel: np.ndarray):
     The points of grid row l1, at the columns S of that row, are the rows
     E[l1, :] (x) E[S, :] of A_r (`_trig_matrix`).  With the thin QR
     E[S, :] = Q_S R_S (scipy's LAPACK) they are Q_S (E[l1, :] (x) R_S), so
-    Q = blockdiag(Q_S) and A_c stacks E[l1, :] (x) R_S over the grid rows.
-    A_c applies one GEMM with E[used] along n1 and then one GEMM per grid
-    row with its min(|S|, n) x n R_S along n2, and Q one GEMM per grid row
-    with its Q_S; the adjoints run the same GEMMs transposed.  All are
-    scipy's dgemm, the BLAS that also runs the sketch QR, on
-    Fortran-ordered views.  The largest intermediate of a row is
-    n * (used rows) for A_c and M for Q.
+    Q = blockdiag(Q_S) and A_c stacks E[l1, :] (x) R_S over the grid rows:
+    A_c is the separable kernel `_separable(E[used], R_S per grid row)`,
+    of width n * (used rows) since K <= n * (used rows).  Q is one GEMM
+    per grid row with its Q_S, scipy's dgemm too, of width M; its adjoint
+    runs the same GEMMs transposed.
     """
     l1, l2 = np.divmod(np.arange(L * L)[sel], L)
     used, first = np.unique(l1, return_index=True)
     e = _trig_matrix(n, L)
-    e_used = e[used].T  # Fortran n x (used rows)
-    # each grid row's run of points among the M, and its block of the K rows
+    # each grid row's run of points among the M
     runs = list(zip(first, np.append(first[1:], l1.size)))
     # grid rows with the same columns share one QR and its stored Q_S, R_S
     # (81 grid rows, 25 distinct S on the n = 25 disk)
@@ -450,54 +457,37 @@ def _row_compression(n: int, L: int, sel: np.ndarray):
             q, r = scipy.linalg.qr(e[l2[lo:hi]], mode="economic")
             factors[key] = np.asfortranarray(q), np.ascontiguousarray(r)
     qs, rs = zip(*(factors[l2[lo:hi].tobytes()] for lo, hi in runs))
+    # each grid row's block of the K rows
     ends = np.cumsum([0] + [r.shape[0] for r in rs])
-    blocks = list(zip(ends, ends[1:]))
-    m, k_rows, u = l1.size, int(ends[-1]), used.size
+    m, k_rows = l1.size, int(ends[-1])
     gemm = scipy.linalg.blas.dgemm
-
-    def apply(v):
-        k = v.shape[0]
-        # x[j1, j2, col]: its transpose is the Fortran (n k) x n matrix C^T
-        x = np.ascontiguousarray(v.reshape(k, n, n).transpose(1, 2, 0))
-        t = gemm(1.0, x.reshape(n, n * k).T, e_used)  # ((j2, col), l1): E[used] C
-        out = np.empty((k, k_rows))
-        for g, (lo, hi) in enumerate(blocks):
-            out[:, lo:hi] = gemm(1.0, t[:, g].reshape(n, k).T, rs[g].T)  # (col, i)
-        return out
-
-    def adjoint_apply(w):
-        k = w.shape[0]
-        wt = np.ascontiguousarray(w.T)
-        t = np.empty((u, k, n))
-        for g, (lo, hi) in enumerate(blocks):
-            t[g] = gemm(1.0, rs[g].T, wt[lo:hi].T, trans_b=1).T  # (col, j2): R_S^T y
-        x = gemm(1.0, t.reshape(u, k * n).T, e_used, trans_b=1)  # ((col, j2), j1)
-        return x.T.reshape(n, k, n).transpose(1, 0, 2).reshape(k, n * n)
 
     def rows_apply(y):
         yt = np.ascontiguousarray(y.T)
         out = np.empty((y.shape[0], m))
-        for (lo, hi), (b0, b1), q in zip(runs, blocks, qs):
+        for (lo, hi), b0, b1, q in zip(runs, ends, ends[1:], qs):
             out[:, lo:hi] = gemm(1.0, yt[b0:b1].T, q, trans_b=1)
         return out
 
     def rows_adjoint(w):
         wt = np.ascontiguousarray(w.T)
         out = np.empty((w.shape[0], k_rows))
-        for (lo, hi), (b0, b1), q in zip(runs, blocks, qs):
+        for (lo, hi), b0, b1, q in zip(runs, ends, ends[1:], qs):
             out[:, b0:b1] = gemm(1.0, wt[lo:hi].T, q)
         return out
 
-    # K <= n * (used rows), so t is the widest intermediate of A_c
-    return (_chunked(k_rows, n * n, apply, adjoint_apply, n * u),
+    return (_chunked(k_rows, n * n, *_separable(e[used], rs)),
             _chunked(m, k_rows, rows_apply, rows_adjoint, m))
 
 
 def _fourier_gram(n: int, dim: int, L: int, sel: np.ndarray) -> LinearOperator:
     """G_r = V* Z*A V of the Fourier extension frame in 1 or 2 dimensions:
-    G_r = F_P^T diag(K) F_P, with F_P the frame's own row kernels
-    (`_rfft_rows`, `_separable_rows`) on the whole grid of fast length
-    P = next_fast_len(2N - 1) per axis and a real weight K.
+    G_r = F_P^T diag(K) F_P, with F_P the frame's own row kernels on the
+    whole grid of fast length P = next_fast_len(2N - 1) per axis and a real
+    weight K.  In 1D F_P is `_rfft_rows` on the P points; in 2D it is
+    A_c's kernel `_separable(E_P, [E_P] * P)`, E_P = `_trig_matrix(n, P)`:
+    grid row l1 holds all P points, E_P[l1, :] (x) E_P, so nothing is
+    compressed, and the kernel's width is P^2.
 
     Z*A = A*A / L^dim has the entries g(n_k - n_j) with
     g(d) = L^-dim sum_{l inside} exp(i pi d . x_l), and the (-1)^d of
@@ -514,7 +504,11 @@ def _fourier_gram(n: int, dim: int, L: int, sel: np.ndarray) -> LinearOperator:
     z = np.zeros((P,) * dim, dtype=np.complex128)
     z[np.ix_(*[d % P] * dim)] = scipy.fft.ifftn(mask.reshape((L,) * dim))[np.ix_(*[d % L] * dim)]
     weight = scipy.fft.fftn(z).real.ravel() / P**dim
-    kernels = _rfft_rows(n, P, slice(None)) if dim == 1 else _separable_rows(n, P)
+    if dim == 1:
+        kernels = _rfft_rows(n, P, slice(None))
+    else:
+        e_p = _trig_matrix(n, P)
+        kernels = _separable(e_p, [e_p] * P)
     rows, width = _gram_rows(weight, *kernels)
     return _chunked(n**dim, n**dim, rows, rows, width)
 

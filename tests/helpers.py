@@ -1,5 +1,5 @@
 """Helpers shared by the test files: random test matrices, dense problems,
-an off-centre 2D domain, operator call counters, factorization
+an off-centre 2D domain, the dot test, operator call counters, factorization
 recomposition, the whole-matrix truncated solve that the dense step-1 paths
 are checked against, and the two checks of the theory that only tests run
 (the low-rank splitting certificate and the Gaussian pseudoinverse Monte
@@ -50,6 +50,27 @@ def step1_rhs(problem: AzProblem, b) -> np.ndarray:
     p = problem.real_form or problem
     b = b if p.rows is None else p.rows.adjoint_apply(b)
     return b - p.A.apply(p.Z.adjoint_apply(b))
+
+
+def check_adjoint(op: ops.LinearOperator, seed: int, k: int = 3, rtol: float = 1e-12) -> None:
+    """Assert that op maps a vector and a k-column block, each real and
+    complex, to the shapes its rows and cols give, both ways, and that
+    <A v, w> = <v, A* w> holds on each to rtol relative to
+    max(||A v|| ||w||, ||v|| ||A* w||)."""
+    rng = np.random.default_rng(seed)
+
+    def draw(n, tail, complex_):
+        x = rng.standard_normal((n,) + tail)
+        return x + 1j * rng.standard_normal(x.shape) if complex_ else x
+
+    for tail in ((), (k,)):
+        for complex_ in (False, True):
+            v, w = draw(op.cols, tail, complex_), draw(op.rows, tail, complex_)
+            av, aw = op.apply(v), op.adjoint_apply(w)
+            assert av.shape == w.shape and aw.shape == v.shape
+            scale = max(np.linalg.norm(av) * np.linalg.norm(w),
+                        np.linalg.norm(v) * np.linalg.norm(aw))
+            assert abs(np.vdot(w, av) - np.vdot(aw, v)) <= rtol * scale
 
 
 def dense_oracle(a, b, eps, qr=False) -> SolveReport:

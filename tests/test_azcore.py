@@ -504,12 +504,14 @@ class TestFourierGram:
             dataclasses.replace(p, gram=ops.from_dense(np.eye(3)))
 
     def test_gram_next_to_a_real_form_rejected(self):
-        # the solve takes G from the real form, so a gram beside it would go unused
+        # the solve takes G and the coefficient map from the real form, so a
+        # gram or coefficients beside it would go unused
         p = self.PROBLEMS["1d-65"]()
         n = p.A.cols
-        with pytest.raises(ValueError, match="gram and real_form both given"):
-            dataclasses.replace(p, gram=ops.from_dense(np.eye(n)))
-        assert p.gram is None
+        for name in ("gram", "coefficients"):
+            with pytest.raises(ValueError, match=f"{name} and real_form both given"):
+                dataclasses.replace(p, **{name: ops.diagonal(2.0 * np.ones(n))})
+        assert p.gram is None and p.coefficients is None
 
     def test_real_form_must_match(self):
         # a real form of another shape, or with a real form of its own, would

@@ -228,6 +228,22 @@ class TestApprox:
         assert float(rec["max_err"]) <= 1e-8
         assert int(rec["rank_used"]) > 0
 
+    @pytest.mark.parametrize("flags, sketch", [
+        # one sketch round short of N = 101; the dense tqr finished at
+        # Omega = I (rank 23 > N/2); lstsq, which has no sketch
+        (["--problem", "fourier1d", "--n", "101"], 46),
+        (["--problem", "legendre", "--n", "40", "--solver", "az-tqr"], 40),
+        (["--problem", "fourier1d", "--n", "101", "--solver", "direct"], 0),
+    ])
+    def test_sketch_size_column(self, tmp_path, flags, sketch):
+        # the R of the factor x came from, after checksum so that the
+        # earlier columns keep their indices
+        out = tmp_path / "sk.csv"
+        assert main(["approx", *flags, "--out", str(out)]) == 0
+        header, row = read_csv(out)
+        assert header[-2:] == ["checksum", "sketch_size"]
+        assert int(row[-1]) == sketch
+
     def test_json_mirror(self, tmp_path):
         out = tmp_path / "ap.json"
         code = main(["approx", "--problem", "chebyshev", "--n", "32",

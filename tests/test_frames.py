@@ -13,7 +13,7 @@ from azls import (AzProblem, SolveReport, az_solve, az_weighted_solve, default_c
                   matrixcore as mc)
 from azls import operators as ops, transforms
 from azls.frames import DomainSpec, eval_error, sample_function
-from helpers import OFF_CENTRE
+from helpers import OFF_CENTRE, check_adjoint
 
 
 def duality_defect(problem):
@@ -880,6 +880,39 @@ def test_fast_apply_matches_dense(build, monkeypatch):
                 # dot test: <v, op u> = <op* v, u>
                 assert abs(np.vdot(v, got) - np.vdot(got_adj, u)) \
                     <= 1e-13 * np.linalg.norm(dense) * np.linalg.norm(u) * np.linalg.norm(v)
+
+
+# every builder's operators, by problem: the Fourier views and their real
+# forms (in 2D with its rows map, on a mask whose grid rows hold two runs of
+# points), both Chebyshev node kinds, Legendre, fourier01 and the sum frame
+ADJOINT_PROBLEMS = {
+    "fourier1d": lambda: frames.fourier_extension_1d(65, DomainSpec.interval(-0.3, 0.6)),
+    "fourier2d": lambda: frames.fourier_extension_2d(9, frames.named_mask("punctured-disk")),
+    **{f"chebyshev-{kind}": (lambda kind=kind: frames.chebyshev_extension(
+        65, DomainSpec.interval(-0.5, 0.5), kind=kind)) for kind in ("roots", "extremae")},
+    "legendre": lambda: frames.legendre_extension(40, DomainSpec.interval(-0.5, 0.5)),
+    "fourier01": lambda: frames.fourier_lsq_equispaced(61, 123),
+    "sumframe": lambda: frames.weighted_sum_frame(
+        frames.chebyshev_extension(16, DomainSpec.interval(-0.5, 0.5)),
+        lambda x: 1.0 + 0.0 * x, lambda x: x**2),
+}
+REAL_FORM_OPERATORS = tuple(f"real_form.{name}" for name in ("A", "Z", "gram", "coefficients"))
+ADJOINT_CASES = [
+    *[(name, op) for name in ("fourier1d", "fourier01")
+      for op in ("A", "Z") + REAL_FORM_OPERATORS],
+    *[("fourier2d", op) for op in ("A", "Z") + REAL_FORM_OPERATORS + ("real_form.rows",)],
+    *[(name, op) for name in ("chebyshev-roots", "chebyshev-extremae", "legendre")
+      for op in ("A", "Z", "gram")],
+    ("sumframe", "A"), ("sumframe", "Z"),
+]
+
+
+@pytest.mark.parametrize("name, path", ADJOINT_CASES, ids=[f"{n}-{o}" for n, o in ADJOINT_CASES])
+def test_builder_operators_pass_the_dot_test(name, path):
+    op = ADJOINT_PROBLEMS[name]()
+    for attr in path.split("."):
+        op = getattr(op, attr)
+    check_adjoint(op, seed=7)
 
 
 def test_restriction_monotonicity():
